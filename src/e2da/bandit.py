@@ -10,7 +10,7 @@ updates over minibatches replayed from a ring buffer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -386,27 +386,10 @@ class E2daAgent:
             }
         return {
             "model": self.model.to_state(),
-            "reward_params": {
-                "penalty": self.reward_params.penalty,
-                "efficiency_scale": self.reward_params.efficiency_scale,
-            },
+            "reward_params": asdict(self.reward_params),
             "initial_params": initial,
             "episodes_trained": self.episodes_trained,
-            "config": {
-                "hidden_sizes": list(self.config.hidden_sizes),
-                "learning_rate": self.config.learning_rate,
-                "rmsprop_decay": self.config.rmsprop_decay,
-                "rmsprop_eps": self.config.rmsprop_eps,
-                "minibatch_size": self.config.minibatch_size,
-                "train_steps_per_observation": self.config.train_steps_per_observation,
-                "buffer_capacity": self.config.buffer_capacity,
-                "epsilon0": self.config.epsilon0,
-                "epsilon_decay": self.config.epsilon_decay,
-                "epsilon_min": self.config.epsilon_min,
-                "penalty": self.config.penalty,
-                "init_scale": self.config.init_scale,
-                "retrain_from_scratch": self.config.retrain_from_scratch,
-            },
+            "config": asdict(self.config),
         }
 
     @classmethod

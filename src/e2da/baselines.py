@@ -1,4 +1,4 @@
-"""Frozen-state oracle schedulers and simple reference policies.
+"""Frozen-state oracle schedulers.
 
 Each oracle ranks the per-action what-if outcomes of a single task and is
 deliberately blind to everything its criterion ignores: eel_star maximizes
@@ -56,37 +56,3 @@ def r_star(ps: ProjectionSet) -> int:
 
 
 ORACLES = {"eel": eel_star, "ee": ee_star, "r": r_star}
-
-
-class OraclePolicy:
-    """Wraps one oracle rule as a decision function over projections."""
-
-    def __init__(self, name: str):
-        if name not in ORACLES:
-            raise ValueError(f"unknown oracle {name!r}, expected one of {sorted(ORACLES)}")
-        self.name = name
-        self._rule = ORACLES[name]
-
-    def choose(self, ps: ProjectionSet) -> int:
-        return self._rule(ps)
-
-
-class RandomPolicy:
-    """Uniform action choice; the logging policy for dataset generation."""
-
-    def __init__(self, rng: np.random.Generator, n_actions: int):
-        self.rng = rng
-        self.n_actions = n_actions
-
-    def choose(self, ps: ProjectionSet = None) -> int:
-        return int(self.rng.integers(self.n_actions))
-
-
-class ConstantPolicy:
-    """Always the same action; handy for accounting checks."""
-
-    def __init__(self, action: int):
-        self.action = action
-
-    def choose(self, ps: ProjectionSet = None) -> int:
-        return self.action

@@ -18,11 +18,12 @@ error, 4 runtime failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
+from dataclasses import replace
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from . import __version__
 from .bandit import E2daAgent, RewardParams
@@ -40,8 +41,8 @@ from .experiment import (
     MetricsRow,
     calibrate_efficiency_scale,
     calibrate_efficiency_scale_live,
-    dataset_policy,
     generate_dataset,
+    make_policy,
     run_evaluation,
     run_live_evaluation,
     run_live_training,
@@ -50,28 +51,29 @@ from .experiment import (
     summarize,
     write_metrics,
 )
-from .ioutil import sha256_file, write_json
+from .ioutil import read_json, sha256_file, write_json
 from .rng import substream
 from .workload import WorkloadConfig
 
 TRAIN_AGENTS = ("e2da", "random")
 EVAL_AGENTS = ("e2da", "eel", "ee", "r", "random")
+# checkpoint format and agent-state key, by whether agents are per user
+_CHECKPOINT = {False: ("e2da-agent", "agent"), True: ("e2da-agent-set", "agents")}
 
 
 # ------------------------------------------------------------------- helpers
 
 
-def _effective_seed(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    return args.seed if args.seed is not None else cfg.seed
+def _context(args: argparse.Namespace) -> Tuple[ExperimentConfig, str, int]:
+    """Config, effective mode and effective seed; creates the output dir."""
+    cfg = load_config(args.config)
+    seed = args.seed if args.seed is not None else cfg.run.seed
+    os.makedirs(args.out, exist_ok=True)
+    return cfg, getattr(args, "mode", None) or cfg.run.mode, seed
 
 
 def _write_manifest(
-    out_dir: str,
-    command: str,
-    cfg: ExperimentConfig,
-    seed: int,
-    outputs: List[str],
-    extra: Optional[dict] = None,
+    out_dir: str, command: str, cfg: ExperimentConfig, seed: int, outputs: List[str], extra: dict
 ) -> None:
     manifest = {
         "command": command,
@@ -79,255 +81,227 @@ def _write_manifest(
         "seed": seed,
         "config": config_to_dict(cfg),
         "outputs": {name: sha256_file(os.path.join(out_dir, name)) for name in outputs},
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def _load_dataset(path: Optional[str], n_actions: int) -> Dataset:
+def _load_dataset(path: Optional[str], cfg: ExperimentConfig) -> Dataset:
     if not path:
         raise ConfigError("dataset mode requires --dataset PATH")
     dataset = Dataset.from_csv(path)
+    if not dataset.records:
+        raise ConfigError(f"{path} holds no records")
+    n_actions, n_users = cfg.system.n_channels + 1, cfg.system.n_users
     if dataset.n_actions != n_actions:
         raise ConfigError(
-            f"dataset has {dataset.n_actions} actions but the config implies {n_actions}"
+            f"{path} has {dataset.n_actions} actions but the config implies {n_actions}"
         )
+    for row, rec in enumerate(dataset.records, 1):
+        if not 0 <= rec.task.user_id < n_users:
+            raise ConfigError(
+                f"{path} row {row}: user_id {rec.task.user_id} is outside "
+                f"0..{n_users - 1} (system.n_users is {n_users})"
+            )
     return dataset
 
 
-def _resolve_scale(
-    cfg: ExperimentConfig, seed: int, dataset: Optional[Dataset]
-) -> Tuple[float, str]:
-    """Efficiency normalizer and where it came from."""
-    if cfg.efficiency_scale is not None:
-        return cfg.efficiency_scale, "configured"
-    if dataset is not None:
-        return (
-            calibrate_efficiency_scale(dataset, cfg.calibration_percentile),
-            "dataset_percentile",
+def _reward_params(
+    cfg: ExperimentConfig, seed: int, dataset: Optional[Dataset], extra: dict
+) -> RewardParams:
+    """Reward constants of a run without a checkpoint.  The efficiency
+    normalizer is configured or calibrated; extra records which."""
+    scale, origin = cfg.reward.efficiency_scale_bits_per_j_s, "configured"
+    percentile = cfg.reward.calibration_percentile
+    if scale is None and dataset is not None:
+        scale, origin = calibrate_efficiency_scale(dataset, percentile), "dataset_percentile"
+    elif scale is None:
+        scale = calibrate_efficiency_scale_live(
+            cfg.system, cfg.channels, cfg.workload, seed, percentile=percentile
         )
-    scale = calibrate_efficiency_scale_live(
-        cfg.node, cfg.channels, cfg.workload, seed, percentile=cfg.calibration_percentile
+        origin = "live_percentile"
+    extra.update({"efficiency_scale": scale, "scale_origin": origin})
+    return RewardParams(cfg.agent.penalty, scale)
+
+
+def _policy_inputs(
+    name: str,
+    cfg: ExperimentConfig,
+    mode: str,
+    seed: int,
+    dataset: Optional[Dataset],
+    checkpoint: Optional[str],
+    checkpoint_key: str,
+    extra: dict,
+) -> Tuple[List[E2daAgent], RewardParams, WorkloadConfig]:
+    """Agents, reward constants and workload of the policy `name`.  The
+    learned policy has one shared agent (stream salt ()) or one agent per
+    user (salt ("user", u)), fresh or read from `checkpoint`; other
+    policies have none.  extra records the reward normalizer and, under
+    checkpoint_key, the checkpoint's hash."""
+    if name != "e2da":
+        return [], _reward_params(cfg, seed, dataset, extra), cfg.workload
+    per_user = cfg.run.agent_scope == "per_user"
+    if per_user and mode != "dataset":
+        raise ConfigError("run.agent_scope 'per_user' requires dataset mode")
+    salts = [("user", u) for u in range(cfg.system.n_users)] if per_user else [()]
+    if checkpoint is None:
+        params = _reward_params(cfg, seed, dataset, extra)
+        n_actions = cfg.system.n_channels + 1
+        agents = [E2daAgent.create(cfg.agent, n_actions, params, seed, salt) for salt in salts]
+        return agents, params, cfg.workload
+    agents, workload = _read_checkpoint(checkpoint, cfg, seed, salts)
+    # inputs go into the manifest by content hash, not path, so two runs of
+    # the same experiment stay byte-identical
+    extra.update(
+        {
+            checkpoint_key: sha256_file(checkpoint),
+            "efficiency_scale": agents[0].reward_params.efficiency_scale,
+            "scale_origin": "checkpoint",
+        }
     )
-    return scale, "live_percentile"
+    return agents, agents[0].reward_params, workload
 
 
-def _write_checkpoint(path: str, agent: E2daAgent, workload: WorkloadConfig) -> None:
-    payload = {
-        "format": "e2da-agent",
-        "tool_version": __version__,
-        "n_actions": int(agent.model.layer_sizes[-1]),
-        "context_bounds": [list(b) for b in workload.resolved_context_bounds()],
-        "agent": agent.to_state(),
-    }
-    write_json(path, payload)
+def _read_checkpoint(
+    path: str, cfg: ExperimentConfig, seed: int, salts: List[Tuple]
+) -> Tuple[List[E2daAgent], WorkloadConfig]:
+    """Agents of a checkpoint, checked against the run's agent scope and
+    action count, plus the workload with the checkpoint's context bounds."""
+    payload = read_json(path)
 
+    def invalid(key_path: str, why: str) -> ConfigError:
+        return ConfigError(f"{path}: {key_path} {why}")
 
-def _write_checkpoint_set(path: str, agents: List[E2daAgent], workload: WorkloadConfig) -> None:
-    """Checkpoint for per-user training: agents[u] decides for user u."""
-    payload = {
-        "format": "e2da-agent-set",
-        "tool_version": __version__,
-        "n_actions": int(agents[0].model.layer_sizes[-1]),
-        "context_bounds": [list(b) for b in workload.resolved_context_bounds()],
-        "agents": [agent.to_state() for agent in agents],
-    }
-    write_json(path, payload)
-
-
-def _read_checkpoint(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not a valid checkpoint: {exc}") from exc
-    if payload.get("format") not in ("e2da-agent", "e2da-agent-set"):
-        raise ConfigError(f"{path} is not an agent checkpoint (format field missing or wrong)")
-    return payload
-
-
-def _agent_from_checkpoint(payload: dict, seed: int) -> E2daAgent:
-    if payload["format"] != "e2da-agent":
-        raise ConfigError(
-            "checkpoint holds a per-user agent set; this command path needs a "
-            "single shared agent (run.agent_scope 'shared')"
-        )
-    # Salt the fresh action/minibatch streams with the episode count so a
-    # resumed run does not replay the original run's draws from the start.
-    ep = int(payload["agent"]["episodes_trained"])
-    return E2daAgent.from_state(
-        payload["agent"],
-        explore_rng=substream(seed, "explore", ep),
-        minibatch_rng=substream(seed, "minibatch", ep),
-    )
-
-
-def _agents_from_checkpoint_set(payload: dict, seed: int) -> List[E2daAgent]:
-    if payload["format"] != "e2da-agent-set":
-        raise ConfigError(
-            "checkpoint holds a single shared agent; run.agent_scope 'per_user' "
-            "needs a per-user agent set"
-        )
+    per_user = cfg.run.agent_scope == "per_user"
+    fmt, key = _CHECKPOINT[per_user]
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != fmt:
+        scope = cfg.run.agent_scope
+        raise invalid("format", f"is {found!r}; run.agent_scope {scope!r} needs {fmt!r}")
+    n_actions = cfg.system.n_channels + 1
+    if payload.get("n_actions") != n_actions:
+        found = payload.get("n_actions")
+        raise invalid("n_actions", f"is {found!r}, the config implies {n_actions}")
+    states = payload.get(key)
+    if not per_user:
+        states = [states]
+    elif not isinstance(states, list) or len(states) != len(salts):
+        raise invalid(key, f"must list one agent state per user ({len(salts)})")
     agents = []
-    for u, state in enumerate(payload["agents"]):
-        ep = int(state["episodes_trained"])
-        agents.append(
-            E2daAgent.from_state(
+    for u, (state, salt) in enumerate(zip(states, salts)):
+        where = f"agents[{u}]" if per_user else "agent"
+        if not isinstance(state, dict):
+            raise invalid(where, f"must be an agent state object, got {state!r}")
+        ep = state.get("episodes_trained")
+        if not isinstance(ep, int) or isinstance(ep, bool) or ep < 0:
+            raise invalid(f"{where}.episodes_trained", f"must be a count, got {ep!r}")
+        # Salt the fresh action/minibatch streams with the episode count so a
+        # resumed run does not replay the original run's draws from the start.
+        try:
+            agent = E2daAgent.from_state(
                 state,
-                explore_rng=substream(seed, "explore", ep, "user", u),
-                minibatch_rng=substream(seed, "minibatch", ep, "user", u),
+                explore_rng=substream(seed, "explore", ep, *salt),
+                minibatch_rng=substream(seed, "minibatch", ep, *salt),
             )
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise invalid(where, f"is not a valid agent state ({exc!r})") from exc
+        if agent.model.n_actions != n_actions:
+            raise invalid(f"{where}.model", f"has {agent.model.n_actions} outputs, not {n_actions}")
+        agents.append(agent)
+    try:
+        bounds = tuple((float(lo), float(hi)) for lo, hi in payload.get("context_bounds"))
+        workload = replace(cfg.workload, context_bounds=bounds)
+        workload.validate()
+    except (TypeError, ValueError) as exc:
+        raise invalid("context_bounds", f"must list 3 [min, max] pairs ({exc})") from exc
+    return agents, workload
+
+
+def _write_checkpoint(
+    path: str, agents: List[E2daAgent], per_user: bool, workload: WorkloadConfig
+) -> None:
+    """Checkpoint of a run's agents; in a per-user set agents[u] decides for user u."""
+    fmt, key = _CHECKPOINT[per_user]
+    states = [agent.to_state() for agent in agents]
+    payload = {
+        "format": fmt,
+        "tool_version": __version__,
+        "n_actions": agents[0].model.n_actions,
+        "context_bounds": [list(b) for b in workload.resolved_context_bounds()],
+        key: states if per_user else states[0],
+    }
+    write_json(path, payload)
+
+
+def _evaluate(
+    name: str,
+    cfg: ExperimentConfig,
+    mode: str,
+    seed: int,
+    dataset: Optional[Dataset],
+    workload: WorkloadConfig,
+    params: RewardParams,
+    agents: List[E2daAgent],
+    rng: np.random.Generator,
+    phase: str = "test",
+) -> List[MetricsRow]:
+    """Frozen-policy rollout over the run's test episodes, or over its
+    train episodes for the random baseline log.  In dataset mode random
+    draws from rng; in live mode it draws from the rollout's own stream."""
+    run = cfg.run
+    n_episodes = run.n_test_episodes if phase == "test" else run.n_train_episodes
+    if mode == "dataset":
+        choose = make_policy(name, agents, rng, cfg.system.n_channels + 1)
+        return run_evaluation(
+            choose, dataset, workload, params, n_episodes, run.tasks_per_episode, seed,
+            phase=phase, stream=phase,
         )
-    return agents
-
-
-def _workload_with_bounds(workload: WorkloadConfig, bounds) -> WorkloadConfig:
-    fixed = tuple((float(lo), float(hi)) for lo, hi in bounds)
-    return dataclasses.replace(workload, context_bounds=fixed)
-
-
-def _retag(rows: List[MetricsRow], phase: str) -> List[MetricsRow]:
-    return [
-        MetricsRow(r.episode, phase, r.reward, r.deadline_frac, r.energy_j, r.response_s)
-        for r in rows
-    ]
+    return run_live_evaluation(
+        name, cfg.system, cfg.channels, workload, params, n_episodes, run.tasks_per_episode,
+        seed, agents=agents, phase=phase,
+    )
 
 
 # ------------------------------------------------------------------ commands
 
 
 def cmd_generate_dataset(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    seed = _effective_seed(cfg, args)
-    os.makedirs(args.out, exist_ok=True)
-    dataset = generate_dataset(cfg.node, cfg.channels, cfg.workload, cfg.n_records, seed)
+    cfg, _, seed = _context(args)
+    dataset = generate_dataset(cfg.system, cfg.channels, cfg.workload, cfg.run.n_records, seed)
     dataset.write_csv(os.path.join(args.out, "dataset.csv"))
-    _write_manifest(
-        args.out,
-        "generate-dataset",
-        cfg,
-        seed,
-        ["dataset.csv"],
-        extra={"n_records": len(dataset)},
-    )
+    extra = {"n_records": len(dataset)}
+    _write_manifest(args.out, "generate-dataset", cfg, seed, ["dataset.csv"], extra)
     print(f"wrote {len(dataset)} records to {os.path.join(args.out, 'dataset.csv')}")
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    mode = args.mode or cfg.mode
-    seed = _effective_seed(cfg, args)
-    n_actions = cfg.node.n_channels + 1
-    os.makedirs(args.out, exist_ok=True)
-
-    dataset = _load_dataset(args.dataset, n_actions) if mode == "dataset" else None
+    cfg, mode, seed = _context(args)
+    run = cfg.run
+    dataset = _load_dataset(args.dataset, cfg) if mode == "dataset" else None
     outputs = ["metrics.csv"]
     extra: dict = {"agent": args.agent, "mode": mode}
 
+    if args.agent == "random" and args.resume:
+        raise ConfigError("--resume only applies to the learned agent")
+    agents, params, workload = _policy_inputs(
+        args.agent, cfg, mode, seed, dataset, args.resume, "resumed_from_sha256", extra
+    )
     if args.agent == "random":
-        if args.resume:
-            raise ConfigError("--resume only applies to the learned agent")
-        scale, origin = _resolve_scale(cfg, seed, dataset)
-        params = RewardParams(cfg.agent.penalty, scale)
-        if mode == "dataset":
-            policy = dataset_policy(
-                "random", rng=substream(seed, "logging-policy"), n_actions=n_actions
-            )
-            rows = run_evaluation(
-                policy,
-                dataset,
-                cfg.workload,
-                params,
-                cfg.n_train_episodes,
-                cfg.tasks_per_episode,
-                seed,
-                phase="train",
-                stream="train",
-            )
-        else:
-            rows = _retag(
-                run_live_evaluation(
-                    "random",
-                    cfg.node,
-                    cfg.channels,
-                    cfg.workload,
-                    params,
-                    cfg.n_train_episodes,
-                    cfg.tasks_per_episode,
-                    seed,
-                ),
-                "train",
-            )
-        extra.update({"efficiency_scale": params.efficiency_scale, "scale_origin": origin})
+        rng = substream(seed, "logging-policy")
+        rows = _evaluate("random", cfg, mode, seed, dataset, workload, params, [], rng, "train")
     else:
-        per_user = cfg.agent_scope == "per_user"
-        if per_user and mode != "dataset":
-            raise ConfigError("run.agent_scope 'per_user' requires dataset mode")
-        workload = cfg.workload
-        agent: Optional[E2daAgent] = None
-        agents: List[E2daAgent] = []
-        if args.resume:
-            payload = _read_checkpoint(args.resume)
-            if int(payload["n_actions"]) != n_actions:
-                raise ConfigError(
-                    f"checkpoint has {payload['n_actions']} actions, config implies {n_actions}"
-                )
-            if per_user:
-                agents = _agents_from_checkpoint_set(payload, seed)
-                if len(agents) != cfg.node.n_users:
-                    raise ConfigError(
-                        f"checkpoint set holds {len(agents)} agents, "
-                        f"system.n_users is {cfg.node.n_users}"
-                    )
-            else:
-                agent = _agent_from_checkpoint(payload, seed)
-            workload = _workload_with_bounds(cfg.workload, payload["context_bounds"])
-            # inputs go into the manifest by content hash, not path, so two
-            # runs of the same experiment stay byte-identical
-            extra.update(
-                {
-                    "resumed_from_sha256": sha256_file(args.resume),
-                    "efficiency_scale": (agents[0] if per_user else agent).reward_params.efficiency_scale,
-                    "scale_origin": "checkpoint",
-                }
-            )
-        else:
-            scale, origin = _resolve_scale(cfg, seed, dataset)
-            params = RewardParams(cfg.agent.penalty, scale)
-            if per_user:
-                agents = [
-                    E2daAgent.create(cfg.agent, n_actions, params, seed, stream_salt=("user", u))
-                    for u in range(cfg.node.n_users)
-                ]
-            else:
-                agent = E2daAgent.create(cfg.agent, n_actions, params, seed)
-            extra.update({"efficiency_scale": scale, "scale_origin": origin})
+        per_user = run.agent_scope == "per_user"
+        episodes = (run.n_train_episodes, run.tasks_per_episode, seed)
         if per_user:
-            rows, _ = run_training_per_user(
-                agents, dataset, workload, cfg.n_train_episodes, cfg.tasks_per_episode, seed
-            )
+            rows, _ = run_training_per_user(agents, dataset, workload, *episodes)
         elif mode == "dataset":
-            rows = run_training(
-                agent, dataset, workload, cfg.n_train_episodes, cfg.tasks_per_episode, seed
-            )
+            rows = run_training(agents[0], dataset, workload, *episodes)
         else:
-            rows = run_live_training(
-                agent,
-                cfg.node,
-                cfg.channels,
-                workload,
-                cfg.n_train_episodes,
-                cfg.tasks_per_episode,
-                seed,
-            )
-        if per_user:
-            _write_checkpoint_set(os.path.join(args.out, "model.json"), agents, workload)
-            extra["episodes_trained"] = agents[0].episodes_trained
-        else:
-            _write_checkpoint(os.path.join(args.out, "model.json"), agent, workload)
-            extra["episodes_trained"] = agent.episodes_trained
+            rows = run_live_training(agents[0], cfg.system, cfg.channels, workload, *episodes)
+        _write_checkpoint(os.path.join(args.out, "model.json"), agents, per_user, workload)
+        extra["episodes_trained"] = agents[0].episodes_trained
         outputs.append("model.json")
 
     write_metrics(os.path.join(args.out, "metrics.csv"), rows)
@@ -341,75 +315,19 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    mode = args.mode or cfg.mode
-    seed = _effective_seed(cfg, args)
-    n_actions = cfg.node.n_channels + 1
-    os.makedirs(args.out, exist_ok=True)
-
-    dataset = _load_dataset(args.dataset, n_actions) if mode == "dataset" else None
-    agent = None
-    agents: List[E2daAgent] = []
-    workload = cfg.workload
+    cfg, mode, seed = _context(args)
+    dataset = _load_dataset(args.dataset, cfg) if mode == "dataset" else None
     extra: dict = {"agent": args.agent, "mode": mode}
-    if args.agent == "e2da":
-        if not args.model:
-            raise ConfigError("evaluating the learned agent requires --model PATH")
-        payload = _read_checkpoint(args.model)
-        if payload["format"] == "e2da-agent-set":
-            if mode != "dataset":
-                raise ConfigError(
-                    "a per-user checkpoint set evaluates in dataset mode only"
-                )
-            agents = _agents_from_checkpoint_set(payload, seed)
-            if len(agents) != cfg.node.n_users:
-                raise ConfigError(
-                    f"checkpoint set holds {len(agents)} agents, "
-                    f"system.n_users is {cfg.node.n_users}"
-                )
-            params = agents[0].reward_params
-        else:
-            agent = _agent_from_checkpoint(payload, seed)
-            params = agent.reward_params
-        workload = _workload_with_bounds(cfg.workload, payload["context_bounds"])
-        extra.update({"model_sha256": sha256_file(args.model), "scale_origin": "checkpoint"})
-    else:
-        scale, origin = _resolve_scale(cfg, seed, dataset)
-        params = RewardParams(cfg.agent.penalty, scale)
-        extra["scale_origin"] = origin
-    extra["efficiency_scale"] = params.efficiency_scale
-
-    if mode == "dataset":
-        if agents:
-
-            def policy(rec, x, _agents=agents):
-                return _agents[rec.task.user_id].act(x, 0.0)
-
-        else:
-            policy = dataset_policy(
-                args.agent,
-                agent=agent,
-                rng=substream(seed, "logging-policy"),
-                n_actions=n_actions,
-            )
-        rows = run_evaluation(
-            policy, dataset, workload, params, cfg.n_test_episodes, cfg.tasks_per_episode, seed
-        )
-    else:
-        rows = run_live_evaluation(
-            args.agent,
-            cfg.node,
-            cfg.channels,
-            workload,
-            params,
-            cfg.n_test_episodes,
-            cfg.tasks_per_episode,
-            seed,
-            agent=agent,
-        )
+    if args.agent == "e2da" and not args.model:
+        raise ConfigError("evaluating the learned agent requires --model PATH")
+    agents, params, workload = _policy_inputs(
+        args.agent, cfg, mode, seed, dataset, args.model, "model_sha256", extra
+    )
+    rng = substream(seed, "logging-policy")
+    rows = _evaluate(args.agent, cfg, mode, seed, dataset, workload, params, agents, rng)
 
     write_metrics(os.path.join(args.out, "metrics.csv"), rows)
-    summary = summarize({args.agent: rows}, cfg.tasks_per_episode)
+    summary = summarize({args.agent: rows}, cfg.run.tasks_per_episode)
     summary["efficiency_scale"] = params.efficiency_scale
     write_json(os.path.join(args.out, "summary.json"), summary)
     _write_manifest(args.out, "evaluate", cfg, seed, ["metrics.csv", "summary.json"], extra)
@@ -424,12 +342,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    mode = args.mode or cfg.mode
-    seed = _effective_seed(cfg, args)
-    n_actions = cfg.node.n_channels + 1
-    os.makedirs(args.out, exist_ok=True)
-
+    cfg, mode, seed = _context(args)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
@@ -437,77 +350,41 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise ConfigError("--values must list at least one mean")
 
-    agent = None
+    agents: List[E2daAgent] = []
     bounds = None
     params: Optional[RewardParams] = None
     if args.agent == "e2da":
         if not args.model:
             raise ConfigError("sweeping the learned agent requires --model PATH")
-        payload = _read_checkpoint(args.model)
-        agent = _agent_from_checkpoint(payload, seed)
-        bounds = payload["context_bounds"]
-        params = agent.reward_params
-    elif cfg.efficiency_scale is not None:
-        params = RewardParams(cfg.agent.penalty, cfg.efficiency_scale)
+        agents, params, workload = _policy_inputs(
+            "e2da", cfg, mode, seed, None, args.model, "model_sha256", {}
+        )
+        bounds = workload.context_bounds
 
     scenarios = []
     outputs: List[str] = []
     for value in values:
         scen_cfg = with_sweep_value(cfg, args.vary, value)
         label = f"{args.vary}-{value:g}"
-        scen_dir = os.path.join(args.out, label)
-        os.makedirs(scen_dir, exist_ok=True)
+        os.makedirs(os.path.join(args.out, label), exist_ok=True)
         # Identical seeds across scenarios give common random numbers, so
         # scenario differences are the knob's effect rather than noise.
-        workload = scen_cfg.workload
-        if bounds is not None:
-            workload = _workload_with_bounds(workload, bounds)
+        ds = None
         if mode == "dataset":
             ds = generate_dataset(
-                scen_cfg.node, scen_cfg.channels, scen_cfg.workload, scen_cfg.n_records, seed
+                scen_cfg.system, scen_cfg.channels, scen_cfg.workload, scen_cfg.run.n_records, seed
             )
-            if params is None:
-                # One normalizer for the whole sweep keeps rewards comparable.
-                params = RewardParams(
-                    cfg.agent.penalty,
-                    calibrate_efficiency_scale(ds, cfg.calibration_percentile),
-                )
-            policy = dataset_policy(
-                args.agent,
-                agent=agent,
-                rng=substream(seed, "logging-policy", label),
-                n_actions=n_actions,
-            )
-            rows = run_evaluation(
-                policy, ds, workload, params, cfg.n_test_episodes, cfg.tasks_per_episode, seed
-            )
-        else:
-            if params is None:
-                params = RewardParams(
-                    cfg.agent.penalty,
-                    calibrate_efficiency_scale_live(
-                        scen_cfg.node,
-                        scen_cfg.channels,
-                        scen_cfg.workload,
-                        seed,
-                        percentile=cfg.calibration_percentile,
-                    ),
-                )
-            rows = run_live_evaluation(
-                args.agent,
-                scen_cfg.node,
-                scen_cfg.channels,
-                workload,
-                params,
-                cfg.n_test_episodes,
-                cfg.tasks_per_episode,
-                seed,
-                agent=agent,
-            )
+        if params is None:
+            # One normalizer for the whole sweep keeps rewards comparable.
+            params = _reward_params(scen_cfg, seed, ds, {})
+        # the learned agent scales contexts with its checkpoint's bounds
+        workload = replace(scen_cfg.workload, context_bounds=bounds)
+        rng = substream(seed, "logging-policy", label)
+        rows = _evaluate(args.agent, scen_cfg, mode, seed, ds, workload, params, agents, rng)
         rel_metrics = os.path.join(label, "metrics.csv")
         write_metrics(os.path.join(args.out, rel_metrics), rows)
         outputs.append(rel_metrics)
-        stats = summarize({args.agent: rows}, cfg.tasks_per_episode)["agents"][args.agent]
+        stats = summarize({args.agent: rows}, cfg.run.tasks_per_episode)["agents"][args.agent]
         scenarios.append({"value": value, "label": label, **stats})
 
     def ratio(key: str) -> Optional[float]:

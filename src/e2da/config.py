@@ -1,80 +1,102 @@
 """JSON run configuration: parsing, strict validation, default filling.
 
 Field names carry their units (bps, Hz, W, s, bits) because unit mistakes
-are the usual way these experiments go quietly wrong.  Unknown keys are
+are the usual way these experiments go quietly wrong.  Every section
+mirrors one dataclass: its keys are the field names (only NodeConfig.kappa
+is spelled kappa_j_per_cycle_hz2), each value is checked against its
+field's type, and absent keys take the field defaults.  Unknown keys are
 rejected rather than ignored so typos surface as errors.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+import math
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from .bandit import AgentConfig
 from .errors import ConfigError
+from .ioutil import read_json
 from .netsim import ChannelConfig, NodeConfig, default_channels
 from .workload import DistributionSpec, WorkloadConfig
 
 MODES = ("dataset", "live")
 AGENT_SCOPES = ("shared", "per_user")
-SWEEP_AXES = ("intensity", "size")
+# sweep axis -> the workload distribution it rescales
+SWEEP_AXES = {"intensity": "intensity_cpb", "size": "size_bits"}
+# dataclass field -> JSON key, where the two differ
+_JSON_KEYS = {"kappa": "kappa_j_per_cycle_hz2"}
+# distribution kind -> its JSON parameters, in constructor order
+_DIST_KEYS = {"uniform": ("min", "max"), "constant": ("value",), "exponential": ("mean",)}
+
+
+@dataclass(frozen=True)
+class RewardConfig:
+    efficiency_scale_bits_per_j_s: Optional[float] = None  # None means calibrate
+    calibration_percentile: float = 99.0
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    mode: str = "dataset"
+    seed: int = 0
+    n_records: int = 32_565
+    n_train_episodes: int = 1000
+    n_test_episodes: int = 100
+    tasks_per_episode: int = 100
+    agent_scope: str = "shared"
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    node: NodeConfig
-    channels: Tuple[ChannelConfig, ...]
-    workload: WorkloadConfig
-    agent: AgentConfig
-    efficiency_scale: Optional[float]  # bits / (s * J); None means calibrate
-    calibration_percentile: float
-    mode: str
-    seed: int
-    n_records: int
-    n_train_episodes: int
-    n_test_episodes: int
-    tasks_per_episode: int
-    agent_scope: str = "shared"
+    """One field per JSON section."""
+
+    system: NodeConfig = field(default_factory=NodeConfig)
+    channels: Tuple[ChannelConfig, ...] = field(default_factory=default_channels)
+    workload: WorkloadConfig = field(default_factory=WorkloadConfig)
+    agent: AgentConfig = field(default_factory=AgentConfig)
+    reward: RewardConfig = field(default_factory=RewardConfig)
+    run: RunConfig = field(default_factory=RunConfig)
 
     def validate(self) -> None:
-        self.node.validate()
-        if len(self.channels) != self.node.n_channels:
+        self.system.validate()
+        if len(self.channels) != self.system.n_channels:
             raise ConfigError(
                 f"channels lists {len(self.channels)} entries but system.n_channels "
-                f"is {self.node.n_channels}"
+                f"is {self.system.n_channels}"
             )
         for i, ch in enumerate(self.channels):
             ch.validate(f"channels[{i}]")
         self.workload.validate()
         self.agent.validate()
-        if self.efficiency_scale is not None and self.efficiency_scale <= 0:
+        scale = self.reward.efficiency_scale_bits_per_j_s
+        if scale is not None and scale <= 0:
+            raise ConfigError(f"reward.efficiency_scale_bits_per_j_s must be > 0, got {scale}")
+        if not 0 < self.reward.calibration_percentile <= 100:
             raise ConfigError(
-                f"reward.efficiency_scale_bits_per_j_s must be > 0, got {self.efficiency_scale}"
+                "reward.calibration_percentile must be in (0, 100], "
+                f"got {self.reward.calibration_percentile}"
             )
-        if not 0 < self.calibration_percentile <= 100:
-            raise ConfigError(
-                f"reward.calibration_percentile must be in (0, 100], got {self.calibration_percentile}"
-            )
-        if self.mode not in MODES:
-            raise ConfigError(f"run.mode must be one of {MODES}, got {self.mode!r}")
-        if self.seed < 0:
-            raise ConfigError(f"run.seed must be >= 0, got {self.seed}")
+        run = self.run
+        if run.mode not in MODES:
+            raise ConfigError(f"run.mode must be one of {MODES}, got {run.mode!r}")
+        if run.seed < 0:
+            raise ConfigError(f"run.seed must be >= 0, got {run.seed}")
         for f_name in ("n_records", "n_train_episodes", "n_test_episodes", "tasks_per_episode"):
-            if getattr(self, f_name) < 1:
-                raise ConfigError(f"run.{f_name} must be >= 1, got {getattr(self, f_name)}")
-        if self.agent_scope not in AGENT_SCOPES:
+            if getattr(run, f_name) < 1:
+                raise ConfigError(f"run.{f_name} must be >= 1, got {getattr(run, f_name)}")
+        if run.agent_scope not in AGENT_SCOPES:
             raise ConfigError(
-                f"run.agent_scope must be one of {AGENT_SCOPES}, got {self.agent_scope!r}"
+                f"run.agent_scope must be one of {AGENT_SCOPES}, got {run.agent_scope!r}"
             )
-        if self.agent_scope == "per_user" and self.mode != "dataset":
+        if run.agent_scope == "per_user" and run.mode != "dataset":
             raise ConfigError(
                 "run.agent_scope 'per_user' partitions dataset records by user "
                 "and therefore requires run.mode 'dataset'"
             )
 
 
-def _require_keys(obj: dict, allowed: Sequence[str], where: str) -> None:
+def _require_keys(obj: dict, allowed, where: str) -> None:
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
@@ -84,292 +106,115 @@ def _dist_from_json(obj, where: str) -> DistributionSpec:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object with a 'kind'")
     kind = obj.get("kind")
-    if kind == "uniform":
-        _require_keys(obj, ("kind", "min", "max"), where)
-        if "min" not in obj or "max" not in obj:
-            raise ConfigError(f"{where}: uniform needs 'min' and 'max'")
-        dist = DistributionSpec.uniform(float(obj["min"]), float(obj["max"]))
-    elif kind == "constant":
-        _require_keys(obj, ("kind", "value"), where)
-        if "value" not in obj:
-            raise ConfigError(f"{where}: constant needs 'value'")
-        dist = DistributionSpec.constant(float(obj["value"]))
-    elif kind == "exponential":
-        _require_keys(obj, ("kind", "mean"), where)
-        if "mean" not in obj:
-            raise ConfigError(f"{where}: exponential needs 'mean'")
-        dist = DistributionSpec.exponential(float(obj["mean"]))
-    else:
+    if kind not in _DIST_KEYS:
         raise ConfigError(f"{where}.kind must be uniform/constant/exponential, got {kind!r}")
+    keys = _DIST_KEYS[kind]
+    _require_keys(obj, ("kind",) + keys, where)
+    if any(k not in obj for k in keys):
+        raise ConfigError(f"{where}: {kind} needs {' and '.join(map(repr, keys))}")
+    params = (_value(obj[k], float, f"{where}.{k}") for k in keys)
+    dist = getattr(DistributionSpec, kind)(*params)
     dist.validate(where)
     return dist
 
 
 def _dist_to_json(dist: DistributionSpec) -> dict:
-    if dist.kind == "uniform":
-        return {"kind": "uniform", "min": dist.minimum, "max": dist.maximum}
-    if dist.kind == "constant":
-        return {"kind": "constant", "value": dist.value}
-    return {"kind": "exponential", "mean": dist.mean}
+    params = {"min": dist.minimum, "max": dist.maximum, "value": dist.value, "mean": dist.mean}
+    return {"kind": dist.kind, **{k: params[k] for k in _DIST_KEYS[dist.kind]}}
+
+
+def _is_number(raw) -> bool:
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
+# scalar type -> (what the message asks for, whether a JSON value qualifies)
+_SCALARS = {
+    bool: ("true or false", lambda raw: isinstance(raw, bool)),
+    int: ("an integer", lambda raw: _is_number(raw) and float(raw).is_integer()),
+    float: ("a finite number", lambda raw: _is_number(raw) and math.isfinite(raw)),
+    str: ("a string", lambda raw: isinstance(raw, str)),
+}
+
+
+def _value(raw, hint, where: str):
+    """The JSON value `raw` checked against the type `hint` and converted."""
+    if hint is DistributionSpec:
+        return _dist_from_json(raw, where)
+    if is_dataclass(hint):
+        return _section(hint, raw, where)
+    args = get_args(hint)
+    if get_origin(hint) is Union:  # Optional[X]
+        return None if raw is None else _value(raw, args[0], where)
+    if get_origin(hint) is tuple:
+        if not isinstance(raw, list):
+            raise ConfigError(f"{where} must be a list, got {raw!r}")
+        items = args[:1] * len(raw) if args[-1] is Ellipsis else args
+        if len(items) != len(raw):
+            raise ConfigError(f"{where} must list {len(items)} entries, got {len(raw)}")
+        return tuple(_value(v, t, f"{where}[{i}]") for i, (v, t) in enumerate(zip(raw, items)))
+    wanted, accepts = _SCALARS[hint]
+    if not accepts(raw):
+        raise ConfigError(f"{where} must be {wanted}, got {raw!r}")
+    return hint(raw)
+
+
+def _section(cls, raw, where: str):
+    """One dataclass from its JSON object; `where` is its key path."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, got {raw!r}")
+    by_key = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    _require_keys(raw, by_key, where or "config")
+    hints = get_type_hints(cls)
+    values = {}
+    for key, f in by_key.items():
+        path = f"{where}.{key}" if where else key
+        if key in raw:
+            values[f.name] = _value(raw[key], hints[f.name], path)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}: missing required field {key!r}")
+    return cls(**values)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _require_keys(raw, ("system", "channels", "workload", "agent", "reward", "run"), "config")
-
-    sys_d = raw.get("system", {})
-    _require_keys(
-        sys_d,
-        (
-            "n_users",
-            "n_base_stations",
-            "n_channels",
-            "user_cpu_hz",
-            "edge_vm_hz",
-            "kappa_j_per_cycle_hz2",
-            "result_size_ratio",
-            "association",
-        ),
-        "system",
-    )
-    node_defaults = NodeConfig()
-    assoc = sys_d.get("association")
-    node = NodeConfig(
-        n_users=int(sys_d.get("n_users", node_defaults.n_users)),
-        n_base_stations=int(sys_d.get("n_base_stations", node_defaults.n_base_stations)),
-        n_channels=int(sys_d.get("n_channels", node_defaults.n_channels)),
-        user_cpu_hz=float(sys_d.get("user_cpu_hz", node_defaults.user_cpu_hz)),
-        edge_vm_hz=float(sys_d.get("edge_vm_hz", node_defaults.edge_vm_hz)),
-        kappa=float(sys_d.get("kappa_j_per_cycle_hz2", node_defaults.kappa)),
-        result_size_ratio=float(sys_d.get("result_size_ratio", node_defaults.result_size_ratio)),
-        association=tuple(int(b) for b in assoc) if assoc is not None else None,
-    )
-
-    ch_list = raw.get("channels")
-    if ch_list is None:
-        channels = default_channels()[: node.n_channels]
-        if len(channels) != node.n_channels:
-            raise ConfigError(
-                f"no default channel set for n_channels={node.n_channels}; list them explicitly"
-            )
-    else:
-        if not isinstance(ch_list, list) or not ch_list:
-            raise ConfigError("channels must be a non-empty list")
-        channels = []
-        for i, ch_d in enumerate(ch_list):
-            where = f"channels[{i}]"
-            _require_keys(
-                ch_d,
-                (
-                    "carrier_mhz",
-                    "uplink_rate_bps",
-                    "downlink_rate_bps",
-                    "uplink_power_w",
-                    "downlink_power_w",
-                    "gain",
-                ),
-                where,
-            )
-            for req in ("uplink_rate_bps", "downlink_rate_bps", "uplink_power_w", "downlink_power_w"):
-                if req not in ch_d:
-                    raise ConfigError(f"{where}: missing required field {req!r}")
-            gain = (
-                _dist_from_json(ch_d["gain"], f"{where}.gain")
-                if "gain" in ch_d
-                else DistributionSpec.uniform(0.6, 1.0)
-            )
-            channels.append(
-                ChannelConfig(
-                    uplink_rate_bps=float(ch_d["uplink_rate_bps"]),
-                    downlink_rate_bps=float(ch_d["downlink_rate_bps"]),
-                    uplink_power_w=float(ch_d["uplink_power_w"]),
-                    downlink_power_w=float(ch_d["downlink_power_w"]),
-                    gain=gain,
-                    carrier_mhz=float(ch_d.get("carrier_mhz", 0.0)),
-                )
-            )
-        channels = tuple(channels)
-
-    wl_d = raw.get("workload", {})
-    _require_keys(
-        wl_d,
-        ("arrival_rate_per_s", "size_bits", "intensity_cpb", "deadline_s", "context_bounds"),
-        "workload",
-    )
-    wl_defaults = WorkloadConfig()
-    bounds = wl_d.get("context_bounds")
-    if bounds is not None:
-        if not isinstance(bounds, list) or len(bounds) != 3:
-            raise ConfigError("workload.context_bounds must be a list of 3 [min, max] pairs")
-        bounds = tuple((float(p[0]), float(p[1])) for p in bounds)
-    workload = WorkloadConfig(
-        arrival_rate_per_s=float(wl_d.get("arrival_rate_per_s", wl_defaults.arrival_rate_per_s)),
-        size_bits=(
-            _dist_from_json(wl_d["size_bits"], "workload.size_bits")
-            if "size_bits" in wl_d
-            else wl_defaults.size_bits
-        ),
-        intensity_cpb=(
-            _dist_from_json(wl_d["intensity_cpb"], "workload.intensity_cpb")
-            if "intensity_cpb" in wl_d
-            else wl_defaults.intensity_cpb
-        ),
-        deadline_s=(
-            _dist_from_json(wl_d["deadline_s"], "workload.deadline_s")
-            if "deadline_s" in wl_d
-            else wl_defaults.deadline_s
-        ),
-        context_bounds=bounds,
-    )
-
-    ag_d = raw.get("agent", {})
-    _require_keys(
-        ag_d,
-        (
-            "hidden_sizes",
-            "learning_rate",
-            "rmsprop_decay",
-            "rmsprop_eps",
-            "minibatch_size",
-            "train_steps_per_observation",
-            "buffer_capacity",
-            "epsilon0",
-            "epsilon_decay",
-            "epsilon_min",
-            "penalty",
-            "init_scale",
-            "retrain_from_scratch",
-        ),
-        "agent",
-    )
-    ag_defaults = AgentConfig()
-    agent = AgentConfig(
-        hidden_sizes=tuple(int(h) for h in ag_d.get("hidden_sizes", ag_defaults.hidden_sizes)),
-        learning_rate=float(ag_d.get("learning_rate", ag_defaults.learning_rate)),
-        rmsprop_decay=float(ag_d.get("rmsprop_decay", ag_defaults.rmsprop_decay)),
-        rmsprop_eps=float(ag_d.get("rmsprop_eps", ag_defaults.rmsprop_eps)),
-        minibatch_size=int(ag_d.get("minibatch_size", ag_defaults.minibatch_size)),
-        train_steps_per_observation=int(
-            ag_d.get("train_steps_per_observation", ag_defaults.train_steps_per_observation)
-        ),
-        buffer_capacity=int(ag_d.get("buffer_capacity", ag_defaults.buffer_capacity)),
-        epsilon0=float(ag_d.get("epsilon0", ag_defaults.epsilon0)),
-        epsilon_decay=float(ag_d.get("epsilon_decay", ag_defaults.epsilon_decay)),
-        epsilon_min=float(ag_d.get("epsilon_min", ag_defaults.epsilon_min)),
-        penalty=float(ag_d.get("penalty", ag_defaults.penalty)),
-        init_scale=(float(ag_d["init_scale"]) if ag_d.get("init_scale") is not None else None),
-        retrain_from_scratch=bool(ag_d.get("retrain_from_scratch", False)),
-    )
-
-    rw_d = raw.get("reward", {})
-    _require_keys(rw_d, ("efficiency_scale_bits_per_j_s", "calibration_percentile"), "reward")
-    scale = rw_d.get("efficiency_scale_bits_per_j_s")
-    scale = float(scale) if scale is not None else None
-    percentile = float(rw_d.get("calibration_percentile", 99.0))
-
-    run_d = raw.get("run", {})
-    _require_keys(
-        run_d,
-        (
-            "mode",
-            "seed",
-            "n_records",
-            "n_train_episodes",
-            "n_test_episodes",
-            "tasks_per_episode",
-            "agent_scope",
-        ),
-        "run",
-    )
-    cfg = ExperimentConfig(
-        node=node,
-        channels=channels,
-        workload=workload,
-        agent=agent,
-        efficiency_scale=scale,
-        calibration_percentile=percentile,
-        mode=str(run_d.get("mode", "dataset")),
-        seed=int(run_d.get("seed", 0)),
-        n_records=int(run_d.get("n_records", 32_565)),
-        n_train_episodes=int(run_d.get("n_train_episodes", 1000)),
-        n_test_episodes=int(run_d.get("n_test_episodes", 100)),
-        tasks_per_episode=int(run_d.get("tasks_per_episode", 100)),
-        agent_scope=str(run_d.get("agent_scope", "shared")),
-    )
+    # "channels": null, like no channels key, selects the default channel set
+    sections = {k: v for k, v in raw.items() if not (k == "channels" and v is None)}
+    cfg = _section(ExperimentConfig, sections, "")
+    if "channels" not in sections:
+        n = cfg.system.n_channels
+        channels = default_channels()[:n]
+        if len(channels) != n:
+            raise ConfigError(f"no default channel set for n_channels={n}; list them explicitly")
+        cfg = replace(cfg, channels=channels)
     cfg.validate()
     return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+    return config_from_dict(read_json(path))
+
+
+def _to_json(value):
+    if isinstance(value, DistributionSpec):
+        return _dist_to_json(value)
+    if is_dataclass(value):
+        return {
+            _JSON_KEYS.get(f.name, f.name): _to_json(getattr(value, f.name)) for f in fields(value)
+        }
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Fully resolved configuration (defaults materialized) for manifests."""
-    return {
-        "system": {
-            "n_users": cfg.node.n_users,
-            "n_base_stations": cfg.node.n_base_stations,
-            "n_channels": cfg.node.n_channels,
-            "user_cpu_hz": cfg.node.user_cpu_hz,
-            "edge_vm_hz": cfg.node.edge_vm_hz,
-            "kappa_j_per_cycle_hz2": cfg.node.kappa,
-            "result_size_ratio": cfg.node.result_size_ratio,
-            "association": list(cfg.node.resolved_association()),
-        },
-        "channels": [
-            {
-                "carrier_mhz": ch.carrier_mhz,
-                "uplink_rate_bps": ch.uplink_rate_bps,
-                "downlink_rate_bps": ch.downlink_rate_bps,
-                "uplink_power_w": ch.uplink_power_w,
-                "downlink_power_w": ch.downlink_power_w,
-                "gain": _dist_to_json(ch.gain),
-            }
-            for ch in cfg.channels
-        ],
-        "workload": {
-            "arrival_rate_per_s": cfg.workload.arrival_rate_per_s,
-            "size_bits": _dist_to_json(cfg.workload.size_bits),
-            "intensity_cpb": _dist_to_json(cfg.workload.intensity_cpb),
-            "deadline_s": _dist_to_json(cfg.workload.deadline_s),
-            "context_bounds": [list(b) for b in cfg.workload.resolved_context_bounds()],
-        },
-        "agent": {
-            "hidden_sizes": list(cfg.agent.hidden_sizes),
-            "learning_rate": cfg.agent.learning_rate,
-            "rmsprop_decay": cfg.agent.rmsprop_decay,
-            "rmsprop_eps": cfg.agent.rmsprop_eps,
-            "minibatch_size": cfg.agent.minibatch_size,
-            "train_steps_per_observation": cfg.agent.train_steps_per_observation,
-            "buffer_capacity": cfg.agent.buffer_capacity,
-            "epsilon0": cfg.agent.epsilon0,
-            "epsilon_decay": cfg.agent.epsilon_decay,
-            "epsilon_min": cfg.agent.epsilon_min,
-            "penalty": cfg.agent.penalty,
-            "init_scale": cfg.agent.init_scale,
-            "retrain_from_scratch": cfg.agent.retrain_from_scratch,
-        },
-        "reward": {
-            "efficiency_scale_bits_per_j_s": cfg.efficiency_scale,
-            "calibration_percentile": cfg.calibration_percentile,
-        },
-        "run": {
-            "mode": cfg.mode,
-            "seed": cfg.seed,
-            "n_records": cfg.n_records,
-            "n_train_episodes": cfg.n_train_episodes,
-            "n_test_episodes": cfg.n_test_episodes,
-            "tasks_per_episode": cfg.tasks_per_episode,
-            "agent_scope": cfg.agent_scope,
-        },
-    }
+    resolved = replace(
+        cfg,
+        system=replace(cfg.system, association=cfg.system.resolved_association()),
+        workload=replace(cfg.workload, context_bounds=cfg.workload.resolved_context_bounds()),
+    )
+    return _to_json(resolved)
 
 
 def with_sweep_value(cfg: ExperimentConfig, axis: str, mean_value: float) -> ExperimentConfig:
@@ -379,38 +224,10 @@ def with_sweep_value(cfg: ExperimentConfig, axis: str, mean_value: float) -> Exp
     preserving the uniform shape while hitting the requested mean.
     """
     if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+        raise ConfigError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     if mean_value <= 10:
         raise ConfigError(f"sweep mean must be > 10, got {mean_value}")
     dist = DistributionSpec.uniform(10.0, 2.0 * mean_value - 10.0)
-    if axis == "intensity":
-        workload = WorkloadConfig(
-            arrival_rate_per_s=cfg.workload.arrival_rate_per_s,
-            size_bits=cfg.workload.size_bits,
-            intensity_cpb=dist,
-            deadline_s=cfg.workload.deadline_s,
-            context_bounds=None,
-        )
-    else:
-        workload = WorkloadConfig(
-            arrival_rate_per_s=cfg.workload.arrival_rate_per_s,
-            size_bits=dist,
-            intensity_cpb=cfg.workload.intensity_cpb,
-            deadline_s=cfg.workload.deadline_s,
-            context_bounds=None,
-        )
+    workload = replace(cfg.workload, context_bounds=None, **{SWEEP_AXES[axis]: dist})
     workload.validate()
-    return ExperimentConfig(
-        node=cfg.node,
-        channels=cfg.channels,
-        workload=workload,
-        agent=cfg.agent,
-        efficiency_scale=cfg.efficiency_scale,
-        calibration_percentile=cfg.calibration_percentile,
-        mode=cfg.mode,
-        seed=cfg.seed,
-        n_records=cfg.n_records,
-        n_train_episodes=cfg.n_train_episodes,
-        n_test_episodes=cfg.n_test_episodes,
-        tasks_per_episode=cfg.tasks_per_episode,
-    )
+    return replace(cfg, workload=workload)

@@ -2,15 +2,17 @@
 
 Dataset generation drives the live simulator under a logging policy and
 records, at every arrival, the complete per-action what-if outcome set.
-Replay training then samples recorded tasks uniformly, so every action's
-consequence is known without re-simulating; live training instead submits
-real tasks and feeds rewards back when their completion events fire.
+Replay rollouts then sample recorded tasks uniformly, so every action's
+consequence is known without re-simulating; live rollouts instead submit
+real tasks and settle each decision when its completion event fires.  Both
+book decisions through one episode ledger, learning or frozen alike.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -39,6 +41,23 @@ _ACTION_FIELDS = (
     ("e_total_J", "e_total_j"),
     ("met", "met_deadline"),
 )
+_TASK_COLUMNS = (
+    "record_id",
+    "task_id",
+    "user_id",
+    "arrival_s",
+    "size_bits",
+    "intensity_cpb",
+    "deadline_s",
+)
+# action columns the reward divides by, so they must be finite and positive
+_POSITIVE_ACTION_COLUMNS = tuple(
+    i for i, (col, _) in enumerate(_ACTION_FIELDS) if col in ("T_s", "e_total_J")
+)
+
+# A policy: choose(task, x, projections) -> action, where x is the scaled
+# context and projections() returns the task's ProjectionSet on demand.
+Policy = Callable[[Task, np.ndarray, Callable[[], ProjectionSet]], int]
 
 
 @dataclass(frozen=True)
@@ -75,15 +94,7 @@ class Dataset:
 
     def to_csv_text(self) -> str:
         n_act = self.n_actions if self.records else 0
-        header = [
-            "record_id",
-            "task_id",
-            "user_id",
-            "arrival_s",
-            "size_bits",
-            "intensity_cpb",
-            "deadline_s",
-        ]
+        header = list(_TASK_COLUMNS)
         for a in range(n_act):
             header.extend(f"a{a}_{col}" for col, _ in _ACTION_FIELDS)
         buf = io.StringIO()
@@ -110,54 +121,65 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path: str) -> "Dataset":
+        """Read records written by write_csv.  A malformed row raises
+        ConfigError naming the path and the row (rows count from 1 after
+        the header)."""
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            base_cols = 7
-            per_action = len(_ACTION_FIELDS)
-            n_act = (len(header) - base_cols) // per_action
-            if base_cols + n_act * per_action != len(header) or n_act < 2:
-                raise ValueError(f"unrecognized dataset header with {len(header)} columns")
+            header = next(reader, [])
+            n_act = (len(header) - len(_TASK_COLUMNS)) // len(_ACTION_FIELDS)
+            if len(_TASK_COLUMNS) + n_act * len(_ACTION_FIELDS) != len(header) or n_act < 2:
+                raise ConfigError(f"{path}: unrecognized dataset header with {len(header)} columns")
             records = []
-            for row in reader:
-                task = Task(
-                    task_id=int(row[1]),
-                    user_id=int(row[2]),
-                    arrival_time=float(row[3]),
-                    size_bits=float(row[4]),
-                    intensity_cpb=float(row[5]),
-                    deadline_s=float(row[6]),
-                )
-                outcomes = []
-                for a in range(n_act):
-                    off = base_cols + a * per_action
-                    vals = row[off : off + per_action]
-                    outcomes.append(
-                        TaskOutcome(
-                            task_id=task.task_id,
-                            user_id=task.user_id,
-                            action=a,
-                            arrival_s=task.arrival_time,
-                            size_bits=task.size_bits,
-                            intensity_cpb=task.intensity_cpb,
-                            deadline_s=task.deadline_s,
-                            d1_s=float(vals[0]),
-                            d2_s=float(vals[1]),
-                            d3_s=float(vals[2]),
-                            d4_s=float(vals[3]),
-                            t_exec_s=float(vals[4]),
-                            t_up_s=float(vals[5]),
-                            t_down_s=float(vals[6]),
-                            total_s=float(vals[7]),
-                            e_cpu_j=float(vals[8]),
-                            e_tx_j=float(vals[9]),
-                            e_rx_j=float(vals[10]),
-                            e_total_j=float(vals[11]),
-                            met_deadline=vals[12] == "1",
-                        )
-                    )
-                records.append(DatasetRecord(int(row[0]), task, tuple(outcomes)))
+            for n, row in enumerate(reader, 1):
+                try:
+                    records.append(_parse_record(row, n_act, len(header)))
+                except ValueError as exc:
+                    raise ConfigError(f"{path} row {n}: {exc}") from None
         return cls(records)
+
+
+def _positive(value: float, name: str) -> float:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
+def _parse_record(row: Sequence[str], n_act: int, width: int) -> DatasetRecord:
+    if len(row) != width:
+        raise ValueError(f"has {len(row)} columns, the header has {width}")
+    task = Task(
+        task_id=int(row[1]),
+        user_id=int(row[2]),
+        arrival_time=float(row[3]),
+        size_bits=_positive(float(row[4]), "size_bits"),
+        intensity_cpb=_positive(float(row[5]), "intensity_cpb"),
+        deadline_s=_positive(float(row[6]), "deadline_s"),
+    )
+    per_action = len(_ACTION_FIELDS)
+    outcomes = []
+    for a in range(n_act):
+        off = len(_TASK_COLUMNS) + a * per_action
+        vals = [float(v) for v in row[off : off + per_action - 1]]
+        for i in _POSITIVE_ACTION_COLUMNS:
+            _positive(vals[i], f"a{a}_{_ACTION_FIELDS[i][0]}")
+        met = row[off + per_action - 1]
+        if met not in ("0", "1"):
+            raise ValueError(f"a{a}_met must be 0 or 1, got {met!r}")
+        outcomes.append(
+            TaskOutcome(
+                task.task_id,
+                task.user_id,
+                a,
+                task.arrival_time,
+                task.size_bits,
+                task.intensity_cpb,
+                task.deadline_s,
+                *vals,
+                met_deadline=met == "1",
+            )
+        )
+    return DatasetRecord(int(row[0]), task, tuple(outcomes))
 
 
 def generate_dataset(
@@ -302,7 +324,108 @@ def summarize(
     return result
 
 
-# ------------------------------------------------------------ replay running
+# ----------------------------------------------------------------- rollouts
+
+
+def make_policy(
+    name: str,
+    agents: Sequence[E2daAgent] = (),
+    rng: Optional[np.random.Generator] = None,
+    n_actions: int = 0,
+) -> Policy:
+    """Frozen decision function for one agent name.
+
+    The learned agent sees only the scaled context and acts greedily; with
+    one agent per user, the task's user picks the agent.  Oracles rank the
+    projections, which only they request.  Random draws from rng.
+    """
+    if name == "e2da":
+        if not agents:
+            raise ValueError("e2da policy needs at least one agent")
+        if len(agents) == 1:
+            agent = agents[0]
+            return lambda task, x, projections: agent.act(x, 0.0)
+        return lambda task, x, projections: agents[task.user_id].act(x, 0.0)
+    if name in ORACLES:
+        rule = ORACLES[name]
+        return lambda task, x, projections: rule(projections())
+    if name == "random":
+        if rng is None or n_actions < 1:
+            raise ValueError("random policy needs rng and n_actions")
+        return lambda task, x, projections: int(rng.integers(n_actions))
+    raise ValueError(f"unknown policy {name!r}")
+
+
+class _Ledger:
+    """Books one rollout into per-episode metric rows.
+
+    decide() records (task, x, action, episode); settle() takes the task's
+    outcome, scores it, lets a learning agent observe the reward, and adds
+    the outcome to the row of the episode the task was decided in.  A
+    learning agent picks its own actions at its episode's epsilon; without
+    one, `choose` decides.
+    """
+
+    def __init__(
+        self,
+        reward_params: RewardParams,
+        choose: Optional[Policy] = None,
+        learner: Optional[E2daAgent] = None,
+    ):
+        self.reward_params = reward_params
+        self.choose = choose
+        self.learner = learner
+        self._pending: Dict[int, Tuple[np.ndarray, int, int]] = {}
+        self._books: Dict[int, list] = {}  # episode -> [reward, met, energy, response, n]
+
+    def decide(
+        self, task: Task, x: np.ndarray, projections: Callable[[], ProjectionSet], episode: int
+    ) -> int:
+        if self.learner is None:
+            action = self.choose(task, x, projections)
+        else:
+            action = self.learner.act(x, self.learner.epsilon(episode))
+        self._pending[task.task_id] = (x, action, episode)
+        if episode not in self._books:
+            self._books[episode] = [0.0, 0, 0.0, 0.0, 0]
+        return action
+
+    def settle(self, out: TaskOutcome) -> None:
+        x, action, episode = self._pending.pop(out.task_id)
+        r = compute_reward(out, self.reward_params)
+        if self.learner is not None:
+            self.learner.observe(x, action, r)
+        book = self._books[episode]
+        book[0] += r
+        book[1] += out.met_deadline
+        book[2] += out.e_total_j
+        book[3] += out.total_s
+        book[4] += 1
+
+    def rows(self, phase: str) -> List[MetricsRow]:
+        return [
+            MetricsRow(ep, phase, b[0], b[1] / b[4], b[2], b[3]) for ep, b in self._books.items()
+        ]
+
+
+def _replay(
+    ledger: _Ledger,
+    dataset: Dataset,
+    workload: WorkloadConfig,
+    ep_rng: np.random.Generator,
+    n_episodes: int,
+    tasks_per_episode: int,
+    start_episode: int,
+) -> None:
+    """Each episode samples records uniformly with replacement, so one task
+    can recur within an episode; every decision settles at once against
+    the recorded outcome of the chosen action."""
+    for e in range(n_episodes):
+        for i in ep_rng.integers(0, len(dataset), size=tasks_per_episode):
+            rec = dataset.records[i]
+            x = normalize_context(rec.task, workload)
+            a = ledger.decide(rec.task, x, rec.projection_set, start_episode + e)
+            ledger.settle(rec.outcomes[a])
 
 
 def run_training(
@@ -314,35 +437,35 @@ def run_training(
     seed: int,
     stream_salt: Tuple = (),
 ) -> List[MetricsRow]:
-    """Replay-train the agent: each episode samples tasks uniformly from the
-    dataset, acts epsilon-greedily, and learns from the recorded outcome of
-    the chosen action.  Episode numbering continues from the agent's count.
-    stream_salt separates the episode streams of sibling agents trained
-    from one master seed."""
+    """Replay-train the agent: it acts epsilon-greedily on sampled records
+    and learns from the recorded outcome of the chosen action.  Episode
+    numbering continues from the agent's count.  stream_salt separates the
+    episode streams of sibling agents trained from one master seed."""
+    ledger = _Ledger(agent.reward_params, learner=agent)
     ep_rng = substream(seed, "episodes", "train", *stream_salt)
-    rows: List[MetricsRow] = []
-    for _ in range(n_episodes):
-        ep = agent.episodes_trained
-        eps = agent.epsilon(ep)
-        idx = ep_rng.integers(0, len(dataset), size=tasks_per_episode)
-        reward_sum = energy = response = 0.0
-        met = 0
-        for i in idx:
-            rec = dataset.records[i]
-            x = normalize_context(rec.task, workload)
-            a = agent.act(x, eps)
-            out = rec.outcomes[a]
-            r = compute_reward(out, agent.reward_params)
-            agent.observe(x, a, r)
-            reward_sum += r
-            energy += out.e_total_j
-            response += out.total_s
-            met += out.met_deadline
-        rows.append(
-            MetricsRow(ep, "train", reward_sum, met / tasks_per_episode, energy, response)
-        )
-        agent.episodes_trained += 1
-    return rows
+    start = agent.episodes_trained
+    _replay(ledger, dataset, workload, ep_rng, n_episodes, tasks_per_episode, start)
+    agent.episodes_trained += n_episodes
+    return ledger.rows("train")
+
+
+def run_evaluation(
+    choose: Policy,
+    dataset: Dataset,
+    workload: WorkloadConfig,
+    reward_params: RewardParams,
+    n_episodes: int,
+    tasks_per_episode: int,
+    seed: int,
+    phase: str = "test",
+    stream: str = "test",
+    start_episode: int = 0,
+) -> List[MetricsRow]:
+    """Frozen-policy rollout over dataset episodes; no learning happens."""
+    ledger = _Ledger(reward_params, choose)
+    ep_rng = substream(seed, "episodes", stream)
+    _replay(ledger, dataset, workload, ep_rng, n_episodes, tasks_per_episode, start_episode)
+    return ledger.rows(phase)
 
 
 def split_by_user(dataset: Dataset, n_users: int) -> List[Dataset]:
@@ -402,82 +525,10 @@ def run_training_per_user(
     the result reads like a single-agent series."""
     parts = split_by_user(dataset, len(agents))
     per_user = [
-        run_training(
-            agent,
-            part,
-            workload,
-            n_episodes,
-            tasks_per_episode,
-            seed,
-            stream_salt=("user", u),
-        )
+        run_training(agent, part, workload, n_episodes, tasks_per_episode, seed, ("user", u))
         for u, (agent, part) in enumerate(zip(agents, parts))
     ]
     return average_rows(per_user), per_user
-
-
-def run_evaluation(
-    policy: Callable[[DatasetRecord, np.ndarray], int],
-    dataset: Dataset,
-    workload: WorkloadConfig,
-    reward_params: RewardParams,
-    n_episodes: int,
-    tasks_per_episode: int,
-    seed: int,
-    phase: str = "test",
-    stream: str = "test",
-    start_episode: int = 0,
-) -> List[MetricsRow]:
-    """Frozen-policy rollout over dataset episodes; no learning happens."""
-    ep_rng = substream(seed, "episodes", stream)
-    rows: List[MetricsRow] = []
-    for e in range(n_episodes):
-        idx = ep_rng.integers(0, len(dataset), size=tasks_per_episode)
-        reward_sum = energy = response = 0.0
-        met = 0
-        for i in idx:
-            rec = dataset.records[i]
-            x = normalize_context(rec.task, workload)
-            a = policy(rec, x)
-            out = rec.outcomes[a]
-            reward_sum += compute_reward(out, reward_params)
-            energy += out.e_total_j
-            response += out.total_s
-            met += out.met_deadline
-        rows.append(
-            MetricsRow(
-                start_episode + e, phase, reward_sum, met / tasks_per_episode, energy, response
-            )
-        )
-    return rows
-
-
-def dataset_policy(
-    name: str,
-    agent: Optional[E2daAgent] = None,
-    rng: Optional[np.random.Generator] = None,
-    n_actions: Optional[int] = None,
-) -> Callable[[DatasetRecord, np.ndarray], int]:
-    """Decision function over dataset records for one agent name.
-
-    The learned agent sees only the scaled context; oracles see the recorded
-    projections; random sees nothing.
-    """
-    if name == "e2da":
-        if agent is None:
-            raise ValueError("e2da policy needs an agent")
-        return lambda rec, x: agent.act(x, 0.0)
-    if name in ORACLES:
-        rule = ORACLES[name]
-        return lambda rec, x: rule(rec.projection_set())
-    if name == "random":
-        if rng is None or n_actions is None:
-            raise ValueError("random policy needs rng and n_actions")
-        return lambda rec, x: int(rng.integers(n_actions))
-    raise ValueError(f"unknown policy {name!r}")
-
-
-# --------------------------------------------------------------- live running
 
 
 def _live_rollout(
@@ -487,30 +538,28 @@ def _live_rollout(
     seed: int,
     n_episodes: int,
     tasks_per_episode: int,
-    choose: Callable[[Simulator, Task, int], int],
-    on_outcome: Optional[Callable[[TaskOutcome], None]] = None,
-    phase: str = "train",
+    ledger: _Ledger,
     start_episode: int = 0,
-) -> Tuple[List[MetricsRow], List[TaskOutcome]]:
+) -> List[TaskOutcome]:
     """Drive the live simulator for n_episodes * tasks_per_episode decisions.
 
-    `choose(sim, task, episode)` picks actions; rewards and metrics are
-    booked to the episode each task was submitted in, when its completion
-    event fires (feedback is delayed, as in the real system).
+    Tasks are decided at arrival and settled in completion order against
+    the episode they were submitted in (feedback is delayed, as in the real
+    system).  Returns the outcomes in completion order.
     """
     total = n_episodes * tasks_per_episode
     decided = 0
-    episode_of: Dict[int, int] = {}
-    stats = [[0.0, 0, 0.0, 0.0, 0] for _ in range(n_episodes)]  # reward, met, energy, response, n
 
     def hook(sim: Simulator, task: Task) -> int:
         nonlocal decided
-        ep = decided // tasks_per_episode
-        episode_of[task.task_id] = ep
+        episode = start_episode + decided // tasks_per_episode
         decided += 1
         if decided >= total:
             sim.halt_arrivals()
-        return choose(sim, task, start_episode + ep)
+        x = normalize_context(task, workload)
+        return ledger.decide(
+            task, x, lambda: ProjectionSet(task.task_id, sim.projections(task)), episode
+        )
 
     sim = Simulator(node, channels, substream(seed, "gains"), policy=hook)
     for user in range(node.n_users):
@@ -518,32 +567,12 @@ def _live_rollout(
     outcomes: List[TaskOutcome] = []
     while sim.has_events:
         out = sim.advance()
-        if out is None:
-            continue
-        outcomes.append(out)
-        if on_outcome is not None:
-            on_outcome(out)
-        ep = episode_of.pop(out.task_id)
-        st = stats[ep]
-        st[1] += out.met_deadline
-        st[2] += out.e_total_j
-        st[3] += out.total_s
-        st[4] += 1
+        if out is not None:
+            ledger.settle(out)
+            outcomes.append(out)
     if decided < total:
         raise RuntimeError(f"live run decided only {decided} of {total} tasks")
-    rows = []
-    for e, st in enumerate(stats):
-        rows.append(
-            MetricsRow(
-                start_episode + e,
-                phase,
-                st[0],
-                st[1] / max(st[4], 1),
-                st[2],
-                st[3],
-            )
-        )
-    return rows, outcomes
+    return outcomes
 
 
 def run_live_training(
@@ -557,48 +586,11 @@ def run_live_training(
 ) -> List[MetricsRow]:
     """Live-mode training: the agent schedules real arrivals and observes
     each reward at the task's completion event."""
-    pending: Dict[int, Tuple[np.ndarray, int, int]] = {}
-    stats_rows: List[MetricsRow] = []
+    ledger = _Ledger(agent.reward_params, learner=agent)
     start = agent.episodes_trained
-    reward_by_ep: Dict[int, float] = {}
-
-    def choose(sim: Simulator, task: Task, episode: int) -> int:
-        x = normalize_context(task, workload)
-        a = agent.act(x, agent.epsilon(episode))
-        pending[task.task_id] = (x, a, episode)
-        return a
-
-    def on_outcome(out: TaskOutcome) -> None:
-        x, a, ep = pending.pop(out.task_id)
-        r = compute_reward(out, agent.reward_params)
-        reward_by_ep[ep] = reward_by_ep.get(ep, 0.0) + r
-        agent.observe(x, a, r)
-
-    rows, _ = _live_rollout(
-        node,
-        channels,
-        workload,
-        seed,
-        n_episodes,
-        tasks_per_episode,
-        choose,
-        on_outcome,
-        phase="train",
-        start_episode=start,
-    )
-    for row in rows:
-        stats_rows.append(
-            MetricsRow(
-                row.episode,
-                row.phase,
-                reward_by_ep.get(row.episode, 0.0),
-                row.deadline_frac,
-                row.energy_j,
-                row.response_s,
-            )
-        )
+    _live_rollout(node, channels, workload, seed, n_episodes, tasks_per_episode, ledger, start)
     agent.episodes_trained += n_episodes
-    return stats_rows
+    return ledger.rows("train")
 
 
 def run_live_evaluation(
@@ -610,40 +602,15 @@ def run_live_evaluation(
     n_episodes: int,
     tasks_per_episode: int,
     seed: int,
-    agent: Optional[E2daAgent] = None,
+    agents: Sequence[E2daAgent] = (),
+    phase: str = "test",
 ) -> List[MetricsRow]:
     """Live-mode frozen-policy rollout; oracle policies project at decision
     time from the current system snapshot."""
-    from .baselines import ProjectionSet as PS
-
-    rand_rng = substream(seed, "logging-policy")
-    n_actions = node.n_channels + 1
-    reward_by_ep: Dict[int, float] = {}
-    episode_of: Dict[int, int] = {}
-
-    def choose(sim: Simulator, task: Task, episode: int) -> int:
-        episode_of[task.task_id] = episode
-        if name == "e2da":
-            return agent.act(normalize_context(task, workload), 0.0)
-        if name in ORACLES:
-            return ORACLES[name](PS(task.task_id, sim.projections(task)))
-        if name == "random":
-            return int(rand_rng.integers(n_actions))
-        raise ValueError(f"unknown policy {name!r}")
-
-    def on_outcome(out: TaskOutcome) -> None:
-        ep = episode_of.pop(out.task_id)
-        reward_by_ep[ep] = reward_by_ep.get(ep, 0.0) + compute_reward(out, reward_params)
-
-    rows, _ = _live_rollout(
-        node, channels, workload, seed, n_episodes, tasks_per_episode, choose, on_outcome, phase="test"
-    )
-    return [
-        MetricsRow(
-            r.episode, r.phase, reward_by_ep.get(r.episode, 0.0), r.deadline_frac, r.energy_j, r.response_s
-        )
-        for r in rows
-    ]
+    rng = substream(seed, "logging-policy")
+    ledger = _Ledger(reward_params, make_policy(name, agents, rng, node.n_channels + 1))
+    _live_rollout(node, channels, workload, seed, n_episodes, tasks_per_episode, ledger)
+    return ledger.rows(phase)
 
 
 def calibrate_efficiency_scale_live(
@@ -655,18 +622,10 @@ def calibrate_efficiency_scale_live(
     percentile: float = 99.0,
 ) -> float:
     """Live-mode analogue of the dataset calibration: a short random-policy
-    run whose realized efficiencies set the normalizer."""
+    run whose realized efficiencies set the normalizer.  Its rewards are
+    booked against a unit scale and discarded."""
     rng = substream(seed, "calibration-actions")
-    n_actions = node.n_channels + 1
-    _, outcomes = _live_rollout(
-        node,
-        channels,
-        workload,
-        seed,
-        1,
-        n_tasks,
-        lambda sim, task, ep: int(rng.integers(n_actions)),
-        phase="train",
-    )
+    ledger = _Ledger(RewardParams(), make_policy("random", rng=rng, n_actions=node.n_channels + 1))
+    outcomes = _live_rollout(node, channels, workload, seed, 1, n_tasks, ledger)
     effs = [o.size_bits / (o.total_s * o.e_total_j) for o in outcomes]
     return float(np.percentile(np.asarray(effs), percentile))

@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 
+from .errors import ConfigError
+
 
 def fmt(value) -> str:
     """Shortest round-trip text for floats; plain str otherwise."""
@@ -20,6 +22,15 @@ def atomic_write_text(path: str, text: str) -> None:
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def read_json(path: str):
+    """Parsed contents of a JSON file; malformed JSON raises ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def write_json(path: str, payload) -> None:

@@ -14,8 +14,6 @@ or finishes, with in-flight progress settled as residual bits.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -26,7 +24,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, SimulationError
-from .ioutil import atomic_write_text, fmt
 from .workload import DistributionSpec, Task
 
 
@@ -188,66 +185,6 @@ class TaskOutcome:
     e_rx_j: float
     e_total_j: float
     met_deadline: bool
-
-
-OUTCOME_COLUMNS = (
-    "task_id",
-    "user_id",
-    "action",
-    "arrival_s",
-    "size_bits",
-    "intensity_cpb",
-    "deadline_s",
-    "d1_s",
-    "d2_s",
-    "d3_s",
-    "d4_s",
-    "t_exec_s",
-    "t_up_s",
-    "t_down_s",
-    "T_s",
-    "e_cpu_J",
-    "e_tx_J",
-    "e_rx_J",
-    "e_total_J",
-    "met_deadline",
-)
-
-_OUTCOME_FIELDS = (
-    "task_id",
-    "user_id",
-    "action",
-    "arrival_s",
-    "size_bits",
-    "intensity_cpb",
-    "deadline_s",
-    "d1_s",
-    "d2_s",
-    "d3_s",
-    "d4_s",
-    "t_exec_s",
-    "t_up_s",
-    "t_down_s",
-    "total_s",
-    "e_cpu_j",
-    "e_tx_j",
-    "e_rx_j",
-    "e_total_j",
-    "met_deadline",
-)
-
-
-def outcomes_to_csv_text(outcomes: Sequence[TaskOutcome]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(OUTCOME_COLUMNS)
-    for out in outcomes:
-        writer.writerow([fmt(getattr(out, f)) for f in _OUTCOME_FIELDS])
-    return buf.getvalue()
-
-
-def write_outcomes(path: str, outcomes: Sequence[TaskOutcome]) -> None:
-    atomic_write_text(path, outcomes_to_csv_text(outcomes))
 
 
 class _Job:
@@ -482,7 +419,6 @@ class Simulator:
             for c in range(C)
         }
         self.admitted = 0
-        self.completed: List[TaskOutcome] = []
 
     # ------------------------------------------------------------------ feeds
 
@@ -663,15 +599,13 @@ class Simulator:
             self._relatch(dom)
         return None
 
-    def run_to_completion(self, max_outcomes: Optional[int] = None) -> List[TaskOutcome]:
+    def run_to_completion(self) -> List[TaskOutcome]:
         """Drain the calendar; returns outcomes in completion order."""
         got: List[TaskOutcome] = []
         while self._calendar:
             out = self.advance()
             if out is not None:
                 got.append(out)
-                if max_outcomes is not None and len(got) >= max_outcomes:
-                    break
         return got
 
     def in_flight_count(self) -> int:
@@ -856,7 +790,7 @@ class Simulator:
             e_cpu = 0.0
             e_tx = tx_energy(job.t_up, ch.uplink_power_w)
             e_rx = rx_energy(job.t_down, ch.downlink_power_w)
-        outcome = TaskOutcome(
+        return TaskOutcome(
             task_id=task.task_id,
             user_id=task.user_id,
             action=job.action,
@@ -878,5 +812,3 @@ class Simulator:
             e_total_j=e_tx + e_cpu + e_rx,
             met_deadline=total <= task.deadline_s,
         )
-        self.completed.append(outcome)
-        return outcome

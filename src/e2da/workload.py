@@ -214,10 +214,3 @@ def normalize_context(task: Task, cfg: WorkloadConfig) -> np.ndarray:
     for i, ((lo, hi), v) in enumerate(zip(bounds, raw)):
         out[i] = min(max((v - lo) / (hi - lo), 0.0), 1.0)
     return out
-
-
-def denormalize_context(x: np.ndarray, cfg: WorkloadConfig) -> Tuple[float, float, float]:
-    """Inverse of normalize_context for in-bounds features."""
-    bounds = cfg.resolved_context_bounds()
-    vals = tuple(lo + (hi - lo) * float(xi) for (lo, hi), xi in zip(bounds, x))
-    return vals

@@ -26,8 +26,8 @@ from e2da import cli
 from e2da.bandit import AgentConfig, E2daAgent, MlpModel, RewardParams
 from e2da.experiment import (
     calibrate_efficiency_scale,
-    dataset_policy,
     generate_dataset,
+    make_policy,
     moving_average,
     run_evaluation,
     run_live_evaluation,
@@ -89,7 +89,7 @@ def convergence_runs(bench_dataset, bench_params):
     for seed in BENCH_SEEDS:
         for name in ("eel", "ee", "r"):
             rows = run_evaluation(
-                dataset_policy(name), bench_dataset, BENCH_WORKLOAD, bench_params,
+                make_policy(name), bench_dataset, BENCH_WORKLOAD, bench_params,
                 100, EPISODE_TASKS, seed=seed,
             )
             test_rewards[name].append(float(np.mean([r.reward for r in rows])))
@@ -98,7 +98,7 @@ def convergence_runs(bench_dataset, bench_params):
             agent, bench_dataset, BENCH_WORKLOAD, 1000, EPISODE_TASKS, seed=seed
         )
         eval_rows = run_evaluation(
-            dataset_policy("e2da", agent=agent), bench_dataset, BENCH_WORKLOAD,
+            make_policy("e2da", [agent]), bench_dataset, BENCH_WORKLOAD,
             bench_params, 100, EPISODE_TASKS, seed=seed,
         )
         test_rewards["e2da"].append(float(np.mean([r.reward for r in eval_rows])))

@@ -1,18 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import StubRng
-from e2da.baselines import (
-    ORACLES,
-    ConstantPolicy,
-    OraclePolicy,
-    ProjectionSet,
-    RandomPolicy,
-    ee_star,
-    eel_star,
-    r_star,
-)
-from e2da.experiment import generate_dataset
+from conftest import make_task
+from e2da.baselines import ORACLES, ProjectionSet, ee_star, eel_star, r_star
+from e2da.experiment import generate_dataset, make_policy
 from e2da.netsim import NodeConfig, TaskOutcome, default_channels
 from e2da.rng import substream
 from e2da.workload import WorkloadConfig
@@ -97,23 +88,25 @@ class TestBruteForceCrossCheck:
 
 
 class TestPolicyWrappers:
+    """make_policy turns an agent name into choose(task, x, projections)."""
+
     def test_oracle_policy_dispatch(self):
         ps = proj(0, [(1000.0, 0.1, 10.0), (1000.0, 5.0, 0.1), (1000.0, 0.5, 0.2)])
-        assert OraclePolicy("r").choose(ps) == 0
-        assert OraclePolicy("ee").choose(ps) == 1
-        assert OraclePolicy("eel").choose(ps) == 2
+        task, x = make_task(), np.zeros(3)
+        assert make_policy("r")(task, x, lambda: ps) == 0
+        assert make_policy("ee")(task, x, lambda: ps) == 1
+        assert make_policy("eel")(task, x, lambda: ps) == 2
 
     def test_oracle_policy_rejects_unknown(self):
         with pytest.raises(ValueError):
-            OraclePolicy("best")
+            make_policy("best")
 
     def test_random_policy_mirrors_generator(self):
-        pol = RandomPolicy(substream(9, "actions"), 4)
+        choose = make_policy("random", rng=substream(9, "actions"), n_actions=4)
         mirror = substream(9, "actions")
-        ps = proj(0, [(1.0, 1.0, 1.0)] * 4)
-        picks = [pol.choose(ps) for _ in range(20)]
-        assert picks == [int(mirror.integers(4)) for _ in range(20)]
 
-    def test_constant_policy(self):
-        ps = proj(0, [(1.0, 1.0, 1.0)] * 3)
-        assert ConstantPolicy(2).choose(ps) == 2
+        def projections():
+            raise AssertionError("random must not request projections")
+
+        picks = [choose(make_task(), np.zeros(3), projections) for _ in range(20)]
+        assert picks == [int(mirror.integers(4)) for _ in range(20)]

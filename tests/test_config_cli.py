@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -54,15 +55,15 @@ class TestIoUtil:
 class TestConfigParsing:
     def test_empty_object_gives_defaults(self):
         cfg = config_from_dict({})
-        assert cfg.node.n_users == 5
-        assert cfg.node.n_channels == 3
+        assert cfg.system.n_users == 5
+        assert cfg.system.n_channels == 3
         assert len(cfg.channels) == 3
         assert cfg.agent.hidden_sizes == (50, 50)
-        assert cfg.efficiency_scale is None
-        assert cfg.mode == "dataset"
-        assert cfg.seed == 0
-        assert cfg.n_records == 32_565
-        assert (cfg.n_train_episodes, cfg.n_test_episodes, cfg.tasks_per_episode) == (
+        assert cfg.reward.efficiency_scale_bits_per_j_s is None
+        assert cfg.run.mode == "dataset"
+        assert cfg.run.seed == 0
+        assert cfg.run.n_records == 32_565
+        assert (cfg.run.n_train_episodes, cfg.run.n_test_episodes, cfg.run.tasks_per_episode) == (
             1000, 100, 100,
         )
 
@@ -97,7 +98,7 @@ class TestConfigParsing:
                 "workload": {"context_bounds": [[0, 1e6], [0, 2000], [0, 1]]},
             }
         )
-        assert cfg.node.association == (0, 0, 1, 1)
+        assert cfg.system.association == (0, 0, 1, 1)
         assert cfg.workload.context_bounds == ((0.0, 1e6), (0.0, 2000.0), (0.0, 1.0))
         with pytest.raises(ConfigError, match="context_bounds"):
             config_from_dict({"workload": {"context_bounds": [[0, 1]]}})
@@ -111,9 +112,9 @@ class TestConfigParsing:
             config_from_dict({"system": {"n_users": 3, "association": [0, 1]}})
 
     def test_agent_scope_parsing(self):
-        assert config_from_dict({}).agent_scope == "shared"
+        assert config_from_dict({}).run.agent_scope == "shared"
         cfg = config_from_dict({"run": {"agent_scope": "per_user"}})
-        assert cfg.agent_scope == "per_user"
+        assert cfg.run.agent_scope == "per_user"
         assert config_to_dict(cfg)["run"]["agent_scope"] == "per_user"
         with pytest.raises(ConfigError, match="agent_scope"):
             config_from_dict({"run": {"agent_scope": "per-user"}})
@@ -391,3 +392,162 @@ class TestCliEndToEnd:
         capsys.readouterr()
         assert cli.main(["no-such-command"]) == 2
         capsys.readouterr()
+
+
+class TestSweepKeepsConfig:
+    def test_only_the_workload_changes(self):
+        cfg = config_from_dict(
+            {"run": {"agent_scope": "per_user", "seed": 5}, "agent": {"hidden_sizes": [4]}}
+        )
+        sized = with_sweep_value(cfg, "size", 5000.0)
+        assert sized.workload != cfg.workload
+        assert dataclasses.replace(sized, workload=cfg.workload) == cfg
+
+
+def run_cli(argv, capsys):
+    rc = cli.main(argv)
+    return rc, capsys.readouterr().err
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"system": {"n_users": "x"}}, "system.n_users"),
+            ({"system": []}, "system"),
+            ({"agent": {"hidden_sizes": 5}}, "agent.hidden_sizes"),
+            ({"run": {"n_records": None}}, "run.n_records"),
+            ({"channels": [5]}, "channels[0]"),
+        ],
+    )
+    def test_wrong_type_exits_2_naming_the_key(self, tmp_path, capsys, raw, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        rc, err = run_cli(
+            ["generate-dataset", "--config", str(path), "--out", str(tmp_path / "o")], capsys
+        )
+        assert rc == 2, err
+        assert key in err
+
+
+def write_config(tmp_path, name, **sections):
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    for section, values in sections.items():
+        cfg[section].update(values)
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A dataset and a shared-agent checkpoint from the small config."""
+    root = tmp_path_factory.mktemp("trained")
+    config = write_config(root, "config.json")
+    assert cli.main(["generate-dataset", "--config", config, "--out", str(root / "data")]) == 0
+    dataset = str(root / "data" / "dataset.csv")
+    assert cli.main(
+        ["train", "--config", config, "--out", str(root / "train"), "--dataset", dataset]
+    ) == 0
+    return config, dataset, str(root / "train" / "model.json")
+
+
+def _drop_agent(p):
+    del p["agent"]
+
+
+def _bad_episodes(p):
+    p["agent"]["episodes_trained"] = "many"
+
+
+def _short_bounds(p):
+    p["context_bounds"] = [[0.0, 1.0]]
+
+
+def _bad_format(p):
+    p["format"] = "something-else"
+
+
+def _more_actions(p):
+    p["n_actions"] = 5
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize(
+        "mutate, key",
+        [
+            (_drop_agent, "agent"),
+            (_bad_episodes, "agent.episodes_trained"),
+            (_short_bounds, "context_bounds"),
+            (_bad_format, "format"),
+            (_more_actions, "n_actions"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+    def test_exits_2_naming_file_and_key(self, tmp_path, capsys, trained, command, mutate, key):
+        config, dataset, model = trained
+        payload = read_json(model)
+        mutate(payload)
+        broken = str(tmp_path / "broken-model.json")
+        write_json(broken, payload)
+        out = str(tmp_path / "out")
+        argv = {
+            "train": ["train", "--dataset", dataset, "--resume", broken],
+            "evaluate": ["evaluate", "--agent", "e2da", "--dataset", dataset, "--model", broken],
+            "sweep": ["sweep", "--vary", "size", "--values", "5000", "--agent", "e2da",
+                      "--model", broken],
+        }[command]
+        rc, err = run_cli(argv + ["--config", config, "--out", out], capsys)
+        assert rc == 2, err
+        assert broken in err and key in err
+
+    @pytest.mark.parametrize("mode", ["dataset", "live"])
+    def test_action_count_is_checked_against_the_config(self, tmp_path, capsys, trained, mode):
+        _, _, model = trained  # 4 actions: local plus 3 channels
+        narrow = write_config(tmp_path, "narrow.json", system={"n_channels": 2}, run={"mode": mode})
+        argv = ["evaluate", "--config", narrow, "--agent", "e2da", "--model", model]
+        if mode == "dataset":
+            data = str(tmp_path / "data")
+            assert cli.main(["generate-dataset", "--config", narrow, "--out", data]) == 0
+            argv += ["--dataset", os.path.join(data, "dataset.csv")]
+        rc, err = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
+        assert rc == 2, err
+        assert model in err and "n_actions" in err
+
+
+def _truncate(row):
+    return row[:10]
+
+
+def _nan_size(row):
+    row[4] = "nan"
+    return row
+
+
+def _foreign_user(row):
+    row[2] = "99"
+    return row
+
+
+class TestMalformedDataset:
+    @pytest.mark.parametrize(
+        "mutate, detail",
+        [(_truncate, "columns"), (_nan_size, "size_bits"), (_foreign_user, "user_id")],
+    )
+    def test_eel_evaluation_exits_2_naming_file_and_row(
+        self, tmp_path, capsys, trained, mutate, detail
+    ):
+        config, dataset, _ = trained
+        with open(dataset) as fh:
+            lines = fh.read().splitlines()
+        lines[3] = ",".join(mutate(lines[3].split(",")))
+        broken = str(tmp_path / "broken.csv")
+        with open(broken, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        rc, err = run_cli(
+            ["evaluate", "--config", config, "--out", str(tmp_path / "out"),
+             "--agent", "eel", "--dataset", broken],
+            capsys,
+        )
+        assert rc == 2, err
+        assert broken in err and "row 3" in err and detail in err

@@ -9,8 +9,8 @@ from e2da.experiment import (
     average_rows,
     calibrate_efficiency_scale,
     calibrate_efficiency_scale_live,
-    dataset_policy,
     generate_dataset,
+    make_policy,
     metrics_to_csv_text,
     moving_average,
     read_metrics,
@@ -23,9 +23,10 @@ from e2da.experiment import (
     summarize,
     write_metrics,
 )
-from e2da.netsim import NodeConfig, default_channels
+from e2da.baselines import ProjectionSet, r_star
+from e2da.netsim import NodeConfig, Simulator, default_channels
 from e2da.rng import substream
-from e2da.workload import WorkloadConfig, normalize_context
+from e2da.workload import WorkloadConfig, normalize_context, task_stream
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +188,7 @@ class TestRunEvaluation:
         params = RewardParams(penalty=1.0, efficiency_scale=1e6)
         wl = WorkloadConfig()
         rows = run_evaluation(
-            lambda rec, x: 2, small_dataset, wl, params,
+            lambda task, x, projections: 2, small_dataset, wl, params,
             n_episodes=4, tasks_per_episode=7, seed=11,
         )
         mirror = substream(11, "episodes", "test")
@@ -213,10 +214,10 @@ class TestRunEvaluation:
         wl = WorkloadConfig()
         kw = dict(n_episodes=10, tasks_per_episode=20, seed=3)
         r_rows = run_evaluation(
-            dataset_policy("r"), small_dataset, wl, params, **kw
+            make_policy("r"), small_dataset, wl, params, **kw
         )
         rand_rows = run_evaluation(
-            dataset_policy("random", rng=substream(3, "pol"), n_actions=4),
+            make_policy("random", rng=substream(3, "pol"), n_actions=4),
             small_dataset, wl, params, **kw,
         )
         assert sum(r.response_s for r in r_rows) < sum(r.response_s for r in rand_rows)
@@ -224,7 +225,7 @@ class TestRunEvaluation:
     def test_phase_stream_and_offset(self, small_dataset):
         params = RewardParams(1.0, 1e6)
         rows = run_evaluation(
-            lambda rec, x: 0, small_dataset, WorkloadConfig(), params,
+            lambda task, x, projections: 0, small_dataset, WorkloadConfig(), params,
             n_episodes=2, tasks_per_episode=3, seed=5,
             phase="train", stream="train", start_episode=40,
         )
@@ -268,10 +269,10 @@ class TestRunTraining:
         run_training(agent, small_dataset, wl, 150, 20, seed=7)
         kw = dict(n_episodes=20, tasks_per_episode=20, seed=13)
         greedy = run_evaluation(
-            lambda rec, x: agent.act(x, 0.0), small_dataset, wl, params, **kw
+            make_policy("e2da", [agent]), small_dataset, wl, params, **kw
         )
         rand = run_evaluation(
-            dataset_policy("random", rng=substream(13, "pol"), n_actions=4),
+            make_policy("random", rng=substream(13, "pol"), n_actions=4),
             small_dataset, wl, params, **kw,
         )
         assert np.mean([r.reward for r in greedy]) > np.mean([r.reward for r in rand])
@@ -403,7 +404,122 @@ class TestLiveRuns:
         agent = fresh_agent(51)
         rows = run_live_evaluation(
             "e2da", small_node, default_channels(), wl, params, 2, 15, seed=31,
-            agent=agent,
+            agents=[agent],
         )
         assert len(rows) == 2
         assert all(np.isfinite(r.reward) for r in rows)
+
+
+def hand_driven_live(node, wl, params, seed, n_episodes, tasks_per_episode, decide,
+                     learn=None, start_episode=0, phase="test"):
+    """Reference booking for the live loops: a Simulator driven by hand with
+    the rollout's substreams.  decide(sim, task, episode) returns (action,
+    context); each outcome is scored when its completion event fires and
+    booked to the episode its task was decided in."""
+    total = n_episodes * tasks_per_episode
+    decided = [0]
+    pending = {}
+
+    def policy(sim, task):
+        ep = decided[0] // tasks_per_episode
+        decided[0] += 1
+        if decided[0] >= total:
+            sim.halt_arrivals()
+        action, x = decide(sim, task, start_episode + ep)
+        pending[task.task_id] = (ep, x, action)
+        return action
+
+    sim = Simulator(node, default_channels(), substream(seed, "gains"), policy=policy)
+    for user in range(node.n_users):
+        sim.add_stream(user, task_stream(wl, seed, user, node.n_users))
+    books = [[0.0, 0, 0.0, 0.0, 0] for _ in range(n_episodes)]
+    while sim.has_events:
+        out = sim.advance()
+        if out is None:
+            continue
+        ep, x, action = pending.pop(out.task_id)
+        r = compute_reward(out, params)
+        if learn is not None:
+            learn(x, action, r)
+        book = books[ep]
+        book[0] += r
+        book[1] += out.met_deadline
+        book[2] += out.e_total_j
+        book[3] += out.total_s
+        book[4] += 1
+    assert not pending and all(b[4] == tasks_per_episode for b in books)
+    return [
+        MetricsRow(start_episode + e, phase, b[0], b[1] / tasks_per_episode, b[2], b[3])
+        for e, b in enumerate(books)
+    ]
+
+
+class TestLiveBookingReference:
+    """Every MetricsRow field of the live loops, pinned against a hand-driven
+    simulator: rewards, deadline fractions, energies and response times are
+    booked to the submitting episode in completion order."""
+
+    KW = dict(n_episodes=4, tasks_per_episode=25, seed=37)
+
+    def test_oracle_evaluation(self, small_node):
+        wl, params = WorkloadConfig(), RewardParams(1.0, 1e6)
+        rows = run_live_evaluation("r", small_node, default_channels(), wl, params, **self.KW)
+
+        def decide(sim, task, ep):
+            return r_star(ProjectionSet(task.task_id, sim.projections(task))), None
+
+        assert rows == hand_driven_live(small_node, wl, params, decide=decide, **self.KW)
+
+    def test_random_evaluation(self, small_node):
+        wl, params = WorkloadConfig(), RewardParams(1.0, 1e6)
+        rows = run_live_evaluation(
+            "random", small_node, default_channels(), wl, params, **self.KW
+        )
+        rng = substream(self.KW["seed"], "logging-policy")
+
+        def decide(sim, task, ep):
+            return int(rng.integers(small_node.n_channels + 1)), None
+
+        assert rows == hand_driven_live(small_node, wl, params, decide=decide, **self.KW)
+
+    def test_training_observes_in_completion_order(self, small_node):
+        wl = WorkloadConfig()
+        agent, mirror = fresh_agent(61), fresh_agent(61)
+        agent.episodes_trained = mirror.episodes_trained = 3
+        rows = run_live_training(agent, small_node, default_channels(), wl, **self.KW)
+
+        def decide(sim, task, ep):
+            x = normalize_context(task, wl)
+            return mirror.act(x, mirror.epsilon(ep)), x
+
+        want = hand_driven_live(
+            small_node, wl, mirror.reward_params, decide=decide, learn=mirror.observe,
+            start_episode=3, phase="train", **self.KW,
+        )
+        assert rows == want
+        assert agent.episodes_trained == 3 + self.KW["n_episodes"]
+        for w, v in zip(agent.model.weights, mirror.model.weights):
+            assert np.array_equal(w, v)
+
+
+class TestReplayBookingReference:
+    def test_training_matches_hand_loop(self, small_dataset):
+        wl = WorkloadConfig()
+        agent, mirror = fresh_agent(71), fresh_agent(71)
+        rows = run_training(agent, small_dataset, wl, 3, 12, seed=17)
+        ep_rng = substream(17, "episodes", "train")
+        for e, row in enumerate(rows):
+            reward = energy = response = 0.0
+            met = 0
+            for i in ep_rng.integers(0, len(small_dataset), size=12):
+                rec = small_dataset.records[i]
+                x = normalize_context(rec.task, wl)
+                a = mirror.act(x, mirror.epsilon(e))
+                out = rec.outcomes[a]
+                r = compute_reward(out, mirror.reward_params)
+                mirror.observe(x, a, r)
+                reward += r
+                energy += out.e_total_j
+                response += out.total_s
+                met += out.met_deadline
+            assert row == MetricsRow(e, "train", reward, met / 12, energy, response)

@@ -4,7 +4,6 @@ import pytest
 from conftest import fixed_gain_channel, make_task, single_user_node
 from e2da.errors import ConfigError, SimulationError
 from e2da.netsim import (
-    OUTCOME_COLUMNS,
     ChannelConfig,
     NodeConfig,
     Simulator,
@@ -12,7 +11,6 @@ from e2da.netsim import (
     default_channels,
     exec_time,
     fair_share_rate,
-    outcomes_to_csv_text,
     project_outcome,
     rx_energy,
     tx_energy,
@@ -150,10 +148,11 @@ class TestQueueing:
         t2 = make_task(task_id=1, size_bits=5e5, intensity_cpb=1000.0)  # 0.5 s
         sim.schedule_arrival(t1)
         sim.schedule_arrival(t2)
-        outs = {o.task_id: o for o in sim.run_to_completion()}
+        done = sim.run_to_completion()
+        assert [o.task_id for o in done] == [0, 1]
+        outs = {o.task_id: o for o in done}
         assert outs[0].d1_s == 0.0 and outs[0].total_s == 1.0
         assert outs[1].d1_s == 1.0 and outs[1].total_s == 1.5
-        assert [o.task_id for o in sim.completed] == [0, 1]
 
     def test_uplink_fair_share_settlement(self):
         """Staggered transmitters on one shared (bs, channel) domain.
@@ -392,15 +391,3 @@ class TestValidationAndErrors:
         sim.run_to_completion()
         with pytest.raises(ValueError):
             sim.schedule_arrival(make_task(task_id=1, arrival_time=0.5))
-
-
-class TestOutcomeCsv:
-    def test_header_and_round_trip(self):
-        _, outs = mixed_run(n_tasks=20)
-        text = outcomes_to_csv_text(outs)
-        lines = text.strip().split("\n")
-        assert lines[0] == ",".join(OUTCOME_COLUMNS)
-        assert len(lines) == 21
-        first = lines[1].split(",")
-        assert float(first[14]) == outs[0].total_s  # repr round-trips exactly
-        assert first[19] in ("0", "1")

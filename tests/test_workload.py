@@ -10,7 +10,6 @@ from e2da.rng import substream
 from e2da.workload import (
     DistributionSpec,
     WorkloadConfig,
-    denormalize_context,
     normalize_context,
     sample_interarrival,
     sample_task,
@@ -182,12 +181,3 @@ class TestContextScaling:
         assert normalize_context(lo, cfg).tolist() == [0.0, 0.0, 0.0]
         wild = make_task(size_bits=1e9, intensity_cpb=1.0, deadline_s=100.0)
         assert normalize_context(wild, cfg).tolist() == [1.0, 0.0, 1.0]
-
-    def test_round_trip(self):
-        cfg = WorkloadConfig()
-        task = make_task(size_bits=12_345.0, intensity_cpb=678.0, deadline_s=0.0123)
-        x = normalize_context(task, cfg)
-        s, i, d = denormalize_context(x, cfg)
-        assert s == pytest.approx(task.size_bits, rel=1e-12)
-        assert i == pytest.approx(task.intensity_cpb, rel=1e-12)
-        assert d == pytest.approx(task.deadline_s, rel=1e-12)
