@@ -263,18 +263,54 @@ class MlpModel:
 
     @classmethod
     def from_state(cls, state: dict) -> "MlpModel":
+        """Model saved by to_state.  Bad layer sizes, or parameter arrays of
+        the wrong shape or with a non-finite entry, raise ConfigError whose
+        message starts with the key path, such as "model.weights[1]"."""
+        sizes = state["layer_sizes"]
+        if not (
+            isinstance(sizes, list)
+            and len(sizes) >= 2
+            and all(type(n) is int and n > 0 for n in sizes)
+        ):
+            raise ConfigError(
+                f"model.layer_sizes must list two or more positive sizes, got {sizes!r}"
+            )
         model = cls(
-            state["layer_sizes"],
+            sizes,
             state["learning_rate"],
             state["rmsprop_decay"],
             state["rmsprop_eps"],
             rng=None,
         )
-        model.weights = [np.array(w, dtype=np.float64) for w in state["weights"]]
-        model.biases = [np.array(b, dtype=np.float64) for b in state["biases"]]
-        model.acc_w = [np.array(a, dtype=np.float64) for a in state["acc_weights"]]
-        model.acc_b = [np.array(a, dtype=np.float64) for a in state["acc_biases"]]
+        w_shapes, b_shapes = model.param_shapes()
+        model.weights = _param_arrays(state["weights"], w_shapes, "model.weights")
+        model.biases = _param_arrays(state["biases"], b_shapes, "model.biases")
+        model.acc_w = _param_arrays(state["acc_weights"], w_shapes, "model.acc_weights")
+        model.acc_b = _param_arrays(state["acc_biases"], b_shapes, "model.acc_biases")
         return model
+
+    def param_shapes(self) -> Tuple[List[tuple], List[tuple]]:
+        """Shapes of the weight matrices and bias vectors, layer by layer."""
+        return [w.shape for w in self.weights], [b.shape for b in self.biases]
+
+
+def _param_arrays(values, shapes: Sequence[tuple], key: str) -> List[np.ndarray]:
+    """Saved parameter arrays, one per layer, checked against `shapes` and
+    for finiteness; a bad entry raises ConfigError naming key[i]."""
+    if not isinstance(values, list) or len(values) != len(shapes):
+        raise ConfigError(f"{key} must list {len(shapes)} arrays, one per layer")
+    arrays = []
+    for i, (value, shape) in enumerate(zip(values, shapes)):
+        try:
+            arr = np.array(value, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key}[{i}] is not a numeric array") from None
+        if arr.shape != shape:
+            raise ConfigError(f"{key}[{i}] has shape {arr.shape}, the layer sizes need {shape}")
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"{key}[{i}] holds a non-finite value")
+        arrays.append(arr)
+    return arrays
 
 
 class ReplayBuffer:
@@ -399,6 +435,10 @@ class E2daAgent:
         explore_rng: np.random.Generator,
         minibatch_rng: np.random.Generator,
     ) -> "E2daAgent":
+        """Agent saved by to_state.  A malformed model or initial parameter
+        array raises ConfigError whose message starts with its key path in
+        the state; other malformed entries raise KeyError, TypeError or
+        ValueError."""
         cfg_d = dict(state["config"])
         cfg_d["hidden_sizes"] = tuple(cfg_d["hidden_sizes"])
         config = AgentConfig(**cfg_d)
@@ -414,9 +454,10 @@ class E2daAgent:
         agent.episodes_trained = int(state["episodes_trained"])
         initial = state.get("initial_params")
         if initial is not None:
+            w_shapes, b_shapes = model.param_shapes()
             agent._initial_params = (
-                [np.array(w, dtype=np.float64) for w in initial["weights"]],
-                [np.array(b, dtype=np.float64) for b in initial["biases"]],
+                _param_arrays(initial["weights"], w_shapes, "initial_params.weights"),
+                _param_arrays(initial["biases"], b_shapes, "initial_params.biases"),
             )
         else:
             agent._initial_params = None

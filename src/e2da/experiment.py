@@ -540,12 +540,14 @@ def _live_rollout(
     tasks_per_episode: int,
     ledger: _Ledger,
     start_episode: int = 0,
-) -> List[TaskOutcome]:
+    on_outcome: Optional[Callable[[TaskOutcome], None]] = None,
+) -> None:
     """Drive the live simulator for n_episodes * tasks_per_episode decisions.
 
     Tasks are decided at arrival and settled in completion order against
     the episode they were submitted in (feedback is delayed, as in the real
-    system).  Returns the outcomes in completion order.
+    system).  on_outcome, when given, sees each outcome after it settles;
+    no outcome is kept.
     """
     total = n_episodes * tasks_per_episode
     decided = 0
@@ -564,15 +566,14 @@ def _live_rollout(
     sim = Simulator(node, channels, substream(seed, "gains"), policy=hook)
     for user in range(node.n_users):
         sim.add_stream(user, task_stream(workload, seed, user, node.n_users))
-    outcomes: List[TaskOutcome] = []
     while sim.has_events:
         out = sim.advance()
         if out is not None:
             ledger.settle(out)
-            outcomes.append(out)
+            if on_outcome is not None:
+                on_outcome(out)
     if decided < total:
         raise RuntimeError(f"live run decided only {decided} of {total} tasks")
-    return outcomes
 
 
 def run_live_training(
@@ -626,6 +627,10 @@ def calibrate_efficiency_scale_live(
     booked against a unit scale and discarded."""
     rng = substream(seed, "calibration-actions")
     ledger = _Ledger(RewardParams(), make_policy("random", rng=rng, n_actions=node.n_channels + 1))
-    outcomes = _live_rollout(node, channels, workload, seed, 1, n_tasks, ledger)
-    effs = [o.size_bits / (o.total_s * o.e_total_j) for o in outcomes]
+    effs: List[float] = []
+
+    def keep_efficiency(out: TaskOutcome) -> None:
+        effs.append(out.size_bits / (out.total_s * out.e_total_j))
+
+    _live_rollout(node, channels, workload, seed, 1, n_tasks, ledger, on_outcome=keep_efficiency)
     return float(np.percentile(np.asarray(effs), percentile))

@@ -254,26 +254,30 @@ class _Domain:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Frozen view of the system taken at one task's decision instant.
+    """Frozen view of the resources one task could use, taken at its
+    decision instant: its user's CPU, edge VM and per-channel uplink queues,
+    and its base station's per-channel downlink slots.
 
     Backlogs include the virtual residual of whatever is in service right
-    now; active counts are the transmitter populations at this instant.
-    Projections from a snapshot assume no further arrivals and hold those
-    populations fixed.
+    now.  The *_others counts are the transmitters the task would share a
+    channel with: the active members of uplink domain (base station, c) and
+    of downlink domain c, leaving out the user's own uplink slot and the
+    base station's own downlink slot, behind whose occupant the task would
+    queue instead.  Projections from a snapshot assume no further arrivals
+    and hold those populations fixed.
     """
 
     clock: float
     task_id: int
     user_id: int
+    base_station: int
     gains: Tuple[float, ...]
-    local_backlog_cycles: Tuple[float, ...]  # per user
-    edge_backlog_cycles: Tuple[float, ...]  # per user
-    uplink_backlog_bits: Tuple[Tuple[float, ...], ...]  # [user][channel]
-    downlink_backlog_bits: Tuple[Tuple[float, ...], ...]  # [bs][channel]
-    uplink_active: Tuple[Tuple[int, ...], ...]  # [bs][channel]
-    uplink_self_active: Tuple[Tuple[bool, ...], ...]  # [user][channel]
-    downlink_active: Tuple[int, ...]  # [channel], across base stations
-    downlink_slot_active: Tuple[Tuple[bool, ...], ...]  # [bs][channel]
+    local_backlog_cycles: float
+    edge_backlog_cycles: float
+    uplink_backlog_bits: Tuple[float, ...]  # [channel], the user's queues
+    downlink_backlog_bits: Tuple[float, ...]  # [channel], the base station's queues
+    uplink_others: Tuple[int, ...]  # [channel]
+    downlink_others: Tuple[int, ...]  # [channel]
     node: NodeConfig
     channels: Tuple[ChannelConfig, ...]
 
@@ -298,27 +302,24 @@ def project_outcome(snap: Snapshot, task: Task, action: int) -> TaskOutcome:
     t_up = t_down = 0.0
     e_cpu = e_tx = e_rx = 0.0
     if action == 0:
-        d1 = snap.local_backlog_cycles[user] / node.user_cpu_hz
+        d1 = snap.local_backlog_cycles / node.user_cpu_hz
         t_exec = exec_time(size, task.intensity_cpb, node.user_cpu_hz)
         e_cpu = cpu_energy(node.kappa, size, task.intensity_cpb, node.user_cpu_hz)
         total = d1 + t_exec
     else:
         c = action - 1
         ch = snap.channels[c]
-        bs = node.resolved_association()[user]
         gain = snap.gains[c]
-        n_up = snap.uplink_active[bs][c] - (1 if snap.uplink_self_active[user][c] else 0) + 1
-        r_up = fair_share_rate(ch.uplink_rate_bps, gain, n_up)
-        d2 = snap.uplink_backlog_bits[user][c] / r_up
+        r_up = fair_share_rate(ch.uplink_rate_bps, gain, snap.uplink_others[c] + 1)
+        d2 = snap.uplink_backlog_bits[c] / r_up
         t_up = size / r_up
-        d3 = snap.edge_backlog_cycles[user] / node.edge_vm_hz
+        d3 = snap.edge_backlog_cycles / node.edge_vm_hz
         t_exec = exec_time(size, task.intensity_cpb, node.edge_vm_hz)
         e_tx = tx_energy(t_up, ch.uplink_power_w)
         result_bits = node.result_size_ratio * size
         if result_bits > 0:
-            n_dn = snap.downlink_active[c] - (1 if snap.downlink_slot_active[bs][c] else 0) + 1
-            r_dn = fair_share_rate(ch.downlink_rate_bps, gain, n_dn)
-            d4 = snap.downlink_backlog_bits[bs][c] / r_dn
+            r_dn = fair_share_rate(ch.downlink_rate_bps, gain, snap.downlink_others[c] + 1)
+            d4 = snap.downlink_backlog_bits[c] / r_dn
             t_down = result_bits / r_dn
             e_rx = rx_energy(t_down, ch.downlink_power_w)
         total = d2 + t_up + d3 + t_exec + d4 + t_down
@@ -456,8 +457,9 @@ class Simulator:
         """Frozen decision-time view for `task`; does not mutate the state."""
         gains = self.stage(task)
         node = self.node
-        K, N, C = node.n_users, node.n_base_stations, node.n_channels
-        f_u, f_e = node.user_cpu_hz, node.edge_vm_hz
+        user = task.user_id
+        bs = self._assoc[user]
+        chans = range(node.n_channels)
         now = self.clock
 
         def busy_cycles(job: Optional[_Job], hz: float) -> float:
@@ -470,55 +472,36 @@ class Simulator:
                 return 0.0
             return max(0.0, tx.residual - tx.rate * (now - tx.last_settle))
 
-        local = tuple(
-            sum(j.task.size_bits * j.task.intensity_cpb for j in self._local_q[k])
-            + busy_cycles(self._local_busy[k], f_u)
-            for k in range(K)
-        )
-        edge = tuple(
-            sum(j.task.size_bits * j.task.intensity_cpb for j in self._edge_q[k])
-            + busy_cycles(self._edge_busy[k], f_e)
-            for k in range(K)
-        )
-        up_bits = tuple(
-            tuple(
-                sum(j.task.size_bits for j in self._up_q[(k, c)])
-                + tx_residual(self._up_tx[(k, c)])
-                for c in range(C)
-            )
-            for k in range(K)
-        )
-        down_bits = tuple(
-            tuple(
-                sum(j.result_bits for j in self._down_q[(n, c)])
-                + tx_residual(self._down_tx[(n, c)])
-                for c in range(C)
-            )
-            for n in range(N)
-        )
-        up_active = tuple(
-            tuple(len(self._up_dom[(n, c)].members) for c in range(C)) for n in range(N)
-        )
-        up_self = tuple(
-            tuple(self._up_tx[(k, c)] is not None for c in range(C)) for k in range(K)
-        )
-        down_active = tuple(len(self._down_dom[c].members) for c in range(C))
-        down_slot = tuple(
-            tuple(self._down_tx[(n, c)] is not None for c in range(C)) for n in range(N)
-        )
+        up_tx = [self._up_tx[(user, c)] for c in chans]
+        down_tx = [self._down_tx[(bs, c)] for c in chans]
         return Snapshot(
             clock=now,
             task_id=task.task_id,
-            user_id=task.user_id,
+            user_id=user,
+            base_station=bs,
             gains=gains,
-            local_backlog_cycles=local,
-            edge_backlog_cycles=edge,
-            uplink_backlog_bits=up_bits,
-            downlink_backlog_bits=down_bits,
-            uplink_active=up_active,
-            uplink_self_active=up_self,
-            downlink_active=down_active,
-            downlink_slot_active=down_slot,
+            local_backlog_cycles=sum(
+                j.task.size_bits * j.task.intensity_cpb for j in self._local_q[user]
+            )
+            + busy_cycles(self._local_busy[user], node.user_cpu_hz),
+            edge_backlog_cycles=sum(
+                j.task.size_bits * j.task.intensity_cpb for j in self._edge_q[user]
+            )
+            + busy_cycles(self._edge_busy[user], node.edge_vm_hz),
+            uplink_backlog_bits=tuple(
+                sum(j.task.size_bits for j in self._up_q[(user, c)]) + tx_residual(up_tx[c])
+                for c in chans
+            ),
+            downlink_backlog_bits=tuple(
+                sum(j.result_bits for j in self._down_q[(bs, c)]) + tx_residual(down_tx[c])
+                for c in chans
+            ),
+            uplink_others=tuple(
+                len(self._up_dom[(bs, c)].members) - (up_tx[c] is not None) for c in chans
+            ),
+            downlink_others=tuple(
+                len(self._down_dom[c].members) - (down_tx[c] is not None) for c in chans
+            ),
             node=node,
             channels=self.channels,
         )

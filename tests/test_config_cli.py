@@ -472,6 +472,36 @@ def _more_actions(p):
     p["n_actions"] = 5
 
 
+def _short_weight_rows(p):
+    p["agent"]["model"]["weights"][1] = p["agent"]["model"]["weights"][1][:3]
+
+
+def _nan_weight(p):
+    p["agent"]["model"]["weights"][0][0][0] = float("nan")
+
+
+def _short_acc_bias(p):
+    p["agent"]["model"]["acc_biases"][2] = [0.0]
+
+
+def _one_layer(p):
+    p["agent"]["model"]["layer_sizes"] = [3]
+
+
+def _four_inputs(p):
+    model = p["agent"]["model"]
+    model["layer_sizes"][0] = 4
+    for key in ("weights", "acc_weights"):
+        model[key][0] = [row + [0.0] for row in model[key][0]]
+
+
+def _infinite_initial_bias(p):
+    model = p["agent"]["model"]
+    biases = [list(b) for b in model["biases"]]
+    biases[1] = [float("inf")] * len(biases[1])
+    p["agent"]["initial_params"] = {"weights": model["weights"], "biases": biases}
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize(
         "mutate, key",
@@ -481,6 +511,12 @@ class TestMalformedCheckpoint:
             (_short_bounds, "context_bounds"),
             (_bad_format, "format"),
             (_more_actions, "n_actions"),
+            (_short_weight_rows, "agent.model.weights[1]"),
+            (_nan_weight, "agent.model.weights[0]"),
+            (_short_acc_bias, "agent.model.acc_biases[2]"),
+            (_infinite_initial_bias, "agent.initial_params.biases[1]"),
+            (_one_layer, "agent.model.layer_sizes"),
+            (_four_inputs, "agent.model.layer_sizes"),
         ],
     )
     @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,17 @@ class TestGenerateDataset:
             small_node, default_channels(), WorkloadConfig(), n_records=200, seed=43
         )
         assert other.to_csv_text() != small_dataset.to_csv_text()
+
+    def test_golden_digest(self, tmp_path):
+        """The bytes of a loaded K=50 dataset, pinned: a simulator change that
+        moves any logged outcome by one ulp changes this digest."""
+        node = NodeConfig(n_users=50, n_base_stations=3, n_channels=3)
+        wl = WorkloadConfig(arrival_rate_per_s=100.0)
+        path = tmp_path / "dataset.csv"
+        generate_dataset(node, default_channels(), wl, n_records=500, seed=2023).write_csv(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "14d7c46bad189db214df70b89604c469e8fa91e49b0f55f9111ab57d14473793"
+        )
 
     def test_rejects_empty_request(self, small_node):
         with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from e2da.netsim import (
     ChannelConfig,
     NodeConfig,
     Simulator,
+    TaskOutcome,
     cpu_energy,
     default_channels,
     exec_time,
@@ -240,10 +243,13 @@ class TestSnapshotProjection:
 
         def policy(sim, task):
             if task.task_id == 1:
+                # user 0's own view at the same instant, through a probe task
+                own = sim.snapshot(make_task(task_id=99, user_id=0, arrival_time=1.0))
+                seen["up"] = own.uplink_backlog_bits[0]
+                seen["own_others"] = own.uplink_others[0]
                 snap = sim.snapshot(task)
-                seen["up"] = snap.uplink_backlog_bits[0][0]
-                seen["active"] = snap.uplink_active[0][0]
-                seen["self"] = snap.uplink_self_active[1][0]
+                seen["others"] = snap.uplink_others[0]
+                seen["self_bits"] = snap.uplink_backlog_bits[0]
             return 1 if task.task_id == 0 else 0
 
         sim = Simulator(node, (ch,), substream(0, "g"), policy=policy)
@@ -253,8 +259,9 @@ class TestSnapshotProjection:
                                        size_bits=1e4, intensity_cpb=10.0))
         sim.run_to_completion()
         assert seen["up"] == 1e6  # half the 2 Mb already drained
-        assert seen["active"] == 1
-        assert seen["self"] is False
+        assert seen["own_others"] == 0  # user 0's busy slot is its own, not a rival
+        assert seen["others"] == 1  # user 0 transmits on user 1's domain
+        assert seen["self_bits"] == 0.0  # user 1's own slot is idle
 
     def test_projection_contention_counts(self):
         node = NodeConfig(n_users=2, n_base_stations=1, n_channels=1,
@@ -364,6 +371,133 @@ class TestMixedRunProperties:
         sim, outs = mixed_run(n_tasks=50)
         assert sim.admitted == 50
         assert not sim.has_events
+
+
+def reference_projections(sim, task):
+    """Every action's what-if outcome, computed from backlog and occupancy
+    tables over all users and base stations; the reference that
+    Simulator.projections must match bit for bit."""
+    gains = sim.stage(task)
+    node = sim.node
+    K, N, C = node.n_users, node.n_base_stations, node.n_channels
+    now = sim.clock
+
+    def busy_cycles(job, hz):
+        if job is None:
+            return 0.0
+        return max(0.0, (job.done_t - now) * hz)
+
+    def tx_residual(tx):
+        if tx is None:
+            return 0.0
+        return max(0.0, tx.residual - tx.rate * (now - tx.last_settle))
+
+    local = [
+        sum(j.task.size_bits * j.task.intensity_cpb for j in sim._local_q[k])
+        + busy_cycles(sim._local_busy[k], node.user_cpu_hz)
+        for k in range(K)
+    ]
+    edge = [
+        sum(j.task.size_bits * j.task.intensity_cpb for j in sim._edge_q[k])
+        + busy_cycles(sim._edge_busy[k], node.edge_vm_hz)
+        for k in range(K)
+    ]
+    up_bits = [
+        [sum(j.task.size_bits for j in sim._up_q[(k, c)]) + tx_residual(sim._up_tx[(k, c)])
+         for c in range(C)]
+        for k in range(K)
+    ]
+    down_bits = [
+        [sum(j.result_bits for j in sim._down_q[(n, c)]) + tx_residual(sim._down_tx[(n, c)])
+         for c in range(C)]
+        for n in range(N)
+    ]
+    up_active = [[len(sim._up_dom[(n, c)].members) for c in range(C)] for n in range(N)]
+    up_self = [[sim._up_tx[(k, c)] is not None for c in range(C)] for k in range(K)]
+    down_active = [len(sim._down_dom[c].members) for c in range(C)]
+    down_slot = [[sim._down_tx[(n, c)] is not None for c in range(C)] for n in range(N)]
+
+    user, size, cpb = task.user_id, task.size_bits, task.intensity_cpb
+    bs = node.resolved_association()[user]
+    outs = []
+    for action in range(C + 1):
+        d1 = d2 = d3 = d4 = 0.0
+        t_up = t_down = 0.0
+        e_cpu = e_tx = e_rx = 0.0
+        if action == 0:
+            d1 = local[user] / node.user_cpu_hz
+            t_exec = exec_time(size, cpb, node.user_cpu_hz)
+            e_cpu = cpu_energy(node.kappa, size, cpb, node.user_cpu_hz)
+            total = d1 + t_exec
+        else:
+            c = action - 1
+            ch = sim.channels[c]
+            n_up = up_active[bs][c] - (1 if up_self[user][c] else 0) + 1
+            r_up = fair_share_rate(ch.uplink_rate_bps, gains[c], n_up)
+            d2 = up_bits[user][c] / r_up
+            t_up = size / r_up
+            d3 = edge[user] / node.edge_vm_hz
+            t_exec = exec_time(size, cpb, node.edge_vm_hz)
+            e_tx = tx_energy(t_up, ch.uplink_power_w)
+            result_bits = node.result_size_ratio * size
+            if result_bits > 0:
+                n_dn = down_active[c] - (1 if down_slot[bs][c] else 0) + 1
+                r_dn = fair_share_rate(ch.downlink_rate_bps, gains[c], n_dn)
+                d4 = down_bits[bs][c] / r_dn
+                t_down = result_bits / r_dn
+                e_rx = rx_energy(t_down, ch.downlink_power_w)
+            total = d2 + t_up + d3 + t_exec + d4 + t_down
+        outs.append(TaskOutcome(
+            task_id=task.task_id, user_id=user, action=action,
+            arrival_s=task.arrival_time, size_bits=size, intensity_cpb=cpb,
+            deadline_s=task.deadline_s, d1_s=d1, d2_s=d2, d3_s=d3, d4_s=d4,
+            t_exec_s=t_exec, t_up_s=t_up, t_down_s=t_down, total_s=total,
+            e_cpu_j=e_cpu, e_tx_j=e_tx, e_rx_j=e_rx, e_total_j=e_tx + e_cpu + e_rx,
+            met_deadline=total <= task.deadline_s,
+        ))
+    return outs
+
+
+class TestDecisionViewReference:
+    def test_projections_match_the_all_user_reference(self):
+        """A loaded mixed run: uplink queues build up, the deciding user's own
+        uplink and its base station's downlink slots are sometimes busy, and
+        several base stations share each downlink channel."""
+        node = NodeConfig(n_users=12, n_base_stations=3, n_channels=3)
+        wl = WorkloadConfig(arrival_rate_per_s=150.0)
+        act_rng = substream(21, "actions")
+        seen = dict(decisions=0, up_queued=0, up_self=0, down_slot=0, down_shared=0,
+                    local_queued=0, edge_busy=0)
+        names = [f.name for f in fields(TaskOutcome)]
+
+        def policy(sim, task):
+            got = sim.projections(task)
+            want = reference_projections(sim, task)
+            for g, w in zip(got, want, strict=True):
+                assert [(n, getattr(g, n)) for n in names] == [(n, getattr(w, n)) for n in names]
+            user = task.user_id
+            bs = node.resolved_association()[user]
+            chans = range(node.n_channels)
+            seen["decisions"] += 1
+            seen["up_queued"] += any(sim._up_q[(user, c)] for c in chans)
+            seen["up_self"] += any(sim._up_tx[(user, c)] is not None for c in chans)
+            seen["down_slot"] += any(sim._down_tx[(bs, c)] is not None for c in chans)
+            seen["down_shared"] += any(
+                len({tx.queue_key[0] for tx in sim._down_dom[c].members}) >= 2 for c in chans
+            )
+            seen["local_queued"] += bool(sim._local_q[user])
+            seen["edge_busy"] += sim._edge_busy[user] is not None
+            if seen["decisions"] >= 1500:
+                sim.halt_arrivals()
+            return int(act_rng.integers(node.n_channels + 1))
+
+        sim = Simulator(node, default_channels(), substream(21, "gains"), policy=policy)
+        for u in range(node.n_users):
+            sim.add_stream(u, task_stream(wl, 21, u, node.n_users))
+        sim.run_to_completion()
+        assert seen["decisions"] == 1500
+        for key, count in seen.items():
+            assert count >= 20, (key, seen)
 
 
 class TestValidationAndErrors:
