@@ -70,7 +70,8 @@ def compute_reward(outcome: TaskOutcome, params: RewardParams) -> float:
 
 
 def reward_to_target(reward: float, penalty: float) -> float:
-    """Affine map of [-penalty, 1] onto [0, 1] for the logistic output."""
+    """Affine map of [-penalty, 1] onto [0, 1] for the logistic output;
+    elementwise on an array of rewards."""
     return (reward + penalty) / (1.0 + penalty)
 
 
@@ -407,11 +408,9 @@ class E2daAgent:
         self.buffer.push(context, action, reward)
         if self._initial_params is not None:
             self.model.set_params(*self._initial_params)
-        penalty = self.config.penalty
         for _ in range(self.config.train_steps_per_observation):
             ctx, act, rew = self.buffer.sample(self.minibatch_rng, self.config.minibatch_size)
-            targets = (rew + penalty) / (1.0 + penalty)
-            self.model.train_step(ctx, act, targets)
+            self.model.train_step(ctx, act, reward_to_target(rew, self.config.penalty))
 
     def to_state(self) -> dict:
         initial = None

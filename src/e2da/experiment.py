@@ -50,9 +50,12 @@ _TASK_COLUMNS = (
     "intensity_cpb",
     "deadline_s",
 )
-# action columns the reward divides by, so they must be finite and positive
-_POSITIVE_ACTION_COLUMNS = tuple(
-    i for i, (col, _) in enumerate(_ACTION_FIELDS) if col in ("T_s", "e_total_J")
+_ACTION_INDEX = {col: i for i, (col, _) in enumerate(_ACTION_FIELDS)}
+# the total columns, which the reward divides by and so must be finite and
+# positive, each with the run of action columns it must sum to (relative 1e-9)
+_TOTALS = tuple(
+    (_ACTION_INDEX[total], slice(_ACTION_INDEX[first], _ACTION_INDEX[last] + 1))
+    for total, first, last in (("T_s", "d1_s", "t_down_s"), ("e_total_J", "e_cpu_J", "e_rx_J"))
 )
 
 # A policy: choose(task, x, projections) -> action, where x is the scaled
@@ -160,12 +163,22 @@ def _parse_record(row: Sequence[str], n_act: int, width: int) -> DatasetRecord:
     outcomes = []
     for a in range(n_act):
         off = len(_TASK_COLUMNS) + a * per_action
-        vals = [float(v) for v in row[off : off + per_action - 1]]
-        for i in _POSITIVE_ACTION_COLUMNS:
-            _positive(vals[i], f"a{a}_{_ACTION_FIELDS[i][0]}")
+        vals = list(map(float, row[off : off + per_action - 1]))
+        for i, parts in _TOTALS:
+            name = f"a{a}_{_ACTION_FIELDS[i][0]}"
+            _positive(vals[i], name)
+            parts_sum = math.fsum(vals[parts])
+            if not math.isclose(vals[i], parts_sum, rel_tol=1e-9):
+                raise ValueError(f"{name} is {vals[i]!r} but its parts sum to {parts_sum!r}")
         met = row[off + per_action - 1]
         if met not in ("0", "1"):
             raise ValueError(f"a{a}_met must be 0 or 1, got {met!r}")
+        total = vals[_ACTION_INDEX["T_s"]]
+        if (met == "1") != (total <= task.deadline_s):
+            raise ValueError(
+                f"a{a}_met is {met}, disagreeing with a{a}_T_s {total!r} "
+                f"and deadline_s {task.deadline_s!r}"
+            )
         outcomes.append(
             TaskOutcome(
                 task.task_id,

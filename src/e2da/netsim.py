@@ -8,8 +8,14 @@ station, channel) downlink FIFO for the result, shared across base stations
 active on that channel.  Local tasks run on the user's own CPU FIFO.
 
 Every queue is FIFO and unbounded; servers never idle while their queue is
-non-empty.  Transmission rates are re-latched whenever a transmitter starts
-or finishes, with in-flight progress settled as residual bits.
+non-empty.  Both transmission legs run through one path: a sharing domain
+re-splits its nominal rate whenever a transmitter starts, settling in-flight
+progress as residual bits, and latches each member's finish time.  A domain
+keeps one live calendar event, the completion of its earliest finisher (ties
+in member order).  A departure with no successor in its queue leaves the
+rates as they are until a re-split at the same instant; members whose latched
+finish equals that instant leave first, in member order.  A re-latch
+supersedes the domain's pending event, which is ignored when popped.
 """
 
 from __future__ import annotations
@@ -152,11 +158,8 @@ class NodeConfig:
 class EventKind(IntEnum):
     TASK_ARRIVAL = 0
     LOCAL_EXEC_DONE = 1
-    UPLINK_RATE_CHANGE = 2
-    UPLINK_DONE = 3
-    EDGE_EXEC_DONE = 4
-    DOWNLINK_RATE_CHANGE = 5
-    DOWNLINK_DONE = 6
+    EDGE_EXEC_DONE = 2
+    CHANNEL = 3  # a sharing domain's completion or re-split
 
 
 @dataclass(frozen=True)
@@ -225,7 +228,7 @@ class _Job:
 class _Tx:
     """An in-flight transmission inside one sharing domain."""
 
-    __slots__ = ("job", "gain", "residual", "rate", "last_settle", "elapsed", "pending_leg", "gen", "queue_key")
+    __slots__ = ("job", "gain", "residual", "rate", "last_settle", "elapsed", "finish", "queue_key")
 
     def __init__(self, job: _Job, gain: float, residual: float, queue_key):
         self.job = job
@@ -234,22 +237,32 @@ class _Tx:
         self.rate = 0.0
         self.last_settle = 0.0
         self.elapsed = 0.0
-        self.pending_leg = 0.0
-        self.gen = 0
+        self.finish = 0.0
         self.queue_key = queue_key
 
 
 class _Domain:
-    """Processor-sharing cell: the transmitters that split one nominal rate."""
+    """Processor-sharing cell: the transmitters that split one nominal rate.
 
-    __slots__ = ("nominal", "members", "done_kind", "rate_change_kind", "key")
+    `queues` and `slots` are its leg's FIFO and in-service tables, keyed by
+    a transmitter's queue_key.  `event` is the domain's one live calendar
+    entry: the completion of `due`, the member with the earliest latched
+    finish (ties in member order), or a re-split of the rate when `due` is
+    None.  After a departure without a successor, members latched to finish
+    at that instant leave first, then the rate is re-split.
+    """
 
-    def __init__(self, nominal: float, done_kind: EventKind, rate_change_kind: EventKind, key):
+    __slots__ = ("nominal", "uplink", "queues", "slots", "key", "members", "event", "due")
+
+    def __init__(self, nominal: float, uplink: bool, queues: dict, slots: dict, key):
         self.nominal = nominal
-        self.members: Dict[_Tx, None] = {}  # dict keeps deterministic insertion order
-        self.done_kind = done_kind
-        self.rate_change_kind = rate_change_kind
+        self.uplink = uplink
+        self.queues = queues
+        self.slots = slots
         self.key = key
+        self.members: Dict[_Tx, None] = {}  # dict keeps deterministic insertion order
+        self.event: Optional[tuple] = None
+        self.due: Optional[_Tx] = None
 
 
 @dataclass(frozen=True)
@@ -361,7 +374,6 @@ class Simulator:
         channels: Sequence[ChannelConfig],
         gain_rng: np.random.Generator,
         policy: Optional[Callable[["Simulator", Task], int]] = None,
-        check_capacity: bool = False,
     ):
         node.validate()
         if len(channels) != node.n_channels:
@@ -375,7 +387,6 @@ class Simulator:
         self.policy = policy
         self.clock = 0.0
         self._gain_rng = gain_rng
-        self._check_capacity = check_capacity
         self._calendar: List[tuple] = []
         self._seq = itertools.count()
         self._halted = False
@@ -401,22 +412,12 @@ class Simulator:
             (n, c): None for n in range(N) for c in range(C)
         }
         self._up_dom: Dict[Tuple[int, int], _Domain] = {
-            (n, c): _Domain(
-                self.channels[c].uplink_rate_bps,
-                EventKind.UPLINK_DONE,
-                EventKind.UPLINK_RATE_CHANGE,
-                (n, c),
-            )
+            (n, c): _Domain(self.channels[c].uplink_rate_bps, True, self._up_q, self._up_tx, (n, c))
             for n in range(N)
             for c in range(C)
         }
         self._down_dom: Dict[int, _Domain] = {
-            c: _Domain(
-                self.channels[c].downlink_rate_bps,
-                EventKind.DOWNLINK_DONE,
-                EventKind.DOWNLINK_RATE_CHANGE,
-                c,
-            )
+            c: _Domain(self.channels[c].downlink_rate_bps, False, self._down_q, self._down_tx, c)
             for c in range(C)
         }
         self.admitted = 0
@@ -540,12 +541,8 @@ class Simulator:
             else:
                 self._local_q[task.user_id].append(job)
         else:
-            key = (task.user_id, action - 1)
-            job.enq_t = self.clock
-            if self._up_tx[key] is None:
-                self._start_uplink(key, job)
-            else:
-                self._up_q[key].append(job)
+            user, c = task.user_id, action - 1
+            self._enqueue_tx(self._up_dom[(self._assoc[user], c)], (user, c), job)
 
     @property
     def has_events(self) -> bool:
@@ -555,31 +552,23 @@ class Simulator:
         """Pop and process one event; returns the outcome if a task finished."""
         if not self._calendar:
             raise SimulationError("advance() on an empty calendar")
-        t, _seq, kind, payload = heappop(self._calendar)
+        entry = heappop(self._calendar)
+        t, _seq, kind, payload = entry
         self.clock = t
         if kind == EventKind.TASK_ARRIVAL:
             self._handle_arrival(payload)
             return None
         if kind == EventKind.LOCAL_EXEC_DONE:
             return self._handle_local_done(payload)
-        if kind == EventKind.UPLINK_DONE:
-            tx, gen = payload
-            if gen != tx.gen:
-                return None
-            self._handle_uplink_done(tx)
-            return None
         if kind == EventKind.EDGE_EXEC_DONE:
             return self._handle_edge_done(payload)
-        if kind == EventKind.DOWNLINK_DONE:
-            tx, gen = payload
-            if gen != tx.gen:
-                return None
-            return self._handle_downlink_done(tx)
-        # rate change: settle in-flight progress, re-split the channel
         dom = payload
-        if dom.members:
-            self._settle(dom)
-            self._relatch(dom)
+        if entry is not dom.event:
+            return None  # superseded by a later re-latch of the domain
+        if dom.due is not None:
+            return self._tx_done(dom, dom.due)
+        self._settle(dom)
+        self._relatch(dom)
         return None
 
     def run_to_completion(self) -> List[TaskOutcome]:
@@ -605,6 +594,12 @@ class Simulator:
 
     def _push(self, t: float, kind: EventKind, payload) -> None:
         heappush(self._calendar, (t, next(self._seq), kind, payload))
+
+    def _schedule(self, dom: _Domain, t: float, due: Optional[_Tx], seq: Optional[int] = None) -> None:
+        """Make (t, due) the domain's one live event; an earlier one goes stale."""
+        dom.due = due
+        dom.event = (t, next(self._seq) if seq is None else seq, EventKind.CHANNEL, dom)
+        heappush(self._calendar, dom.event)
 
     def _handle_arrival(self, task: Task) -> None:
         if self._halted:
@@ -642,41 +637,6 @@ class Simulator:
             self._start_local(user, self._local_q[user].popleft())
         return self._finalize(job)
 
-    # uplink
-
-    def _start_uplink(self, key: Tuple[int, int], job: _Job) -> None:
-        user, c = key
-        job.d2 = self.clock - job.enq_t
-        tx = _Tx(job, job.gains[c], job.task.size_bits, key)
-        tx.last_settle = self.clock
-        self._up_tx[key] = tx
-        dom = self._up_dom[(self._assoc[user], c)]
-        self._settle(dom)
-        dom.members[tx] = None
-        self._relatch(dom)
-
-    def _handle_uplink_done(self, tx: _Tx) -> None:
-        key = tx.queue_key
-        user, c = key
-        job = tx.job
-        # final leg as a clock difference, not the closed-form pending_leg:
-        # the done event time was rounded, and only the clock version keeps
-        # the stage sum consistent with completion minus arrival
-        job.t_up = tx.elapsed + (self.clock - tx.last_settle)
-        dom = self._up_dom[(self._assoc[user], c)]
-        del dom.members[tx]
-        self._up_tx[key] = None
-        q = self._up_q[key]
-        if q:
-            self._start_uplink(key, q.popleft())
-        elif dom.members:
-            self._push(self.clock, dom.rate_change_kind, dom)
-        job.enq_t = self.clock
-        if self._edge_busy[user] is None:
-            self._start_edge(user, job)
-        else:
-            self._edge_q[user].append(job)
-
     # edge VM
 
     def _start_edge(self, user: int, job: _Job) -> None:
@@ -695,45 +655,63 @@ class Simulator:
             self._start_edge(user, self._edge_q[user].popleft())
         if job.result_bits <= 0.0:
             return self._finalize(job)
-        bs = self._assoc[user]
         c = job.action - 1
-        key = (bs, c)
-        job.enq_t = self.clock
-        if self._down_tx[key] is None:
-            self._start_downlink(key, job)
-        else:
-            self._down_q[key].append(job)
+        self._enqueue_tx(self._down_dom[c], (self._assoc[user], c), job)
         return None
 
-    # downlink
+    # transmission, both legs
 
-    def _start_downlink(self, key: Tuple[int, int], job: _Job) -> None:
-        bs, c = key
-        job.d4 = self.clock - job.enq_t
-        tx = _Tx(job, job.gains[c], job.result_bits, key)
+    def _enqueue_tx(self, dom: _Domain, key: Tuple[int, int], job: _Job) -> None:
+        job.enq_t = self.clock
+        if dom.slots[key] is None:
+            self._start_tx(dom, key, job)
+        else:
+            dom.queues[key].append(job)
+
+    def _start_tx(self, dom: _Domain, key: Tuple[int, int], job: _Job) -> None:
+        wait = self.clock - job.enq_t
+        if dom.uplink:
+            job.d2, bits = wait, job.task.size_bits
+        else:
+            job.d4, bits = wait, job.result_bits
+        tx = _Tx(job, job.gains[key[1]], bits, key)
         tx.last_settle = self.clock
-        self._down_tx[key] = tx
-        dom = self._down_dom[c]
+        dom.slots[key] = tx
         self._settle(dom)
         dom.members[tx] = None
         self._relatch(dom)
 
-    def _handle_downlink_done(self, tx: _Tx) -> TaskOutcome:
+    def _tx_done(self, dom: _Domain, tx: _Tx) -> Optional[TaskOutcome]:
         key = tx.queue_key
-        bs, c = key
         job = tx.job
-        job.t_down = tx.elapsed + (self.clock - tx.last_settle)
-        dom = self._down_dom[c]
+        # final leg as a clock difference, not the latched residual / rate:
+        # the finish time was rounded, and only the clock version keeps the
+        # stage sum consistent with completion minus arrival
+        leg = tx.elapsed + (self.clock - tx.last_settle)
         del dom.members[tx]
-        self._down_tx[key] = None
-        q = self._down_q[key]
+        dom.slots[key] = None
+        q = dom.queues[key]
         if q:
-            self._start_downlink(key, q.popleft())
+            self._start_tx(dom, key, q.popleft())
         elif dom.members:
-            self._push(self.clock, dom.rate_change_kind, dom)
-        return self._finalize(job)
-
-    # shared transmission mechanics
+            due = next((m for m in dom.members if m.finish == self.clock), None)
+            if due is None:
+                self._schedule(dom, self.clock, None)  # re-split among the rest
+            else:
+                # latched to finish now: it leaves next, in member order,
+                # under the departed member's sequence number
+                self._schedule(dom, self.clock, due, dom.event[1])
+        if not dom.uplink:
+            job.t_down = leg
+            return self._finalize(job)
+        job.t_up = leg
+        user = job.task.user_id
+        job.enq_t = self.clock
+        if self._edge_busy[user] is None:
+            self._start_edge(user, job)
+        else:
+            self._edge_q[user].append(job)
+        return None
 
     def _settle(self, dom: _Domain) -> None:
         now = self.clock
@@ -745,20 +723,23 @@ class Simulator:
                 tx.last_settle = now
 
     def _relatch(self, dom: _Domain) -> None:
+        """Re-split the nominal rate over the (settled, non-empty) members,
+        latch each finish as clock + residual / rate, and schedule the
+        earliest finisher as the domain's one event (ties in member order)."""
         n = len(dom.members)
-        if n == 0:
-            return
         total = 0.0
+        due = None
         for tx in dom.members:
             tx.rate = fair_share_rate(dom.nominal, tx.gain, n)
             total += tx.rate
-            tx.pending_leg = tx.residual / tx.rate
-            tx.gen += 1
-            self._push(self.clock + tx.pending_leg, dom.done_kind, (tx, tx.gen))
-        if self._check_capacity and total > dom.nominal * (1.0 + 1e-9):
+            tx.finish = self.clock + tx.residual / tx.rate
+            if due is None or tx.finish < due.finish:
+                due = tx
+        if total > dom.nominal * (1.0 + 1e-9):
             raise SimulationError(
                 f"allocated {total} bps exceeds nominal {dom.nominal} bps on domain {dom.key}"
             )
+        self._schedule(dom, due.finish, due)
 
     def _finalize(self, job: _Job) -> TaskOutcome:
         task = job.task

@@ -565,10 +565,28 @@ def _foreign_user(row):
     return row
 
 
+# action 1's columns start after the 7 task columns and action 0's 13
+def _stages_off_total(row):
+    row[27] = repr(float(row[27]) * 1.001)  # a1_T_s
+    return row
+
+
+def _parts_off_energy(row):
+    row[31] = repr(float(row[31]) * 1.001)  # a1_e_total_J
+    return row
+
+
+def _met_flipped(row):
+    row[32] = "1" if row[32] == "0" else "0"  # a1_met
+    return row
+
+
 class TestMalformedDataset:
     @pytest.mark.parametrize(
         "mutate, detail",
-        [(_truncate, "columns"), (_nan_size, "size_bits"), (_foreign_user, "user_id")],
+        [(_truncate, "columns"), (_nan_size, "size_bits"), (_foreign_user, "user_id"),
+         (_stages_off_total, "a1_T_s"), (_parts_off_energy, "a1_e_total_J"),
+         (_met_flipped, "a1_met")],
     )
     def test_eel_evaluation_exits_2_naming_file_and_row(
         self, tmp_path, capsys, trained, mutate, detail

@@ -182,6 +182,57 @@ class TestQueueing:
         assert outs[2].d2_s == 2.0  # queued behind task 1's slot
         assert outs[2].t_up_s == 1.0  # alone again once both others left
 
+    def test_tied_finishers_leave_in_member_order(self):
+        """Two transmitters finish at the same instant while a third survives.
+
+        Tasks 0 and 1 (1 Mb) and task 2 (3 Mb) start together at a third of
+        1 Mb/s each; task 3 (1 Mb) joins at t=1.5, so 0 and 1 both finish at
+        3.5 under the four-way split.  They leave in member order before the
+        channel is re-split between 2 and 3, and task 1's result queues
+        behind task 0's on the shared downlink slot.
+        """
+        node = NodeConfig(n_users=4, n_base_stations=1, n_channels=1,
+                          result_size_ratio=0.1)
+        ch = fixed_gain_channel(1e6, 1.0, gain=1.0)
+        sim = Simulator(node, (ch,), substream(0, "g"), policy=lambda s, t: 1)
+        for tid, at, size in ((0, 0.0, 1e6), (1, 0.0, 1e6), (2, 0.0, 3e6), (3, 1.5, 1e6)):
+            sim.schedule_arrival(make_task(task_id=tid, user_id=tid, arrival_time=at,
+                                           size_bits=size, intensity_cpb=10.0))
+        outs = sim.run_to_completion()
+        assert [o.task_id for o in outs] == [0, 1, 3, 2]
+        assert [o.t_up_s for o in outs] == [3.5, 3.5, 3.0, 6.0]
+        assert [o.total_s for o in outs] == [3.6025, 3.7025, 3.1025, 6.3075]
+        assert [o.d4_s for o in outs] == [0.0, 0.10000000000000009, 0.0, 0.0]
+
+    def test_tied_finishers_leave_before_a_later_scheduled_arrival(self):
+        """As above, plus user 4's stream: a local task at 2.5 schedules an
+        arrival at 3.5, the instant tasks 0 and 1 finish.  That arrival was
+        put on the calendar after the finish times were latched, so it is
+        decided after both tied departures and sees 2 and 3 as the only
+        other transmitters."""
+        node = NodeConfig(n_users=5, n_base_stations=1, n_channels=1,
+                          result_size_ratio=0.1)
+        ch = fixed_gain_channel(1e6, 1.0, gain=1.0)
+        seen = {}
+
+        def policy(sim, task):
+            if task.task_id == 5:
+                seen["others"] = sim.snapshot(task).uplink_others[0]
+            return 0 if task.task_id == 4 else 1
+
+        sim = Simulator(node, (ch,), substream(0, "g"), policy=policy)
+        for tid, at, size in ((0, 0.0, 1e6), (1, 0.0, 1e6), (2, 0.0, 3e6), (3, 1.5, 1e6)):
+            sim.schedule_arrival(make_task(task_id=tid, user_id=tid, arrival_time=at,
+                                           size_bits=size, intensity_cpb=10.0))
+        sim.add_stream(4, iter([
+            make_task(task_id=4, user_id=4, arrival_time=2.5, size_bits=1e3, intensity_cpb=10.0),
+            make_task(task_id=5, user_id=4, arrival_time=3.5, size_bits=1e6, intensity_cpb=10.0),
+        ]))
+        outs = sim.run_to_completion()
+        assert seen["others"] == 2
+        assert [o.task_id for o in outs] == [4, 0, 1, 3, 5, 2]
+        assert [o.t_up_s for o in outs] == [0.0, 3.5, 3.5, 3.5, 2.5, 7.0]
+
     def test_uplink_domains_are_per_base_station(self):
         node = NodeConfig(n_users=2, n_base_stations=2, n_channels=1,
                           result_size_ratio=0.5)
@@ -320,7 +371,7 @@ class TestSnapshotProjection:
             project_outcome(snap, make_task(task_id=2), 0)
 
 
-def mixed_run(n_tasks=2000, seed=13, check_capacity=False):
+def mixed_run(n_tasks=2000, seed=13):
     node = NodeConfig(n_users=5, n_base_stations=3, n_channels=3)
     wl = WorkloadConfig()
     act_rng = substream(seed, "actions")
@@ -333,7 +384,7 @@ def mixed_run(n_tasks=2000, seed=13, check_capacity=False):
         return int(act_rng.integers(4))
 
     sim = Simulator(node, default_channels(), substream(seed, "gains"),
-                    policy=policy, check_capacity=check_capacity)
+                    policy=policy)
     for u in range(5):
         sim.add_stream(u, task_stream(wl, seed, u, 5))
     outs = sim.run_to_completion()
@@ -342,7 +393,7 @@ def mixed_run(n_tasks=2000, seed=13, check_capacity=False):
 
 class TestMixedRunProperties:
     def test_conservation_and_identities(self):
-        sim, outs = mixed_run(check_capacity=True)
+        sim, outs = mixed_run()
         assert len(outs) == 2000
         assert sim.admitted == 2000
         assert sim.in_flight_count() == 0
