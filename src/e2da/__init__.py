@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .workload import DistributionSpec, Task, WorkloadConfig
 from .netsim import ChannelConfig, NodeConfig, Simulator, TaskOutcome
 from .bandit import AgentConfig, E2daAgent, RewardParams
-from .baselines import ProjectionSet, eel_star, ee_star, r_star
+from .baselines import eel_star, ee_star, r_star
 
 __all__ = [
     "DistributionSpec",
@@ -19,7 +19,6 @@ __all__ = [
     "AgentConfig",
     "E2daAgent",
     "RewardParams",
-    "ProjectionSet",
     "eel_star",
     "ee_star",
     "r_star",

@@ -31,11 +31,11 @@ class RewardParams:
     efficiency_scale: float = 1.0
 
     def validate(self) -> None:
-        if self.penalty < 0:
-            raise ConfigError(f"penalty must be >= 0, got {self.penalty}")
-        if self.efficiency_scale <= 0:
+        if not 0 <= self.penalty < math.inf:
+            raise ConfigError(f"penalty must be finite and >= 0, got {self.penalty}")
+        if not 0 < self.efficiency_scale < math.inf:
             raise ConfigError(
-                f"efficiency_scale must be > 0, got {self.efficiency_scale}"
+                f"efficiency_scale must be finite and > 0, got {self.efficiency_scale}"
             )
 
 
@@ -48,25 +48,14 @@ def efficiency(size_bits: float, total_s: float, e_total_j: float) -> float:
     return size_bits / (total_s * e_total_j)
 
 
-def reward_value(
-    size_bits: float, total_s: float, e_total_j: float, met_deadline: bool, params: RewardParams
-) -> float:
+def compute_reward(outcome: TaskOutcome, params: RewardParams) -> float:
     """Score in [-penalty, 1]: scaled efficiency when the deadline held,
     -penalty when it did not."""
-    if total_s <= 0 or e_total_j <= 0:
-        raise ValueError(
-            f"reward needs positive time and energy, got T={total_s}, E={e_total_j}"
-        )
-    if not met_deadline:
+    # scored before the verdict, so a non-positive T or E raises on a miss too
+    eta = efficiency(outcome.size_bits, outcome.total_s, outcome.e_total_j)
+    if not outcome.met_deadline:
         return -params.penalty
-    eta = efficiency(size_bits, total_s, e_total_j) / params.efficiency_scale
-    return min(eta, 1.0)
-
-
-def compute_reward(outcome: TaskOutcome, params: RewardParams) -> float:
-    return reward_value(
-        outcome.size_bits, outcome.total_s, outcome.e_total_j, outcome.met_deadline, params
-    )
+    return min(eta / params.efficiency_scale, 1.0)
 
 
 def reward_to_target(reward: float, penalty: float) -> float:
@@ -92,6 +81,15 @@ def select_action(q: np.ndarray, epsilon: float, rng: Optional[np.random.Generat
     return int(np.argmax(q))
 
 
+def _check_optimizer(learning_rate: float, rmsprop_decay: float, rmsprop_eps: float) -> None:
+    """RMSProp constants: positive step and epsilon, decay inside (0, 1)."""
+    for f_name, value in (("learning_rate", learning_rate), ("rmsprop_eps", rmsprop_eps)):
+        if not value > 0:
+            raise ConfigError(f"{f_name} must be > 0, got {value}")
+    if not 0.0 < rmsprop_decay < 1.0:
+        raise ConfigError(f"rmsprop_decay must be in (0, 1), got {rmsprop_decay}")
+
+
 @dataclass(frozen=True)
 class AgentConfig:
     hidden_sizes: Tuple[int, ...] = (50, 50)
@@ -111,23 +109,16 @@ class AgentConfig:
     def validate(self) -> None:
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ConfigError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
-        for f_name in (
-            "learning_rate",
-            "rmsprop_eps",
-            "minibatch_size",
-            "train_steps_per_observation",
-            "buffer_capacity",
-        ):
+        _check_optimizer(self.learning_rate, self.rmsprop_decay, self.rmsprop_eps)
+        for f_name in ("minibatch_size", "train_steps_per_observation", "buffer_capacity"):
             if getattr(self, f_name) <= 0:
                 raise ConfigError(f"{f_name} must be > 0, got {getattr(self, f_name)}")
-        if not 0.0 < self.rmsprop_decay < 1.0:
-            raise ConfigError(f"rmsprop_decay must be in (0, 1), got {self.rmsprop_decay}")
         for f_name in ("epsilon0", "epsilon_decay", "epsilon_min"):
             v = getattr(self, f_name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{f_name} must be in [0, 1], got {v}")
-        if self.penalty < 0:
-            raise ConfigError(f"penalty must be >= 0, got {self.penalty}")
+        if not 0 <= self.penalty < math.inf:
+            raise ConfigError(f"penalty must be finite and >= 0, got {self.penalty}")
         if self.init_scale is not None and self.init_scale <= 0:
             raise ConfigError(f"init_scale must be > 0, got {self.init_scale}")
 
@@ -264,9 +255,10 @@ class MlpModel:
 
     @classmethod
     def from_state(cls, state: dict) -> "MlpModel":
-        """Model saved by to_state.  Bad layer sizes, or parameter arrays of
-        the wrong shape or with a non-finite entry, raise ConfigError whose
-        message starts with the key path, such as "model.weights[1]"."""
+        """Model saved by to_state.  Bad layer sizes or optimizer constants,
+        or parameter arrays of the wrong shape or with a non-finite entry,
+        raise ConfigError whose message starts with the key path, such as
+        "model.weights[1]"."""
         sizes = state["layer_sizes"]
         if not (
             isinstance(sizes, list)
@@ -276,13 +268,12 @@ class MlpModel:
             raise ConfigError(
                 f"model.layer_sizes must list two or more positive sizes, got {sizes!r}"
             )
-        model = cls(
-            sizes,
-            state["learning_rate"],
-            state["rmsprop_decay"],
-            state["rmsprop_eps"],
-            rng=None,
-        )
+        optimizer = (state["learning_rate"], state["rmsprop_decay"], state["rmsprop_eps"])
+        try:
+            _check_optimizer(*optimizer)
+        except ConfigError as exc:
+            raise ConfigError(f"model.{exc}") from None
+        model = cls(sizes, *optimizer, rng=None)
         w_shapes, b_shapes = model.param_shapes()
         model.weights = _param_arrays(state["weights"], w_shapes, "model.weights")
         model.biases = _param_arrays(state["biases"], b_shapes, "model.biases")
@@ -434,14 +425,19 @@ class E2daAgent:
         explore_rng: np.random.Generator,
         minibatch_rng: np.random.Generator,
     ) -> "E2daAgent":
-        """Agent saved by to_state.  A malformed model or initial parameter
-        array raises ConfigError whose message starts with its key path in
-        the state; other malformed entries raise KeyError, TypeError or
-        ValueError."""
+        """Agent saved by to_state.  An out-of-range config or reward
+        constant, or a malformed model or initial parameter array, raises
+        ConfigError whose message starts with its key path in the state;
+        other malformed entries raise KeyError, TypeError or ValueError."""
         cfg_d = dict(state["config"])
         cfg_d["hidden_sizes"] = tuple(cfg_d["hidden_sizes"])
         config = AgentConfig(**cfg_d)
         rp = RewardParams(**state["reward_params"])
+        for key, section in (("config", config), ("reward_params", rp)):
+            try:
+                section.validate()
+            except ConfigError as exc:
+                raise ConfigError(f"{key}.{exc}") from None
         model = MlpModel.from_state(state["model"])
         agent = cls.__new__(cls)
         agent.config = config

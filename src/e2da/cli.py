@@ -355,6 +355,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise ConfigError("--values must list at least one mean")
 
+    extra: dict = {"agent": args.agent, "mode": mode}
     agents: List[E2daAgent] = []
     bounds = None
     params: Optional[RewardParams] = None
@@ -362,7 +363,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not args.model:
             raise ConfigError("sweeping the learned agent requires --model PATH")
         agents, params, workload = _policy_inputs(
-            "e2da", cfg, mode, seed, None, args.model, "model_sha256", {}
+            "e2da", cfg, mode, seed, None, args.model, "model_sha256", extra
         )
         bounds = workload.context_bounds
 
@@ -381,7 +382,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         if params is None:
             # One normalizer for the whole sweep keeps rewards comparable.
-            params = _reward_params(scen_cfg, seed, ds, {})
+            params = _reward_params(scen_cfg, seed, ds, extra)
         # the learned agent scales contexts with its checkpoint's bounds
         workload = replace(scen_cfg.workload, context_bounds=bounds)
         rng = substream(seed, "logging-policy", label)
@@ -412,7 +413,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     }
     write_json(os.path.join(args.out, "sweep_summary.json"), sweep_summary)
     outputs.append("sweep_summary.json")
-    _write_manifest(args.out, "sweep", cfg, seed, outputs, {"agent": args.agent, "mode": mode})
+    _write_manifest(args.out, "sweep", cfg, seed, outputs, extra)
     lof = sweep_summary["last_over_first"]
     print(
         f"swept {args.vary} over {len(values)} values with {args.agent}: "

@@ -18,8 +18,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bandit import E2daAgent, RewardParams, compute_reward
-from .baselines import ORACLES, ProjectionSet
+from .bandit import E2daAgent, RewardParams, compute_reward, efficiency
+from .baselines import ORACLES
 from .errors import ConfigError
 from .ioutil import atomic_write_text, fmt
 from .netsim import ChannelConfig, NodeConfig, Simulator, TaskOutcome
@@ -59,8 +59,10 @@ _TOTALS = tuple(
 )
 
 # A policy: choose(task, x, projections) -> action, where x is the scaled
-# context and projections() returns the task's ProjectionSet on demand.
-Policy = Callable[[Task, np.ndarray, Callable[[], ProjectionSet]], int]
+# context and projections() returns the task's action-indexed outcomes on
+# demand.
+Projections = Callable[[], Sequence[TaskOutcome]]
+Policy = Callable[[Task, np.ndarray, Projections], int]
 
 
 @dataclass(frozen=True)
@@ -70,9 +72,6 @@ class DatasetRecord:
     record_id: int
     task: Task
     outcomes: Tuple[TaskOutcome, ...]
-
-    def projection_set(self) -> ProjectionSet:
-        return ProjectionSet(self.task.task_id, self.outcomes)
 
 
 class Dataset:
@@ -96,13 +95,9 @@ class Dataset:
         return len(self.records[0].outcomes)
 
     def to_csv_text(self) -> str:
-        n_act = self.n_actions if self.records else 0
-        header = list(_TASK_COLUMNS)
-        for a in range(n_act):
-            header.extend(f"a{a}_{col}" for col, _ in _ACTION_FIELDS)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(_header(self.n_actions if self.records else 0))
         for rec in self.records:
             t = rec.task
             row = [
@@ -124,15 +119,19 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path: str) -> "Dataset":
-        """Read records written by write_csv.  A malformed row raises
-        ConfigError naming the path and the row (rows count from 1 after
-        the header)."""
+        """Read records written by write_csv.  A malformed header raises
+        ConfigError naming the path and the first wrong column, a malformed
+        row naming the path and the row (rows count from 1 after the
+        header)."""
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             n_act = (len(header) - len(_TASK_COLUMNS)) // len(_ACTION_FIELDS)
             if len(_TASK_COLUMNS) + n_act * len(_ACTION_FIELDS) != len(header) or n_act < 2:
                 raise ConfigError(f"{path}: unrecognized dataset header with {len(header)} columns")
+            for i, (got, want) in enumerate(zip(header, _header(n_act)), 1):
+                if got != want:
+                    raise ConfigError(f"{path}: header column {i} is {got!r}, expected {want!r}")
             records = []
             for n, row in enumerate(reader, 1):
                 try:
@@ -140,6 +139,13 @@ class Dataset:
                 except ValueError as exc:
                     raise ConfigError(f"{path} row {n}: {exc}") from None
         return cls(records)
+
+
+def _header(n_act: int) -> List[str]:
+    header = list(_TASK_COLUMNS)
+    for a in range(n_act):
+        header.extend(f"a{a}_{col}" for col, _ in _ACTION_FIELDS)
+    return header
 
 
 def _positive(value: float, name: str) -> float:
@@ -234,7 +240,7 @@ def calibrate_efficiency_scale(dataset: Dataset, percentile: float = 99.0) -> fl
     """Efficiency normalizer: the given percentile of raw bits/(s*J) over
     every recorded (task, action) pair."""
     effs = [
-        out.size_bits / (out.total_s * out.e_total_j)
+        efficiency(out.size_bits, out.total_s, out.e_total_j)
         for rec in dataset.records
         for out in rec.outcomes
     ]
@@ -303,7 +309,7 @@ def summarize(
     tasks_per_episode: int,
     phase: str = "test",
 ) -> dict:
-    """Per-name means over one phase plus pairwise ratios between names."""
+    """Per-name means over one phase."""
     per: Dict[str, dict] = {}
     for name, series in series_by_name.items():
         rows = [r for r in series if r.phase == phase]
@@ -317,24 +323,7 @@ def summarize(
             "mean_task_energy_j": float(sum(r.energy_j for r in rows) / n_tasks),
             "mean_task_response_s": float(sum(r.response_s for r in rows) / n_tasks),
         }
-    names = list(per)
-    ratios: Dict[str, dict] = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            entry = {}
-            for short, key in (
-                ("reward", "mean_episode_reward"),
-                ("deadline_fraction", "mean_deadline_fraction"),
-                ("energy", "mean_task_energy_j"),
-                ("response", "mean_task_response_s"),
-            ):
-                den = per[a][key]
-                entry[short] = per[b][key] / den if den != 0 else None
-            ratios[f"{b}_over_{a}"] = entry
-    result = {"phase": phase, "tasks_per_episode": tasks_per_episode, "agents": per}
-    if ratios:
-        result["ratios"] = ratios
-    return result
+    return {"phase": phase, "tasks_per_episode": tasks_per_episode, "agents": per}
 
 
 # ----------------------------------------------------------------- rollouts
@@ -391,9 +380,7 @@ class _Ledger:
         self._pending: Dict[int, Tuple[np.ndarray, int, int]] = {}
         self._books: Dict[int, list] = {}  # episode -> [reward, met, energy, response, n]
 
-    def decide(
-        self, task: Task, x: np.ndarray, projections: Callable[[], ProjectionSet], episode: int
-    ) -> int:
+    def decide(self, task: Task, x: np.ndarray, projections: Projections, episode: int) -> int:
         if self.learner is None:
             action = self.choose(task, x, projections)
         else:
@@ -437,7 +424,7 @@ def _replay(
         for i in ep_rng.integers(0, len(dataset), size=tasks_per_episode):
             rec = dataset.records[i]
             x = normalize_context(rec.task, workload)
-            a = ledger.decide(rec.task, x, rec.projection_set, start_episode + e)
+            a = ledger.decide(rec.task, x, lambda: rec.outcomes, start_episode + e)
             ledger.settle(rec.outcomes[a])
 
 
@@ -572,9 +559,7 @@ def _live_rollout(
         if decided >= total:
             sim.halt_arrivals()
         x = normalize_context(task, workload)
-        return ledger.decide(
-            task, x, lambda: ProjectionSet(task.task_id, sim.projections(task)), episode
-        )
+        return ledger.decide(task, x, lambda: sim.projections(task), episode)
 
     sim = Simulator(node, channels, substream(seed, "gains"), policy=hook)
     for user in range(node.n_users):
@@ -643,7 +628,7 @@ def calibrate_efficiency_scale_live(
     effs: List[float] = []
 
     def keep_efficiency(out: TaskOutcome) -> None:
-        effs.append(out.size_bits / (out.total_s * out.e_total_j))
+        effs.append(efficiency(out.size_bits, out.total_s, out.e_total_j))
 
     _live_rollout(node, channels, workload, seed, 1, n_tasks, ledger, on_outcome=keep_efficiency)
     return float(np.percentile(np.asarray(effs), percentile))

@@ -16,6 +16,10 @@ in member order).  A departure with no successor in its queue leaves the
 rates as they are until a re-split at the same instant; members whose latched
 finish equals that instant leave first, in member order.  A re-latch
 supersedes the domain's pending event, which is ignored when popped.
+
+Projected and realized outcomes come from one builder that owns the energy
+model: kappa * cycles * f^2 for a local run, radio power times airtime on
+both legs of an offload, and the deadline verdict on the total.
 """
 
 from __future__ import annotations
@@ -53,17 +57,10 @@ def cpu_energy(kappa: float, size_bits: float, intensity_cpb: float, cpu_hz: flo
     return kappa * size_bits * intensity_cpb * cpu_hz * cpu_hz
 
 
-def tx_energy(duration_s: float, power_w: float) -> float:
-    """Joules spent transmitting for duration_s at power_w."""
+def radio_energy(duration_s: float, power_w: float) -> float:
+    """Joules the radio spends sending or receiving for duration_s at power_w."""
     if duration_s < 0 or power_w < 0:
-        raise ValueError(f"tx_energy needs non-negative inputs, got {duration_s}, {power_w}")
-    return duration_s * power_w
-
-
-def rx_energy(duration_s: float, power_w: float) -> float:
-    """Joules spent receiving for duration_s at power_w."""
-    if duration_s < 0 or power_w < 0:
-        raise ValueError(f"rx_energy needs non-negative inputs, got {duration_s}, {power_w}")
+        raise ValueError(f"radio_energy needs non-negative inputs, got {duration_s}, {power_w}")
     return duration_s * power_w
 
 
@@ -295,53 +292,31 @@ class Snapshot:
     channels: Tuple[ChannelConfig, ...]
 
 
-def project_outcome(snap: Snapshot, task: Task, action: int) -> TaskOutcome:
-    """Deterministic what-if outcome of taking `action` from `snap`.
-
-    Waits are backlog work over service rate; the task's own transmission
-    contends with the frozen set of other active transmitters plus itself.
-    """
-    if task.task_id != snap.task_id:
-        raise ValueError(
-            f"snapshot was taken for task {snap.task_id}, cannot project task {task.task_id}"
-        )
-    node = snap.node
-    n_ch = len(snap.channels)
-    if not 0 <= action <= n_ch:
-        raise ValueError(f"action must be in [0, {n_ch}], got {action}")
-    user = task.user_id
-    size = task.size_bits
-    d1 = d2 = d3 = d4 = 0.0
-    t_up = t_down = 0.0
-    e_cpu = e_tx = e_rx = 0.0
+def _outcome(
+    node: NodeConfig,
+    channels: Sequence[ChannelConfig],
+    task: Task,
+    action: int,
+    d1: float, d2: float, d3: float, d4: float, t_exec: float, t_up: float, t_down: float,
+    total: float,
+) -> TaskOutcome:
+    """The outcome model shared by projections and completions: CPU energy
+    for a local run, radio energy of both legs through the chosen channel
+    otherwise, and the deadline verdict on the total."""
     if action == 0:
-        d1 = snap.local_backlog_cycles / node.user_cpu_hz
-        t_exec = exec_time(size, task.intensity_cpb, node.user_cpu_hz)
-        e_cpu = cpu_energy(node.kappa, size, task.intensity_cpb, node.user_cpu_hz)
-        total = d1 + t_exec
+        e_cpu = cpu_energy(node.kappa, task.size_bits, task.intensity_cpb, node.user_cpu_hz)
+        e_tx = e_rx = 0.0
     else:
-        c = action - 1
-        ch = snap.channels[c]
-        gain = snap.gains[c]
-        r_up = fair_share_rate(ch.uplink_rate_bps, gain, snap.uplink_others[c] + 1)
-        d2 = snap.uplink_backlog_bits[c] / r_up
-        t_up = size / r_up
-        d3 = snap.edge_backlog_cycles / node.edge_vm_hz
-        t_exec = exec_time(size, task.intensity_cpb, node.edge_vm_hz)
-        e_tx = tx_energy(t_up, ch.uplink_power_w)
-        result_bits = node.result_size_ratio * size
-        if result_bits > 0:
-            r_dn = fair_share_rate(ch.downlink_rate_bps, gain, snap.downlink_others[c] + 1)
-            d4 = snap.downlink_backlog_bits[c] / r_dn
-            t_down = result_bits / r_dn
-            e_rx = rx_energy(t_down, ch.downlink_power_w)
-        total = d2 + t_up + d3 + t_exec + d4 + t_down
+        ch = channels[action - 1]
+        e_cpu = 0.0
+        e_tx = radio_energy(t_up, ch.uplink_power_w)
+        e_rx = radio_energy(t_down, ch.downlink_power_w)
     return TaskOutcome(
         task_id=task.task_id,
-        user_id=user,
+        user_id=task.user_id,
         action=action,
         arrival_s=task.arrival_time,
-        size_bits=size,
+        size_bits=task.size_bits,
         intensity_cpb=task.intensity_cpb,
         deadline_s=task.deadline_s,
         d1_s=d1,
@@ -358,6 +333,45 @@ def project_outcome(snap: Snapshot, task: Task, action: int) -> TaskOutcome:
         e_total_j=e_tx + e_cpu + e_rx,
         met_deadline=total <= task.deadline_s,
     )
+
+
+def project_outcome(snap: Snapshot, task: Task, action: int) -> TaskOutcome:
+    """Deterministic what-if outcome of taking `action` from `snap`.
+
+    Waits are backlog work over service rate; the task's own transmission
+    contends with the frozen set of other active transmitters plus itself.
+    """
+    if task.task_id != snap.task_id:
+        raise ValueError(
+            f"snapshot was taken for task {snap.task_id}, cannot project task {task.task_id}"
+        )
+    node = snap.node
+    n_ch = len(snap.channels)
+    if not 0 <= action <= n_ch:
+        raise ValueError(f"action must be in [0, {n_ch}], got {action}")
+    size = task.size_bits
+    d1 = d2 = d3 = d4 = 0.0
+    t_up = t_down = 0.0
+    if action == 0:
+        d1 = snap.local_backlog_cycles / node.user_cpu_hz
+        t_exec = exec_time(size, task.intensity_cpb, node.user_cpu_hz)
+        total = d1 + t_exec
+    else:
+        c = action - 1
+        ch = snap.channels[c]
+        gain = snap.gains[c]
+        r_up = fair_share_rate(ch.uplink_rate_bps, gain, snap.uplink_others[c] + 1)
+        d2 = snap.uplink_backlog_bits[c] / r_up
+        t_up = size / r_up
+        d3 = snap.edge_backlog_cycles / node.edge_vm_hz
+        t_exec = exec_time(size, task.intensity_cpb, node.edge_vm_hz)
+        result_bits = node.result_size_ratio * size
+        if result_bits > 0:
+            r_dn = fair_share_rate(ch.downlink_rate_bps, gain, snap.downlink_others[c] + 1)
+            d4 = snap.downlink_backlog_bits[c] / r_dn
+            t_down = result_bits / r_dn
+        total = d2 + t_up + d3 + t_exec + d4 + t_down
+    return _outcome(node, snap.channels, task, action, d1, d2, d3, d4, t_exec, t_up, t_down, total)
 
 
 class Simulator:
@@ -743,36 +757,7 @@ class Simulator:
 
     def _finalize(self, job: _Job) -> TaskOutcome:
         task = job.task
-        total = self.clock - task.arrival_time
-        if job.action == 0:
-            e_cpu = cpu_energy(
-                self.node.kappa, task.size_bits, task.intensity_cpb, self.node.user_cpu_hz
-            )
-            e_tx = e_rx = 0.0
-        else:
-            ch = self.channels[job.action - 1]
-            e_cpu = 0.0
-            e_tx = tx_energy(job.t_up, ch.uplink_power_w)
-            e_rx = rx_energy(job.t_down, ch.downlink_power_w)
-        return TaskOutcome(
-            task_id=task.task_id,
-            user_id=task.user_id,
-            action=job.action,
-            arrival_s=task.arrival_time,
-            size_bits=task.size_bits,
-            intensity_cpb=task.intensity_cpb,
-            deadline_s=task.deadline_s,
-            d1_s=job.d1,
-            d2_s=job.d2,
-            d3_s=job.d3,
-            d4_s=job.d4,
-            t_exec_s=job.t_exec,
-            t_up_s=job.t_up,
-            t_down_s=job.t_down,
-            total_s=total,
-            e_cpu_j=e_cpu,
-            e_tx_j=e_tx,
-            e_rx_j=e_rx,
-            e_total_j=e_tx + e_cpu + e_rx,
-            met_deadline=total <= task.deadline_s,
+        return _outcome(
+            self.node, self.channels, task, job.action, job.d1, job.d2, job.d3, job.d4,
+            job.t_exec, job.t_up, job.t_down, self.clock - task.arrival_time,
         )

@@ -260,7 +260,7 @@ class TestOracleAttainment:
 
         r_ok = ee_ok = eel_ok = True
         for rec in bench_dataset.records:
-            ps = rec.projection_set()
+            ps = rec.outcomes
             outs = rec.outcomes
             r_ok &= outs[r_star(ps)].total_s == min(o.total_s for o in outs)
             ee_ok &= outs[ee_star(ps)].size_bits / outs[ee_star(ps)].e_total_j == max(

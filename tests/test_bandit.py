@@ -15,7 +15,6 @@ from e2da.bandit import (
     efficiency,
     epsilon_at,
     reward_to_target,
-    reward_value,
     select_action,
 )
 from e2da.errors import ConfigError, TrainingFault
@@ -41,18 +40,20 @@ class TestReward:
 
     def test_scaled_and_capped(self):
         params = RewardParams(penalty=1.0, efficiency_scale=2e6)
-        assert reward_value(1000.0, 0.5, 0.002, True, params) == 0.5
+        assert compute_reward(outcome_with(0.5, 0.002), params) == 0.5
         capped = RewardParams(penalty=1.0, efficiency_scale=0.5e6)
-        assert reward_value(1000.0, 0.5, 0.002, True, capped) == 1.0
+        assert compute_reward(outcome_with(0.5, 0.002), capped) == 1.0
 
     def test_miss_pays_penalty(self):
         params = RewardParams(penalty=2.5, efficiency_scale=1.0)
-        assert reward_value(1000.0, 0.5, 0.002, False, params) == -2.5
+        assert compute_reward(outcome_with(0.5, 0.002, met=False), params) == -2.5
 
     def test_compute_reward_reads_outcome(self):
         params = RewardParams(penalty=1.0, efficiency_scale=2e6)
         assert compute_reward(outcome_with(0.5, 0.002), params) == 0.5
         assert compute_reward(outcome_with(0.5, 0.002, met=False), params) == -1.0
+        with pytest.raises(ValueError):
+            compute_reward(outcome_with(0.0, 0.002, met=False), params)
 
     def test_target_map(self):
         assert reward_to_target(1.0, 1.0) == 1.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_task
-from e2da.baselines import ORACLES, ProjectionSet, ee_star, eel_star, r_star
+from e2da.baselines import ORACLES, ee_star, eel_star, r_star
 from e2da.experiment import generate_dataset, make_policy
 from e2da.netsim import NodeConfig, TaskOutcome, default_channels
 from e2da.rng import substream
@@ -11,7 +11,7 @@ from e2da.workload import WorkloadConfig
 
 def proj(task_id, rows):
     """rows: per-action (size, total, energy) triples."""
-    outs = tuple(
+    return tuple(
         TaskOutcome(
             task_id=task_id, user_id=0, action=a, arrival_s=0.0, size_bits=s,
             intensity_cpb=100.0, deadline_s=1.0, d1_s=0.0, d2_s=0.0, d3_s=0.0,
@@ -20,7 +20,6 @@ def proj(task_id, rows):
         )
         for a, (s, t, e) in enumerate(rows)
     )
-    return ProjectionSet(task_id=task_id, outcomes=outs)
 
 
 class TestOracleRules:
@@ -42,13 +41,6 @@ class TestOracleRules:
         assert ORACLES["eel"] is eel_star
 
 
-class TestProjectionSet:
-    def test_rejects_misaligned_actions(self):
-        good = proj(3, [(1.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
-        with pytest.raises(ValueError):
-            ProjectionSet(task_id=3, outcomes=(good.outcomes[1], good.outcomes[0]))
-
-
 class TestBruteForceCrossCheck:
     """Replay the rules against plain python max/min with first-wins ties."""
 
@@ -67,7 +59,7 @@ class TestBruteForceCrossCheck:
                 v = o.size_bits / (o.total_s * o.e_total_j)
                 if v > best_v:
                     best, best_v = a, v
-            assert eel_star(rec.projection_set()) == best
+            assert eel_star(rec.outcomes) == best
 
     def test_ee_matches_naive_scan(self, dataset):
         for rec in dataset.records:
@@ -76,7 +68,7 @@ class TestBruteForceCrossCheck:
                 v = o.size_bits / o.e_total_j
                 if v > best_v:
                     best, best_v = a, v
-            assert ee_star(rec.projection_set()) == best
+            assert ee_star(rec.outcomes) == best
 
     def test_r_matches_naive_scan(self, dataset):
         for rec in dataset.records:
@@ -84,7 +76,7 @@ class TestBruteForceCrossCheck:
             for a, o in enumerate(rec.outcomes):
                 if o.total_s < best_v:
                     best, best_v = a, o.total_s
-            assert r_star(rec.projection_set()) == best
+            assert r_star(rec.outcomes) == best
 
 
 class TestPolicyWrappers:

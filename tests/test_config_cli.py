@@ -341,8 +341,10 @@ class TestCliEndToEnd:
              "--vary", "intensity", "--values", "5000,20000", "--agent", "ee"]
         )
         assert rc == 0
-        check_manifest(sweep_dir, "sweep")
+        manifest = check_manifest(sweep_dir, "sweep")
+        assert manifest["scale_origin"] == "configured"
         summary = read_json(os.path.join(sweep_dir, "sweep_summary.json"))
+        assert manifest["efficiency_scale"] == summary["efficiency_scale"]
         assert summary["axis"] == "intensity"
         assert [s["label"] for s in summary["scenarios"]] == [
             "intensity-5000", "intensity-20000",
@@ -452,6 +454,23 @@ def trained(tmp_path_factory):
     return config, dataset, str(root / "train" / "model.json")
 
 
+class TestSweepManifest:
+    def test_records_the_model(self, tmp_path, trained):
+        config, _, model = trained
+        out = str(tmp_path / "sweep")
+        rc = cli.main(
+            ["sweep", "--config", config, "--out", out, "--vary", "size", "--values", "5000",
+             "--agent", "e2da", "--model", model]
+        )
+        assert rc == 0
+        manifest = check_manifest(out, "sweep")
+        assert manifest["model_sha256"] == sha256_file(model)
+        assert manifest["scale_origin"] == "checkpoint"
+        assert manifest["efficiency_scale"] == read_json(model)["agent"]["reward_params"][
+            "efficiency_scale"
+        ]
+
+
 def _drop_agent(p):
     del p["agent"]
 
@@ -502,6 +521,16 @@ def _infinite_initial_bias(p):
     p["agent"]["initial_params"] = {"weights": model["weights"], "biases": biases}
 
 
+def _setter(section, key, value):
+    """Mutation setting agent.<section>.<key> to value."""
+
+    def mutate(p):
+        p["agent"][section][key] = value
+
+    mutate.__name__ = f"_{section}_{key}_{value}"
+    return mutate
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize(
         "mutate, key",
@@ -517,6 +546,17 @@ class TestMalformedCheckpoint:
             (_infinite_initial_bias, "agent.initial_params.biases[1]"),
             (_one_layer, "agent.model.layer_sizes"),
             (_four_inputs, "agent.model.layer_sizes"),
+            (_setter("config", "minibatch_size", 0), "agent.config.minibatch_size"),
+            (_setter("config", "epsilon0", 5), "agent.config.epsilon0"),
+            (_setter("reward_params", "efficiency_scale", 0), "agent.reward_params.efficiency_scale"),
+            (_setter("reward_params", "efficiency_scale", -5), "agent.reward_params.efficiency_scale"),
+            (_setter("reward_params", "efficiency_scale", float("nan")),
+             "agent.reward_params.efficiency_scale"),
+            (_setter("reward_params", "penalty", -1), "agent.reward_params.penalty"),
+            (_setter("config", "penalty", float("nan")), "agent.config.penalty"),
+            (_setter("model", "learning_rate", -1), "agent.model.learning_rate"),
+            (_setter("model", "rmsprop_decay", 2), "agent.model.rmsprop_decay"),
+            (_setter("model", "rmsprop_eps", 0), "agent.model.rmsprop_eps"),
         ],
     )
     @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
@@ -581,6 +621,18 @@ def _met_flipped(row):
     return row
 
 
+def _swap_size_and_intensity(lines):
+    """Header and data both swap size_bits and intensity_cpb."""
+    for cells in lines:
+        cells[4], cells[5] = cells[5], cells[4]
+    return lines
+
+
+def _rename_a2_total(lines):
+    lines[0][40] = "a2_latency_s"
+    return lines
+
+
 class TestMalformedDataset:
     @pytest.mark.parametrize(
         "mutate, detail",
@@ -605,3 +657,25 @@ class TestMalformedDataset:
         )
         assert rc == 2, err
         assert broken in err and "row 3" in err and detail in err
+
+    @pytest.mark.parametrize(
+        "mutate, detail",
+        [(_swap_size_and_intensity, "column 5 is 'intensity_cpb', expected 'size_bits'"),
+         (_rename_a2_total, "column 41 is 'a2_latency_s', expected 'a2_T_s'")],
+    )
+    def test_eel_evaluation_exits_2_naming_the_wrong_header_column(
+        self, tmp_path, capsys, trained, mutate, detail
+    ):
+        config, dataset, _ = trained
+        with open(dataset) as fh:
+            lines = mutate([line.split(",") for line in fh.read().splitlines()])
+        broken = str(tmp_path / "broken.csv")
+        with open(broken, "w") as fh:
+            fh.write("".join(",".join(cells) + "\n" for cells in lines))
+        rc, err = run_cli(
+            ["evaluate", "--config", config, "--out", str(tmp_path / "out"),
+             "--agent", "eel", "--dataset", broken],
+            capsys,
+        )
+        assert rc == 2, err
+        assert broken in err and detail in err

@@ -25,7 +25,7 @@ from e2da.experiment import (
     summarize,
     write_metrics,
 )
-from e2da.baselines import ProjectionSet, r_star
+from e2da.baselines import r_star
 from e2da.netsim import NodeConfig, Simulator, default_channels
 from e2da.rng import substream
 from e2da.workload import WorkloadConfig, normalize_context, task_stream
@@ -150,7 +150,7 @@ class TestSummarize:
             for i, (r, f, e, t) in enumerate(zip(rewards, fracs, energies, responses))
         ]
 
-    def test_means_and_ratios(self):
+    def test_means_per_name(self):
         rows_a = self.rows("test", [1.0, 3.0], [0.5, 1.0], [2.0, 4.0], [1.0, 3.0])
         rows_b = self.rows("test", [2.0, 6.0], [1.0, 1.0], [1.0, 2.0], [0.5, 0.5])
         got = summarize({"a": rows_a, "b": rows_b}, tasks_per_episode=10)
@@ -161,20 +161,16 @@ class TestSummarize:
         assert a["mean_task_energy_j"] == 6.0 / 20
         assert a["mean_task_response_s"] == 4.0 / 20
         assert b["mean_episode_reward"] == 4.0
-        ratios = got["ratios"]["b_over_a"]
-        assert ratios["reward"] == 2.0
-        assert ratios["energy"] == (3.0 / 20) / (6.0 / 20)
-        assert ratios["response"] == (1.0 / 20) / (4.0 / 20)
 
-    def test_filters_phase_and_zero_denominator(self):
+    def test_filters_phase(self):
         rows_a = self.rows("test", [0.0], [0.0], [1.0], [1.0]) + self.rows(
             "train", [9.0], [1.0], [9.0], [9.0]
         )
         rows_b = self.rows("test", [5.0], [1.0], [2.0], [2.0])
         got = summarize({"a": rows_a, "b": rows_b}, tasks_per_episode=1)
         assert got["agents"]["a"]["mean_episode_reward"] == 0.0
-        assert got["ratios"]["b_over_a"]["reward"] is None
-        assert got["ratios"]["b_over_a"]["energy"] == 2.0
+        assert got["agents"]["a"]["episodes"] == 1
+        assert got["agents"]["b"]["mean_task_energy_j"] == 2.0
 
     def test_missing_phase_rejected(self):
         with pytest.raises(ValueError):
@@ -479,7 +475,7 @@ class TestLiveBookingReference:
         rows = run_live_evaluation("r", small_node, default_channels(), wl, params, **self.KW)
 
         def decide(sim, task, ep):
-            return r_star(ProjectionSet(task.task_id, sim.projections(task))), None
+            return r_star(sim.projections(task)), None
 
         assert rows == hand_driven_live(small_node, wl, params, decide=decide, **self.KW)
 

@@ -15,8 +15,7 @@ from e2da.netsim import (
     exec_time,
     fair_share_rate,
     project_outcome,
-    rx_energy,
-    tx_energy,
+    radio_energy,
 )
 from e2da.rng import substream
 from e2da.workload import DistributionSpec, WorkloadConfig, task_stream
@@ -32,9 +31,9 @@ class TestOps:
         assert cpu_energy(2.0, 3.0, 4.0, 5.0) == 600.0
 
     def test_tx_rx_energy(self):
-        assert tx_energy(2.5, 0.8) == 2.0
-        assert rx_energy(0.5, 0.4) == 0.2
-        assert tx_energy(0.0, 1.0) == 0.0
+        assert radio_energy(2.5, 0.8) == 2.0
+        assert radio_energy(0.5, 0.4) == 0.2
+        assert radio_energy(0.0, 1.0) == 0.0
 
     def test_fair_share(self):
         assert fair_share_rate(10e6, 0.8, 1) == 8e6
@@ -47,7 +46,7 @@ class TestOps:
             lambda: exec_time(0.0, 1.0, 1.0),
             lambda: exec_time(1.0, 1.0, 0.0),
             lambda: cpu_energy(-1.0, 1.0, 1.0, 1.0),
-            lambda: tx_energy(-0.1, 1.0),
+            lambda: radio_energy(-0.1, 1.0),
             lambda: fair_share_rate(1e6, 0.0, 1),
             lambda: fair_share_rate(1e6, 1.1, 1),
         ],
@@ -489,14 +488,14 @@ def reference_projections(sim, task):
             t_up = size / r_up
             d3 = edge[user] / node.edge_vm_hz
             t_exec = exec_time(size, cpb, node.edge_vm_hz)
-            e_tx = tx_energy(t_up, ch.uplink_power_w)
+            e_tx = radio_energy(t_up, ch.uplink_power_w)
             result_bits = node.result_size_ratio * size
             if result_bits > 0:
                 n_dn = down_active[c] - (1 if down_slot[bs][c] else 0) + 1
                 r_dn = fair_share_rate(ch.downlink_rate_bps, gains[c], n_dn)
                 d4 = down_bits[bs][c] / r_dn
                 t_down = result_bits / r_dn
-                e_rx = rx_energy(t_down, ch.downlink_power_w)
+                e_rx = radio_energy(t_down, ch.downlink_power_w)
             total = d2 + t_up + d3 + t_exec + d4 + t_down
         outs.append(TaskOutcome(
             task_id=task.task_id, user_id=user, action=action,
