@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, TrainingFault
-from .netsim import TaskOutcome
 from .rng import substream
 
 
@@ -39,23 +38,24 @@ class RewardParams:
             )
 
 
-def efficiency(size_bits: float, total_s: float, e_total_j: float) -> float:
-    """Raw bits per second-joule of a finished task."""
-    if total_s <= 0 or e_total_j <= 0:
+def efficiency(size_bits, total_s, e_total_j):
+    """Raw bits per second-joule of finished tasks, elementwise: a task's
+    size broadcasts against per-action times and energies on the last axis."""
+    # plain operators, so one task's floats stay Python floats and cost no
+    # numpy call per live decision
+    if np.count_nonzero((total_s <= 0) | (e_total_j <= 0)):
         raise ValueError(
             f"efficiency needs positive time and energy, got {total_s}, {e_total_j}"
         )
     return size_bits / (total_s * e_total_j)
 
 
-def compute_reward(outcome: TaskOutcome, params: RewardParams) -> float:
-    """Score in [-penalty, 1]: scaled efficiency when the deadline held,
-    -penalty when it did not."""
+def compute_reward(size_bits, total_s, e_total_j, met_deadline, params: RewardParams):
+    """Score in [-penalty, 1], elementwise like efficiency: scaled
+    efficiency where the deadline held, -penalty where it did not."""
     # scored before the verdict, so a non-positive T or E raises on a miss too
-    eta = efficiency(outcome.size_bits, outcome.total_s, outcome.e_total_j)
-    if not outcome.met_deadline:
-        return -params.penalty
-    return min(eta / params.efficiency_scale, 1.0)
+    eta = efficiency(size_bits, total_s, e_total_j)
+    return np.where(met_deadline, np.minimum(eta / params.efficiency_scale, 1.0), -params.penalty)
 
 
 def reward_to_target(reward: float, penalty: float) -> float:
@@ -426,9 +426,10 @@ class E2daAgent:
         minibatch_rng: np.random.Generator,
     ) -> "E2daAgent":
         """Agent saved by to_state.  An out-of-range config or reward
-        constant, or a malformed model or initial parameter array, raises
-        ConfigError whose message starts with its key path in the state;
-        other malformed entries raise KeyError, TypeError or ValueError."""
+        constant, two differing miss penalties, or a malformed model or
+        initial parameter array, raises ConfigError whose message starts
+        with its key path in the state; other malformed entries raise
+        KeyError, TypeError or ValueError."""
         cfg_d = dict(state["config"])
         cfg_d["hidden_sizes"] = tuple(cfg_d["hidden_sizes"])
         config = AgentConfig(**cfg_d)
@@ -438,6 +439,11 @@ class E2daAgent:
                 section.validate()
             except ConfigError as exc:
                 raise ConfigError(f"{key}.{exc}") from None
+        if config.penalty != rp.penalty:
+            raise ConfigError(
+                f"config.penalty {config.penalty!r} differs from reward_params.penalty "
+                f"{rp.penalty!r}; the learner's targets and the scores must share one penalty"
+            )
         model = MlpModel.from_state(state["model"])
         agent = cls.__new__(cls)
         agent.config = config

@@ -90,19 +90,20 @@ def _load_dataset(path: Optional[str], cfg: ExperimentConfig) -> Dataset:
     if not path:
         raise ConfigError("dataset mode requires --dataset PATH")
     dataset = Dataset.from_csv(path)
-    if not dataset.records:
+    if not len(dataset):
         raise ConfigError(f"{path} holds no records")
     n_actions, n_users = cfg.system.n_channels + 1, cfg.system.n_users
     if dataset.n_actions != n_actions:
         raise ConfigError(
             f"{path} has {dataset.n_actions} actions but the config implies {n_actions}"
         )
-    for row, rec in enumerate(dataset.records, 1):
-        if not 0 <= rec.task.user_id < n_users:
-            raise ConfigError(
-                f"{path} row {row}: user_id {rec.task.user_id} is outside "
-                f"0..{n_users - 1} (system.n_users is {n_users})"
-            )
+    foreign = np.flatnonzero((dataset.user_id < 0) | (dataset.user_id >= n_users))
+    if foreign.size:
+        row = foreign[0]
+        raise ConfigError(
+            f"{path} row {row + 1}: user_id {dataset.user_id[row]} is outside "
+            f"0..{n_users - 1} (system.n_users is {n_users})"
+        )
     return dataset
 
 

@@ -1,0 +1,367 @@
+"""Logged datasets: columnar storage, generation and the CSV codec.
+
+A dataset holds, for every task that arrived while the live system ran
+under a uniform-random logging policy, the task and the complete
+per-action what-if outcome set.  It is stored as columns, so replay
+indexes arrays instead of walking records, and it round-trips through
+dataset.csv byte for byte.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from itertools import chain
+from operator import attrgetter
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
+
+from .errors import ConfigError
+from .ioutil import atomic_write_text
+from .netsim import ChannelConfig, NodeConfig, Simulator
+from .rng import substream
+from .workload import Task, WorkloadConfig, task_stream
+
+_INT_COLUMNS = ("record_id", "task_id", "user_id")
+_FLOAT_TASK_COLUMNS = ("arrival_s", "size_bits", "intensity_cpb", "deadline_s")
+_TASK_COLUMNS = _INT_COLUMNS + _FLOAT_TASK_COLUMNS
+# (CSV column suffix, TaskOutcome field) of every float column an action has;
+# each action's columns end with its deadline verdict, a{a}_met
+_ACTION_FIELDS = (
+    ("d1_s", "d1_s"),
+    ("d2_s", "d2_s"),
+    ("d3_s", "d3_s"),
+    ("d4_s", "d4_s"),
+    ("t_exec_s", "t_exec_s"),
+    ("t_up_s", "t_up_s"),
+    ("t_down_s", "t_down_s"),
+    ("T_s", "total_s"),
+    ("e_cpu_J", "e_cpu_j"),
+    ("e_tx_J", "e_tx_j"),
+    ("e_rx_J", "e_rx_j"),
+    ("e_total_J", "e_total_j"),
+)
+_ACTION_WIDTH = len(_ACTION_FIELDS) + 1
+_ACTION_INDEX = {col: i for i, (col, _) in enumerate(_ACTION_FIELDS)}
+# the total columns, which the reward divides by and so must be finite and
+# positive, each with the run of action columns it must sum to (relative 1e-9)
+_TOTALS = tuple(
+    (_ACTION_INDEX[total], slice(_ACTION_INDEX[first], _ACTION_INDEX[last] + 1))
+    for total, first, last in (("T_s", "d1_s", "t_down_s"), ("e_total_J", "e_cpu_J", "e_rx_J"))
+)
+# text that csv.reader reads differently from a plain split on "," and "\n"
+_CSV_SPECIALS = ('"', "\r", "\x00")
+_WRITE_CHUNK = 256  # rows rendered to text at a time
+
+class Dataset:
+    """Logged decision points stored as columns, one row per record.
+
+    Task columns have shape (R,): the int64 record_id, task_id and user_id,
+    and the float arrival_s, size_bits, intensity_cpb and deadline_s.
+    Action columns have shape (R, A), actions on the last axis: one float
+    column per TaskOutcome timing and energy field (d1_s ... total_s,
+    e_cpu_j ... e_total_j) and the bool met_deadline.
+    """
+
+    def __init__(self, columns: Mapping[str, np.ndarray]):
+        n_rows = len(columns["record_id"])
+        shape = np.shape(columns["met_deadline"])
+        if len(shape) != 2 or shape[0] != n_rows:
+            raise ValueError(f"met_deadline has shape {shape}, expected ({n_rows}, n_actions)")
+        for name, dtype, want in _column_specs(*shape):
+            column = np.asarray(columns[name], dtype=dtype)
+            if column.shape != want:
+                raise ValueError(f"column {name} has shape {column.shape}, expected {want}")
+            setattr(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.record_id)
+
+    @property
+    def n_actions(self) -> int:
+        return self.met_deadline.shape[1]
+
+    def columns(self) -> Dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in _COLUMNS}
+
+    def outcome_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(size, T, E) with actions on the last axis, as the oracles and
+        the reward take them."""
+        return self.size_bits[:, None], self.total_s, self.e_total_j
+
+    def subset(self, rows) -> "Dataset":
+        """The records selected by an index array or boolean mask, in order."""
+        return Dataset({name: column[rows] for name, column in self.columns().items()})
+
+    def to_csv_text(self) -> str:
+        return "\n".join(chain(self._csv_lines(), [""]))
+
+    def _csv_lines(self) -> Iterator[str]:
+        header = _header(self.n_actions)
+        yield ",".join(header)
+        met_cols = [i for i, name in enumerate(header) if name.endswith("_met")]
+        float_cols = [i for i in range(len(_INT_COLUMNS), len(header)) if i not in met_cols]
+        for lo in range(0, len(self), _WRITE_CHUNK):
+            rows = slice(lo, lo + _WRITE_CHUNK)
+            n_rows = len(self.record_id[rows])
+            floats = np.concatenate(
+                [
+                    np.column_stack([getattr(self, name)[rows] for name in _FLOAT_TASK_COLUMNS]),
+                    np.stack(
+                        [getattr(self, name)[rows] for _, name in _ACTION_FIELDS], axis=-1
+                    ).reshape(n_rows, -1),
+                ],
+                axis=1,
+            )
+            cells = np.empty((n_rows, len(header)), dtype=object)
+            cells[:, : len(_INT_COLUMNS)] = np.column_stack(
+                [getattr(self, name)[rows] for name in _INT_COLUMNS]
+            ).astype(str)
+            cells[:, float_cols] = _float_texts(floats)
+            cells[:, met_cols] = np.where(self.met_deadline[rows], "1", "0")
+            yield from map(",".join, cells.tolist())
+
+    def write_csv(self, path: str) -> None:
+        atomic_write_text(path, self.to_csv_text())
+
+    @classmethod
+    def from_csv(cls, path: str) -> "Dataset":
+        """Read records written by write_csv.  A malformed header raises
+        ConfigError naming the path and the first wrong column, a malformed
+        row naming the path and the row (rows count from 1 after the
+        header).
+
+        A file without quotes, carriage returns or NULs is parsed in one
+        pass of np.loadtxt and checked with array operations; any row those
+        checks cannot clear, and any file np.loadtxt cannot parse, goes
+        through the scalar row parser, which alone decides the verdict."""
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        if not any(c in text for c in _CSV_SPECIALS):
+            header_line, _, body = text.partition("\n")
+            header = header_line.split(",") if header_line else []
+            n_act = _check_header(path, header)
+            lines = body.split("\n")
+            if lines[-1] == "":
+                lines.pop()
+            columns = _parse_body(path, lines, n_act, len(header))
+            if columns is not None:
+                return cls(columns)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            n_act = _check_header(path, header)
+            rows = []
+            for n, row in enumerate(reader, 1):
+                rows.append(_parse_row(path, n, row, n_act, len(header)))
+        return cls(_rows_to_columns(rows, n_act))
+
+
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """repr of every value, as an object array of values' shape.  Each
+    distinct bit pattern is rendered once: the zeros of the stages an
+    action skips, and the times all offloading actions share."""
+    bits, where = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[where].reshape(values.shape)
+
+
+def _column_specs(n_rows: int, n_actions: int) -> Iterator[Tuple[str, type, tuple]]:
+    """(name, dtype, shape) of every Dataset column."""
+    for name in _TASK_COLUMNS:
+        yield name, np.int64 if name in _INT_COLUMNS else np.float64, (n_rows,)
+    for _, name in _ACTION_FIELDS:
+        yield name, np.float64, (n_rows, n_actions)
+    yield "met_deadline", np.bool_, (n_rows, n_actions)
+
+
+_COLUMNS = tuple(name for name, _, _ in _column_specs(0, 0))
+
+
+def _header(n_act: int) -> List[str]:
+    header = list(_TASK_COLUMNS)
+    for a in range(n_act):
+        header.extend(f"a{a}_{col}" for col, _ in _ACTION_FIELDS)
+        header.append(f"a{a}_met")
+    return header
+
+
+def _check_header(path: str, header: Sequence[str]) -> int:
+    """Number of actions a dataset header names; ConfigError unless the
+    header is exactly write_csv's."""
+    n_act = (len(header) - len(_TASK_COLUMNS)) // _ACTION_WIDTH
+    if len(_TASK_COLUMNS) + n_act * _ACTION_WIDTH != len(header) or n_act < 2:
+        raise ConfigError(f"{path}: unrecognized dataset header with {len(header)} columns")
+    for i, (got, want) in enumerate(zip(header, _header(n_act)), 1):
+        if got != want:
+            raise ConfigError(f"{path}: header column {i} is {got!r}, expected {want!r}")
+    return n_act
+
+
+def _positive(value: float, name: str) -> float:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
+def _parse_row(path: str, n: int, row: Sequence[str], n_act: int, width: int) -> list:
+    """Values of data row n in column order, met cells as bools; a
+    malformed row raises ConfigError naming the path and the row."""
+    try:
+        return _parse_record(row, n_act, width)
+    except ValueError as exc:
+        raise ConfigError(f"{path} row {n}: {exc}") from None
+
+
+def _parse_record(row: Sequence[str], n_act: int, width: int) -> list:
+    if len(row) != width:
+        raise ValueError(f"has {len(row)} columns, the header has {width}")
+    task_id, user_id = _int64(row[1], "task_id"), _int64(row[2], "user_id")
+    task = [float(row[3])] + [_positive(float(row[i]), _TASK_COLUMNS[i]) for i in (4, 5, 6)]
+    deadline = task[-1]
+    values = []
+    for a in range(n_act):
+        off = len(_TASK_COLUMNS) + a * _ACTION_WIDTH
+        vals = list(map(float, row[off : off + len(_ACTION_FIELDS)]))
+        for i, parts in _TOTALS:
+            name = f"a{a}_{_ACTION_FIELDS[i][0]}"
+            _positive(vals[i], name)
+            parts_sum = math.fsum(vals[parts])
+            if not math.isclose(vals[i], parts_sum, rel_tol=1e-9):
+                raise ValueError(f"{name} is {vals[i]!r} but its parts sum to {parts_sum!r}")
+        met = row[off + len(_ACTION_FIELDS)]
+        if met not in ("0", "1"):
+            raise ValueError(f"a{a}_met must be 0 or 1, got {met!r}")
+        total = vals[_ACTION_INDEX["T_s"]]
+        if (met == "1") != (total <= deadline):
+            raise ValueError(
+                f"a{a}_met is {met}, disagreeing with a{a}_T_s {total!r} "
+                f"and deadline_s {deadline!r}"
+            )
+        values += vals
+        values.append(met == "1")
+    return [_int64(row[0], "record_id"), task_id, user_id, *task, *values]
+
+
+def _int64(text: str, name: str) -> int:
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{name} {value} does not fit in 64 bits")
+    return value
+
+
+def _rows_to_columns(rows: Sequence[list], n_act: int) -> Dict[str, np.ndarray]:
+    """Columns of rows that _parse_record returned."""
+    n_ids, n_task = len(_INT_COLUMNS), len(_TASK_COLUMNS)
+    ids = np.array([r[:n_ids] for r in rows], dtype=np.int64).reshape(-1, n_ids)
+    tasks = np.array([r[n_ids:n_task] for r in rows], dtype=np.float64).reshape(-1, n_task - n_ids)
+    actions = np.array([r[n_task:] for r in rows], dtype=np.float64)
+    actions = actions.reshape(len(rows), n_act, _ACTION_WIDTH)
+    return _assemble(ids, tasks, actions[:, :, :-1], actions[:, :, -1] != 0.0)
+
+
+def _assemble(
+    ids: np.ndarray, tasks: np.ndarray, actions: np.ndarray, met: np.ndarray
+) -> Dict[str, np.ndarray]:
+    """Dataset columns from the R x 3 ids, the R x 4 float task columns,
+    the R x A x 12 float action fields and the R x A deadline verdicts."""
+    columns = {name: ids[:, k] for k, name in enumerate(_INT_COLUMNS)}
+    columns.update((name, tasks[:, k]) for k, name in enumerate(_FLOAT_TASK_COLUMNS))
+    columns.update((name, actions[:, :, k]) for k, (_, name) in enumerate(_ACTION_FIELDS))
+    columns["met_deadline"] = met
+    return columns
+
+
+def _parse_body(
+    path: str, lines: List[str], n_act: int, width: int
+) -> Optional[Dict[str, np.ndarray]]:
+    """Columns of the data lines, parsed in one np.loadtxt pass, or None
+    when np.loadtxt cannot parse them.  Rows whose values the array checks
+    cannot clear are re-read by the scalar parser, which raises for the
+    first malformed one."""
+    dtype = [
+        ("ids", np.int64, (len(_INT_COLUMNS),)),
+        ("task", np.float64, (len(_FLOAT_TASK_COLUMNS),)),
+    ]
+    for a in range(n_act):
+        dtype += [(f"a{a}", np.float64, (len(_ACTION_FIELDS),)), (f"met{a}", "U2")]
+    if not lines:
+        return _rows_to_columns([], n_act)
+    try:
+        parsed = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, OverflowError):
+        return None
+    if len(parsed) != len(lines):  # np.loadtxt skips the blank lines csv.reader rejects
+        return None
+    ids, task = parsed["ids"], parsed["task"]
+    actions = np.stack([parsed[f"a{a}"] for a in range(n_act)], axis=1)
+    met_text = np.stack([parsed[f"met{a}"] for a in range(n_act)], axis=1)
+    met = met_text == "1"
+    deadline = task[:, 3]
+    ok = _finite_positive(task[:, 1:]).all(axis=1)
+    ok &= ((met_text == "0") | met).all(axis=1)
+    ok &= (met == (actions[:, :, _ACTION_INDEX["T_s"]] <= deadline[:, None])).all(axis=1)
+    for i, parts in _TOTALS:
+        ok &= _surely_sums_to(actions[:, :, i], actions[:, :, parts]).all(axis=1)
+    for n in np.flatnonzero(~ok).tolist():
+        _parse_row(path, n + 1, lines[n].split(","), n_act, width)
+    return _assemble(ids, task, actions, met)
+
+
+def _finite_positive(values: np.ndarray) -> np.ndarray:
+    return (values > 0.0) & (values < math.inf)
+
+
+def _surely_sums_to(total: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """Where total certainly passes the scalar parser's checks: finite and
+    positive, and within relative 1e-9 of the math.fsum of parts.  The
+    plain sum's error is bounded by n * 2**-52 * sum(|parts|), the
+    tolerance is shrunk by that bound and by 0.1%, and totals far from 1
+    are left to the exact check."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a malformed part may be inf or nan
+        plain = np.add.reduce(parts, axis=-1)
+        bound = parts.shape[-1] * 2.0**-52 * np.add.reduce(np.abs(parts), axis=-1)
+        size = np.maximum(np.abs(total), np.abs(plain)) - bound
+        close = np.abs(total - plain) + bound <= 0.999e-9 * size
+    return close & _finite_positive(total) & (total > 1e-290) & (total < 1e290)
+
+
+def generate_dataset(
+    node: NodeConfig,
+    channels: Sequence[ChannelConfig],
+    workload: WorkloadConfig,
+    n_records: int,
+    seed: int,
+) -> Dataset:
+    """Run the live system under uniform-random actions, logging every
+    arrival's projection set until exactly n_records are collected."""
+    if n_records < 1:
+        raise ConfigError(f"n_records must be >= 1, got {n_records}")
+    workload.validate()
+    log_rng = substream(seed, "logging-policy")
+    n_actions = node.n_channels + 1
+    ids = np.empty((n_records, len(_INT_COLUMNS)), dtype=np.int64)
+    tasks = np.empty((n_records, len(_FLOAT_TASK_COLUMNS)))
+    actions = np.empty((n_records, n_actions, _ACTION_WIDTH))
+    outcome_values = attrgetter(*(attr for _, attr in _ACTION_FIELDS), "met_deadline")
+    logged = 0
+
+    def logging_policy(sim: Simulator, task: Task) -> int:
+        nonlocal logged
+        ids[logged] = (logged, task.task_id, task.user_id)
+        tasks[logged] = (task.arrival_time, task.size_bits, task.intensity_cpb, task.deadline_s)
+        actions[logged] = [outcome_values(out) for out in sim.projections(task)]
+        logged += 1
+        if logged >= n_records:
+            sim.halt_arrivals()
+        return int(log_rng.integers(n_actions))
+
+    sim = Simulator(node, channels, substream(seed, "gains"), policy=logging_policy)
+    for user in range(node.n_users):
+        sim.add_stream(user, task_stream(workload, seed, user, node.n_users))
+    while sim.has_events and logged < n_records:
+        sim.advance()
+    if logged < n_records:
+        raise RuntimeError(f"arrival streams dried up after {logged} of {n_records} records")
+    return Dataset(_assemble(ids, tasks, actions[:, :, :-1], actions[:, :, -1] != 0.0))

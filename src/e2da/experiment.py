@@ -1,18 +1,16 @@
-"""Dataset generation, training and evaluation protocols, run metrics.
+"""Training and evaluation protocols, reward calibration, run metrics.
 
-Dataset generation drives the live simulator under a logging policy and
-records, at every arrival, the complete per-action what-if outcome set.
-Replay rollouts then sample recorded tasks uniformly, so every action's
-consequence is known without re-simulating; live rollouts instead submit
-real tasks and settle each decision when its completion event fires.  Both
-book decisions through one episode ledger, learning or frozen alike.
+Replay rollouts sample records of a logged dataset (see dataset.py)
+uniformly, so every action's consequence is known without re-simulating;
+live rollouts instead submit real tasks and settle each decision when its
+completion event fires.  Both book decisions through one episode ledger,
+learning or frozen alike.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -20,231 +18,26 @@ import numpy as np
 
 from .bandit import E2daAgent, RewardParams, compute_reward, efficiency
 from .baselines import ORACLES
+from .dataset import Dataset, generate_dataset  # noqa: F401  (the CLI imports both from here)
 from .errors import ConfigError
 from .ioutil import atomic_write_text, fmt
 from .netsim import ChannelConfig, NodeConfig, Simulator, TaskOutcome
 from .rng import substream
 from .workload import Task, WorkloadConfig, normalize_context, task_stream
 
-_ACTION_FIELDS = (
-    ("d1_s", "d1_s"),
-    ("d2_s", "d2_s"),
-    ("d3_s", "d3_s"),
-    ("d4_s", "d4_s"),
-    ("t_exec_s", "t_exec_s"),
-    ("t_up_s", "t_up_s"),
-    ("t_down_s", "t_down_s"),
-    ("T_s", "total_s"),
-    ("e_cpu_J", "e_cpu_j"),
-    ("e_tx_J", "e_tx_j"),
-    ("e_rx_J", "e_rx_j"),
-    ("e_total_J", "e_total_j"),
-    ("met", "met_deadline"),
-)
-_TASK_COLUMNS = (
-    "record_id",
-    "task_id",
-    "user_id",
-    "arrival_s",
-    "size_bits",
-    "intensity_cpb",
-    "deadline_s",
-)
-_ACTION_INDEX = {col: i for i, (col, _) in enumerate(_ACTION_FIELDS)}
-# the total columns, which the reward divides by and so must be finite and
-# positive, each with the run of action columns it must sum to (relative 1e-9)
-_TOTALS = tuple(
-    (_ACTION_INDEX[total], slice(_ACTION_INDEX[first], _ACTION_INDEX[last] + 1))
-    for total, first, last in (("T_s", "d1_s", "t_down_s"), ("e_total_J", "e_cpu_J", "e_rx_J"))
-)
-
-# A policy: choose(task, x, projections) -> action, where x is the scaled
-# context and projections() returns the task's action-indexed outcomes on
-# demand.
-Projections = Callable[[], Sequence[TaskOutcome]]
-Policy = Callable[[Task, np.ndarray, Projections], int]
-
-
-@dataclass(frozen=True)
-class DatasetRecord:
-    """One logged decision point: the task plus every action's projection."""
-
-    record_id: int
-    task: Task
-    outcomes: Tuple[TaskOutcome, ...]
-
-
-class Dataset:
-    """Ordered collection of records with CSV round-tripping."""
-
-    def __init__(self, records: Sequence[DatasetRecord]):
-        self.records = list(records)
-        if self.records:
-            n = len(self.records[0].outcomes)
-            for rec in self.records:
-                if len(rec.outcomes) != n:
-                    raise ValueError("records disagree on the number of actions")
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def n_actions(self) -> int:
-        if not self.records:
-            raise ValueError("empty dataset has no action count")
-        return len(self.records[0].outcomes)
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_header(self.n_actions if self.records else 0))
-        for rec in self.records:
-            t = rec.task
-            row = [
-                fmt(rec.record_id),
-                fmt(t.task_id),
-                fmt(t.user_id),
-                fmt(t.arrival_time),
-                fmt(t.size_bits),
-                fmt(t.intensity_cpb),
-                fmt(t.deadline_s),
-            ]
-            for out in rec.outcomes:
-                row.extend(fmt(getattr(out, attr)) for _, attr in _ACTION_FIELDS)
-            writer.writerow(row)
-        return buf.getvalue()
-
-    def write_csv(self, path: str) -> None:
-        atomic_write_text(path, self.to_csv_text())
-
-    @classmethod
-    def from_csv(cls, path: str) -> "Dataset":
-        """Read records written by write_csv.  A malformed header raises
-        ConfigError naming the path and the first wrong column, a malformed
-        row naming the path and the row (rows count from 1 after the
-        header)."""
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            n_act = (len(header) - len(_TASK_COLUMNS)) // len(_ACTION_FIELDS)
-            if len(_TASK_COLUMNS) + n_act * len(_ACTION_FIELDS) != len(header) or n_act < 2:
-                raise ConfigError(f"{path}: unrecognized dataset header with {len(header)} columns")
-            for i, (got, want) in enumerate(zip(header, _header(n_act)), 1):
-                if got != want:
-                    raise ConfigError(f"{path}: header column {i} is {got!r}, expected {want!r}")
-            records = []
-            for n, row in enumerate(reader, 1):
-                try:
-                    records.append(_parse_record(row, n_act, len(header)))
-                except ValueError as exc:
-                    raise ConfigError(f"{path} row {n}: {exc}") from None
-        return cls(records)
-
-
-def _header(n_act: int) -> List[str]:
-    header = list(_TASK_COLUMNS)
-    for a in range(n_act):
-        header.extend(f"a{a}_{col}" for col, _ in _ACTION_FIELDS)
-    return header
-
-
-def _positive(value: float, name: str) -> float:
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    return value
-
-
-def _parse_record(row: Sequence[str], n_act: int, width: int) -> DatasetRecord:
-    if len(row) != width:
-        raise ValueError(f"has {len(row)} columns, the header has {width}")
-    task = Task(
-        task_id=int(row[1]),
-        user_id=int(row[2]),
-        arrival_time=float(row[3]),
-        size_bits=_positive(float(row[4]), "size_bits"),
-        intensity_cpb=_positive(float(row[5]), "intensity_cpb"),
-        deadline_s=_positive(float(row[6]), "deadline_s"),
-    )
-    per_action = len(_ACTION_FIELDS)
-    outcomes = []
-    for a in range(n_act):
-        off = len(_TASK_COLUMNS) + a * per_action
-        vals = list(map(float, row[off : off + per_action - 1]))
-        for i, parts in _TOTALS:
-            name = f"a{a}_{_ACTION_FIELDS[i][0]}"
-            _positive(vals[i], name)
-            parts_sum = math.fsum(vals[parts])
-            if not math.isclose(vals[i], parts_sum, rel_tol=1e-9):
-                raise ValueError(f"{name} is {vals[i]!r} but its parts sum to {parts_sum!r}")
-        met = row[off + per_action - 1]
-        if met not in ("0", "1"):
-            raise ValueError(f"a{a}_met must be 0 or 1, got {met!r}")
-        total = vals[_ACTION_INDEX["T_s"]]
-        if (met == "1") != (total <= task.deadline_s):
-            raise ValueError(
-                f"a{a}_met is {met}, disagreeing with a{a}_T_s {total!r} "
-                f"and deadline_s {task.deadline_s!r}"
-            )
-        outcomes.append(
-            TaskOutcome(
-                task.task_id,
-                task.user_id,
-                a,
-                task.arrival_time,
-                task.size_bits,
-                task.intensity_cpb,
-                task.deadline_s,
-                *vals,
-                met_deadline=met == "1",
-            )
-        )
-    return DatasetRecord(int(row[0]), task, tuple(outcomes))
-
-
-def generate_dataset(
-    node: NodeConfig,
-    channels: Sequence[ChannelConfig],
-    workload: WorkloadConfig,
-    n_records: int,
-    seed: int,
-) -> Dataset:
-    """Run the live system under uniform-random actions, logging every
-    arrival's projection set until exactly n_records are collected."""
-    if n_records < 1:
-        raise ConfigError(f"n_records must be >= 1, got {n_records}")
-    workload.validate()
-    records: List[DatasetRecord] = []
-    log_rng = substream(seed, "logging-policy")
-    n_actions = node.n_channels + 1
-
-    def logging_policy(sim: Simulator, task: Task) -> int:
-        outs = sim.projections(task)
-        records.append(DatasetRecord(len(records), task, outs))
-        if len(records) >= n_records:
-            sim.halt_arrivals()
-        return int(log_rng.integers(n_actions))
-
-    sim = Simulator(node, channels, substream(seed, "gains"), policy=logging_policy)
-    for user in range(node.n_users):
-        sim.add_stream(user, task_stream(workload, seed, user, node.n_users))
-    while sim.has_events and len(records) < n_records:
-        sim.advance()
-    if len(records) < n_records:
-        raise RuntimeError(
-            f"arrival streams dried up after {len(records)} of {n_records} records"
-        )
-    return Dataset(records)
+# A policy: choose(user_id, x, pick) -> action, where x is the scaled
+# context and pick(rule) is the action an oracle rule ranks first for this
+# decision.  Replay reads picks from one action vector per rule and
+# dataset; live mode ranks the task's projections on demand.
+Oracle = Callable[..., np.ndarray]
+Pick = Callable[[Oracle], int]
+Policy = Callable[[int, np.ndarray, Pick], int]
 
 
 def calibrate_efficiency_scale(dataset: Dataset, percentile: float = 99.0) -> float:
     """Efficiency normalizer: the given percentile of raw bits/(s*J) over
     every recorded (task, action) pair."""
-    effs = [
-        efficiency(out.size_bits, out.total_s, out.e_total_j)
-        for rec in dataset.records
-        for out in rec.outcomes
-    ]
-    return float(np.percentile(np.asarray(effs), percentile))
+    return float(np.percentile(efficiency(*dataset.outcome_columns()), percentile))
 
 
 # ------------------------------------------------------------------- metrics
@@ -335,37 +128,39 @@ def make_policy(
     rng: Optional[np.random.Generator] = None,
     n_actions: int = 0,
 ) -> Policy:
-    """Frozen decision function for one agent name.
+    """Frozen decision function for one agent name, for replay and live
+    rollouts alike.
 
     The learned agent sees only the scaled context and acts greedily; with
-    one agent per user, the task's user picks the agent.  Oracles rank the
-    projections, which only they request.  Random draws from rng.
+    one agent per user, the decision's user picks the agent.  Oracles take
+    their rule's pick, which only they request.  Random draws from rng.
     """
     if name == "e2da":
         if not agents:
             raise ValueError("e2da policy needs at least one agent")
         if len(agents) == 1:
             agent = agents[0]
-            return lambda task, x, projections: agent.act(x, 0.0)
-        return lambda task, x, projections: agents[task.user_id].act(x, 0.0)
+            return lambda user, x, pick: agent.act(x, 0.0)
+        return lambda user, x, pick: agents[user].act(x, 0.0)
     if name in ORACLES:
         rule = ORACLES[name]
-        return lambda task, x, projections: rule(projections())
+        return lambda user, x, pick: pick(rule)
     if name == "random":
         if rng is None or n_actions < 1:
             raise ValueError("random policy needs rng and n_actions")
-        return lambda task, x, projections: int(rng.integers(n_actions))
+        return lambda user, x, pick: int(rng.integers(n_actions))
     raise ValueError(f"unknown policy {name!r}")
 
 
 class _Ledger:
     """Books one rollout into per-episode metric rows.
 
-    decide() records (task, x, action, episode); settle() takes the task's
-    outcome, scores it, lets a learning agent observe the reward, and adds
-    the outcome to the row of the episode the task was decided in.  A
-    learning agent picks its own actions at its episode's epsilon; without
-    one, `choose` decides.
+    decide() records (x, action, episode) under a decision key; settle()
+    takes that decision's reward, deadline verdict, energy and response
+    time, lets a learning agent observe the reward, and adds them to the
+    row of the episode the decision was made in.  A learning agent picks
+    its own actions at its episode's epsilon; without one, `choose`
+    decides.
     """
 
     def __init__(
@@ -380,26 +175,25 @@ class _Ledger:
         self._pending: Dict[int, Tuple[np.ndarray, int, int]] = {}
         self._books: Dict[int, list] = {}  # episode -> [reward, met, energy, response, n]
 
-    def decide(self, task: Task, x: np.ndarray, projections: Projections, episode: int) -> int:
+    def decide(self, key: int, user: int, x: np.ndarray, pick: Pick, episode: int) -> int:
         if self.learner is None:
-            action = self.choose(task, x, projections)
+            action = self.choose(user, x, pick)
         else:
             action = self.learner.act(x, self.learner.epsilon(episode))
-        self._pending[task.task_id] = (x, action, episode)
+        self._pending[key] = (x, action, episode)
         if episode not in self._books:
             self._books[episode] = [0.0, 0, 0.0, 0.0, 0]
         return action
 
-    def settle(self, out: TaskOutcome) -> None:
-        x, action, episode = self._pending.pop(out.task_id)
-        r = compute_reward(out, self.reward_params)
+    def settle(self, key: int, reward: float, met: bool, energy: float, response: float) -> None:
+        x, action, episode = self._pending.pop(key)
         if self.learner is not None:
-            self.learner.observe(x, action, r)
+            self.learner.observe(x, action, reward)
         book = self._books[episode]
-        book[0] += r
-        book[1] += out.met_deadline
-        book[2] += out.e_total_j
-        book[3] += out.total_s
+        book[0] += reward
+        book[1] += met
+        book[2] += energy
+        book[3] += response
         book[4] += 1
 
     def rows(self, phase: str) -> List[MetricsRow]:
@@ -419,13 +213,28 @@ def _replay(
 ) -> None:
     """Each episode samples records uniformly with replacement, so one task
     can recur within an episode; every decision settles at once against
-    the recorded outcome of the chosen action."""
+    the recorded outcome of the chosen action.  Contexts, rewards and
+    oracle picks are computed once for the whole dataset and then indexed."""
+    outcomes = dataset.outcome_columns()
+    features = (dataset.size_bits, dataset.intensity_cpb, dataset.deadline_s)
+    contexts = normalize_context(np.column_stack(features), workload.resolved_context_bounds())
+    users = dataset.user_id.tolist()
+    rewards = compute_reward(*outcomes, dataset.met_deadline, ledger.reward_params).tolist()
+    met = dataset.met_deadline.tolist()
+    energy = dataset.e_total_j.tolist()
+    response = dataset.total_s.tolist()
+    picks: Dict[Oracle, list] = {}
+
+    def pick(rule: Oracle, i: int) -> int:
+        if rule not in picks:
+            picks[rule] = rule(*outcomes).tolist()
+        return picks[rule][i]
+
     for e in range(n_episodes):
-        for i in ep_rng.integers(0, len(dataset), size=tasks_per_episode):
-            rec = dataset.records[i]
-            x = normalize_context(rec.task, workload)
-            a = ledger.decide(rec.task, x, lambda: rec.outcomes, start_episode + e)
-            ledger.settle(rec.outcomes[a])
+        episode = start_episode + e
+        for i in ep_rng.integers(0, len(dataset), size=tasks_per_episode).tolist():
+            a = ledger.decide(i, users[i], contexts[i], lambda rule: pick(rule, i), episode)
+            ledger.settle(i, rewards[i][a], met[i][a], energy[i][a], response[i][a])
 
 
 def run_training(
@@ -470,22 +279,22 @@ def run_evaluation(
 
 def split_by_user(dataset: Dataset, n_users: int) -> List[Dataset]:
     """Per-user views of a dataset, indexed by user id."""
-    buckets: List[List[DatasetRecord]] = [[] for _ in range(n_users)]
-    for rec in dataset.records:
-        uid = rec.task.user_id
-        if not 0 <= uid < n_users:
-            raise ConfigError(
-                f"record {rec.record_id} belongs to user {uid}, outside the "
-                f"configured 0..{n_users - 1}"
-            )
-        buckets[uid].append(rec)
-    empty = [u for u, b in enumerate(buckets) if not b]
+    users = dataset.user_id
+    foreign = np.flatnonzero((users < 0) | (users >= n_users))
+    if foreign.size:
+        i = foreign[0]
+        raise ConfigError(
+            f"record {dataset.record_id[i]} belongs to user {users[i]}, outside the "
+            f"configured 0..{n_users - 1}"
+        )
+    owned = np.bincount(users, minlength=n_users)
+    empty = np.flatnonzero(owned == 0).tolist()
     if empty:
         raise ConfigError(
             f"users {empty} own no dataset records; per-user training needs "
             f"records for every user"
         )
-    return [Dataset(b) for b in buckets]
+    return [dataset.subset(users == u) for u in range(n_users)]
 
 
 def average_rows(rows_by_agent: Sequence[Sequence[MetricsRow]]) -> List[MetricsRow]:
@@ -551,6 +360,7 @@ def _live_rollout(
     """
     total = n_episodes * tasks_per_episode
     decided = 0
+    bounds = np.asarray(workload.resolved_context_bounds())
 
     def hook(sim: Simulator, task: Task) -> int:
         nonlocal decided
@@ -558,8 +368,14 @@ def _live_rollout(
         decided += 1
         if decided >= total:
             sim.halt_arrivals()
-        x = normalize_context(task, workload)
-        return ledger.decide(task, x, lambda: sim.projections(task), episode)
+        x = normalize_context((task.size_bits, task.intensity_cpb, task.deadline_s), bounds)
+
+        def pick(rule: Oracle) -> int:
+            outs = sim.projections(task)
+            total_s = np.array([out.total_s for out in outs])
+            return int(rule(task.size_bits, total_s, np.array([out.e_total_j for out in outs])))
+
+        return ledger.decide(task.task_id, task.user_id, x, pick, episode)
 
     sim = Simulator(node, channels, substream(seed, "gains"), policy=hook)
     for user in range(node.n_users):
@@ -567,7 +383,9 @@ def _live_rollout(
     while sim.has_events:
         out = sim.advance()
         if out is not None:
-            ledger.settle(out)
+            met = out.met_deadline
+            r = compute_reward(out.size_bits, out.total_s, out.e_total_j, met, ledger.reward_params)
+            ledger.settle(out.task_id, float(r), met, out.e_total_j, out.total_s)
             if on_outcome is not None:
                 on_outcome(out)
     if decided < total:

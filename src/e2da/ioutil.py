@@ -4,15 +4,20 @@ import hashlib
 import json
 import os
 
+import numpy as np
+
 from .errors import ConfigError
 
 
 def fmt(value) -> str:
-    """Shortest round-trip text for floats; plain str otherwise."""
-    if isinstance(value, bool):
+    """Shortest round-trip text for floats, 1/0 for booleans and plain
+    digits for integers, numpy scalars included; str otherwise."""
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, np.integer):
+        return str(int(value))
     return str(value)
 
 

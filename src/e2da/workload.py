@@ -205,12 +205,11 @@ def task_stream(
         seq += 1
 
 
-def normalize_context(task: Task, cfg: WorkloadConfig) -> np.ndarray:
-    """Min-max scale (size, intensity, deadline) to [0, 1]^3, clamping
-    features that fall outside the configured bounds."""
-    bounds = cfg.resolved_context_bounds()
-    raw = (task.size_bits, task.intensity_cpb, task.deadline_s)
-    out = np.empty(3, dtype=np.float64)
-    for i, ((lo, hi), v) in enumerate(zip(bounds, raw)):
-        out[i] = min(max((v - lo) / (hi - lo), 0.0), 1.0)
-    return out
+def normalize_context(features, bounds) -> np.ndarray:
+    """Min-max scale (size, intensity, deadline) to [0, 1], clamping
+    features that fall outside the bounds, one (min, max) pair per feature
+    as WorkloadConfig.resolved_context_bounds() gives them.  features holds
+    the three raw features on its last axis: one task's, or one row per
+    task."""
+    lo, hi = np.asarray(bounds).T
+    return ((features - lo) / (hi - lo)).clip(0.0, 1.0)

@@ -259,16 +259,18 @@ class TestOracleAttainment:
         from e2da.baselines import ee_star, eel_star, r_star
 
         r_ok = ee_ok = eel_ok = True
-        for rec in bench_dataset.records:
-            ps = rec.outcomes
-            outs = rec.outcomes
-            r_ok &= outs[r_star(ps)].total_s == min(o.total_s for o in outs)
-            ee_ok &= outs[ee_star(ps)].size_bits / outs[ee_star(ps)].e_total_j == max(
-                o.size_bits / o.e_total_j for o in outs
-            )
-            pick = outs[eel_star(ps)]
-            eel_ok &= pick.size_bits / (pick.total_s * pick.e_total_j) == max(
-                o.size_bits / (o.total_s * o.e_total_j) for o in outs
+        ds = bench_dataset
+        columns = (ds.size_bits[:, None], ds.total_s, ds.e_total_j)
+        r_picks, ee_picks, eel_picks = (
+            rule(*columns).tolist() for rule in (r_star, ee_star, eel_star)
+        )
+        records = zip(ds.size_bits.tolist(), ds.total_s.tolist(), ds.e_total_j.tolist())
+        for i, (size, totals, energies) in enumerate(records):
+            r_ok &= totals[r_picks[i]] == min(totals)
+            ee_ok &= size / energies[ee_picks[i]] == max(size / e for e in energies)
+            p = eel_picks[i]
+            eel_ok &= size / (totals[p] * energies[p]) == max(
+                size / (t * e) for t, e in zip(totals, energies)
             )
         ok = r_ok and ee_ok and eel_ok
         report(

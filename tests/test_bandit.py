@@ -18,18 +18,12 @@ from e2da.bandit import (
     select_action,
 )
 from e2da.errors import ConfigError, TrainingFault
-from e2da.netsim import TaskOutcome
 from e2da.rng import substream
 
 
 def outcome_with(total_s, e_total_j, size_bits=1000.0, met=True):
-    return TaskOutcome(
-        task_id=0, user_id=0, action=1, arrival_s=0.0, size_bits=size_bits,
-        intensity_cpb=100.0, deadline_s=1.0, d1_s=0.0, d2_s=0.0, d3_s=0.0,
-        d4_s=0.0, t_exec_s=0.0, t_up_s=0.0, t_down_s=0.0, total_s=total_s,
-        e_cpu_j=0.0, e_tx_j=e_total_j, e_rx_j=0.0, e_total_j=e_total_j,
-        met_deadline=met,
-    )
+    """compute_reward's outcome arguments: size, T, E and the verdict."""
+    return size_bits, total_s, e_total_j, met
 
 
 class TestReward:
@@ -40,20 +34,38 @@ class TestReward:
 
     def test_scaled_and_capped(self):
         params = RewardParams(penalty=1.0, efficiency_scale=2e6)
-        assert compute_reward(outcome_with(0.5, 0.002), params) == 0.5
+        assert compute_reward(*outcome_with(0.5, 0.002), params) == 0.5
         capped = RewardParams(penalty=1.0, efficiency_scale=0.5e6)
-        assert compute_reward(outcome_with(0.5, 0.002), capped) == 1.0
+        assert compute_reward(*outcome_with(0.5, 0.002), capped) == 1.0
 
     def test_miss_pays_penalty(self):
         params = RewardParams(penalty=2.5, efficiency_scale=1.0)
-        assert compute_reward(outcome_with(0.5, 0.002, met=False), params) == -2.5
+        assert compute_reward(*outcome_with(0.5, 0.002, met=False), params) == -2.5
 
     def test_compute_reward_reads_outcome(self):
         params = RewardParams(penalty=1.0, efficiency_scale=2e6)
-        assert compute_reward(outcome_with(0.5, 0.002), params) == 0.5
-        assert compute_reward(outcome_with(0.5, 0.002, met=False), params) == -1.0
+        assert compute_reward(*outcome_with(0.5, 0.002), params) == 0.5
+        assert compute_reward(*outcome_with(0.5, 0.002, met=False), params) == -1.0
         with pytest.raises(ValueError):
-            compute_reward(outcome_with(0.0, 0.002, met=False), params)
+            compute_reward(*outcome_with(0.0, 0.002, met=False), params)
+
+    def test_reward_and_efficiency_are_elementwise(self):
+        """Over records x actions, with one size per record broadcast along
+        the action axis, each cell equals its scalar call."""
+        params = RewardParams(penalty=1.0, efficiency_scale=2e6)
+        size = np.array([[1000.0], [3000.0]])
+        total = np.array([[0.5, 0.25], [0.125, 2.0]])
+        energy = np.array([[0.002, 0.004], [0.001, 0.5]])
+        met = np.array([[True, False], [True, True]])
+        rewards = compute_reward(size, total, energy, met, params)
+        effs = efficiency(size, total, energy)
+        for i in range(2):
+            for a in range(2):
+                cell = (size[i, 0], total[i, a], energy[i, a])
+                assert rewards[i, a] == compute_reward(*cell, met[i, a], params)
+                assert effs[i, a] == efficiency(*cell)
+        with pytest.raises(ValueError):
+            efficiency(size, total * np.array([1.0, 0.0]), energy)
 
     def test_target_map(self):
         assert reward_to_target(1.0, 1.0) == 1.0

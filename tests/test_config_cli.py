@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from e2da import cli
@@ -23,6 +24,12 @@ class TestIoUtil:
         assert fmt(1e-27) == "1e-27"
         assert fmt(3) == "3"
         assert fmt("x") == "x"
+
+    def test_fmt_numpy_scalars(self):
+        assert fmt(np.float64(0.1)) == "0.1"
+        assert fmt(np.float32(0.5)) == "0.5"
+        assert fmt(np.bool_(True)) == "1" and fmt(np.bool_(False)) == "0"
+        assert fmt(np.int64(-3)) == "-3"
 
     def test_float_repr_round_trips(self):
         for v in (0.1 + 0.2, 1 / 3, 5e-324, 1.7976931348623157e308):
@@ -554,6 +561,7 @@ class TestMalformedCheckpoint:
              "agent.reward_params.efficiency_scale"),
             (_setter("reward_params", "penalty", -1), "agent.reward_params.penalty"),
             (_setter("config", "penalty", float("nan")), "agent.config.penalty"),
+            (_setter("config", "penalty", 0.5), "agent.config.penalty"),
             (_setter("model", "learning_rate", -1), "agent.model.learning_rate"),
             (_setter("model", "rmsprop_decay", 2), "agent.model.rmsprop_decay"),
             (_setter("model", "rmsprop_eps", 0), "agent.model.rmsprop_eps"),
@@ -591,6 +599,40 @@ class TestMalformedCheckpoint:
         assert model in err and "n_actions" in err
 
 
+@pytest.fixture(scope="module")
+def trained_per_user(tmp_path_factory):
+    """A dataset and a per-user checkpoint set from the small config."""
+    root = tmp_path_factory.mktemp("trained-per-user")
+    config = write_config(root, "config.json", run={"agent_scope": "per_user"})
+    assert cli.main(["generate-dataset", "--config", config, "--out", str(root / "data")]) == 0
+    dataset = str(root / "data" / "dataset.csv")
+    assert cli.main(
+        ["train", "--config", config, "--out", str(root / "train"), "--dataset", dataset]
+    ) == 0
+    return config, dataset, str(root / "train" / "model.json")
+
+
+class TestMalformedCheckpointSet:
+    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+    def test_penalty_mismatch_exits_2_naming_the_agent(
+        self, tmp_path, capsys, trained_per_user, command
+    ):
+        config, dataset, model = trained_per_user
+        payload = read_json(model)
+        payload["agents"][1]["config"]["penalty"] = 0.5
+        broken = str(tmp_path / "broken-model.json")
+        write_json(broken, payload)
+        argv = {
+            "train": ["train", "--dataset", dataset, "--resume", broken],
+            "evaluate": ["evaluate", "--agent", "e2da", "--dataset", dataset, "--model", broken],
+            "sweep": ["sweep", "--vary", "size", "--values", "5000", "--agent", "e2da",
+                      "--model", broken],
+        }[command]
+        rc, err = run_cli(argv + ["--config", config, "--out", str(tmp_path / "out")], capsys)
+        assert rc == 2, err
+        assert broken in err and "agents[1].config.penalty" in err
+
+
 def _truncate(row):
     return row[:10]
 
@@ -621,6 +663,38 @@ def _met_flipped(row):
     return row
 
 
+def _cancelling_stages(row):
+    """a0's stages 1e16, 1, -1e16, 3 sum to 4 exactly, but to 3 left to right."""
+    row[7:14] = ["1e+16", "1.0", "-1e+16", "3.0", "0.0", "0.0", "0.0"]
+    row[14] = "3.0"  # a0_T_s
+    return row
+
+
+def _met_as_float(row):
+    row[19] = "1.0"  # a0_met
+    return row
+
+
+def _task_id_as_float(row):
+    row[1] = "0.0"
+    return row
+
+
+def _hash_prefixed(row):
+    row[0] = "#" + row[0]
+    return row
+
+
+def _quoted_size(row):
+    row[4] = '"' + row[4] + '"'
+    return row
+
+
+def _spaced_total(row):
+    row[27] = " " + row[27]  # a1_T_s
+    return row
+
+
 def _swap_size_and_intensity(lines):
     """Header and data both swap size_bits and intensity_cpb."""
     for cells in lines:
@@ -638,7 +712,10 @@ class TestMalformedDataset:
         "mutate, detail",
         [(_truncate, "columns"), (_nan_size, "size_bits"), (_foreign_user, "user_id"),
          (_stages_off_total, "a1_T_s"), (_parts_off_energy, "a1_e_total_J"),
-         (_met_flipped, "a1_met")],
+         (_met_flipped, "a1_met"), (_met_as_float, "a0_met must be 0 or 1, got '1.0'"),
+         (_task_id_as_float, "invalid literal for int()"),
+         (_hash_prefixed, "invalid literal for int()"),
+         (_cancelling_stages, "a0_T_s is 3.0 but its parts sum to 4.0")],
     )
     def test_eel_evaluation_exits_2_naming_file_and_row(
         self, tmp_path, capsys, trained, mutate, detail
@@ -679,3 +756,96 @@ class TestMalformedDataset:
         )
         assert rc == 2, err
         assert broken in err and detail in err
+
+    @pytest.mark.parametrize("where", ["middle", "end"])
+    def test_blank_line_exits_2_naming_its_row(self, tmp_path, capsys, trained, where):
+        config, dataset, _ = trained
+        with open(dataset) as fh:
+            lines = fh.read().splitlines()
+        row = 4 if where == "middle" else len(lines)
+        lines.insert(row, "")
+        broken = str(tmp_path / "broken.csv")
+        with open(broken, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        rc, err = run_cli(
+            ["evaluate", "--config", config, "--out", str(tmp_path / "out"),
+             "--agent", "eel", "--dataset", broken],
+            capsys,
+        )
+        assert rc == 2, err
+        assert broken in err and f"row {row}: has 0 columns" in err
+
+    @pytest.mark.parametrize("mutate", [_quoted_size, _spaced_total])
+    def test_csv_quoting_and_padding_are_accepted(self, tmp_path, capsys, trained, mutate):
+        config, dataset, _ = trained
+        with open(dataset) as fh:
+            lines = fh.read().splitlines()
+        lines[3] = ",".join(mutate(lines[3].split(",")))
+        padded = str(tmp_path / "padded.csv")
+        with open(padded, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        metrics = []
+        for name, path in (("plain", dataset), ("padded", padded)):
+            out = str(tmp_path / name)
+            rc, err = run_cli(
+                ["evaluate", "--config", config, "--out", out, "--agent", "eel",
+                 "--dataset", path],
+                capsys,
+            )
+            assert rc == 0, err
+            with open(os.path.join(out, "metrics.csv"), "rb") as fh:
+                metrics.append(fh.read())
+        assert metrics[0] == metrics[1]
+
+
+class TestDatasetModeDigests:
+    """metrics.csv bytes of dataset-mode runs that never touch a matmul, so
+    they do not depend on the BLAS build: any change to parsing, scoring,
+    oracle ranking or episode booking changes a digest."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["evaluate", "--agent", "eel"],
+             "74904f1c2cd023675723fca91e9d658b4958f19fa2a8adf810da2ec61d3319c2"),
+            (["evaluate", "--agent", "ee"],
+             "74904f1c2cd023675723fca91e9d658b4958f19fa2a8adf810da2ec61d3319c2"),
+            (["evaluate", "--agent", "r"],
+             "911793ef3f99b2f9c0fdef268ba0ab631fee3ef1e1274bf11e70e74a3e66819d"),
+            (["evaluate", "--agent", "random"],
+             "71ff87d2793f2707ea370df26d7875a904635892061292dbc8f197fcf47b652d"),
+            (["train", "--agent", "random"],
+             "b3bde78680243c9f30c4efd45aa4d54d2878456292369c105bc48235b800e375"),
+        ],
+    )
+    def test_metrics_digest(self, tmp_path, trained, argv, digest):
+        config, dataset, _ = trained
+        out = str(tmp_path / "out")
+        assert cli.main(argv + ["--config", config, "--out", out, "--dataset", dataset]) == 0
+        assert sha256_file(os.path.join(out, "metrics.csv")) == digest
+
+    @pytest.mark.parametrize(
+        "agent, digest",
+        [("eel", "2c4a1724af23dd0456a19a977d3106e9d918018d621bf087e86d7522975c5fd1"),
+         ("ee", "5352a93125066b6501a12ef70e94885b70be48e6f3d7ebadade4763321fa10e1")],
+    )
+    def test_calibrated_summary_digest(self, tmp_path, trained, agent, digest):
+        """With the normalizer calibrated from the dataset, summary.json pins
+        the percentile and every scaled reward."""
+        _, dataset, _ = trained
+        config = write_config(tmp_path, "calibrated.json",
+                              reward={"efficiency_scale_bits_per_j_s": None})
+        out = str(tmp_path / "out")
+        argv = ["evaluate", "--agent", agent, "--config", config, "--out", out,
+                "--dataset", dataset]
+        assert cli.main(argv) == 0
+        assert sha256_file(os.path.join(out, "summary.json")) == digest
+
+    def test_per_user_split_digest(self, trained):
+        from e2da.experiment import Dataset, split_by_user
+
+        _, dataset, _ = trained
+        part = split_by_user(Dataset.from_csv(dataset), 4)[1]
+        assert hashlib.sha256(part.to_csv_text().encode()).hexdigest() == (
+            "7f08033aa576d9b24afe1a201305d51b9f15cfc0f6173bf4d9724de0e81ea69c"
+        )

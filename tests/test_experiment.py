@@ -46,16 +46,20 @@ def small_dataset(small_node):
 class TestGenerateDataset:
     def test_exact_count_and_contiguous_ids(self, small_dataset):
         assert len(small_dataset) == 200
-        assert [r.record_id for r in small_dataset.records] == list(range(200))
+        assert small_dataset.record_id.tolist() == list(range(200))
 
     def test_action_indexed_outcomes(self, small_dataset):
+        """Column a of every action field holds action a's outcome: action 0
+        runs locally (CPU energy, no radio), actions 1..3 offload (radio
+        energy, no CPU)."""
         assert small_dataset.n_actions == 4
-        for rec in small_dataset.records[:20]:
-            assert [o.action for o in rec.outcomes] == [0, 1, 2, 3]
-            assert all(o.task_id == rec.task.task_id for o in rec.outcomes)
+        assert small_dataset.total_s.shape == small_dataset.met_deadline.shape == (200, 4)
+        assert (small_dataset.e_cpu_j[:, 0] > 0).all()
+        assert (small_dataset.e_tx_j[:, 0] == 0).all() and (small_dataset.e_rx_j[:, 0] == 0).all()
+        assert (small_dataset.e_cpu_j[:, 1:] == 0).all() and (small_dataset.e_tx_j[:, 1:] > 0).all()
 
     def test_arrivals_are_time_ordered(self, small_dataset):
-        arrivals = [rec.task.arrival_time for rec in small_dataset.records]
+        arrivals = small_dataset.arrival_s.tolist()
         assert all(b >= a for a, b in zip(arrivals, arrivals[1:]))
 
     def test_deterministic_regeneration(self, small_node, small_dataset):
@@ -94,10 +98,59 @@ class TestDatasetCsv:
         small_dataset.write_csv(path)
         back = Dataset.from_csv(path)
         assert len(back) == len(small_dataset)
-        for a, b in zip(small_dataset.records, back.records):
-            assert a.record_id == b.record_id
-            assert a.task == b.task
-            assert a.outcomes == b.outcomes
+        for name, column in small_dataset.columns().items():
+            read = getattr(back, name)
+            assert read.dtype == column.dtype and np.array_equal(read, column), name
+
+    MUTATIONS = {
+        "total": ["*0.9e-9", "*1e-9", "*1.1e-9", "*-0.999e-9", "*-1.001e-9"],
+        "part": ["nan", "inf", "-1.0", "0.0", "5e-324", "1e300"],
+        "met": ["0", "1", " 1", "1.0", "01", ""],
+        "int": ["+3", " 4", "05", "1.0", "1e2", "-1", "99999999999999999999"],
+        "task": [" 0.5", "0.5 ", "nan", "-1", "1e400", "1_0.0", "0x10", "5e-324"],
+    }
+
+    def test_array_checks_agree_with_the_scalar_parser(self, small_dataset, tmp_path, monkeypatch):
+        """On rows mutated where the one-pass reader's array checks could
+        diverge from the scalar parser, both give the same verdict and
+        message and read the same bytes."""
+        import random
+
+        from e2da import dataset
+
+        text = small_dataset.to_csv_text().splitlines()
+        header, rows = text[0].split(","), text[1:41]
+        columns = {
+            "total": [i for i, h in enumerate(header) if h.endswith(("_T_s", "_e_total_J"))],
+            "part": [i for i, h in enumerate(header) if h.endswith(("d2_s", "t_up_s", "e_tx_J"))],
+            "met": [i for i, h in enumerate(header) if h.endswith("_met")],
+            "int": [0, 1, 2],
+            "task": [3, 4, 5, 6],
+        }
+        rng = random.Random(5)
+        path = str(tmp_path / "mutated.csv")
+
+        def read():
+            try:
+                return Dataset.from_csv(path).to_csv_text()
+            except ConfigError as exc:
+                return str(exc)
+
+        for _ in range(150):
+            cells = [row.split(",") for row in rows]
+            for _ in range(rng.randint(1, 3)):
+                kind = rng.choice(sorted(columns))
+                row, col = rng.choice(cells), rng.choice(columns[kind])
+                value = rng.choice(self.MUTATIONS[kind])
+                if value.startswith("*"):
+                    value = repr(float(row[col]) * (1 + float(value[1:])))
+                row[col] = value
+            with open(path, "w") as fh:
+                fh.write("\n".join(",".join(c) for c in [header] + cells) + "\n")
+            fast = read()
+            with monkeypatch.context() as m:
+                m.setattr(dataset, "_CSV_SPECIALS", (",",))  # every file takes the scalar path
+                assert read() == fast
 
     def test_round_trip_text_is_stable(self, small_dataset, tmp_path):
         path = str(tmp_path / "records.csv")
@@ -108,9 +161,10 @@ class TestDatasetCsv:
 class TestCalibration:
     def test_matches_numpy_percentile(self, small_dataset):
         effs = []
-        for rec in small_dataset.records:
-            for out in rec.outcomes:
-                effs.append(out.size_bits / (out.total_s * out.e_total_j))
+        totals, energies = small_dataset.total_s.tolist(), small_dataset.e_total_j.tolist()
+        for size, total, energy in zip(small_dataset.size_bits.tolist(), totals, energies):
+            for t, e in zip(total, energy):
+                effs.append(size / (t * e))
         want = float(np.percentile(np.array(effs), 99.0))
         assert calibrate_efficiency_scale(small_dataset) == want
         want50 = float(np.percentile(np.array(effs), 50.0))
@@ -197,20 +251,21 @@ class TestRunEvaluation:
         params = RewardParams(penalty=1.0, efficiency_scale=1e6)
         wl = WorkloadConfig()
         rows = run_evaluation(
-            lambda task, x, projections: 2, small_dataset, wl, params,
+            lambda user, x, pick: 2, small_dataset, wl, params,
             n_episodes=4, tasks_per_episode=7, seed=11,
         )
         mirror = substream(11, "episodes", "test")
+        ds = small_dataset
         for e in range(4):
             idx = mirror.integers(0, len(small_dataset), size=7)
             reward = energy = response = 0.0
             met = 0
             for i in idx:
-                out = small_dataset.records[i].outcomes[2]
-                reward += compute_reward(out, params)
-                energy += out.e_total_j
-                response += out.total_s
-                met += out.met_deadline
+                out = (ds.size_bits[i], ds.total_s[i, 2], ds.e_total_j[i, 2], ds.met_deadline[i, 2])
+                reward += float(compute_reward(*out, params))
+                energy += float(out[2])
+                response += float(out[1])
+                met += bool(out[3])
             row = rows[e]
             assert row.episode == e and row.phase == "test"
             assert row.reward == reward
@@ -234,7 +289,7 @@ class TestRunEvaluation:
     def test_phase_stream_and_offset(self, small_dataset):
         params = RewardParams(1.0, 1e6)
         rows = run_evaluation(
-            lambda task, x, projections: 0, small_dataset, WorkloadConfig(), params,
+            lambda user, x, pick: 0, small_dataset, WorkloadConfig(), params,
             n_episodes=2, tasks_per_episode=3, seed=5,
             phase="train", stream="train", start_episode=40,
         )
@@ -301,16 +356,14 @@ class TestPerUserTraining:
         assert len(parts) == small_node.n_users
         assert sum(len(p) for p in parts) == len(small_dataset)
         for u, part in enumerate(parts):
-            assert all(rec.task.user_id == u for rec in part.records)
+            assert (part.user_id == u).all()
         # original record order survives within each partition
         for part in parts:
-            ids = [rec.record_id for rec in part.records]
+            ids = part.record_id.tolist()
             assert ids == sorted(ids)
 
     def test_split_rejects_uncovered_user(self, small_dataset):
-        without_user0 = Dataset(
-            [rec for rec in small_dataset.records if rec.task.user_id != 0]
-        )
+        without_user0 = small_dataset.subset(small_dataset.user_id != 0)
         with pytest.raises(ConfigError, match="own no dataset records"):
             split_by_user(without_user0, 4)
 
@@ -447,7 +500,8 @@ def hand_driven_live(node, wl, params, seed, n_episodes, tasks_per_episode, deci
         if out is None:
             continue
         ep, x, action = pending.pop(out.task_id)
-        r = compute_reward(out, params)
+        met = out.met_deadline
+        r = float(compute_reward(out.size_bits, out.total_s, out.e_total_j, met, params))
         if learn is not None:
             learn(x, action, r)
         book = books[ep]
@@ -475,7 +529,9 @@ class TestLiveBookingReference:
         rows = run_live_evaluation("r", small_node, default_channels(), wl, params, **self.KW)
 
         def decide(sim, task, ep):
-            return r_star(sim.projections(task)), None
+            outs = sim.projections(task)
+            total_s = np.array([o.total_s for o in outs])
+            return int(r_star(task.size_bits, total_s, np.array([o.e_total_j for o in outs]))), None
 
         assert rows == hand_driven_live(small_node, wl, params, decide=decide, **self.KW)
 
@@ -498,7 +554,8 @@ class TestLiveBookingReference:
         rows = run_live_training(agent, small_node, default_channels(), wl, **self.KW)
 
         def decide(sim, task, ep):
-            x = normalize_context(task, wl)
+            features = (task.size_bits, task.intensity_cpb, task.deadline_s)
+            x = normalize_context(features, wl.resolved_context_bounds())
             return mirror.act(x, mirror.epsilon(ep)), x
 
         want = hand_driven_live(
@@ -520,15 +577,16 @@ class TestReplayBookingReference:
         for e, row in enumerate(rows):
             reward = energy = response = 0.0
             met = 0
+            ds = small_dataset
             for i in ep_rng.integers(0, len(small_dataset), size=12):
-                rec = small_dataset.records[i]
-                x = normalize_context(rec.task, wl)
+                features = (ds.size_bits[i], ds.intensity_cpb[i], ds.deadline_s[i])
+                x = normalize_context(features, wl.resolved_context_bounds())
                 a = mirror.act(x, mirror.epsilon(e))
-                out = rec.outcomes[a]
-                r = compute_reward(out, mirror.reward_params)
+                out = (ds.size_bits[i], ds.total_s[i, a], ds.e_total_j[i, a], ds.met_deadline[i, a])
+                r = float(compute_reward(*out, mirror.reward_params))
                 mirror.observe(x, a, r)
                 reward += r
-                energy += out.e_total_j
-                response += out.total_s
-                met += out.met_deadline
+                energy += float(out[2])
+                response += float(out[1])
+                met += bool(out[3])
             assert row == MetricsRow(e, "train", reward, met / 12, energy, response)
