@@ -41,9 +41,8 @@ class RewardParams:
 def efficiency(size_bits, total_s, e_total_j):
     """Raw bits per second-joule of finished tasks, elementwise: a task's
     size broadcasts against per-action times and energies on the last axis."""
-    # plain operators, so one task's floats stay Python floats and cost no
-    # numpy call per live decision
-    if np.count_nonzero((total_s <= 0) | (e_total_j <= 0)):
+    bad = (total_s <= 0) | (e_total_j <= 0)  # a plain bool for one task's Python floats
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
         raise ValueError(
             f"efficiency needs positive time and energy, got {total_s}, {e_total_j}"
         )
@@ -54,8 +53,10 @@ def compute_reward(size_bits, total_s, e_total_j, met_deadline, params: RewardPa
     """Score in [-penalty, 1], elementwise like efficiency: scaled
     efficiency where the deadline held, -penalty where it did not."""
     # scored before the verdict, so a non-positive T or E raises on a miss too
-    eta = efficiency(size_bits, total_s, e_total_j)
-    return np.where(met_deadline, np.minimum(eta / params.efficiency_scale, 1.0), -params.penalty)
+    scaled = efficiency(size_bits, total_s, e_total_j) / params.efficiency_scale
+    if isinstance(scaled, np.ndarray):
+        return np.where(met_deadline, np.minimum(scaled, 1.0), -params.penalty)
+    return min(scaled, 1.0) if met_deadline else -params.penalty
 
 
 def reward_to_target(reward: float, penalty: float) -> float:
@@ -125,7 +126,11 @@ class AgentConfig:
 
 class MlpModel:
     """Plain numpy MLP: ReLU hidden layers, logistic outputs, squared error
-    on one selected output per sample, RMSProp parameter updates."""
+    on one selected output per sample, RMSProp parameter updates.
+
+    Parameters, RMSProp accumulators and gradients are one flat float64
+    vector each (params, acc, _grad); weights, biases, acc_w and acc_b are
+    per-layer views into them, so writing through a view changes the model."""
 
     def __init__(
         self,
@@ -142,21 +147,26 @@ class MlpModel:
         self.learning_rate = float(learning_rate)
         self.rmsprop_decay = float(rmsprop_decay)
         self.rmsprop_eps = float(rmsprop_eps)
-        self.weights: List[np.ndarray] = []
-        self.biases: List[np.ndarray] = []
-        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+        n = sum(i * o + o for i, o in zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        self.params, self.acc, self._grad, self._tmp = (np.zeros(n) for _ in range(4))
+        self.weights, self.biases = self.layer_views(self.params)
+        self.acc_w, self.acc_b = self.layer_views(self.acc)
+        self._grads = self.layer_views(self._grad)  # train_step's gradient buffers
+        self._hidden = list(zip(self.weights[:-1], self.biases[:-1]))
+        for w in self.weights if rng is not None else ():
+            fan_out, fan_in = w.shape
             limit = init_scale if init_scale is not None else math.sqrt(6.0 / (fan_in + fan_out))
-            if rng is None:
-                w = np.zeros((fan_out, fan_in))
-            else:
-                w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-            self.weights.append(w)
-            self.biases.append(np.zeros(fan_out))
-        self._reset_optimizer()
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
 
-    def _reset_optimizer(self) -> None:
-        self.acc_w = [np.zeros_like(w) for w in self.weights]
-        self.acc_b = [np.zeros_like(b) for b in self.biases]
+    def layer_views(self, flat: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """Per-layer weight and bias views into a flat vector laid out like params."""
+        weights, biases, start = [], [], 0
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            end = start + fan_out * fan_in
+            weights.append(flat[start:end].reshape(fan_out, fan_in))
+            biases.append(flat[end : end + fan_out])
+            start = end + fan_out
+        return weights, biases
 
     @property
     def n_actions(self) -> int:
@@ -164,82 +174,81 @@ class MlpModel:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Action values for a single context (1d) or a batch (2d)."""
-        single = x.ndim == 1
-        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
-            h = self._sigmoid(z) if i == last else np.maximum(z, 0.0)
-        return h[0] if single else h
+        q = self._sigmoid(self._layers(x[None] if x.ndim == 1 else x)[1])
+        return q[0] if x.ndim == 1 else q
+
+    def _layers(self, x: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Layer inputs (x, then each ReLU output) and the output pre-activations."""
+        acts = [x]
+        for w, b in self._hidden:
+            h = acts[-1] @ w.T
+            h += b
+            acts.append(np.maximum(h, 0.0, out=h))
+        z = acts[-1] @ self.weights[-1].T
+        z += self.biases[-1]
+        return acts, z
 
     @staticmethod
     def _sigmoid(z: np.ndarray) -> np.ndarray:
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        """Logistic function that never overflows: exp only sees -|z|."""
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
     def loss_and_grads(
-        self, x: np.ndarray, actions: np.ndarray, targets: np.ndarray
+        self, x: np.ndarray, actions: np.ndarray, targets: np.ndarray, out=None
     ) -> Tuple[float, List[np.ndarray], List[np.ndarray]]:
         """Mean squared error on the chosen heads and its parameter gradients.
-        Gradients flow only through each sample's chosen output."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        actions = np.asarray(actions, dtype=np.intp)
-        targets = np.asarray(targets, dtype=np.float64)
-        batch = x.shape[0]
-        last = len(self.weights) - 1
-        acts = [x]
-        pre: List[np.ndarray] = []
-        h = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
-            pre.append(z)
-            h = self._sigmoid(z) if i == last else np.maximum(z, 0.0)
-            acts.append(h)
-        q = acts[-1]
-        rows = np.arange(batch)
-        chosen = q[rows, actions]
+        Gradients flow only through each sample's chosen output, and only the
+        chosen heads are squashed.  The gradients go into out, a (weights,
+        biases) pair of per-layer arrays, or into fresh arrays that later
+        calls leave unchanged."""
+        grads_w, grads_b = self.layer_views(np.empty_like(self.params)) if out is None else out
+        acts, z = self._layers(x)
+        batch, n_out = z.shape
+        heads = np.arange(0, z.size, n_out) + actions  # flat index of each chosen head
+        chosen = self._sigmoid(z.ravel()[heads])
         err = chosen - targets
-        loss = float(np.mean(err**2))
-        dz = np.zeros_like(q)
-        dz[rows, actions] = (2.0 / batch) * err * chosen * (1.0 - chosen)
-        grads_w: List[Optional[np.ndarray]] = [None] * len(self.weights)
-        grads_b: List[Optional[np.ndarray]] = [None] * len(self.biases)
-        for i in range(last, -1, -1):
-            grads_w[i] = dz.T @ acts[i]
-            grads_b[i] = dz.sum(axis=0)
-            if i > 0:
-                dz = (dz @ self.weights[i]) * (pre[i - 1] > 0.0)
-        return loss, grads_w, grads_b  # type: ignore[return-value]
+        loss = float(np.add.reduce(err * err) / batch)
+        dz = np.zeros(z.shape)
+        dz.ravel()[heads] = (2.0 / batch) * err * chosen * (1.0 - chosen)
+        for i in range(len(acts) - 1, -1, -1):
+            np.matmul(dz.T, acts[i], out=grads_w[i])
+            np.add.reduce(dz, axis=0, out=grads_b[i])
+            if i:
+                dz = dz @ self.weights[i]
+                dz *= acts[i] > 0.0  # a ReLU output is positive where its input was
+        return loss, grads_w, grads_b
 
     def apply_grads(self, grads_w: List[np.ndarray], grads_b: List[np.ndarray]) -> None:
-        lr, beta, eps = self.learning_rate, self.rmsprop_decay, self.rmsprop_eps
-        for w, gw, aw in zip(self.weights, grads_w, self.acc_w):
-            aw *= beta
-            aw += (1.0 - beta) * gw**2
-            w -= lr * gw / np.sqrt(aw + eps)
-        for b, gb, ab in zip(self.biases, grads_b, self.acc_b):
-            ab *= beta
-            ab += (1.0 - beta) * gb**2
-            b -= lr * gb / np.sqrt(ab + eps)
+        """One RMSProp step, elementwise over the flat vectors.  The model's
+        own gradient views, which train_step passes, are used in place and
+        consumed; other arrays are copied in first and left unchanged."""
+        own_w, own_b = self._grads
+        if grads_w is not own_w or grads_b is not own_b:
+            for dst, src in zip(own_w + own_b, [*grads_w, *grads_b]):
+                dst[...] = src
+        g, tmp, beta = self._grad, self._tmp, self.rmsprop_decay
+        self.acc *= beta
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - beta
+        self.acc += tmp
+        np.sqrt(np.add(self.acc, self.rmsprop_eps, out=tmp), out=tmp)
+        g *= self.learning_rate
+        g /= tmp
+        self.params -= g
 
     def train_step(self, x: np.ndarray, actions: np.ndarray, targets: np.ndarray) -> float:
-        loss, gw, gb = self.loss_and_grads(x, actions, targets)
+        """One minibatch step, with the gradients kept in the model's buffer."""
+        loss, grads_w, grads_b = self.loss_and_grads(x, actions, targets, self._grads)
         if not math.isfinite(loss):
             raise TrainingFault(f"non-finite loss {loss}")
-        self.apply_grads(gw, gb)
+        self.apply_grads(grads_w, grads_b)
         return loss
 
-    def copy_params(self) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        return [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-
-    def set_params(self, weights: List[np.ndarray], biases: List[np.ndarray]) -> None:
-        self.weights = [w.copy() for w in weights]
-        self.biases = [b.copy() for b in biases]
-        self._reset_optimizer()
+    def set_params(self, params: np.ndarray) -> None:
+        """Load a flat parameter vector and restart RMSProp from zero."""
+        np.copyto(self.params, params)
+        self.acc.fill(0.0)
 
     def to_state(self) -> dict:
         return {
@@ -274,39 +283,37 @@ class MlpModel:
         except ConfigError as exc:
             raise ConfigError(f"model.{exc}") from None
         model = cls(sizes, *optimizer, rng=None)
-        w_shapes, b_shapes = model.param_shapes()
-        model.weights = _param_arrays(state["weights"], w_shapes, "model.weights")
-        model.biases = _param_arrays(state["biases"], b_shapes, "model.biases")
-        model.acc_w = _param_arrays(state["acc_weights"], w_shapes, "model.acc_weights")
-        model.acc_b = _param_arrays(state["acc_biases"], b_shapes, "model.acc_biases")
+        _load_layers(model, model.params, state, "model")
+        _load_layers(model, model.acc, state, "model", ("acc_weights", "acc_biases"))
         return model
 
-    def param_shapes(self) -> Tuple[List[tuple], List[tuple]]:
-        """Shapes of the weight matrices and bias vectors, layer by layer."""
-        return [w.shape for w in self.weights], [b.shape for b in self.biases]
 
-
-def _param_arrays(values, shapes: Sequence[tuple], key: str) -> List[np.ndarray]:
-    """Saved parameter arrays, one per layer, checked against `shapes` and
-    for finiteness; a bad entry raises ConfigError naming key[i]."""
-    if not isinstance(values, list) or len(values) != len(shapes):
-        raise ConfigError(f"{key} must list {len(shapes)} arrays, one per layer")
-    arrays = []
-    for i, (value, shape) in enumerate(zip(values, shapes)):
-        try:
-            arr = np.array(value, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}[{i}] is not a numeric array") from None
-        if arr.shape != shape:
-            raise ConfigError(f"{key}[{i}] has shape {arr.shape}, the layer sizes need {shape}")
-        if not np.isfinite(arr).all():
-            raise ConfigError(f"{key}[{i}] holds a non-finite value")
-        arrays.append(arr)
-    return arrays
+def _load_layers(model: MlpModel, flat: np.ndarray, saved: dict, prefix: str,
+                 keys: Tuple[str, str] = ("weights", "biases")) -> None:
+    """Copy a checkpoint's per-layer weight and bias lists, saved[keys[0]] and
+    saved[keys[1]], into `flat`, laid out as model.params.  A wrong or
+    non-finite entry raises ConfigError naming its key path, such as
+    "model.weights[1]"."""
+    for name, views in zip(keys, model.layer_views(flat)):
+        values, key = saved[name], f"{prefix}.{name}"
+        if not isinstance(values, list) or len(values) != len(views):
+            raise ConfigError(f"{key} must list {len(views)} arrays, one per layer")
+        for i, (value, view) in enumerate(zip(values, views)):
+            try:
+                arr = np.array(value, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{key}[{i}] is not a numeric array") from None
+            if arr.shape != view.shape:
+                raise ConfigError(
+                    f"{key}[{i}] has shape {arr.shape}, the layer sizes need {view.shape}"
+                )
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"{key}[{i}] holds a non-finite value")
+            view[...] = arr
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of (context, action, reward) observations."""
+    """Fixed-capacity ring of (context, action, target) observations."""
 
     def __init__(self, capacity: int, context_dim: int = 3):
         if capacity < 1:
@@ -314,26 +321,24 @@ class ReplayBuffer:
         self.capacity = capacity
         self.contexts = np.zeros((capacity, context_dim))
         self.actions = np.zeros(capacity, dtype=np.intp)
-        self.rewards = np.zeros(capacity)
+        self.targets = np.zeros(capacity)
         self.size = 0
         self._cursor = 0
 
-    def push(self, context: np.ndarray, action: int, reward: float) -> None:
+    def push(self, context: np.ndarray, action: int, target: float) -> None:
         i = self._cursor
         self.contexts[i] = context
         self.actions[i] = action
-        self.rewards[i] = reward
+        self.targets[i] = target
         self._cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def sample(
-        self, rng: np.random.Generator, n: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def sample(self, rng: np.random.Generator, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Uniform sample with replacement over stored tuples."""
         if self.size == 0:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.integers(0, self.size, size=n)
-        return self.contexts[idx], self.actions[idx], self.rewards[idx]
+        return self.contexts[idx], self.actions[idx], self.targets[idx]
 
 
 class E2daAgent:
@@ -365,7 +370,7 @@ class E2daAgent:
         self.explore_rng = explore_rng
         self.minibatch_rng = minibatch_rng
         self.episodes_trained = 0
-        self._initial_params = self.model.copy_params() if config.retrain_from_scratch else None
+        self._initial_params = self.model.params.copy() if config.retrain_from_scratch else None
 
     @classmethod
     def create(
@@ -396,20 +401,19 @@ class E2daAgent:
 
     def observe(self, context: np.ndarray, action: int, reward: float) -> None:
         """Record one outcome and run the configured number of replay steps."""
-        self.buffer.push(context, action, reward)
+        self.buffer.push(context, action, reward_to_target(reward, self.config.penalty))
         if self._initial_params is not None:
-            self.model.set_params(*self._initial_params)
+            self.model.set_params(self._initial_params)
         for _ in range(self.config.train_steps_per_observation):
-            ctx, act, rew = self.buffer.sample(self.minibatch_rng, self.config.minibatch_size)
-            self.model.train_step(ctx, act, reward_to_target(rew, self.config.penalty))
+            batch = self.buffer.sample(self.minibatch_rng, self.config.minibatch_size)
+            self.model.train_step(*batch)
 
     def to_state(self) -> dict:
         initial = None
         if self._initial_params is not None:
-            initial = {
-                "weights": [w.tolist() for w in self._initial_params[0]],
-                "biases": [b.tolist() for b in self._initial_params[1]],
-            }
+            weights, biases = self.model.layer_views(self._initial_params)
+            initial = {"weights": [a.tolist() for a in weights],
+                       "biases": [a.tolist() for a in biases]}
         return {
             "model": self.model.to_state(),
             "reward_params": asdict(self.reward_params),
@@ -454,12 +458,7 @@ class E2daAgent:
         agent.minibatch_rng = minibatch_rng
         agent.episodes_trained = int(state["episodes_trained"])
         initial = state.get("initial_params")
+        agent._initial_params = None if initial is None else np.zeros_like(model.params)
         if initial is not None:
-            w_shapes, b_shapes = model.param_shapes()
-            agent._initial_params = (
-                _param_arrays(initial["weights"], w_shapes, "initial_params.weights"),
-                _param_arrays(initial["biases"], b_shapes, "initial_params.biases"),
-            )
-        else:
-            agent._initial_params = None
+            _load_layers(model, agent._initial_params, initial, "initial_params")
         return agent

@@ -10,6 +10,7 @@ dataset.csv byte for byte.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from itertools import chain
 from operator import attrgetter
@@ -18,7 +19,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_text
 from .netsim import ChannelConfig, NodeConfig, Simulator
 from .rng import substream
 from .workload import Task, WorkloadConfig, task_stream
@@ -130,14 +131,14 @@ class Dataset:
         """Read records written by write_csv.  A malformed header raises
         ConfigError naming the path and the first wrong column, a malformed
         row naming the path and the row (rows count from 1 after the
-        header).
+        header), and bytes that are not UTF-8 naming the path and the byte
+        offset.
 
         A file without quotes, carriage returns or NULs is parsed in one
         pass of np.loadtxt and checked with array operations; any row those
         checks cannot clear, and any file np.loadtxt cannot parse, goes
         through the scalar row parser, which alone decides the verdict."""
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        text = read_text(path)
         if not any(c in text for c in _CSV_SPECIALS):
             header_line, _, body = text.partition("\n")
             header = header_line.split(",") if header_line else []
@@ -148,13 +149,10 @@ class Dataset:
             columns = _parse_body(path, lines, n_act, len(header))
             if columns is not None:
                 return cls(columns)
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            n_act = _check_header(path, header)
-            rows = []
-            for n, row in enumerate(reader, 1):
-                rows.append(_parse_row(path, n, row, n_act, len(header)))
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader, [])
+        n_act = _check_header(path, header)
+        rows = [_parse_row(path, n, row, n_act, len(header)) for n, row in enumerate(reader, 1)]
         return cls(_rows_to_columns(rows, n_act))
 
 

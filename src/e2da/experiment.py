@@ -217,7 +217,7 @@ def _replay(
     oracle picks are computed once for the whole dataset and then indexed."""
     outcomes = dataset.outcome_columns()
     features = (dataset.size_bits, dataset.intensity_cpb, dataset.deadline_s)
-    contexts = normalize_context(np.column_stack(features), workload.resolved_context_bounds())
+    contexts = normalize_context(np.column_stack(features), workload.context_scale())
     users = dataset.user_id.tolist()
     rewards = compute_reward(*outcomes, dataset.met_deadline, ledger.reward_params).tolist()
     met = dataset.met_deadline.tolist()
@@ -360,7 +360,7 @@ def _live_rollout(
     """
     total = n_episodes * tasks_per_episode
     decided = 0
-    bounds = np.asarray(workload.resolved_context_bounds())
+    scale = workload.context_scale()
 
     def hook(sim: Simulator, task: Task) -> int:
         nonlocal decided
@@ -368,7 +368,7 @@ def _live_rollout(
         decided += 1
         if decided >= total:
             sim.halt_arrivals()
-        x = normalize_context((task.size_bits, task.intensity_cpb, task.deadline_s), bounds)
+        x = normalize_context((task.size_bits, task.intensity_cpb, task.deadline_s), scale)
 
         def pick(rule: Oracle) -> int:
             outs = sim.projections(task)

@@ -29,11 +29,24 @@ def atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def read_json(path: str):
-    """Parsed contents of a JSON file; malformed JSON raises ConfigError."""
+def read_text(path: str) -> str:
+    """Contents of a UTF-8 text file, line endings untouched; bytes that are
+    not UTF-8 raise ConfigError naming the path and the byte offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path} is not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}"
+        ) from None
+
+
+def read_json(path: str):
+    """Parsed contents of a JSON file; malformed JSON or text that is not
+    UTF-8 raises ConfigError."""
+    try:
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 

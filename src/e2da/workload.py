@@ -152,6 +152,12 @@ class WorkloadConfig:
             bounds.append(sup)
         return tuple(bounds)
 
+    def context_scale(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Lower bound and width of each feature's context bounds, the scale
+        normalize_context takes."""
+        lo, hi = np.asarray(self.resolved_context_bounds()).T
+        return lo, hi - lo
+
 
 def sample_interarrival(rng: np.random.Generator, rate_per_s: float) -> float:
     """Exponential gap via inverse CDF; consumes exactly one uniform draw."""
@@ -205,11 +211,12 @@ def task_stream(
         seq += 1
 
 
-def normalize_context(features, bounds) -> np.ndarray:
+def normalize_context(features, scale) -> np.ndarray:
     """Min-max scale (size, intensity, deadline) to [0, 1], clamping
-    features that fall outside the bounds, one (min, max) pair per feature
-    as WorkloadConfig.resolved_context_bounds() gives them.  features holds
-    the three raw features on its last axis: one task's, or one row per
-    task."""
-    lo, hi = np.asarray(bounds).T
-    return ((features - lo) / (hi - lo)).clip(0.0, 1.0)
+    features that fall outside the bounds; scale is the (lo, span) pair
+    WorkloadConfig.context_scale() gives.  features holds the three raw
+    features on its last axis: one task's, or one row per task."""
+    lo, span = scale
+    x = np.subtract(features, lo)
+    x /= span
+    return x.clip(0.0, 1.0, out=x)

@@ -129,10 +129,10 @@ class TestSelectAction:
 class TestMlpForward:
     def test_hand_computed_two_layer(self):
         model = MlpModel((2, 2, 2), 0.01, 0.99, 1e-8, rng=None)
-        model.weights[0] = np.array([[1.0, -1.0], [0.5, 0.25]])
-        model.biases[0] = np.array([0.1, -0.2])
-        model.weights[1] = np.array([[2.0, 1.0], [-1.0, 3.0]])
-        model.biases[1] = np.array([0.0, 0.1])
+        model.weights[0][...] = np.array([[1.0, -1.0], [0.5, 0.25]])
+        model.biases[0][...] = np.array([0.1, -0.2])
+        model.weights[1][...] = np.array([[2.0, 1.0], [-1.0, 3.0]])
+        model.biases[1][...] = np.array([0.0, 0.1])
         x = np.array([1.0, 2.0])
         # pre1 = (-0.9, 0.8) -> relu (0, 0.8); pre2 = (0.8, 2.5) -> sigmoid
         want = 1.0 / (1.0 + np.exp(-np.array([0.8, 2.5])))
@@ -200,6 +200,132 @@ class TestGradients:
         assert np.all(out_grad[0] == 0.0) and np.all(out_grad[2] == 0.0)
 
 
+def reference_sigmoid(z):
+    """The boolean-mask logistic squash of the per-layer learner."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_forward(weights, biases, x):
+    """Per-layer forward pass on lists of weight matrices and bias vectors."""
+    single = x.ndim == 1
+    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = h @ w.T + b
+        h = reference_sigmoid(z) if i == last else np.maximum(z, 0.0)
+    return h[0] if single else h
+
+
+def reference_train_step(weights, biases, acc_w, acc_b, x, actions, targets, lr, beta, eps):
+    """One minibatch step of the per-layer learner, in place on its lists:
+    chosen-head squared error, backpropagation over every head, then
+    RMSProp layer by layer.  Returns the loss.  MlpModel must match it bit
+    for bit."""
+    batch = x.shape[0]
+    last = len(weights) - 1
+    acts, pre, h = [x], [], x
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = h @ w.T + b
+        pre.append(z)
+        h = reference_sigmoid(z) if i == last else np.maximum(z, 0.0)
+        acts.append(h)
+    q = acts[-1]
+    rows = np.arange(batch)
+    chosen = q[rows, actions]
+    err = chosen - targets
+    loss = float(np.mean(err**2))
+    dz = np.zeros_like(q)
+    dz[rows, actions] = (2.0 / batch) * err * chosen * (1.0 - chosen)
+    grads_w, grads_b = [None] * len(weights), [None] * len(biases)
+    for i in range(last, -1, -1):
+        grads_w[i] = dz.T @ acts[i]
+        grads_b[i] = dz.sum(axis=0)
+        if i > 0:
+            dz = (dz @ weights[i]) * (pre[i - 1] > 0.0)
+    for params, grads, accs in ((weights, grads_w, acc_w), (biases, grads_b, acc_b)):
+        for p, g, a in zip(params, grads, accs):
+            a *= beta
+            a += (1.0 - beta) * g**2
+            p -= lr * g / np.sqrt(a + eps)
+    return loss
+
+
+def same_bits(arrays, others):
+    return len(arrays) == len(others) and all(
+        a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(arrays, others)
+    )
+
+
+class TestReferenceLearner:
+    LR, BETA, EPS = 1e-3, 0.99, 1e-8
+
+    @pytest.mark.parametrize("sizes", [(3, 50, 50, 4), (3, 8, 2), (3, 16, 16, 16, 5)])
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("from_scratch", [False, True])
+    def test_steps_match_per_layer_learner(self, sizes, batch, from_scratch):
+        model = MlpModel(sizes, self.LR, self.BETA, self.EPS, rng=substream(17, "init"))
+        ref = [[p.copy() for p in group] for group in (model.weights, model.biases)]
+        ref += [[np.zeros_like(p) for p in group] for group in ref]
+        initial = model.params.copy()
+        anchor = [[p.copy() for p in group] for group in ref[:2]]
+        rng = substream(18, "steps", *sizes, batch)
+        for _ in range(200):
+            x = rng.random((batch, 3))
+            actions = rng.integers(0, sizes[-1], size=batch)
+            targets = rng.random(batch)
+            if from_scratch:
+                model.set_params(initial)
+                ref = [[p.copy() for p in group] for group in anchor]
+                ref += [[np.zeros_like(p) for p in group] for group in ref]
+            loss = model.train_step(x, actions, targets)
+            want = reference_train_step(*ref, x, actions, targets, self.LR, self.BETA, self.EPS)
+            assert loss.hex() == want.hex()
+            for got, expected in zip((model.weights, model.biases, model.acc_w, model.acc_b), ref):
+                assert same_bits(got, expected)
+        probe = rng.random((batch, 3))
+        assert same_bits([model.forward(probe)], [reference_forward(*ref[:2], probe)])
+        assert same_bits([model.forward(probe[0])], [reference_forward(*ref[:2], probe[0])])
+
+    def test_agent_observe_matches_per_layer_learner(self):
+        cfg = AgentConfig(hidden_sizes=(16, 16), minibatch_size=64, buffer_capacity=50,
+                          retrain_from_scratch=True, penalty=2.0)
+        agent = E2daAgent.create(cfg, 4, RewardParams(2.0, 1.0), 23)
+        anchor = [[w.copy() for w in agent.model.weights], [b.copy() for b in agent.model.biases]]
+        mirror = substream(23, "minibatch")
+        contexts, actions, rewards = np.zeros((50, 3)), np.zeros(50, dtype=np.intp), np.zeros(50)
+        rng = substream(24, "outcomes")
+        for n in range(200):
+            x, a, r = rng.random(3), int(rng.integers(4)), float(rng.uniform(-2.0, 1.0))
+            agent.observe(x, a, r)
+            contexts[n % 50], actions[n % 50], rewards[n % 50] = x, a, r
+            ref = [[p.copy() for p in group] for group in anchor]
+            ref += [[np.zeros_like(p) for p in group] for group in ref]
+            idx = mirror.integers(0, min(n + 1, 50), size=64)
+            targets = reward_to_target(rewards[idx], cfg.penalty)
+            reference_train_step(*ref, contexts[idx], actions[idx], targets,
+                                 cfg.learning_rate, cfg.rmsprop_decay, cfg.rmsprop_eps)
+            model = agent.model
+            for got, expected in zip((model.weights, model.biases, model.acc_w, model.acc_b), ref):
+                assert same_bits(got, expected)
+
+    def test_returned_gradients_survive_later_calls(self):
+        # the public gradients are fresh arrays; train_step alone uses the model's buffer
+        model = MlpModel((3, 8, 4), 0.01, 0.99, 1e-8, rng=substream(25, "init"))
+        rng = substream(26, "batch")
+        x, actions, targets = rng.random((16, 3)), rng.integers(0, 4, 16), rng.random(16)
+        _, gw, gb = model.loss_and_grads(x, actions, targets)
+        kept = [g.copy() for g in gw + gb]
+        model.loss_and_grads(rng.random((16, 3)), rng.integers(0, 4, 16), rng.random(16))
+        model.train_step(x, actions, targets)
+        model.apply_grads(gw, gb)
+        assert same_bits(gw + gb, kept)
+
+
 class TestRmsProp:
     def test_single_step_oracle(self):
         model = MlpModel((1, 1), lr := 0.1, beta := 0.9, eps := 1e-8, rng=None)
@@ -253,7 +379,7 @@ class TestReplayBuffer:
         assert buf.size == 3
         # slots hold items 3, 4, 2 after wraparound
         assert buf.contexts[:, 0].tolist() == [3.0, 4.0, 2.0]
-        assert buf.rewards.tolist() == [30.0, 40.0, 20.0]
+        assert buf.targets.tolist() == [30.0, 40.0, 20.0]
 
     def test_sample_mirrors_generator(self):
         buf = ReplayBuffer(10, context_dim=1)
@@ -324,16 +450,18 @@ class TestAgent:
 
     def test_retrain_from_scratch_keeps_anchor(self):
         agent = tiny_agent(6, retrain_from_scratch=True)
-        anchor = [w.copy() for w in agent._initial_params[0]]
+        anchor = [w.copy() for w in agent.model.layer_views(agent._initial_params)[0]]
         rng = substream(13, "ctx")
         for _ in range(10):
             x = rng.random(3)
             agent.observe(x, 1, 0.5)
-        assert all(np.array_equal(a, w) for a, w in zip(anchor, agent._initial_params[0]))
+        initial_weights = agent.model.layer_views(agent._initial_params)[0]
+        assert all(np.array_equal(a, w) for a, w in zip(anchor, initial_weights))
         state = agent.to_state()
         clone = E2daAgent.from_state(state, substream(0, "e"), substream(0, "m"))
         assert all(
-            np.array_equal(a, w) for a, w in zip(anchor, clone._initial_params[0])
+            np.array_equal(a, w)
+            for a, w in zip(anchor, clone.model.layer_views(clone._initial_params)[0])
         )
 
     def test_config_validation(self):

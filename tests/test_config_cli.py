@@ -798,6 +798,26 @@ class TestMalformedDataset:
         assert metrics[0] == metrics[1]
 
 
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("kind", ["dataset", "config", "model"])
+    def test_evaluate_exits_2_naming_file_and_offset(self, tmp_path, capsys, trained, kind):
+        config, dataset, model = trained
+        inputs = {"config": config, "dataset": dataset, "model": model}
+        with open(inputs[kind], "rb") as fh:
+            data = fh.read()
+        broken = str(tmp_path / f"broken-{os.path.basename(inputs[kind])}")
+        with open(broken, "wb") as fh:
+            fh.write(data[:100] + b"\xff" + data[100:])
+        inputs[kind] = broken
+        rc, err = run_cli(
+            ["evaluate", "--config", inputs["config"], "--out", str(tmp_path / "out"),
+             "--agent", "e2da", "--dataset", inputs["dataset"], "--model", inputs["model"]],
+            capsys,
+        )
+        assert rc == 2, err
+        assert broken in err and "byte 0xff at offset 100" in err
+
+
 class TestDatasetModeDigests:
     """metrics.csv bytes of dataset-mode runs that never touch a matmul, so
     they do not depend on the BLAS build: any change to parsing, scoring,

@@ -555,7 +555,7 @@ class TestLiveBookingReference:
 
         def decide(sim, task, ep):
             features = (task.size_bits, task.intensity_cpb, task.deadline_s)
-            x = normalize_context(features, wl.resolved_context_bounds())
+            x = normalize_context(features, wl.context_scale())
             return mirror.act(x, mirror.epsilon(ep)), x
 
         want = hand_driven_live(
@@ -580,7 +580,7 @@ class TestReplayBookingReference:
             ds = small_dataset
             for i in ep_rng.integers(0, len(small_dataset), size=12):
                 features = (ds.size_bits[i], ds.intensity_cpb[i], ds.deadline_s[i])
-                x = normalize_context(features, wl.resolved_context_bounds())
+                x = normalize_context(features, wl.context_scale())
                 a = mirror.act(x, mirror.epsilon(e))
                 out = (ds.size_bits[i], ds.total_s[i, a], ds.e_total_j[i, a], ds.met_deadline[i, a])
                 r = float(compute_reward(*out, mirror.reward_params))

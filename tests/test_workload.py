@@ -173,7 +173,7 @@ class TestContextScaling:
     def test_midpoint_is_half(self):
         cfg = WorkloadConfig()
         task = make_task(size_bits=37_505.0, intensity_cpb=505.0, deadline_s=0.014)
-        x = normalize_context(features(task), cfg.resolved_context_bounds())
+        x = normalize_context(features(task), cfg.context_scale())
         # size and intensity midpoints are exact in binary; the deadline
         # bounds are decimal fractions, so that lane gets a tolerance
         assert x[0] == 0.5 and x[1] == 0.5
@@ -182,10 +182,10 @@ class TestContextScaling:
     def test_extremes_and_clamping(self):
         cfg = WorkloadConfig()
         lo = make_task(size_bits=10.0, intensity_cpb=10.0, deadline_s=0.010)
-        bounds = cfg.resolved_context_bounds()
-        assert normalize_context(features(lo), bounds).tolist() == [0.0, 0.0, 0.0]
+        scale = cfg.context_scale()
+        assert normalize_context(features(lo), scale).tolist() == [0.0, 0.0, 0.0]
         wild = make_task(size_bits=1e9, intensity_cpb=1.0, deadline_s=100.0)
-        assert normalize_context(features(wild), bounds).tolist() == [1.0, 0.0, 1.0]
+        assert normalize_context(features(wild), scale).tolist() == [1.0, 0.0, 1.0]
 
     def test_rows_scale_like_single_tasks(self):
         cfg = WorkloadConfig()
@@ -193,11 +193,11 @@ class TestContextScaling:
         rows = np.column_stack(
             (rng.uniform(0.0, 9e4, 50), rng.uniform(1.0, 1100.0, 50), rng.uniform(0.005, 0.02, 50))
         )
-        bounds = cfg.resolved_context_bounds()
-        scaled = normalize_context(rows, bounds)
+        bounds, scale = cfg.resolved_context_bounds(), cfg.context_scale()
+        scaled = normalize_context(rows, scale)
         assert scaled.shape == (50, 3)
         for row, x in zip(rows.tolist(), scaled.tolist()):
-            assert x == normalize_context(tuple(row), bounds).tolist()
+            assert x == normalize_context(tuple(row), scale).tolist()
             # the scalar formula, float for float
             assert x == [
                 min(max((v - lo) / (hi - lo), 0.0), 1.0) for v, (lo, hi) in zip(row, bounds)

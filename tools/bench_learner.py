@@ -1,0 +1,108 @@
+"""Per-layer timings of the learner step, in process.
+
+Times MlpModel.forward on one context, MlpModel.loss_and_grads and
+MlpModel.apply_grads on one minibatch, ReplayBuffer.sample and
+E2daAgent.observe, at the agent sizes of configs/default.json (a 3-50-50-4
+network, minibatches of 64), and writes the results with the machine, the
+Python, numpy and BLAS versions and the repeat count to a JSON file.
+
+Run from the root of a checkout, with the package to measure on the path:
+
+    PYTHONPATH=src python3 tools/bench_learner.py [--repeats 5] [--calls 2000] \
+        [--warmup 2000] [--out BENCH_learner.json]
+
+Only the stdlib and numpy are used.  The agent first observes --warmup
+outcomes, so its replay buffer holds that many and its parameters have
+moved off their initial values.  Every timing is --repeats rounds of --calls
+calls, reported as the minimum and median over rounds, in microseconds per
+call.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import time
+
+from bench_dataset import ROOT, machine
+from e2da.bandit import E2daAgent, RewardParams, reward_to_target
+from e2da.config import load_config
+from e2da.rng import substream
+
+CONFIG = os.path.join(ROOT, "configs", "default.json")
+
+
+def per_call_us(fn, calls: int, repeats: int) -> dict:
+    """Microseconds per call of fn over `repeats` rounds of `calls` calls."""
+    rounds = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        rounds.append((time.perf_counter() - t0) * 1e6 / calls)
+    return {"min": min(rounds), "median": statistics.median(rounds), "samples": rounds}
+
+
+def measure(calls: int, repeats: int, warmup: int) -> dict:
+    cfg = load_config(CONFIG)
+    seed = cfg.run.seed
+    n_actions = cfg.system.n_channels + 1
+    agent = E2daAgent.create(cfg.agent, n_actions, RewardParams(cfg.agent.penalty, 1.0), seed)
+    data = substream(seed, "bench-learner")
+    contexts = data.random((warmup, 3))
+    actions = data.integers(0, n_actions, size=warmup).tolist()
+    rewards = data.uniform(-cfg.agent.penalty, 1.0, size=warmup).tolist()
+    for x, a, r in zip(contexts, actions, rewards):
+        agent.observe(x, a, r)
+    model, buffer = agent.model, agent.buffer
+    batch = cfg.agent.minibatch_size
+    x, a, r = buffer.sample(substream(seed, "bench-batch"), batch)
+    targets = reward_to_target(r, cfg.agent.penalty)
+    _, gw, gb = model.loss_and_grads(x, a, targets)
+    sample_rng = substream(seed, "bench-sample")
+    one = contexts[0]
+    timed = {
+        "forward_us": lambda: model.forward(one),
+        "loss_and_grads_us": lambda: model.loss_and_grads(x, a, targets),
+        "apply_grads_us": lambda: model.apply_grads(gw, gb),
+        "sample_us": lambda: buffer.sample(sample_rng, batch),
+        "observe_us": lambda: agent.observe(one, 1, 0.5),
+    }
+    result = {
+        "layer_sizes": list(model.layer_sizes),
+        "minibatch_size": batch,
+        "buffer_size": buffer.size,
+    }
+    for name, fn in timed.items():
+        result[name] = per_call_us(fn, calls, repeats)
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--calls", type=int, default=2000)
+    parser.add_argument("--warmup", type=int, default=2000)
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_learner.json"))
+    args = parser.parse_args(argv)
+    result = {
+        "machine": machine(),
+        "repeats": args.repeats,
+        "calls": args.calls,
+        "warmup": args.warmup,
+        "learner": measure(args.calls, args.repeats, args.warmup),
+    }
+    row = result["learner"]
+    names = [name for name in row if name.endswith("_us")]
+    print(", ".join(f"{name[:-3]} {row[name]['median']:.1f} us" for name in names), file=sys.stderr)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
