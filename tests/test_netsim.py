@@ -1,4 +1,5 @@
-from dataclasses import fields
+import hashlib
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -421,6 +422,44 @@ class TestMixedRunProperties:
         sim, outs = mixed_run(n_tasks=50)
         assert sim.admitted == 50
         assert not sim.has_events
+
+
+class TestTieHeavyDigest:
+    def test_golden_digest(self):
+        """Dyadic rates, constant gains and sizes, and batch arrivals on a
+        0.25 s grid make local runs, VM runs and both radio legs finish at
+        the same instants.  The sha256 of the outcomes in completion order
+        was recorded before the CPU and VM shared the channels' code path."""
+        node = NodeConfig(n_users=6, n_base_stations=2, n_channels=3, user_cpu_hz=2.0**30,
+                          edge_vm_hz=2.0**32, result_size_ratio=0.25)
+        chans = tuple(
+            ChannelConfig(rate, rate, 1.0, 0.5, gain=DistributionSpec.constant(gain))
+            for rate, gain in ((2.0**20, 1.0), (2.0**21, 0.5), (2.0**22, 1.0))
+        )
+        sim = Simulator(node, chans, substream(0, "gains"),
+                        policy=lambda s, t: t.task_id % 4 if t.task_id % 5 else 0)
+        task_id = 0
+        for step in range(30):
+            for k in range(6):
+                if (step + k) % 3:
+                    sim.schedule_arrival(make_task(task_id=task_id, user_id=k,
+                                                   arrival_time=0.25 * step, size_bits=2.0**18,
+                                                   intensity_cpb=2.0**10, deadline_s=0.5))
+                    task_id += 1
+        outs, tied, tied_done, prev = [], 0, 0, None
+        while sim.has_events:
+            out = sim.advance()
+            if sim.clock == prev:
+                tied += 1
+                tied_done += out is not None
+            prev = sim.clock
+            if out is not None:
+                outs.append(out)
+        assert len(outs) == 120
+        assert {o.action for o in outs} == {0, 1, 2, 3}
+        assert tied >= 20 and tied_done >= 20
+        digest = hashlib.sha256(repr([astuple(o) for o in outs]).encode()).hexdigest()
+        assert digest == "1c9e8dd0284e57a9197262d88c6a196a5393d93ef33dc4297e1dc3507000c4e9"
 
 
 def reference_projections(sim, task):
