@@ -370,8 +370,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     scenarios = []
     outputs: List[str] = []
-    for value in values:
-        scen_cfg = with_sweep_value(cfg, args.vary, value)
+    scen_cfgs = [with_sweep_value(cfg, args.vary, value) for value in values]
+    for value, scen_cfg in zip(values, scen_cfgs):
         label = f"{args.vary}-{value:g}"
         os.makedirs(os.path.join(args.out, label), exist_ok=True)
         # Identical seeds across scenarios give common random numbers, so

@@ -1,21 +1,24 @@
 """Discrete-event simulator of local execution and offloading through shared
 wireless channels to per-user edge VMs.
 
-Route of an offloaded task: per-(user, channel) uplink FIFO, transmission
-under egalitarian processor sharing with the other active uplinks on the
-same (base station, channel), dedicated edge VM FIFO, then a per-(base
-station, channel) downlink FIFO for the result, shared across base stations
-active on that channel.  Local tasks run on the user's own CPU FIFO.
+Every stage of a task runs at a station: a FIFO queue and one service slot
+in front of a processor-sharing domain.  A local task visits its user's CPU.
+An offloaded task visits its per-(user, channel) uplink, whose domain the
+other uplinks of its base station on that channel share, then its user's
+dedicated edge VM, then a per-(base station, channel) downlink for the
+result, whose domain every base station active on that channel shares.  The
+CPU and the VM are one-station domains at gain 1, so the job in service runs
+at the full clock rate.
 
-Every queue is FIFO and unbounded; servers never idle while their queue is
-non-empty.  Both transmission legs run through one path: a sharing domain
-re-splits its nominal rate whenever a transmitter starts, settling in-flight
-progress as residual bits, and latches each member's finish time.  A domain
-keeps one live calendar event, the completion of its earliest finisher (ties
-in member order).  A departure with no successor in its queue leaves the
-rates as they are until a re-split at the same instant; members whose latched
-finish equals that instant leave first, in member order.  A re-latch
-supersedes the domain's pending event, which is ignored when popped.
+Queues are unbounded and a station never idles while its queue is non-empty.
+A domain re-splits its nominal rate (bits or cycles per second) whenever a
+member starts, settling in-flight progress as residual work, and latches each
+member's finish time.  A domain keeps one live calendar event, the completion
+of its earliest finisher (ties in member order).  A departure with no
+successor in its queue leaves the rates as they are until a re-split at the
+same instant; members whose latched finish equals that instant leave first,
+in member order.  A re-latch supersedes the domain's pending event, which is
+ignored when popped.
 
 Projected and realized outcomes come from one builder that owns the energy
 model: kappa * cycles * f^2 for a local run, radio power times airtime on
@@ -25,9 +28,9 @@ both legs of an offload, and the deadline verdict on the total.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from enum import IntEnum
 from heapq import heappop, heappush
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -152,13 +155,6 @@ class NodeConfig:
         return tuple(k % self.n_base_stations for k in range(self.n_users))
 
 
-class EventKind(IntEnum):
-    TASK_ARRIVAL = 0
-    LOCAL_EXEC_DONE = 1
-    EDGE_EXEC_DONE = 2
-    CHANNEL = 3  # a sharing domain's completion or re-split
-
-
 @dataclass(frozen=True)
 class TaskOutcome:
     """Realized (or projected) fate of one task: timing decomposition,
@@ -188,28 +184,19 @@ class TaskOutcome:
 
 
 class _Job:
-    __slots__ = (
-        "task",
-        "action",
-        "gains",
-        "result_bits",
-        "enq_t",
-        "d1",
-        "d2",
-        "d3",
-        "d4",
-        "t_exec",
-        "t_up",
-        "t_down",
-        "start_t",
-        "done_t",
-    )
+    """An admitted task on its way along its route of stations."""
 
-    def __init__(self, task: Task, action: int, gains: Tuple[float, ...], result_bits: float):
+    __slots__ = ("task", "action", "gains", "result_bits", "route", "hop", "enq_t",
+                 "d1", "d2", "d3", "d4", "t_exec", "t_up", "t_down")
+
+    def __init__(self, task: Task, action: int, gains: Tuple[float, ...], result_bits: float,
+                 route: Tuple["_Station", ...]):
         self.task = task
         self.action = action
         self.gains = gains
         self.result_bits = result_bits
+        self.route = route
+        self.hop = 0
         self.enq_t = 0.0
         self.d1 = 0.0
         self.d2 = 0.0
@@ -218,48 +205,90 @@ class _Job:
         self.t_exec = 0.0
         self.t_up = 0.0
         self.t_down = 0.0
-        self.start_t = 0.0
-        self.done_t = 0.0
 
 
 class _Tx:
-    """An in-flight transmission inside one sharing domain."""
+    """A job in service at a station: its share of the station's domain."""
 
-    __slots__ = ("job", "gain", "residual", "rate", "last_settle", "elapsed", "finish", "queue_key")
+    __slots__ = ("job", "gain", "residual", "rate", "last_settle", "elapsed", "finish", "station")
 
-    def __init__(self, job: _Job, gain: float, residual: float, queue_key):
+    def __init__(self, job: _Job, gain: float, residual: float, station: "_Station", now: float):
         self.job = job
         self.gain = gain
         self.residual = residual
         self.rate = 0.0
-        self.last_settle = 0.0
+        self.last_settle = now
         self.elapsed = 0.0
         self.finish = 0.0
-        self.queue_key = queue_key
+        self.station = station
 
 
 class _Domain:
-    """Processor-sharing cell: the transmitters that split one nominal rate.
+    """Processor-sharing cell: the jobs in service at its stations split one
+    nominal rate, bits/s on a channel and cycles/s on a CPU or VM.
 
-    `queues` and `slots` are its leg's FIFO and in-service tables, keyed by
-    a transmitter's queue_key.  `event` is the domain's one live calendar
-    entry: the completion of `due`, the member with the earliest latched
-    finish (ties in member order), or a re-split of the rate when `due` is
-    None.  After a departure without a successor, members latched to finish
-    at that instant leave first, then the rate is re-split.
+    `event` is the domain's one live calendar entry: the completion of
+    `due`, the member with the earliest latched finish (ties in member
+    order), or a re-split of the rate when `due` is None.  After a departure
+    without a successor, members latched to finish at that instant leave
+    first, then the rate is re-split.
     """
 
-    __slots__ = ("nominal", "uplink", "queues", "slots", "key", "members", "event", "due")
+    __slots__ = ("nominal", "key", "members", "event", "due")
 
-    def __init__(self, nominal: float, uplink: bool, queues: dict, slots: dict, key):
+    def __init__(self, nominal: float, key: tuple):
         self.nominal = nominal
-        self.uplink = uplink
-        self.queues = queues
-        self.slots = slots
         self.key = key
         self.members: Dict[_Tx, None] = {}  # dict keeps deterministic insertion order
         self.event: Optional[tuple] = None
         self.due: Optional[_Tx] = None
+
+
+# the _Job fields that get a stage's wait and its service time
+_STAGE_FIELDS = {
+    "cpu": ("d1", "t_exec"),
+    "up": ("d2", "t_up"),
+    "vm": ("d3", "t_exec"),
+    "down": ("d4", "t_down"),
+}
+
+
+class _Station:
+    """A FIFO queue and one service slot in front of a sharing domain.
+
+    `stage` (cpu, up, vm or down) picks the _Job fields that get the wait
+    and the service time, and the work a job brings.  `channel` picks the
+    job's gain on a radio leg; the CPU and the VM serve at gain 1.
+    """
+
+    __slots__ = ("queue", "slot", "domain", "stage", "channel")
+
+    def __init__(self, domain: _Domain, stage: str, channel: Optional[int] = None):
+        self.queue: deque = deque()
+        self.slot: Optional[_Tx] = None
+        self.domain = domain
+        self.stage = stage
+        self.channel = channel
+
+    def work(self, job: _Job) -> float:
+        """Cycles on the CPU or VM, the task's bits uplink, its result's
+        bits downlink."""
+        if self.stage == "up":
+            return job.task.size_bits
+        if self.stage == "down":
+            return job.result_bits
+        return job.task.size_bits * job.task.intensity_cpb
+
+    def backlog(self, now: float) -> float:
+        """Work waiting in the queue plus the work left in service at `now`."""
+        tx = self.slot
+        if tx is None:
+            left = 0.0
+        elif self.channel is None:  # alone at the full rate until its latched finish
+            left = max(0.0, (tx.finish - now) * self.domain.nominal)
+        else:
+            left = max(0.0, tx.residual - tx.rate * (now - tx.last_settle))
+        return sum(self.work(j) for j in self.queue) + left
 
 
 @dataclass(frozen=True)
@@ -409,31 +438,18 @@ class Simulator:
         assoc = node.resolved_association()
         self._assoc = assoc
         K, N, C = node.n_users, node.n_base_stations, node.n_channels
-        self._local_q: List[deque] = [deque() for _ in range(K)]
-        self._local_busy: List[Optional[_Job]] = [None] * K
-        self._edge_q: List[deque] = [deque() for _ in range(K)]
-        self._edge_busy: List[Optional[_Job]] = [None] * K
-        self._up_q: Dict[Tuple[int, int], deque] = {
-            (k, c): deque() for k in range(K) for c in range(C)
-        }
-        self._up_tx: Dict[Tuple[int, int], Optional[_Tx]] = {
-            (k, c): None for k in range(K) for c in range(C)
-        }
-        self._down_q: Dict[Tuple[int, int], deque] = {
-            (n, c): deque() for n in range(N) for c in range(C)
-        }
-        self._down_tx: Dict[Tuple[int, int], Optional[_Tx]] = {
-            (n, c): None for n in range(N) for c in range(C)
-        }
-        self._up_dom: Dict[Tuple[int, int], _Domain] = {
-            (n, c): _Domain(self.channels[c].uplink_rate_bps, True, self._up_q, self._up_tx, (n, c))
+        self._cpu = [_Station(_Domain(node.user_cpu_hz, ("cpu", k)), "cpu") for k in range(K)]
+        self._vm = [_Station(_Domain(node.edge_vm_hz, ("vm", k)), "vm") for k in range(K)]
+        up_dom = {
+            (n, c): _Domain(self.channels[c].uplink_rate_bps, ("up", n, c))
             for n in range(N)
             for c in range(C)
         }
-        self._down_dom: Dict[int, _Domain] = {
-            c: _Domain(self.channels[c].downlink_rate_bps, False, self._down_q, self._down_tx, c)
-            for c in range(C)
-        }
+        down_dom = [
+            _Domain(ch.downlink_rate_bps, ("down", c)) for c, ch in enumerate(self.channels)
+        ]
+        self._up = [[_Station(up_dom[(assoc[k], c)], "up", c) for c in range(C)] for k in range(K)]
+        self._down = [[_Station(down_dom[c], "down", c) for c in range(C)] for _ in range(N)]
         self.admitted = 0
 
     # ------------------------------------------------------------------ feeds
@@ -443,7 +459,7 @@ class Simulator:
             raise ValueError(
                 f"task {task.task_id} arrives at {task.arrival_time} before clock {self.clock}"
             )
-        self._push(task.arrival_time, EventKind.TASK_ARRIVAL, task)
+        heappush(self._calendar, (task.arrival_time, next(self._seq), task))
 
     def add_stream(self, user_id: int, tasks: Iterator[Task]) -> None:
         """Register a lazy task source; the next task is pulled when the
@@ -471,53 +487,24 @@ class Simulator:
     def snapshot(self, task: Task) -> Snapshot:
         """Frozen decision-time view for `task`; does not mutate the state."""
         gains = self.stage(task)
-        node = self.node
         user = task.user_id
         bs = self._assoc[user]
-        chans = range(node.n_channels)
         now = self.clock
-
-        def busy_cycles(job: Optional[_Job], hz: float) -> float:
-            if job is None:
-                return 0.0
-            return max(0.0, (job.done_t - now) * hz)
-
-        def tx_residual(tx: Optional[_Tx]) -> float:
-            if tx is None:
-                return 0.0
-            return max(0.0, tx.residual - tx.rate * (now - tx.last_settle))
-
-        up_tx = [self._up_tx[(user, c)] for c in chans]
-        down_tx = [self._down_tx[(bs, c)] for c in chans]
+        cpu, vm = self._cpu[user], self._vm[user]
+        ups, downs = self._up[user], self._down[bs]
         return Snapshot(
             clock=now,
             task_id=task.task_id,
             user_id=user,
             base_station=bs,
             gains=gains,
-            local_backlog_cycles=sum(
-                j.task.size_bits * j.task.intensity_cpb for j in self._local_q[user]
-            )
-            + busy_cycles(self._local_busy[user], node.user_cpu_hz),
-            edge_backlog_cycles=sum(
-                j.task.size_bits * j.task.intensity_cpb for j in self._edge_q[user]
-            )
-            + busy_cycles(self._edge_busy[user], node.edge_vm_hz),
-            uplink_backlog_bits=tuple(
-                sum(j.task.size_bits for j in self._up_q[(user, c)]) + tx_residual(up_tx[c])
-                for c in chans
-            ),
-            downlink_backlog_bits=tuple(
-                sum(j.result_bits for j in self._down_q[(bs, c)]) + tx_residual(down_tx[c])
-                for c in chans
-            ),
-            uplink_others=tuple(
-                len(self._up_dom[(bs, c)].members) - (up_tx[c] is not None) for c in chans
-            ),
-            downlink_others=tuple(
-                len(self._down_dom[c].members) - (down_tx[c] is not None) for c in chans
-            ),
-            node=node,
+            local_backlog_cycles=cpu.backlog(now),
+            edge_backlog_cycles=vm.backlog(now),
+            uplink_backlog_bits=tuple(st.backlog(now) for st in ups),
+            downlink_backlog_bits=tuple(st.backlog(now) for st in downs),
+            uplink_others=tuple(len(st.domain.members) - (st.slot is not None) for st in ups),
+            downlink_others=tuple(len(st.domain.members) - (st.slot is not None) for st in downs),
+            node=self.node,
             channels=self.channels,
         )
 
@@ -539,6 +526,11 @@ class Simulator:
             raise ValueError(f"action must be in [0, {C}], got {action}")
         if not 0 <= task.user_id < self.node.n_users:
             raise ValueError(f"user_id {task.user_id} out of range")
+        if not (0.0 < task.size_bits < math.inf and 0.0 < task.intensity_cpb < math.inf):
+            raise ValueError(
+                f"task {task.task_id} needs a finite positive size and intensity, got "
+                f"size={task.size_bits}, intensity={task.intensity_cpb}"
+            )
         if task.arrival_time != self.clock:
             raise ValueError(
                 f"task {task.task_id} must be submitted at its arrival time "
@@ -546,17 +538,15 @@ class Simulator:
             )
         gains = self.stage(task)
         del self._staged_gains[task.task_id]
-        job = _Job(task, action, gains, self.node.result_size_ratio * task.size_bits)
-        self.admitted += 1
+        user = task.user_id
+        result_bits = self.node.result_size_ratio * task.size_bits
         if action == 0:
-            job.enq_t = self.clock
-            if self._local_busy[task.user_id] is None:
-                self._start_local(task.user_id, job)
-            else:
-                self._local_q[task.user_id].append(job)
+            route = (self._cpu[user],)
         else:
-            user, c = task.user_id, action - 1
-            self._enqueue_tx(self._up_dom[(self._assoc[user], c)], (user, c), job)
+            up, down = self._up[user][action - 1], self._down[self._assoc[user]][action - 1]
+            route = (up, self._vm[user], down) if result_bits > 0 else (up, self._vm[user])
+        self.admitted += 1
+        self._enqueue(route[0], _Job(task, action, gains, result_bits, route))
 
     @property
     def has_events(self) -> bool:
@@ -567,20 +557,16 @@ class Simulator:
         if not self._calendar:
             raise SimulationError("advance() on an empty calendar")
         entry = heappop(self._calendar)
-        t, _seq, kind, payload = entry
+        t, _seq, payload = entry
         self.clock = t
-        if kind == EventKind.TASK_ARRIVAL:
+        if isinstance(payload, Task):
             self._handle_arrival(payload)
             return None
-        if kind == EventKind.LOCAL_EXEC_DONE:
-            return self._handle_local_done(payload)
-        if kind == EventKind.EDGE_EXEC_DONE:
-            return self._handle_edge_done(payload)
         dom = payload
         if entry is not dom.event:
             return None  # superseded by a later re-latch of the domain
         if dom.due is not None:
-            return self._tx_done(dom, dom.due)
+            return self._done(dom, dom.due)
         self._settle(dom)
         self._relatch(dom)
         return None
@@ -595,24 +581,15 @@ class Simulator:
         return got
 
     def in_flight_count(self) -> int:
-        n = sum(len(q) for q in self._local_q) + sum(len(q) for q in self._edge_q)
-        n += sum(j is not None for j in self._local_busy)
-        n += sum(j is not None for j in self._edge_busy)
-        n += sum(len(q) for q in self._up_q.values())
-        n += sum(tx is not None for tx in self._up_tx.values())
-        n += sum(len(q) for q in self._down_q.values())
-        n += sum(tx is not None for tx in self._down_tx.values())
-        return n
+        stations = itertools.chain(self._cpu, self._vm, *self._up, *self._down)
+        return sum(len(st.queue) + (st.slot is not None) for st in stations)
 
     # -------------------------------------------------------------- internal
-
-    def _push(self, t: float, kind: EventKind, payload) -> None:
-        heappush(self._calendar, (t, next(self._seq), kind, payload))
 
     def _schedule(self, dom: _Domain, t: float, due: Optional[_Tx], seq: Optional[int] = None) -> None:
         """Make (t, due) the domain's one live event; an earlier one goes stale."""
         dom.due = due
-        dom.event = (t, next(self._seq) if seq is None else seq, EventKind.CHANNEL, dom)
+        dom.event = (t, next(self._seq) if seq is None else seq, dom)
         heappush(self._calendar, dom.event)
 
     def _handle_arrival(self, task: Task) -> None:
@@ -631,82 +608,34 @@ class Simulator:
         action = self.policy(self, task)
         self.submit(task, int(action))
 
-    # local CPU
-
-    def _start_local(self, user: int, job: _Job) -> None:
-        job.d1 = self.clock - job.enq_t
-        job.start_t = self.clock
-        job.t_exec = exec_time(job.task.size_bits, job.task.intensity_cpb, self.node.user_cpu_hz)
-        job.done_t = self.clock + job.t_exec
-        self._local_busy[user] = job
-        self._push(job.done_t, EventKind.LOCAL_EXEC_DONE, job)
-
-    def _handle_local_done(self, job: _Job) -> TaskOutcome:
-        # re-measure off the event clock so stage durations telescope to
-        # completion minus arrival without cancellation error
-        job.t_exec = self.clock - job.start_t
-        user = job.task.user_id
-        self._local_busy[user] = None
-        if self._local_q[user]:
-            self._start_local(user, self._local_q[user].popleft())
-        return self._finalize(job)
-
-    # edge VM
-
-    def _start_edge(self, user: int, job: _Job) -> None:
-        job.d3 = self.clock - job.enq_t
-        job.start_t = self.clock
-        job.t_exec = exec_time(job.task.size_bits, job.task.intensity_cpb, self.node.edge_vm_hz)
-        job.done_t = self.clock + job.t_exec
-        self._edge_busy[user] = job
-        self._push(job.done_t, EventKind.EDGE_EXEC_DONE, job)
-
-    def _handle_edge_done(self, job: _Job) -> Optional[TaskOutcome]:
-        job.t_exec = self.clock - job.start_t
-        user = job.task.user_id
-        self._edge_busy[user] = None
-        if self._edge_q[user]:
-            self._start_edge(user, self._edge_q[user].popleft())
-        if job.result_bits <= 0.0:
-            return self._finalize(job)
-        c = job.action - 1
-        self._enqueue_tx(self._down_dom[c], (self._assoc[user], c), job)
-        return None
-
-    # transmission, both legs
-
-    def _enqueue_tx(self, dom: _Domain, key: Tuple[int, int], job: _Job) -> None:
+    def _enqueue(self, st: _Station, job: _Job) -> None:
         job.enq_t = self.clock
-        if dom.slots[key] is None:
-            self._start_tx(dom, key, job)
+        if st.slot is None:
+            self._start(st, job)
         else:
-            dom.queues[key].append(job)
+            st.queue.append(job)
 
-    def _start_tx(self, dom: _Domain, key: Tuple[int, int], job: _Job) -> None:
-        wait = self.clock - job.enq_t
-        if dom.uplink:
-            job.d2, bits = wait, job.task.size_bits
-        else:
-            job.d4, bits = wait, job.result_bits
-        tx = _Tx(job, job.gains[key[1]], bits, key)
-        tx.last_settle = self.clock
-        dom.slots[key] = tx
+    def _start(self, st: _Station, job: _Job) -> None:
+        setattr(job, _STAGE_FIELDS[st.stage][0], self.clock - job.enq_t)
+        gain = 1.0 if st.channel is None else job.gains[st.channel]
+        tx = st.slot = _Tx(job, gain, st.work(job), st, self.clock)
+        dom = st.domain
         self._settle(dom)
         dom.members[tx] = None
         self._relatch(dom)
 
-    def _tx_done(self, dom: _Domain, tx: _Tx) -> Optional[TaskOutcome]:
-        key = tx.queue_key
-        job = tx.job
-        # final leg as a clock difference, not the latched residual / rate:
+    def _done(self, dom: _Domain, tx: _Tx) -> Optional[TaskOutcome]:
+        """`tx` leaves its station: the station takes its next job, and the
+        job moves on to its next station or completes."""
+        st, job = tx.station, tx.job
+        # the stage time as a clock difference, not the latched work / rate:
         # the finish time was rounded, and only the clock version keeps the
         # stage sum consistent with completion minus arrival
-        leg = tx.elapsed + (self.clock - tx.last_settle)
+        setattr(job, _STAGE_FIELDS[st.stage][1], tx.elapsed + (self.clock - tx.last_settle))
         del dom.members[tx]
-        dom.slots[key] = None
-        q = dom.queues[key]
-        if q:
-            self._start_tx(dom, key, q.popleft())
+        st.slot = dom.due = None  # an idle domain keeps no finished job alive
+        if st.queue:
+            self._start(st, st.queue.popleft())
         elif dom.members:
             due = next((m for m in dom.members if m.finish == self.clock), None)
             if due is None:
@@ -715,17 +644,15 @@ class Simulator:
                 # latched to finish now: it leaves next, in member order,
                 # under the departed member's sequence number
                 self._schedule(dom, self.clock, due, dom.event[1])
-        if not dom.uplink:
-            job.t_down = leg
-            return self._finalize(job)
-        job.t_up = leg
-        user = job.task.user_id
-        job.enq_t = self.clock
-        if self._edge_busy[user] is None:
-            self._start_edge(user, job)
-        else:
-            self._edge_q[user].append(job)
-        return None
+        job.hop += 1
+        if job.hop < len(job.route):
+            self._enqueue(job.route[job.hop], job)
+            return None
+        task = job.task
+        return _outcome(
+            self.node, self.channels, task, job.action, job.d1, job.d2, job.d3, job.d4,
+            job.t_exec, job.t_up, job.t_down, self.clock - task.arrival_time,
+        )
 
     def _settle(self, dom: _Domain) -> None:
         now = self.clock
@@ -751,13 +678,7 @@ class Simulator:
                 due = tx
         if total > dom.nominal * (1.0 + 1e-9):
             raise SimulationError(
-                f"allocated {total} bps exceeds nominal {dom.nominal} bps on domain {dom.key}"
+                f"allocated rates sum to {total} per second, over the nominal "
+                f"{dom.nominal} of domain {dom.key}"
             )
         self._schedule(dom, due.finish, due)
-
-    def _finalize(self, job: _Job) -> TaskOutcome:
-        task = job.task
-        return _outcome(
-            self.node, self.channels, task, job.action, job.d1, job.d2, job.d3, job.d4,
-            job.t_exec, job.t_up, job.t_down, self.clock - task.arrival_time,
-        )

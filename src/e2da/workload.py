@@ -32,6 +32,9 @@ class DistributionSpec:
     mean: float = 0.0
 
     def validate(self, name: str) -> None:
+        for f_name in ("minimum", "maximum", "value", "mean"):
+            if not math.isfinite(getattr(self, f_name)):
+                raise ConfigError(f"{name}: {f_name} must be finite, got {getattr(self, f_name)}")
         if self.kind == "uniform":
             if not (self.minimum < self.maximum):
                 raise ConfigError(

@@ -171,6 +171,23 @@ class TestSweepValue:
         with pytest.raises(ConfigError):
             with_sweep_value(cfg, "size", 10.0)
 
+    @pytest.mark.parametrize("mean", [float("inf"), 1e308, float("nan")])
+    def test_rejects_a_non_finite_distribution(self, mean):
+        # 1e308 is finite, but its max 2 * mean - 10 overflows to infinity
+        with pytest.raises(ConfigError, match="size_bits"):
+            with_sweep_value(config_from_dict({}), "size", mean)
+
+    @pytest.mark.parametrize("values", ["100,inf", "100,1e308"])
+    def test_cli_exits_2_naming_the_feature(self, tmp_path, capsys, config_path, values):
+        out = tmp_path / "sweep"
+        rc, err = run_cli(
+            ["sweep", "--config", config_path, "--out", str(out), "--vary", "size",
+             "--values", values, "--agent", "ee"], capsys
+        )
+        assert rc == 2, err
+        assert "size_bits" in err
+        assert not (out / "sweep_summary.json").exists()
+
 
 SMALL_CONFIG = {
     "system": {"n_users": 4, "n_base_stations": 2, "n_channels": 3},

@@ -471,10 +471,10 @@ def reference_projections(sim, task):
     K, N, C = node.n_users, node.n_base_stations, node.n_channels
     now = sim.clock
 
-    def busy_cycles(job, hz):
-        if job is None:
+    def busy_cycles(tx, hz):
+        if tx is None:
             return 0.0
-        return max(0.0, (job.done_t - now) * hz)
+        return max(0.0, (tx.finish - now) * hz)
 
     def tx_residual(tx):
         if tx is None:
@@ -482,32 +482,35 @@ def reference_projections(sim, task):
         return max(0.0, tx.residual - tx.rate * (now - tx.last_settle))
 
     local = [
-        sum(j.task.size_bits * j.task.intensity_cpb for j in sim._local_q[k])
-        + busy_cycles(sim._local_busy[k], node.user_cpu_hz)
+        sum(j.task.size_bits * j.task.intensity_cpb for j in sim._cpu[k].queue)
+        + busy_cycles(sim._cpu[k].slot, node.user_cpu_hz)
         for k in range(K)
     ]
     edge = [
-        sum(j.task.size_bits * j.task.intensity_cpb for j in sim._edge_q[k])
-        + busy_cycles(sim._edge_busy[k], node.edge_vm_hz)
+        sum(j.task.size_bits * j.task.intensity_cpb for j in sim._vm[k].queue)
+        + busy_cycles(sim._vm[k].slot, node.edge_vm_hz)
         for k in range(K)
     ]
     up_bits = [
-        [sum(j.task.size_bits for j in sim._up_q[(k, c)]) + tx_residual(sim._up_tx[(k, c)])
+        [sum(j.task.size_bits for j in sim._up[k][c].queue) + tx_residual(sim._up[k][c].slot)
          for c in range(C)]
         for k in range(K)
     ]
     down_bits = [
-        [sum(j.result_bits for j in sim._down_q[(n, c)]) + tx_residual(sim._down_tx[(n, c)])
+        [sum(j.result_bits for j in sim._down[n][c].queue) + tx_residual(sim._down[n][c].slot)
          for c in range(C)]
         for n in range(N)
     ]
-    up_active = [[len(sim._up_dom[(n, c)].members) for c in range(C)] for n in range(N)]
-    up_self = [[sim._up_tx[(k, c)] is not None for c in range(C)] for k in range(K)]
-    down_active = [len(sim._down_dom[c].members) for c in range(C)]
-    down_slot = [[sim._down_tx[(n, c)] is not None for c in range(C)] for n in range(N)]
+    assoc = node.resolved_association()
+    up_active = {
+        (assoc[k], c): len(sim._up[k][c].domain.members) for k in range(K) for c in range(C)
+    }
+    up_self = [[sim._up[k][c].slot is not None for c in range(C)] for k in range(K)]
+    down_active = [len(sim._down[0][c].domain.members) for c in range(C)]
+    down_slot = [[sim._down[n][c].slot is not None for c in range(C)] for n in range(N)]
 
     user, size, cpb = task.user_id, task.size_bits, task.intensity_cpb
-    bs = node.resolved_association()[user]
+    bs = assoc[user]
     outs = []
     for action in range(C + 1):
         d1 = d2 = d3 = d4 = 0.0
@@ -521,7 +524,7 @@ def reference_projections(sim, task):
         else:
             c = action - 1
             ch = sim.channels[c]
-            n_up = up_active[bs][c] - (1 if up_self[user][c] else 0) + 1
+            n_up = up_active[(bs, c)] - (1 if up_self[user][c] else 0) + 1
             r_up = fair_share_rate(ch.uplink_rate_bps, gains[c], n_up)
             d2 = up_bits[user][c] / r_up
             t_up = size / r_up
@@ -568,14 +571,14 @@ class TestDecisionViewReference:
             bs = node.resolved_association()[user]
             chans = range(node.n_channels)
             seen["decisions"] += 1
-            seen["up_queued"] += any(sim._up_q[(user, c)] for c in chans)
-            seen["up_self"] += any(sim._up_tx[(user, c)] is not None for c in chans)
-            seen["down_slot"] += any(sim._down_tx[(bs, c)] is not None for c in chans)
+            seen["up_queued"] += any(sim._up[user][c].queue for c in chans)
+            seen["up_self"] += any(sim._up[user][c].slot is not None for c in chans)
+            seen["down_slot"] += any(sim._down[bs][c].slot is not None for c in chans)
             seen["down_shared"] += any(
-                len({tx.queue_key[0] for tx in sim._down_dom[c].members}) >= 2 for c in chans
+                len({tx.station for tx in sim._down[bs][c].domain.members}) >= 2 for c in chans
             )
-            seen["local_queued"] += bool(sim._local_q[user])
-            seen["edge_busy"] += sim._edge_busy[user] is not None
+            seen["local_queued"] += bool(sim._cpu[user].queue)
+            seen["edge_busy"] += sim._vm[user].slot is not None
             if seen["decisions"] >= 1500:
                 sim.halt_arrivals()
             return int(act_rng.integers(node.n_channels + 1))
@@ -599,6 +602,16 @@ class TestValidationAndErrors:
             sim.submit(make_task(), 2)  # only actions 0..1 exist
         with pytest.raises(ValueError):
             sim.submit(make_task(user_id=3), 0)
+
+    @pytest.mark.parametrize("action", [0, 1])
+    @pytest.mark.parametrize("field", ["size_bits", "intensity_cpb"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+    def test_submit_rejects_a_bad_size_or_intensity(self, action, field, bad):
+        node = single_user_node()
+        sim = Simulator(node, (fixed_gain_channel(1e6, 1.0),), substream(0, "g"))
+        with pytest.raises(ValueError, match="finite positive"):
+            sim.submit(make_task(**{field: bad}), action)
+        assert sim.admitted == 0 and not sim.has_events
 
     def test_advance_on_empty_calendar(self):
         node = single_user_node()

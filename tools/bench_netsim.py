@@ -1,0 +1,126 @@
+"""Per-layer timings of the simulator, in process.
+
+Times the event loop (microseconds per popped event, and events per
+completed task) and the decision view (microseconds per
+Simulator.projections call) on live random-policy streams at K = 5, 50 and
+500 users, and writes the results with the machine, the Python, numpy and
+BLAS versions and the repeat count to a JSON file.
+
+Run from the root of a checkout, with the package to measure on the path:
+
+    PYTHONPATH=src python3 tools/bench_netsim.py [--repeats 5] [--tasks 20000] \
+        [--out BENCH_netsim.json]
+
+Only the stdlib and numpy are used.  Each K runs 3 base stations and the 3
+default channels with the default task distributions at 4 tasks/s per user,
+the fixed per-user load of the ROADMAP's scaling curve.  The --tasks tasks
+(split evenly over the users) and one uniformly random action per task are
+drawn before timing, so a pass times the simulator alone.  Every round runs
+two passes over the same tasks and actions, which take the same path: one
+times the whole event loop, the other only the projections call that an
+oracle policy makes per decision.  Timings are reported as the minimum and
+median over --repeats rounds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import sys
+import time
+
+from bench_dataset import ROOT, machine, summary
+from e2da.netsim import NodeConfig, Simulator, default_channels
+from e2da.rng import substream
+from e2da.workload import WorkloadConfig, task_stream
+
+USERS = (5, 50, 500)
+RATE_PER_USER = 4.0
+SEED = 0
+
+
+def live_pass(node, channels, streams, actions, policy_hook=None):
+    """One live run; returns (seconds in the event loop, events, outcomes)."""
+    pick = iter(actions)
+
+    def policy(sim, task):
+        if policy_hook is not None:
+            policy_hook(sim, task)
+        return next(pick)
+
+    sim = Simulator(node, channels, substream(SEED, "gains"), policy=policy)
+    for user, tasks in enumerate(streams):
+        sim.add_stream(user, iter(tasks))
+    events = outcomes = 0
+    t0 = time.perf_counter()
+    while sim.has_events:
+        events += 1
+        outcomes += sim.advance() is not None
+    return time.perf_counter() - t0, events, outcomes
+
+
+def measure(n_users: int, n_tasks: int, repeats: int) -> dict:
+    node = NodeConfig(n_users=n_users, n_base_stations=3, n_channels=3)
+    channels = default_channels()
+    workload = WorkloadConfig(arrival_rate_per_s=RATE_PER_USER)
+    per_user = max(1, n_tasks // n_users)
+    streams = [
+        list(itertools.islice(task_stream(workload, SEED, u, n_users), per_user))
+        for u in range(n_users)
+    ]
+    total = per_user * n_users
+    actions = substream(SEED, "bench-actions").integers(0, node.n_channels + 1, total).tolist()
+    spent = [0.0]
+
+    def timed_projections(sim, task):
+        t0 = time.perf_counter()
+        sim.projections(task)
+        spent[0] += time.perf_counter() - t0
+
+    loop_s, proj_s = [], []
+    for _ in range(repeats):
+        seconds, events, outcomes = live_pass(node, channels, streams, actions)
+        loop_s.append(seconds)
+        spent[0] = 0.0
+        live_pass(node, channels, streams, actions, timed_projections)
+        proj_s.append(spent[0])
+    return {
+        "users": n_users,
+        "tasks": total,
+        "events": events,
+        "events_per_task": events / outcomes,
+        "event_us": summary(loop_s, 1e6 / events),
+        "projections_us": summary(proj_s, 1e6 / total),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--tasks", type=int, default=20_000)
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_netsim.json"))
+    args = parser.parse_args(argv)
+    result = {
+        "machine": machine(),
+        "repeats": args.repeats,
+        "tasks": args.tasks,
+        "arrival_rate_per_s": RATE_PER_USER,
+        "netsim": {f"k{k}": measure(k, args.tasks, args.repeats) for k in USERS},
+    }
+    for name, row in result["netsim"].items():
+        print(
+            f"{name}: {row['event_us']['median']:.2f} us/event, "
+            f"{row['events_per_task']:.2f} events/task, "
+            f"{row['projections_us']['median']:.2f} us/projections",
+            file=sys.stderr,
+        )
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
