@@ -21,7 +21,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -355,6 +355,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--values must be comma separated numbers: {exc}") from exc
     if not values:
         raise ConfigError("--values must list at least one mean")
+    # a scenario's label names its directory and keys its logging substream
+    labels = [f"{args.vary}-{value:g}" for value in values]
+    first_with: Dict[str, float] = {}
+    for value, label in zip(values, labels):
+        if label in first_with:
+            raise ConfigError(
+                f"--values {first_with[label]!r} and {value!r} share the scenario label {label!r}"
+            )
+        first_with[label] = value
 
     extra: dict = {"agent": args.agent, "mode": mode}
     agents: List[E2daAgent] = []
@@ -371,8 +380,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     scenarios = []
     outputs: List[str] = []
     scen_cfgs = [with_sweep_value(cfg, args.vary, value) for value in values]
-    for value, scen_cfg in zip(values, scen_cfgs):
-        label = f"{args.vary}-{value:g}"
+    for value, label, scen_cfg in zip(values, labels, scen_cfgs):
         os.makedirs(os.path.join(args.out, label), exist_ok=True)
         # Identical seeds across scenarios give common random numbers, so
         # scenario differences are the knob's effect rather than noise.

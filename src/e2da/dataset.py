@@ -5,6 +5,12 @@ under a uniform-random logging policy, the task and the complete
 per-action what-if outcome set.  It is stored as columns, so replay
 indexes arrays instead of walking records, and it round-trips through
 dataset.csv byte for byte.
+
+Generation projects no decision on its own.  While the live system runs,
+each arrival's task and Simulator.snapshot go into preallocated columns;
+afterwards one project_outcome call per action, on a column Snapshot and a
+column Task, fills that action's column of the outcome set for every record
+at once, with the same floats as one call per decision.
 """
 
 from __future__ import annotations
@@ -13,14 +19,13 @@ import csv
 import io
 import math
 from itertools import chain
-from operator import attrgetter
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError
 from .ioutil import atomic_write_text, read_text
-from .netsim import ChannelConfig, NodeConfig, Simulator
+from .netsim import ChannelConfig, NodeConfig, Simulator, Snapshot, project_outcome
 from .rng import substream
 from .workload import Task, WorkloadConfig, task_stream
 
@@ -333,23 +338,32 @@ def generate_dataset(
     seed: int,
 ) -> Dataset:
     """Run the live system under uniform-random actions, logging every
-    arrival's projection set until exactly n_records are collected."""
+    arrival's task and decision snapshot until exactly n_records are
+    collected, then project every logged decision's what-if outcome set at
+    once: one project_outcome call per action on a column of decisions."""
     if n_records < 1:
         raise ConfigError(f"n_records must be >= 1, got {n_records}")
     workload.validate()
     log_rng = substream(seed, "logging-policy")
-    n_actions = node.n_channels + 1
-    ids = np.empty((n_records, len(_INT_COLUMNS)), dtype=np.int64)
-    tasks = np.empty((n_records, len(_FLOAT_TASK_COLUMNS)))
-    actions = np.empty((n_records, n_actions, _ACTION_WIDTH))
-    outcome_values = attrgetter(*(attr for _, attr in _ACTION_FIELDS), "met_deadline")
+    C = node.n_channels
+    n_actions = C + 1
+    # one column per record: the task's and the snapshot's floats, then the
+    # task's ids and the snapshot's base station and per-channel counts
+    floats = np.empty((7 + 3 * C, n_records))
+    ints = np.empty((3 + 2 * C, n_records), dtype=np.int64)
     logged = 0
 
     def logging_policy(sim: Simulator, task: Task) -> int:
         nonlocal logged
-        ids[logged] = (logged, task.task_id, task.user_id)
-        tasks[logged] = (task.arrival_time, task.size_bits, task.intensity_cpb, task.deadline_s)
-        actions[logged] = [outcome_values(out) for out in sim.projections(task)]
+        snap = sim.snapshot(task)
+        floats[:, logged] = (
+            task.arrival_time, task.size_bits, task.intensity_cpb, task.deadline_s,
+            snap.clock, snap.local_backlog_cycles, snap.edge_backlog_cycles,
+            *snap.gains, *snap.uplink_backlog_bits, *snap.downlink_backlog_bits,
+        )
+        ints[:, logged] = (
+            task.task_id, task.user_id, snap.base_station, *snap.uplink_others, *snap.downlink_others
+        )
         logged += 1
         if logged >= n_records:
             sim.halt_arrivals()
@@ -362,4 +376,21 @@ def generate_dataset(
         sim.advance()
     if logged < n_records:
         raise RuntimeError(f"arrival streams dried up after {logged} of {n_records} records")
-    return Dataset(_assemble(ids, tasks, actions[:, :, :-1], actions[:, :, -1] != 0.0))
+
+    arrival, size, intensity, deadline, clock, local, edge = floats[:7]
+    task_id, user_id, base_station = ints[:3]
+    tasks = Task(task_id, user_id, arrival, size, intensity, deadline)
+    snaps = Snapshot(
+        clock, task_id, user_id, base_station, floats[7 : 7 + C], local, edge,
+        floats[7 + C : 7 + 2 * C], floats[7 + 2 * C :], ints[3 : 3 + C], ints[3 + C :],
+        sim.node, sim.channels,
+    )
+    columns = dict(zip(_TASK_COLUMNS, (np.arange(n_records), *ints[:2], *floats[:4])))
+    # the R x A outcome columns, filled one action at a time
+    for name, dtype, shape in _column_specs(n_records, n_actions):
+        columns.setdefault(name, np.empty(shape, dtype))
+    for a in range(n_actions):
+        out = project_outcome(snaps, tasks, a)
+        for name in _COLUMNS[len(_TASK_COLUMNS) :]:
+            columns[name][:, a] = getattr(out, name)
+    return Dataset(columns)

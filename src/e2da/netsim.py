@@ -32,7 +32,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,40 +40,67 @@ from .errors import ConfigError, SimulationError
 from .workload import DistributionSpec, Task
 
 
-def exec_time(size_bits: float, intensity_cpb: float, cpu_hz: float) -> float:
+# Each check below takes one decision's floats or a column's equal-length
+# arrays.  It tests every element at once and, when one fails, raises the
+# error that one decision's floats would raise for the first failing
+# decision.
+
+
+def _first_failed(failed, *values) -> tuple:
+    """`values` as the first decision that failed a check saw them: one
+    decision's own, or a column's elements at the first set element of
+    `failed` (a value shared by the column stays as it is)."""
+    if not isinstance(failed, np.ndarray):
+        return values
+    i = int(failed.argmax())
+    return tuple(v[i] if isinstance(v, np.ndarray) else v for v in values)
+
+
+def exec_time(size_bits, intensity_cpb, cpu_hz):
     """Seconds to run size * intensity cycles at cpu_hz cycles/s."""
-    if size_bits <= 0 or intensity_cpb <= 0 or cpu_hz <= 0:
+    failed = (size_bits <= 0) | (intensity_cpb <= 0) | (cpu_hz <= 0)
+    if failed.any() if isinstance(failed, np.ndarray) else failed:
         raise ValueError(
-            f"exec_time needs positive inputs, got size={size_bits}, "
-            f"intensity={intensity_cpb}, cpu_hz={cpu_hz}"
+            "exec_time needs positive inputs, got size={}, intensity={}, cpu_hz={}".format(
+                *_first_failed(failed, size_bits, intensity_cpb, cpu_hz)
+            )
         )
     return size_bits * intensity_cpb / cpu_hz
 
 
-def cpu_energy(kappa: float, size_bits: float, intensity_cpb: float, cpu_hz: float) -> float:
+def cpu_energy(kappa, size_bits, intensity_cpb, cpu_hz):
     """Joules burned computing locally: kappa * cycles * f^2."""
-    if kappa <= 0 or size_bits <= 0 or intensity_cpb <= 0 or cpu_hz <= 0:
+    failed = (kappa <= 0) | (size_bits <= 0) | (intensity_cpb <= 0) | (cpu_hz <= 0)
+    if failed.any() if isinstance(failed, np.ndarray) else failed:
         raise ValueError(
-            f"cpu_energy needs positive inputs, got kappa={kappa}, size={size_bits}, "
-            f"intensity={intensity_cpb}, cpu_hz={cpu_hz}"
+            "cpu_energy needs positive inputs, got kappa={}, size={}, intensity={}, "
+            "cpu_hz={}".format(*_first_failed(failed, kappa, size_bits, intensity_cpb, cpu_hz))
         )
     return kappa * size_bits * intensity_cpb * cpu_hz * cpu_hz
 
 
-def radio_energy(duration_s: float, power_w: float) -> float:
+def radio_energy(duration_s, power_w):
     """Joules the radio spends sending or receiving for duration_s at power_w."""
-    if duration_s < 0 or power_w < 0:
-        raise ValueError(f"radio_energy needs non-negative inputs, got {duration_s}, {power_w}")
+    failed = (duration_s < 0) | (power_w < 0)
+    if failed.any() if isinstance(failed, np.ndarray) else failed:
+        raise ValueError(
+            "radio_energy needs non-negative inputs, got {}, {}".format(
+                *_first_failed(failed, duration_s, power_w)
+            )
+        )
     return duration_s * power_w
 
 
-def fair_share_rate(nominal_bps: float, gain: float, n_active: int) -> float:
+def fair_share_rate(nominal_bps, gain, n_active):
     """Instantaneous rate of one transmitter under egalitarian sharing."""
-    if n_active < 1:
-        raise SimulationError(f"n_active must be >= 1, got {n_active}")
-    if not 0.0 < gain <= 1.0:
-        raise ValueError(f"gain must be in (0, 1], got {gain}")
-    if nominal_bps <= 0:
+    # gain != gain: a NaN gain fails, as it fails `0 < gain <= 1`
+    failed = (n_active < 1) | (gain <= 0.0) | (gain > 1.0) | (gain != gain) | (nominal_bps <= 0)
+    if failed.any() if isinstance(failed, np.ndarray) else failed:
+        nominal_bps, gain, n_active = _first_failed(failed, nominal_bps, gain, n_active)
+        if n_active < 1:
+            raise SimulationError(f"n_active must be >= 1, got {n_active}")
+        if not 0.0 < gain <= 1.0:
+            raise ValueError(f"gain must be in (0, 1], got {gain}")
         raise ValueError(f"nominal_bps must be > 0, got {nominal_bps}")
     return gain * nominal_bps / n_active
 
@@ -155,11 +182,11 @@ class NodeConfig:
         return tuple(k % self.n_base_stations for k in range(self.n_users))
 
 
-@dataclass(frozen=True)
-class TaskOutcome:
+class TaskOutcome(NamedTuple):
     """Realized (or projected) fate of one task: timing decomposition,
     energy decomposition, and deadline verdict.  action 0 is local, action
-    c in 1..C is offloading through channel c."""
+    c in 1..C is offloading through channel c.  A column projection holds
+    one array per field, with one element per decision."""
 
     task_id: int
     user_id: int
@@ -291,8 +318,7 @@ class _Station:
         return sum(self.work(j) for j in self.queue) + left
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     """Frozen view of the resources one task could use, taken at its
     decision instant: its user's CPU, edge VM and per-channel uplink queues,
     and its base station's per-channel downlink slots.
@@ -304,6 +330,10 @@ class Snapshot:
     base station's own downlink slot, behind whose occupant the task would
     queue instead.  Projections from a snapshot assume no further arrivals
     and hold those populations fixed.
+
+    A column of decisions stacks snapshots: each scalar field becomes an
+    array of shape (R,) and each per-channel field one of shape (C, R), so
+    gains[c] indexes both forms alike; node and channels stay shared.
     """
 
     clock: float
@@ -331,7 +361,9 @@ def _outcome(
 ) -> TaskOutcome:
     """The outcome model shared by projections and completions: CPU energy
     for a local run, radio energy of both legs through the chosen channel
-    otherwise, and the deadline verdict on the total."""
+    otherwise, and the deadline verdict on the total.  The task's fields and
+    the times are one decision's floats or a column's equal-length arrays;
+    the action is one int either way."""
     if action == 0:
         e_cpu = cpu_energy(node.kappa, task.size_bits, task.intensity_cpb, node.user_cpu_hz)
         e_tx = e_rx = 0.0
@@ -369,10 +401,16 @@ def project_outcome(snap: Snapshot, task: Task, action: int) -> TaskOutcome:
 
     Waits are backlog work over service rate; the task's own transmission
     contends with the frozen set of other active transmitters plus itself.
+    `snap` and `task` describe one decision, or a column of decisions as
+    arrays (see Snapshot), which projects every decision at once with the
+    same floats.
     """
-    if task.task_id != snap.task_id:
+    failed = task.task_id != snap.task_id
+    if failed.any() if isinstance(failed, np.ndarray) else failed:
         raise ValueError(
-            f"snapshot was taken for task {snap.task_id}, cannot project task {task.task_id}"
+            "snapshot was taken for task {}, cannot project task {}".format(
+                *_first_failed(failed, snap.task_id, task.task_id)
+            )
         )
     node = snap.node
     n_ch = len(snap.channels)
@@ -395,10 +433,13 @@ def project_outcome(snap: Snapshot, task: Task, action: int) -> TaskOutcome:
         d3 = snap.edge_backlog_cycles / node.edge_vm_hz
         t_exec = exec_time(size, task.intensity_cpb, node.edge_vm_hz)
         result_bits = node.result_size_ratio * size
-        if result_bits > 0:
+        sent = result_bits > 0  # per task: a tiny result may round to no bits
+        if sent.any() if isinstance(sent, np.ndarray) else sent:
             r_dn = fair_share_rate(ch.downlink_rate_bps, gain, snap.downlink_others[c] + 1)
             d4 = snap.downlink_backlog_bits[c] / r_dn
-            t_down = result_bits / r_dn
+            t_down = result_bits / r_dn  # 0.0 where nothing is sent
+            if isinstance(sent, np.ndarray):
+                d4 = np.where(sent, d4, 0.0)
         total = d2 + t_up + d3 + t_exec + d4 + t_down
     return _outcome(node, snap.channels, task, action, d1, d2, d3, d4, t_exec, t_up, t_down, total)
 

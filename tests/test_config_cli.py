@@ -188,6 +188,22 @@ class TestSweepValue:
         assert "size_bits" in err
         assert not (out / "sweep_summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "values, shown, label",
+        [("1000000,1000001", ("1000000.0", "1000001.0"), "size-1e+06"),
+         ("100,100", ("100.0", "100.0"), "size-100")],
+    )
+    def test_cli_rejects_values_that_share_a_label(self, tmp_path, capsys, config_path,
+                                                   values, shown, label):
+        out = tmp_path / "sweep"
+        rc, err = run_cli(
+            ["sweep", "--config", config_path, "--out", str(out), "--vary", "size",
+             "--values", values, "--agent", "ee"], capsys
+        )
+        assert rc == 2, err
+        assert f"{shown[0]} and {shown[1]}" in err and repr(label) in err
+        assert not out.exists() or not any(out.iterdir())
+
 
 SMALL_CONFIG = {
     "system": {"n_users": 4, "n_base_stations": 2, "n_channels": 3},

@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import astuple, fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from e2da.netsim import (
     ChannelConfig,
     NodeConfig,
     Simulator,
+    Snapshot,
     TaskOutcome,
     cpu_energy,
     default_channels,
@@ -19,7 +20,7 @@ from e2da.netsim import (
     radio_energy,
 )
 from e2da.rng import substream
-from e2da.workload import DistributionSpec, WorkloadConfig, task_stream
+from e2da.workload import DistributionSpec, Task, WorkloadConfig, task_stream
 
 
 class TestOps:
@@ -458,7 +459,7 @@ class TestTieHeavyDigest:
         assert len(outs) == 120
         assert {o.action for o in outs} == {0, 1, 2, 3}
         assert tied >= 20 and tied_done >= 20
-        digest = hashlib.sha256(repr([astuple(o) for o in outs]).encode()).hexdigest()
+        digest = hashlib.sha256(repr([tuple(o) for o in outs]).encode()).hexdigest()
         assert digest == "1c9e8dd0284e57a9197262d88c6a196a5393d93ef33dc4297e1dc3507000c4e9"
 
 
@@ -550,19 +551,61 @@ def reference_projections(sim, task):
     return outs
 
 
+def loaded_run(node, on_decision, n_decisions=1500):
+    """A loaded mixed run of 12 users under random actions: uplink queues
+    build up, the deciding user's own uplink and its base station's downlink
+    slots are sometimes busy, and several base stations share each downlink
+    channel.  on_decision(sim, task) sees every decision before it is made."""
+    wl = WorkloadConfig(arrival_rate_per_s=150.0)
+    act_rng = substream(21, "actions")
+    decided = [0]
+
+    def policy(sim, task):
+        on_decision(sim, task)
+        decided[0] += 1
+        if decided[0] >= n_decisions:
+            sim.halt_arrivals()
+        return int(act_rng.integers(node.n_channels + 1))
+
+    sim = Simulator(node, default_channels(), substream(21, "gains"), policy=policy)
+    for u in range(node.n_users):
+        sim.add_stream(u, task_stream(wl, 21, u, node.n_users))
+    sim.run_to_completion()
+    return decided[0]
+
+
+def stack(snaps, tasks):
+    """One column Snapshot and one column Task from per-decision ones:
+    scalar fields become (R,) arrays, per-channel fields (C, R) arrays."""
+    snap = Snapshot(
+        *(np.array([getattr(one, name) for one in snaps]).T for name in Snapshot._fields[:-2]),
+        snaps[0].node, snaps[0].channels,
+    )
+    task = Task(*(np.array([getattr(one, f.name) for one in tasks]) for f in fields(Task)))
+    return snap, task
+
+
+def assert_column_matches_scalar(snap_col, task_col, snaps, tasks):
+    """project_outcome on the columns equals the per-decision calls, field
+    by field and bit for bit, for every action."""
+    for action in range(len(snap_col.channels) + 1):
+        col = project_outcome(snap_col, task_col, action)
+        one = [project_outcome(sn, t, action) for sn, t in zip(snaps, tasks, strict=True)]
+        for name in TaskOutcome._fields:
+            want = np.array([getattr(o, name) for o in one])
+            got = np.broadcast_to(getattr(col, name), want.shape)
+            assert got.dtype == want.dtype, (action, name)
+            assert got.tobytes() == want.tobytes(), (action, name)
+
+
 class TestDecisionViewReference:
     def test_projections_match_the_all_user_reference(self):
-        """A loaded mixed run: uplink queues build up, the deciding user's own
-        uplink and its base station's downlink slots are sometimes busy, and
-        several base stations share each downlink channel."""
         node = NodeConfig(n_users=12, n_base_stations=3, n_channels=3)
-        wl = WorkloadConfig(arrival_rate_per_s=150.0)
-        act_rng = substream(21, "actions")
         seen = dict(decisions=0, up_queued=0, up_self=0, down_slot=0, down_shared=0,
                     local_queued=0, edge_busy=0)
-        names = [f.name for f in fields(TaskOutcome)]
+        names = TaskOutcome._fields
 
-        def policy(sim, task):
+        def check(sim, task):
             got = sim.projections(task)
             want = reference_projections(sim, task)
             for g, w in zip(got, want, strict=True):
@@ -579,17 +622,56 @@ class TestDecisionViewReference:
             )
             seen["local_queued"] += bool(sim._cpu[user].queue)
             seen["edge_busy"] += sim._vm[user].slot is not None
-            if seen["decisions"] >= 1500:
-                sim.halt_arrivals()
-            return int(act_rng.integers(node.n_channels + 1))
 
-        sim = Simulator(node, default_channels(), substream(21, "gains"), policy=policy)
-        for u in range(node.n_users):
-            sim.add_stream(u, task_stream(wl, 21, u, node.n_users))
-        sim.run_to_completion()
+        assert loaded_run(node, check) == 1500
         assert seen["decisions"] == 1500
         for key, count in seen.items():
             assert count >= 20, (key, seen)
+
+    @staticmethod
+    def logged_decisions(result_size_ratio, n_decisions):
+        node = NodeConfig(n_users=12, n_base_stations=3, n_channels=3,
+                          result_size_ratio=result_size_ratio)
+        snaps, tasks = [], []
+
+        def log(sim, task):
+            snaps.append(sim.snapshot(task))
+            tasks.append(task)
+
+        loaded_run(node, log, n_decisions)
+        return snaps, tasks
+
+    @pytest.mark.parametrize("result_size_ratio", [0.1, 0.0])
+    def test_column_projection_matches_the_scalar_calls(self, result_size_ratio):
+        snaps, tasks = self.logged_decisions(result_size_ratio, 600)
+        assert len(snaps) == 600
+        assert any(sn.uplink_backlog_bits != (0.0,) * 3 for sn in snaps)
+        assert_column_matches_scalar(*stack(snaps, tasks), snaps, tasks)
+        if result_size_ratio > 0:
+            # a result too small to be a float is not sent, decided per task,
+            # here by a task that would otherwise queue behind a busy downlink
+            i = next(i for i, sn in enumerate(snaps) if max(sn.downlink_backlog_bits) > 0)
+            tasks[i] = replace(tasks[i], size_bits=5e-324)
+            assert_column_matches_scalar(*stack(snaps, tasks), snaps, tasks)
+
+    @pytest.mark.parametrize("action", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("size_bits", 0.0), ("intensity_cpb", -1.0), ("task_id", -5),
+         ("gains", 0.0), ("gains", float("nan"))],
+    )
+    def test_one_bad_element_raises_the_scalar_error(self, action, field, bad):
+        snaps, tasks = self.logged_decisions(0.1, 50)
+        if field == "gains":
+            snaps[31] = snaps[31]._replace(gains=(bad,) * 3)
+            action = action or 2  # a local run reads no gain
+        else:
+            tasks[31] = replace(tasks[31], **{field: bad})
+        with pytest.raises((ValueError, SimulationError)) as scalar:
+            project_outcome(snaps[31], tasks[31], action)
+        with pytest.raises(type(scalar.value)) as column:
+            project_outcome(*stack(snaps, tasks), action)
+        assert str(column.value) == str(scalar.value)
 
 
 class TestValidationAndErrors:

@@ -1,19 +1,21 @@
 """Per-layer timings of the dataset path, in process.
 
-Times Dataset.write_csv, Dataset.from_csv, calibrate_efficiency_scale and
-replay evaluation (microseconds per decision for the eel oracle and for an
-e2da agent) on the datasets of configs/default.json and of the replay-k5
-benchmark workload, and writes the results with the machine, the Python,
+Times generate_dataset (microseconds per record), Dataset.write_csv,
+Dataset.from_csv, calibrate_efficiency_scale and replay evaluation
+(microseconds per decision for the eel oracle and for an e2da agent) on the
+datasets of configs/default.json and of the replay-k5 and generate-k500
+benchmark workloads, and writes the results with the machine, the Python,
 numpy and BLAS versions and the repeat count to a JSON file.
 
 Run from the root of a checkout, with the package to measure on the path:
 
     PYTHONPATH=src python3 tools/bench_dataset.py [--repeats 5] [--out BENCH_dataset.json]
 
-Only the stdlib and numpy are used.  Each dataset is generated once, with
-its config's run.seed, into a temporary directory; every timing is
+Only the stdlib and numpy are used.  Each dataset is generated with its
+config's run.seed and written to a temporary directory; every timing is
 repeated and reported as its minimum and median in seconds (microseconds
-per decision for replay, over the config's test episodes).
+per record for generation, and per decision for replay, over the config's
+test episodes).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATASETS = {
     "default": os.path.join(ROOT, "configs", "default.json"),
     "replay-k5": os.path.join(ROOT, "benchmarks", "workloads", "replay-k5.json"),
+    "generate-k500": os.path.join(ROOT, "benchmarks", "workloads", "generate-k500.json"),
 }
 
 
@@ -66,7 +69,11 @@ def summary(samples: list, scale: float = 1.0) -> dict:
 def measure(name: str, config_path: str, repeats: int, work_dir: str) -> dict:
     cfg = load_config(config_path)
     seed = cfg.run.seed
-    dataset = generate_dataset(cfg.system, cfg.channels, cfg.workload, cfg.run.n_records, seed)
+
+    def generate() -> Dataset:
+        return generate_dataset(cfg.system, cfg.channels, cfg.workload, cfg.run.n_records, seed)
+
+    dataset = generate()
     path = os.path.join(work_dir, f"{name}.csv")
     dataset.write_csv(path)
     with open(path, "rb") as fh:
@@ -93,6 +100,7 @@ def measure(name: str, config_path: str, repeats: int, work_dir: str) -> dict:
         "csv_bytes": os.path.getsize(path),
         "csv_sha256": digest,
         "decisions": decisions,
+        "generate_us_per_record": summary(timed(generate, repeats), 1e6 / len(dataset)),
         "write_csv_s": summary(timed(lambda: loaded.write_csv(out_path), repeats)),
         "from_csv_s": summary(timed(lambda: Dataset.from_csv(path), repeats)),
         "calibrate_s": summary(timed(lambda: calibrate_efficiency_scale(loaded), repeats)),
@@ -147,7 +155,9 @@ def main(argv=None) -> int:
             result["datasets"][name] = measure(name, config_path, args.repeats, work_dir)
             row = result["datasets"][name]
             print(
-                f"{name}: {row['records']} records, write {row['write_csv_s']['median']:.3f} s, "
+                f"{name}: {row['records']} records, "
+                f"generate {row['generate_us_per_record']['median']:.1f} us per record, "
+                f"write {row['write_csv_s']['median']:.3f} s, "
                 f"read {row['from_csv_s']['median']:.3f} s, "
                 f"calibrate {row['calibrate_s']['median'] * 1e3:.1f} ms, "
                 f"replay eel {row['replay_eel_us_per_decision']['median']:.1f} us, "
