@@ -65,11 +65,19 @@ _CHECKPOINT = {False: ("e2da-agent", "agent"), True: ("e2da-agent-set", "agents"
 
 
 def _context(args: argparse.Namespace) -> Tuple[ExperimentConfig, str, int]:
-    """Config, effective mode and effective seed; creates the output dir."""
+    """Config, effective mode and effective seed."""
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.run.seed
-    os.makedirs(args.out, exist_ok=True)
     return cfg, getattr(args, "mode", None) or cfg.run.mode, seed
+
+
+def _output(out_dir: str, name: str) -> str:
+    """Path of the output file `name` under out_dir, creating the directory
+    that holds it.  Commands call it only to write, so a run rejected
+    before its first write leaves no directory behind."""
+    path = os.path.join(out_dir, name)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    return path
 
 
 def _write_manifest(
@@ -83,7 +91,7 @@ def _write_manifest(
         "outputs": {name: sha256_file(os.path.join(out_dir, name)) for name in outputs},
         **extra,
     }
-    write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    write_json(_output(out_dir, "manifest.json"), manifest)
 
 
 def _load_dataset(path: Optional[str], cfg: ExperimentConfig) -> Dataset:
@@ -275,7 +283,7 @@ def _evaluate(
 def cmd_generate_dataset(args: argparse.Namespace) -> int:
     cfg, _, seed = _context(args)
     dataset = generate_dataset(cfg.system, cfg.channels, cfg.workload, cfg.run.n_records, seed)
-    dataset.write_csv(os.path.join(args.out, "dataset.csv"))
+    dataset.write_csv(_output(args.out, "dataset.csv"))
     extra = {"n_records": len(dataset)}
     _write_manifest(args.out, "generate-dataset", cfg, seed, ["dataset.csv"], extra)
     print(f"wrote {len(dataset)} records to {os.path.join(args.out, 'dataset.csv')}")
@@ -306,11 +314,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             rows = run_training(agents[0], dataset, workload, *episodes)
         else:
             rows = run_live_training(agents[0], cfg.system, cfg.channels, workload, *episodes)
-        _write_checkpoint(os.path.join(args.out, "model.json"), agents, per_user, workload)
+        _write_checkpoint(_output(args.out, "model.json"), agents, per_user, workload)
         extra["episodes_trained"] = agents[0].episodes_trained
         outputs.append("model.json")
 
-    write_metrics(os.path.join(args.out, "metrics.csv"), rows)
+    write_metrics(_output(args.out, "metrics.csv"), rows)
     _write_manifest(args.out, "train", cfg, seed, outputs, extra)
     mean_reward = sum(r.reward for r in rows) / len(rows)
     print(
@@ -332,10 +340,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     rng = substream(seed, "logging-policy")
     rows = _evaluate(args.agent, cfg, mode, seed, dataset, workload, params, agents, rng)
 
-    write_metrics(os.path.join(args.out, "metrics.csv"), rows)
+    write_metrics(_output(args.out, "metrics.csv"), rows)
     summary = summarize({args.agent: rows}, cfg.run.tasks_per_episode)
     summary["efficiency_scale"] = params.efficiency_scale
-    write_json(os.path.join(args.out, "summary.json"), summary)
+    write_json(_output(args.out, "summary.json"), summary)
     _write_manifest(args.out, "evaluate", cfg, seed, ["metrics.csv", "summary.json"], extra)
     stats = summary["agents"][args.agent]
     print(
@@ -381,7 +389,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     outputs: List[str] = []
     scen_cfgs = [with_sweep_value(cfg, args.vary, value) for value in values]
     for value, label, scen_cfg in zip(values, labels, scen_cfgs):
-        os.makedirs(os.path.join(args.out, label), exist_ok=True)
         # Identical seeds across scenarios give common random numbers, so
         # scenario differences are the knob's effect rather than noise.
         ds = None
@@ -397,7 +404,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rng = substream(seed, "logging-policy", label)
         rows = _evaluate(args.agent, scen_cfg, mode, seed, ds, workload, params, agents, rng)
         rel_metrics = os.path.join(label, "metrics.csv")
-        write_metrics(os.path.join(args.out, rel_metrics), rows)
+        write_metrics(_output(args.out, rel_metrics), rows)
         outputs.append(rel_metrics)
         stats = summarize({args.agent: rows}, cfg.run.tasks_per_episode)["agents"][args.agent]
         scenarios.append({"value": value, "label": label, **stats})
@@ -420,7 +427,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "deadline_fraction": ratio("mean_deadline_fraction"),
         },
     }
-    write_json(os.path.join(args.out, "sweep_summary.json"), sweep_summary)
+    write_json(_output(args.out, "sweep_summary.json"), sweep_summary)
     outputs.append("sweep_summary.json")
     _write_manifest(args.out, "sweep", cfg, seed, outputs, extra)
     lof = sweep_summary["last_over_first"]

@@ -6,6 +6,14 @@ per-action what-if outcome set.  It is stored as columns, so replay
 indexes arrays instead of walking records, and it round-trips through
 dataset.csv byte for byte.
 
+The CSV codec streams: its memory is one bounded buffer plus the columns,
+never the whole file as text.  write_csv renders rows in chunks of
+_WRITE_CHUNK and writes each chunk as it is rendered.  from_csv makes two
+passes over the file: a scan of fixed-size byte chunks that finds the
+header and counts the lines, then one np.loadtxt parse straight into the
+column storage.  Only a file the scan cannot clear (quotes, carriage
+returns, NULs or any byte outside ASCII) is read whole, by csv.reader.
+
 Generation projects no decision on its own.  While the live system runs,
 each arrival's task and Simulator.snapshot go into preallocated columns;
 afterwards one project_outcome call per action, on a column Snapshot and a
@@ -18,7 +26,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import chain
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,6 +66,7 @@ _TOTALS = tuple(
 # text that csv.reader reads differently from a plain split on "," and "\n"
 _CSV_SPECIALS = ('"', "\r", "\x00")
 _WRITE_CHUNK = 256  # rows rendered to text at a time
+_SCAN_CHUNK = 1 << 16  # bytes read at a time by from_csv's scan
 
 class Dataset:
     """Logged decision points stored as columns, one row per record.
@@ -101,11 +109,13 @@ class Dataset:
         return Dataset({name: column[rows] for name, column in self.columns().items()})
 
     def to_csv_text(self) -> str:
-        return "\n".join(chain(self._csv_lines(), [""]))
+        return "".join(self._csv_chunks())
 
-    def _csv_lines(self) -> Iterator[str]:
+    def _csv_chunks(self) -> Iterator[str]:
+        """dataset.csv as text pieces: the header line, then the lines of
+        _WRITE_CHUNK rows at a time, each line ending in a newline."""
         header = _header(self.n_actions)
-        yield ",".join(header)
+        yield ",".join(header) + "\n"
         met_cols = [i for i, name in enumerate(header) if name.endswith("_met")]
         float_cols = [i for i in range(len(_INT_COLUMNS), len(header)) if i not in met_cols]
         for lo in range(0, len(self), _WRITE_CHUNK):
@@ -126,10 +136,11 @@ class Dataset:
             ).astype(str)
             cells[:, float_cols] = _float_texts(floats)
             cells[:, met_cols] = np.where(self.met_deadline[rows], "1", "0")
-            yield from map(",".join, cells.tolist())
+            yield "\n".join(map(",".join, cells.tolist())) + "\n"
 
     def write_csv(self, path: str) -> None:
-        atomic_write_text(path, self.to_csv_text())
+        """Write dataset.csv one chunk of rows at a time, atomically."""
+        atomic_write_text(path, self._csv_chunks())
 
     @classmethod
     def from_csv(cls, path: str) -> "Dataset":
@@ -139,26 +150,51 @@ class Dataset:
         header), and bytes that are not UTF-8 naming the path and the byte
         offset.
 
-        A file without quotes, carriage returns or NULs is parsed in one
-        pass of np.loadtxt and checked with array operations; any row those
-        checks cannot clear, and any file np.loadtxt cannot parse, goes
-        through the scalar row parser, which alone decides the verdict."""
-        text = read_text(path)
-        if not any(c in text for c in _CSV_SPECIALS):
-            header_line, _, body = text.partition("\n")
+        The file is streamed in two passes.  A scan reads it in byte chunks
+        of _SCAN_CHUNK, keeps the header line and counts the lines; then
+        np.loadtxt parses the rows into one structured array, whose fields
+        become the columns, and array operations check them.  The text of
+        any row those checks cannot clear is fetched by streaming the file
+        to it and goes through the scalar row parser.  A file with quotes,
+        carriage returns, NULs or bytes outside ASCII, and any file
+        np.loadtxt cannot parse, is read whole by csv.reader and the scalar
+        parser, which alone decide the verdict."""
+        scan = _scan(path)
+        if scan is not None:
+            header_line, n_lines = scan
             header = header_line.split(",") if header_line else []
             n_act = _check_header(path, header)
-            lines = body.split("\n")
-            if lines[-1] == "":
-                lines.pop()
-            columns = _parse_body(path, lines, n_act, len(header))
+            columns = _parse_body(path, n_lines, n_act, len(header))
             if columns is not None:
                 return cls(columns)
-        reader = csv.reader(io.StringIO(text, newline=""))
+        reader = csv.reader(io.StringIO(read_text(path), newline=""))
         header = next(reader, [])
         n_act = _check_header(path, header)
         rows = [_parse_row(path, n, row, n_act, len(header)) for n, row in enumerate(reader, 1)]
         return cls(_rows_to_columns(rows, n_act))
+
+
+def _scan(path: str) -> Optional[Tuple[str, int]]:
+    """The header line and the number of data lines of a dataset file,
+    read _SCAN_CHUNK bytes at a time, or None when the file holds a
+    character of _CSV_SPECIALS or a byte outside ASCII, which only the
+    csv.reader path reads (and which alone reports bytes that are not
+    UTF-8).  Data lines count as in text.split("\n") after the header,
+    without the empty string after a final newline."""
+    specials = [c.encode("utf-8") for c in _CSV_SPECIALS]
+    header = b""
+    newlines = 0
+    last = b""
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_SCAN_CHUNK), b""):
+            if not chunk.isascii() or any(s in chunk for s in specials):
+                return None
+            if not newlines:
+                header += chunk.partition(b"\n")[0]
+            newlines += chunk.count(b"\n")
+            last = chunk[-1:]
+    n_lines = newlines - (last == b"\n") if newlines else 0
+    return header.decode("ascii"), n_lines
 
 
 def _float_texts(values: np.ndarray) -> np.ndarray:
@@ -277,29 +313,32 @@ def _assemble(
 
 
 def _parse_body(
-    path: str, lines: List[str], n_act: int, width: int
+    path: str, n_lines: int, n_act: int, width: int
 ) -> Optional[Dict[str, np.ndarray]]:
-    """Columns of the data lines, parsed in one np.loadtxt pass, or None
-    when np.loadtxt cannot parse them.  Rows whose values the array checks
-    cannot clear are re-read by the scalar parser, which raises for the
-    first malformed one."""
+    """Columns of the n_lines data lines after the header, parsed in one
+    np.loadtxt pass, or None when np.loadtxt cannot parse them.  The
+    columns are views of the parsed array.  Rows whose values the array
+    checks cannot clear are re-read by the scalar parser, which raises for
+    the first malformed one."""
+    if not n_lines:
+        return _rows_to_columns([], n_act)
+    action = [("fields", np.float64, (len(_ACTION_FIELDS),)), ("met", "U2")]
     dtype = [
         ("ids", np.int64, (len(_INT_COLUMNS),)),
         ("task", np.float64, (len(_FLOAT_TASK_COLUMNS),)),
+        ("actions", action, (n_act,)),
     ]
-    for a in range(n_act):
-        dtype += [(f"a{a}", np.float64, (len(_ACTION_FIELDS),)), (f"met{a}", "U2")]
-    if not lines:
-        return _rows_to_columns([], n_act)
     try:
-        parsed = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        parsed = np.loadtxt(
+            path, dtype=dtype, delimiter=",", comments=None, skiprows=1, encoding="utf-8",
+            ndmin=1,
+        )
     except (ValueError, OverflowError):
         return None
-    if len(parsed) != len(lines):  # np.loadtxt skips the blank lines csv.reader rejects
+    if len(parsed) != n_lines:  # np.loadtxt skips the blank lines csv.reader rejects
         return None
     ids, task = parsed["ids"], parsed["task"]
-    actions = np.stack([parsed[f"a{a}"] for a in range(n_act)], axis=1)
-    met_text = np.stack([parsed[f"met{a}"] for a in range(n_act)], axis=1)
+    actions, met_text = parsed["actions"]["fields"], parsed["actions"]["met"]
     met = met_text == "1"
     deadline = task[:, 3]
     ok = _finite_positive(task[:, 1:]).all(axis=1)
@@ -307,9 +346,18 @@ def _parse_body(
     ok &= (met == (actions[:, :, _ACTION_INDEX["T_s"]] <= deadline[:, None])).all(axis=1)
     for i, parts in _TOTALS:
         ok &= _surely_sums_to(actions[:, :, i], actions[:, :, parts]).all(axis=1)
-    for n in np.flatnonzero(~ok).tolist():
-        _parse_row(path, n + 1, lines[n].split(","), n_act, width)
+    _recheck_rows(path, (np.flatnonzero(~ok) + 1).tolist(), n_act, width)
     return _assemble(ids, task, actions, met)
+
+
+def _recheck_rows(path: str, rows: List[int], n_act: int, width: int) -> None:
+    """Run the scalar parser on data rows `rows` (ascending, counted from 1
+    after the header), streaming the file to each row's text."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = enumerate(fh)  # line 0 is the header, data row n is line n
+        for row in rows:
+            line = next(text for n, text in lines if n == row)
+            _parse_row(path, row, line.rstrip("\n").split(","), n_act, width)
 
 
 def _finite_positive(values: np.ndarray) -> np.ndarray:

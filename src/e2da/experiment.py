@@ -68,7 +68,7 @@ def metrics_to_csv_text(rows: Sequence[MetricsRow]) -> str:
 
 
 def write_metrics(path: str, rows: Sequence[MetricsRow]) -> None:
-    atomic_write_text(path, metrics_to_csv_text(rows))
+    atomic_write_text(path, [metrics_to_csv_text(rows)])
 
 
 def read_metrics(path: str) -> List[MetricsRow]:
@@ -213,28 +213,30 @@ def _replay(
 ) -> None:
     """Each episode samples records uniformly with replacement, so one task
     can recur within an episode; every decision settles at once against
-    the recorded outcome of the chosen action.  Contexts, rewards and
-    oracle picks are computed once for the whole dataset and then indexed."""
+    the recorded outcome of the chosen action.  Contexts, rewards and each
+    oracle's action vector are computed once per dataset as arrays, and
+    each decision reads its own values from them with .item(): no column
+    is converted to Python values as a whole."""
     outcomes = dataset.outcome_columns()
     features = (dataset.size_bits, dataset.intensity_cpb, dataset.deadline_s)
     contexts = normalize_context(np.column_stack(features), workload.context_scale())
-    users = dataset.user_id.tolist()
-    rewards = compute_reward(*outcomes, dataset.met_deadline, ledger.reward_params).tolist()
-    met = dataset.met_deadline.tolist()
-    energy = dataset.e_total_j.tolist()
-    response = dataset.total_s.tolist()
-    picks: Dict[Oracle, list] = {}
+    rewards = compute_reward(*outcomes, dataset.met_deadline, ledger.reward_params)
+    users, met = dataset.user_id, dataset.met_deadline
+    energy, response = dataset.e_total_j, dataset.total_s
+    picks: Dict[Oracle, np.ndarray] = {}
 
     def pick(rule: Oracle, i: int) -> int:
         if rule not in picks:
-            picks[rule] = rule(*outcomes).tolist()
-        return picks[rule][i]
+            picks[rule] = rule(*outcomes)
+        return picks[rule].item(i)
 
     for e in range(n_episodes):
         episode = start_episode + e
         for i in ep_rng.integers(0, len(dataset), size=tasks_per_episode).tolist():
-            a = ledger.decide(i, users[i], contexts[i], lambda rule: pick(rule, i), episode)
-            ledger.settle(i, rewards[i][a], met[i][a], energy[i][a], response[i][a])
+            a = ledger.decide(i, users.item(i), contexts[i], lambda rule: pick(rule, i), episode)
+            ledger.settle(
+                i, rewards.item(i, a), met.item(i, a), energy.item(i, a), response.item(i, a)
+            )
 
 
 def run_training(

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+from typing import Iterable
 
 import numpy as np
 
@@ -21,12 +22,20 @@ def fmt(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file and rename so readers never see partial output."""
+def atomic_write_text(path: str, pieces: Iterable[str]) -> None:
+    """Write the text pieces in order to a temp file and rename it over
+    path, so readers never see partial output.  Pieces may be produced
+    while the file is written; if producing or writing one fails, the temp
+    file is removed and path is left as it was."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_text(path: str) -> str:
@@ -52,7 +61,7 @@ def read_json(path: str):
 
 
 def write_json(path: str, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, [json.dumps(payload, indent=2, sort_keys=True), "\n"])
 
 
 def sha256_file(path: str) -> str:

@@ -37,7 +37,7 @@ class TestIoUtil:
 
     def test_atomic_write(self, tmp_path):
         path = str(tmp_path / "a.txt")
-        atomic_write_text(path, "body\n")
+        atomic_write_text(path, ["bo", "dy\n"])
         with open(path) as fh:
             assert fh.read() == "body\n"
         assert os.listdir(tmp_path) == ["a.txt"]  # no stray temp files
@@ -186,7 +186,7 @@ class TestSweepValue:
         )
         assert rc == 2, err
         assert "size_bits" in err
-        assert not (out / "sweep_summary.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "values, shown, label",
@@ -202,7 +202,7 @@ class TestSweepValue:
         )
         assert rc == 2, err
         assert f"{shown[0]} and {shown[1]}" in err and repr(label) in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 SMALL_CONFIG = {
@@ -428,6 +428,20 @@ class TestCliEndToEnd:
 
         # train on dataset mode without --dataset is a usage error
         assert cli.main(["train", "--config", config_path, "--out", out]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--agent", "e2da"],
+            ["train", "--agent", "random", "--mode", "live", "--resume", "model.json"],
+            ["evaluate", "--agent", "e2da", "--mode", "live"],
+        ],
+    )
+    def test_rejected_run_leaves_no_output_dir(self, tmp_path, config_path, capsys, argv):
+        out = tmp_path / "emptyout"
+        rc, err = run_cli(argv + ["--config", config_path, "--out", str(out)], capsys)
+        assert rc == 2, err
+        assert not out.exists()
 
     def test_help_and_bad_command_exit_codes(self, capsys):
         assert cli.main(["--help"]) == 0

@@ -1,4 +1,6 @@
 import hashlib
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +43,11 @@ def small_dataset(small_node):
     return generate_dataset(
         small_node, default_channels(), WorkloadConfig(), n_records=200, seed=42
     )
+
+
+def tiled(dataset, times):
+    """The dataset's records repeated `times` times."""
+    return Dataset({k: np.concatenate([c] * times) for k, c in dataset.columns().items()})
 
 
 class TestGenerateDataset:
@@ -156,6 +163,169 @@ class TestDatasetCsv:
         path = str(tmp_path / "records.csv")
         small_dataset.write_csv(path)
         assert Dataset.from_csv(path).to_csv_text() == small_dataset.to_csv_text()
+
+    # Edge cases of the streamed reader, on files longer than one scan chunk.
+    # Each reads the file twice, the second time with every file sent to
+    # the csv.reader path, and both reads must give the same result.
+
+    @staticmethod
+    def read_both(path, monkeypatch, streamed=False):
+        """The text or error message of reading path.  streamed: the first
+        read must not fall back to reading the whole file."""
+        from e2da import dataset
+
+        def read():
+            try:
+                return Dataset.from_csv(path).to_csv_text()
+            except ConfigError as exc:
+                return str(exc)
+
+        with monkeypatch.context() as m:
+            if streamed:
+                m.setattr(dataset, "read_text", None)
+            fast = read()
+        with monkeypatch.context() as m:
+            m.setattr(dataset, "_CSV_SPECIALS", (",",))
+            assert read() == fast
+        return fast
+
+    @staticmethod
+    def write_bytes(path, data):
+        from e2da import dataset
+
+        assert len(data) > 2 * dataset._SCAN_CHUNK
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+    @pytest.fixture()
+    def lines(self, small_dataset):
+        """The lines of a file with 3 x 200 records, several scan chunks long."""
+        return tiled(small_dataset, 3).to_csv_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "cell, value, detail, streamed",
+        [(4, "nan", "size_bits must be finite and positive", True),
+         (4, "1e400", "size_bits must be finite and positive", True),
+         (19, "2", "a0_met must be 0 or 1", True),
+         (1, "1.0", "invalid literal for int()", False)],  # np.loadtxt rejects it
+    )
+    def test_malformed_row_after_the_first_chunk_is_named(
+        self, lines, tmp_path, monkeypatch, cell, value, detail, streamed
+    ):
+        row = 400
+        cells = lines[row].split(",")
+        cells[cell] = value
+        lines[row] = ",".join(cells)
+        path = str(tmp_path / "broken.csv")
+        self.write_bytes(path, ("\n".join(lines) + "\n").encode())
+        message = self.read_both(path, monkeypatch, streamed)
+        assert message.startswith(f"{path} row {row}: ") and detail in message
+
+    @pytest.mark.parametrize("start", [-1, -2])
+    def test_bad_utf8_across_a_chunk_boundary_names_its_offset(
+        self, lines, tmp_path, monkeypatch, start
+    ):
+        from e2da import dataset
+
+        data = ("\n".join(lines) + "\n").encode()
+        at = 2 * dataset._SCAN_CHUNK + start  # a 3-byte sequence cut short
+        path = str(tmp_path / "broken.csv")
+        self.write_bytes(path, data[:at] + b"\xe2\x82" + data[at:])
+        assert self.read_both(path, monkeypatch) == (
+            f"{path} is not UTF-8 text: byte 0xe2 at offset {at}"
+        )
+
+    def test_valid_utf8_across_a_chunk_boundary_names_its_row(
+        self, lines, tmp_path, monkeypatch
+    ):
+        from e2da import dataset
+
+        data = ("\n".join(lines) + "\n").encode()
+        at = dataset._SCAN_CHUNK - 1  # the two bytes of "é" straddle the chunk boundary
+        row = data[:at].count(b"\n")  # the line it breaks, 0 being the header
+        path = str(tmp_path / "broken.csv")
+        self.write_bytes(path, data[:at] + "é".encode() + data[at:])
+        assert self.read_both(path, monkeypatch).startswith(f"{path} row {row}: ")
+
+    def test_missing_final_newline_reads_the_same(self, lines, tmp_path, monkeypatch):
+        path = str(tmp_path / "records.csv")
+        self.write_bytes(path, "\n".join(lines).encode())
+        assert self.read_both(path, monkeypatch, True) == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("ending", ["", "\n"])
+    def test_header_only_file_has_no_records(self, lines, tmp_path, monkeypatch, ending):
+        path = str(tmp_path / "empty.csv")
+        with open(path, "w") as fh:
+            fh.write(lines[0] + ending)
+        assert self.read_both(path, monkeypatch, True) == lines[0] + "\n"
+        assert Dataset.from_csv(path).n_actions == 4
+
+    @pytest.mark.parametrize("row", [1, 300, 600])
+    def test_blank_line_is_named(self, lines, tmp_path, monkeypatch, row):
+        lines.insert(row, "")
+        path = str(tmp_path / "blank.csv")
+        self.write_bytes(path, ("\n".join(lines) + "\n").encode())
+        assert self.read_both(path, monkeypatch) == (
+            f"{path} row {row}: has 0 columns, the header has 59"
+        )
+
+    def test_writer_failing_mid_stream_leaves_the_old_file(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        from e2da import dataset
+
+        path = str(tmp_path / "records.csv")
+        small_dataset.subset(np.arange(10)).write_csv(path)
+        with open(path, "rb") as fh:
+            before = fh.read()
+        calls = []
+        float_texts = dataset._float_texts
+
+        def fail_third_chunk(values):
+            calls.append(os.path.exists(path + ".tmp"))
+            if len(calls) == 3:
+                raise RuntimeError("render failed")
+            return float_texts(values)
+
+        monkeypatch.setattr(dataset, "_WRITE_CHUNK", 16)
+        monkeypatch.setattr(dataset, "_float_texts", fail_third_chunk)
+        with pytest.raises(RuntimeError, match="render failed"):
+            small_dataset.write_csv(path)
+        assert calls == [True, True, True]  # rendering ran while the temp file was open
+        assert os.listdir(tmp_path) == ["records.csv"]
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+
+
+class TestDatasetCsvMemory:
+    """tracemalloc peaks of the codec, which are deterministic for one code
+    path: reading holds the columns plus bounded buffers, and writing holds
+    one chunk of rendered rows whatever the row count."""
+
+    @staticmethod
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_reading_peaks_below_twice_the_file(self, small_dataset, tmp_path):
+        path = str(tmp_path / "records.csv")
+        tiled(small_dataset, 10).write_csv(path)
+        size = os.path.getsize(path)
+        assert size > 1_000_000
+        assert self.peak_bytes(lambda: Dataset.from_csv(path)) < 2 * size
+
+    def test_writing_peak_does_not_grow_with_the_rows(self, small_dataset, tmp_path):
+        peaks = []
+        for times in (5, 20):
+            big = tiled(small_dataset, times)
+            peaks.append(self.peak_bytes(lambda: big.write_csv(str(tmp_path / "records.csv"))))
+        assert os.path.getsize(tmp_path / "records.csv") > 2_500_000
+        assert peaks[1] < peaks[0] + 2**20
 
 
 class TestCalibration:

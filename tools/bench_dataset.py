@@ -4,8 +4,9 @@ Times generate_dataset (microseconds per record), Dataset.write_csv,
 Dataset.from_csv, calibrate_efficiency_scale and replay evaluation
 (microseconds per decision for the eel oracle and for an e2da agent) on the
 datasets of configs/default.json and of the replay-k5 and generate-k500
-benchmark workloads, and writes the results with the machine, the Python,
-numpy and BLAS versions and the repeat count to a JSON file.
+benchmark workloads, records the tracemalloc peak (MiB) of one write_csv
+and one from_csv call on each, and writes the results with the machine, the
+Python, numpy and BLAS versions and the repeat count to a JSON file.
 
 Run from the root of a checkout, with the package to measure on the path:
 
@@ -15,7 +16,8 @@ Only the stdlib and numpy are used.  Each dataset is generated with its
 config's run.seed and written to a temporary directory; every timing is
 repeated and reported as its minimum and median in seconds (microseconds
 per record for generation, and per decision for replay, over the config's
-test episodes).
+test episodes).  The memory peaks come from one separate call each, since
+tracemalloc slows the calls it watches.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -59,6 +62,17 @@ def timed(fn, repeats: int) -> list:
         fn()
         out.append(time.perf_counter() - t0)
     return out
+
+
+def peak_mib(fn) -> float:
+    """tracemalloc peak, in MiB, of one call of fn."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def summary(samples: list, scale: float = 1.0) -> dict:
@@ -103,6 +117,8 @@ def measure(name: str, config_path: str, repeats: int, work_dir: str) -> dict:
         "generate_us_per_record": summary(timed(generate, repeats), 1e6 / len(dataset)),
         "write_csv_s": summary(timed(lambda: loaded.write_csv(out_path), repeats)),
         "from_csv_s": summary(timed(lambda: Dataset.from_csv(path), repeats)),
+        "write_csv_peak_mib": peak_mib(lambda: loaded.write_csv(out_path)),
+        "from_csv_peak_mib": peak_mib(lambda: Dataset.from_csv(path)),
         "calibrate_s": summary(timed(lambda: calibrate_efficiency_scale(loaded), repeats)),
         "replay_eel_us_per_decision": summary(timed(replay("eel"), repeats), 1e6 / decisions),
         "replay_e2da_us_per_decision": summary(timed(replay("e2da"), repeats), 1e6 / decisions),
@@ -159,6 +175,8 @@ def main(argv=None) -> int:
                 f"generate {row['generate_us_per_record']['median']:.1f} us per record, "
                 f"write {row['write_csv_s']['median']:.3f} s, "
                 f"read {row['from_csv_s']['median']:.3f} s, "
+                f"write peak {row['write_csv_peak_mib']:.2f} MiB, "
+                f"read peak {row['from_csv_peak_mib']:.2f} MiB, "
                 f"calibrate {row['calibrate_s']['median'] * 1e3:.1f} ms, "
                 f"replay eel {row['replay_eel_us_per_decision']['median']:.1f} us, "
                 f"e2da {row['replay_e2da_us_per_decision']['median']:.1f} us per decision",
