@@ -82,15 +82,6 @@ def select_action(q: np.ndarray, epsilon: float, rng: Optional[np.random.Generat
     return int(np.argmax(q))
 
 
-def _check_optimizer(learning_rate: float, rmsprop_decay: float, rmsprop_eps: float) -> None:
-    """RMSProp constants: positive step and epsilon, decay inside (0, 1)."""
-    for f_name, value in (("learning_rate", learning_rate), ("rmsprop_eps", rmsprop_eps)):
-        if not value > 0:
-            raise ConfigError(f"{f_name} must be > 0, got {value}")
-    if not 0.0 < rmsprop_decay < 1.0:
-        raise ConfigError(f"rmsprop_decay must be in (0, 1), got {rmsprop_decay}")
-
-
 @dataclass(frozen=True)
 class AgentConfig:
     hidden_sizes: Tuple[int, ...] = (50, 50)
@@ -110,7 +101,11 @@ class AgentConfig:
     def validate(self) -> None:
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ConfigError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
-        _check_optimizer(self.learning_rate, self.rmsprop_decay, self.rmsprop_eps)
+        for f_name in ("learning_rate", "rmsprop_eps"):
+            if not getattr(self, f_name) > 0:
+                raise ConfigError(f"{f_name} must be > 0, got {getattr(self, f_name)}")
+        if not 0.0 < self.rmsprop_decay < 1.0:
+            raise ConfigError(f"rmsprop_decay must be in (0, 1), got {self.rmsprop_decay}")
         for f_name in ("minibatch_size", "train_steps_per_observation", "buffer_capacity"):
             if getattr(self, f_name) <= 0:
                 raise ConfigError(f"{f_name} must be > 0, got {getattr(self, f_name)}")
@@ -250,42 +245,30 @@ class MlpModel:
         np.copyto(self.params, params)
         self.acc.fill(0.0)
 
-    def to_state(self) -> dict:
+    def hyperparameters(self) -> dict:
+        """The checkpoint entries that describe the model, not its arrays."""
         return {
             "layer_sizes": list(self.layer_sizes),
             "learning_rate": self.learning_rate,
             "rmsprop_decay": self.rmsprop_decay,
             "rmsprop_eps": self.rmsprop_eps,
+        }
+
+    def to_state(self) -> dict:
+        return {
+            **self.hyperparameters(),
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
             "acc_weights": [a.tolist() for a in self.acc_w],
             "acc_biases": [a.tolist() for a in self.acc_b],
         }
 
-    @classmethod
-    def from_state(cls, state: dict) -> "MlpModel":
-        """Model saved by to_state.  Bad layer sizes or optimizer constants,
-        or parameter arrays of the wrong shape or with a non-finite entry,
-        raise ConfigError whose message starts with the key path, such as
-        "model.weights[1]"."""
-        sizes = state["layer_sizes"]
-        if not (
-            isinstance(sizes, list)
-            and len(sizes) >= 2
-            and all(type(n) is int and n > 0 for n in sizes)
-        ):
-            raise ConfigError(
-                f"model.layer_sizes must list two or more positive sizes, got {sizes!r}"
-            )
-        optimizer = (state["learning_rate"], state["rmsprop_decay"], state["rmsprop_eps"])
-        try:
-            _check_optimizer(*optimizer)
-        except ConfigError as exc:
-            raise ConfigError(f"model.{exc}") from None
-        model = cls(sizes, *optimizer, rng=None)
-        _load_layers(model, model.params, state, "model")
-        _load_layers(model, model.acc, state, "model", ("acc_weights", "acc_biases"))
-        return model
+    def load_arrays(self, state: dict) -> None:
+        """Copy the parameter and RMSProp arrays of a to_state dict; one of
+        the wrong shape or with a non-finite entry raises ConfigError
+        naming its key path, such as "model.weights[1]"."""
+        _load_layers(self, self.params, state, "model")
+        _load_layers(self, self.acc, state, "model", ("acc_weights", "acc_biases"))
 
 
 def _load_layers(model: MlpModel, flat: np.ndarray, saved: dict, prefix: str,
@@ -349,7 +332,7 @@ class E2daAgent:
         config: AgentConfig,
         n_actions: int,
         reward_params: RewardParams,
-        init_rng: np.random.Generator,
+        init_rng: Optional[np.random.Generator],
         explore_rng: np.random.Generator,
         minibatch_rng: np.random.Generator,
         context_dim: int = 3,
@@ -426,14 +409,17 @@ class E2daAgent:
     def from_state(
         cls,
         state: dict,
+        n_actions: int,
         explore_rng: np.random.Generator,
         minibatch_rng: np.random.Generator,
     ) -> "E2daAgent":
-        """Agent saved by to_state.  An out-of-range config or reward
-        constant, two differing miss penalties, or a malformed model or
-        initial parameter array, raises ConfigError whose message starts
-        with its key path in the state; other malformed entries raise
-        KeyError, TypeError or ValueError."""
+        """Agent with n_actions outputs saved by to_state, built from the
+        state's config.  An out-of-range config or reward constant, two
+        differing miss penalties, model hyperparameters other than the
+        config implies, or a malformed model or initial parameter array,
+        raises ConfigError whose message starts with its key path in the
+        state; other malformed entries raise KeyError, TypeError or
+        ValueError."""
         cfg_d = dict(state["config"])
         cfg_d["hidden_sizes"] = tuple(cfg_d["hidden_sizes"])
         config = AgentConfig(**cfg_d)
@@ -448,14 +434,14 @@ class E2daAgent:
                 f"config.penalty {config.penalty!r} differs from reward_params.penalty "
                 f"{rp.penalty!r}; the learner's targets and the scores must share one penalty"
             )
-        model = MlpModel.from_state(state["model"])
-        agent = cls.__new__(cls)
-        agent.config = config
-        agent.reward_params = rp
-        agent.model = model
-        agent.buffer = ReplayBuffer(config.buffer_capacity, model.layer_sizes[0])
-        agent.explore_rng = explore_rng
-        agent.minibatch_rng = minibatch_rng
+        agent = cls(config, n_actions, rp, None, explore_rng, minibatch_rng)
+        model, saved = agent.model, state["model"]
+        for name, implied in model.hyperparameters().items():
+            if saved[name] != implied:
+                raise ConfigError(
+                    f"model.{name} is {saved[name]!r}, but the config implies {implied!r}"
+                )
+        model.load_arrays(saved)
         agent.episodes_trained = int(state["episodes_trained"])
         initial = state.get("initial_params")
         agent._initial_params = None if initial is None else np.zeros_like(model.params)

@@ -210,6 +210,7 @@ def _read_checkpoint(
         try:
             agent = E2daAgent.from_state(
                 state,
+                n_actions,
                 explore_rng=substream(seed, "explore", ep, *salt),
                 minibatch_rng=substream(seed, "minibatch", ep, *salt),
             )
@@ -217,11 +218,6 @@ def _read_checkpoint(
             raise ConfigError(f"{path}: {where}.{exc}") from exc
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise invalid(where, f"is not a valid agent state ({exc!r})") from exc
-        if agent.model.n_actions != n_actions:
-            raise invalid(f"{where}.model", f"has {agent.model.n_actions} outputs, not {n_actions}")
-        n_inputs = agent.model.layer_sizes[0]
-        if n_inputs != 3:
-            raise invalid(f"{where}.model.layer_sizes", f"has {n_inputs} inputs, not 3 features")
         agents.append(agent)
     try:
         bounds = tuple((float(lo), float(hi)) for lo, hi in payload.get("context_bounds"))

@@ -8,11 +8,12 @@ dataset.csv byte for byte.
 
 The CSV codec streams: its memory is one bounded buffer plus the columns,
 never the whole file as text.  write_csv renders rows in chunks of
-_WRITE_CHUNK and writes each chunk as it is rendered.  from_csv makes two
+_ROW_CHUNK and writes each chunk as it is rendered.  from_csv makes two
 passes over the file: a scan of fixed-size byte chunks that finds the
 header and counts the lines, then one np.loadtxt parse straight into the
 column storage.  Only a file the scan cannot clear (quotes, carriage
-returns, NULs or any byte outside ASCII) is read whole, by csv.reader.
+returns, NULs or any byte outside ASCII) goes through csv.reader, which
+streams it too, after a pass that checks it is UTF-8.
 
 Generation projects no decision on its own.  While the live system runs,
 each arrival's task and Simulator.snapshot go into preallocated columns;
@@ -24,14 +25,14 @@ at once, with the same floats as one call per decision.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import math
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .ioutil import atomic_write_text, read_text
+from .ioutil import atomic_write_text, check_utf8
 from .netsim import ChannelConfig, NodeConfig, Simulator, Snapshot, project_outcome
 from .rng import substream
 from .workload import Task, WorkloadConfig, task_stream
@@ -65,7 +66,7 @@ _TOTALS = tuple(
 )
 # text that csv.reader reads differently from a plain split on "," and "\n"
 _CSV_SPECIALS = ('"', "\r", "\x00")
-_WRITE_CHUNK = 256  # rows rendered to text at a time
+_ROW_CHUNK = 256  # rows rendered to text, or read by csv.reader, at a time
 _SCAN_CHUNK = 1 << 16  # bytes read at a time by from_csv's scan
 
 class Dataset:
@@ -113,13 +114,13 @@ class Dataset:
 
     def _csv_chunks(self) -> Iterator[str]:
         """dataset.csv as text pieces: the header line, then the lines of
-        _WRITE_CHUNK rows at a time, each line ending in a newline."""
+        _ROW_CHUNK rows at a time, each line ending in a newline."""
         header = _header(self.n_actions)
         yield ",".join(header) + "\n"
         met_cols = [i for i, name in enumerate(header) if name.endswith("_met")]
         float_cols = [i for i in range(len(_INT_COLUMNS), len(header)) if i not in met_cols]
-        for lo in range(0, len(self), _WRITE_CHUNK):
-            rows = slice(lo, lo + _WRITE_CHUNK)
+        for lo in range(0, len(self), _ROW_CHUNK):
+            rows = slice(lo, lo + _ROW_CHUNK)
             n_rows = len(self.record_id[rows])
             floats = np.concatenate(
                 [
@@ -157,7 +158,7 @@ class Dataset:
         any row those checks cannot clear is fetched by streaming the file
         to it and goes through the scalar row parser.  A file with quotes,
         carriage returns, NULs or bytes outside ASCII, and any file
-        np.loadtxt cannot parse, is read whole by csv.reader and the scalar
+        np.loadtxt cannot parse, is read by csv.reader and the scalar
         parser, which alone decide the verdict."""
         scan = _scan(path)
         if scan is not None:
@@ -167,11 +168,7 @@ class Dataset:
             columns = _parse_body(path, n_lines, n_act, len(header))
             if columns is not None:
                 return cls(columns)
-        reader = csv.reader(io.StringIO(read_text(path), newline=""))
-        header = next(reader, [])
-        n_act = _check_header(path, header)
-        rows = [_parse_row(path, n, row, n_act, len(header)) for n, row in enumerate(reader, 1)]
-        return cls(_rows_to_columns(rows, n_act))
+        return cls(_read_rows(path))
 
 
 def _scan(path: str) -> Optional[Tuple[str, int]]:
@@ -195,6 +192,28 @@ def _scan(path: str) -> Optional[Tuple[str, int]]:
             last = chunk[-1:]
     n_lines = newlines - (last == b"\n") if newlines else 0
     return header.decode("ascii"), n_lines
+
+
+def _read_rows(path: str) -> Dict[str, np.ndarray]:
+    """Columns of a dataset file read by csv.reader and the scalar row
+    parser, _ROW_CHUNK rows at a time.  Bytes that are not UTF-8 are
+    reported first, wherever they are, as when the file was read whole."""
+    check_utf8(path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        n_act = _check_header(path, header)
+        rows = enumerate(reader, 1)
+        chunks = []
+        while True:
+            batch = [
+                _parse_row(path, n, row, n_act, len(header))
+                for n, row in itertools.islice(rows, _ROW_CHUNK)
+            ]
+            chunks.append(_rows_to_columns(batch, n_act))
+            if len(batch) < _ROW_CHUNK:
+                break
+    return {name: np.concatenate([c[name] for c in chunks]) for name in _COLUMNS}
 
 
 def _float_texts(values: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Small file helpers: atomic writes, hashing, stable float text."""
 
+import codecs
 import hashlib
+import itertools
 import json
 import os
 from typing import Iterable
@@ -46,9 +48,31 @@ def read_text(path: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ConfigError(
-            f"{path} is not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}"
-        ) from None
+        raise _not_utf8(path, exc, 0) from None
+
+
+def check_utf8(path: str) -> None:
+    """Raise read_text's ConfigError if the file is not UTF-8 text, reading
+    it 64 KiB at a time."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    read = 0
+    with open(path, "rb") as fh:
+        for chunk in itertools.chain(iter(lambda: fh.read(1 << 16), b""), [b""]):
+            # the decoder sees the bytes it kept from the last chunk, then this one
+            start = read - len(decoder.getstate()[0])
+            read += len(chunk)
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(path, exc, start) from None
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError, start: int) -> ConfigError:
+    """The error for exc, raised decoding bytes that begin at file offset start."""
+    return ConfigError(
+        f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+        f"at offset {start + exc.start}"
+    )
 
 
 def read_json(path: str):

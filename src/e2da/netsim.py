@@ -8,7 +8,9 @@ other uplinks of its base station on that channel share, then its user's
 dedicated edge VM, then a per-(base station, channel) downlink for the
 result, whose domain every base station active on that channel shares.  The
 CPU and the VM are one-station domains at gain 1, so the job in service runs
-at the full clock rate.
+at the full clock rate.  A job is the one record of a task: it carries its
+route, the work it brings to each hop, its seven stage times and, while in
+service, its share of the station's domain.
 
 Queues are unbounded and a station never idles while its queue is non-empty.
 A domain re-splits its nominal rate (bits or cycles per second) whenever a
@@ -211,43 +213,27 @@ class TaskOutcome(NamedTuple):
 
 
 class _Job:
-    """An admitted task on its way along its route of stations."""
+    """An admitted task on its way along its route of stations.
 
-    __slots__ = ("task", "action", "gains", "result_bits", "route", "hop", "enq_t",
-                 "d1", "d2", "d3", "d4", "t_exec", "t_up", "t_down")
+    work[h] is what it brings to route[h]: cycles on the CPU or VM, the
+    task's bits uplink, its result's bits downlink.  times holds the stage
+    times in _outcome's order (d1, d2, d3, d4, t_exec, t_up, t_down).  In
+    service, gain, rate, residual, elapsed and finish are its domain share.
+    """
+
+    __slots__ = ("task", "action", "gains", "result_bits", "route", "work", "hop", "enq_t",
+                 "times", "gain", "residual", "rate", "last_settle", "elapsed", "finish")
 
     def __init__(self, task: Task, action: int, gains: Tuple[float, ...], result_bits: float,
-                 route: Tuple["_Station", ...]):
+                 route: Tuple["_Station", ...], work: Tuple[float, ...]):
         self.task = task
         self.action = action
         self.gains = gains
         self.result_bits = result_bits
         self.route = route
+        self.work = work
         self.hop = 0
-        self.enq_t = 0.0
-        self.d1 = 0.0
-        self.d2 = 0.0
-        self.d3 = 0.0
-        self.d4 = 0.0
-        self.t_exec = 0.0
-        self.t_up = 0.0
-        self.t_down = 0.0
-
-
-class _Tx:
-    """A job in service at a station: its share of the station's domain."""
-
-    __slots__ = ("job", "gain", "residual", "rate", "last_settle", "elapsed", "finish", "station")
-
-    def __init__(self, job: _Job, gain: float, residual: float, station: "_Station", now: float):
-        self.job = job
-        self.gain = gain
-        self.residual = residual
-        self.rate = 0.0
-        self.last_settle = now
-        self.elapsed = 0.0
-        self.finish = 0.0
-        self.station = station
+        self.times = [0.0] * 7
 
 
 class _Domain:
@@ -266,56 +252,39 @@ class _Domain:
     def __init__(self, nominal: float, key: tuple):
         self.nominal = nominal
         self.key = key
-        self.members: Dict[_Tx, None] = {}  # dict keeps deterministic insertion order
+        self.members: Dict[_Job, None] = {}  # dict keeps deterministic insertion order
         self.event: Optional[tuple] = None
-        self.due: Optional[_Tx] = None
-
-
-# the _Job fields that get a stage's wait and its service time
-_STAGE_FIELDS = {
-    "cpu": ("d1", "t_exec"),
-    "up": ("d2", "t_up"),
-    "vm": ("d3", "t_exec"),
-    "down": ("d4", "t_down"),
-}
+        self.due: Optional[_Job] = None
 
 
 class _Station:
     """A FIFO queue and one service slot in front of a sharing domain.
 
-    `stage` (cpu, up, vm or down) picks the _Job fields that get the wait
-    and the service time, and the work a job brings.  `channel` picks the
-    job's gain on a radio leg; the CPU and the VM serve at gain 1.
+    `wait` and `serve` index the job's stage times that get the wait and
+    the service time here.  `channel` picks the job's gain on a radio leg;
+    the CPU and the VM serve at gain 1.
     """
 
-    __slots__ = ("queue", "slot", "domain", "stage", "channel")
+    __slots__ = ("queue", "slot", "domain", "wait", "serve", "channel")
 
-    def __init__(self, domain: _Domain, stage: str, channel: Optional[int] = None):
+    def __init__(self, domain: _Domain, wait: int, serve: int, channel: Optional[int] = None):
         self.queue: deque = deque()
-        self.slot: Optional[_Tx] = None
+        self.slot: Optional[_Job] = None
         self.domain = domain
-        self.stage = stage
+        self.wait = wait
+        self.serve = serve
         self.channel = channel
-
-    def work(self, job: _Job) -> float:
-        """Cycles on the CPU or VM, the task's bits uplink, its result's
-        bits downlink."""
-        if self.stage == "up":
-            return job.task.size_bits
-        if self.stage == "down":
-            return job.result_bits
-        return job.task.size_bits * job.task.intensity_cpb
 
     def backlog(self, now: float) -> float:
         """Work waiting in the queue plus the work left in service at `now`."""
-        tx = self.slot
-        if tx is None:
+        job = self.slot
+        if job is None:
             left = 0.0
         elif self.channel is None:  # alone at the full rate until its latched finish
-            left = max(0.0, (tx.finish - now) * self.domain.nominal)
+            left = max(0.0, (job.finish - now) * self.domain.nominal)
         else:
-            left = max(0.0, tx.residual - tx.rate * (now - tx.last_settle))
-        return sum(self.work(j) for j in self.queue) + left
+            left = max(0.0, job.residual - job.rate * (now - job.last_settle))
+        return sum(j.work[j.hop] for j in self.queue) + left
 
 
 class Snapshot(NamedTuple):
@@ -479,8 +448,9 @@ class Simulator:
         assoc = node.resolved_association()
         self._assoc = assoc
         K, N, C = node.n_users, node.n_base_stations, node.n_channels
-        self._cpu = [_Station(_Domain(node.user_cpu_hz, ("cpu", k)), "cpu") for k in range(K)]
-        self._vm = [_Station(_Domain(node.edge_vm_hz, ("vm", k)), "vm") for k in range(K)]
+        # a station's wait and service time land at these indexes of _Job.times
+        self._cpu = [_Station(_Domain(node.user_cpu_hz, ("cpu", k)), 0, 4) for k in range(K)]
+        self._vm = [_Station(_Domain(node.edge_vm_hz, ("vm", k)), 2, 4) for k in range(K)]
         up_dom = {
             (n, c): _Domain(self.channels[c].uplink_rate_bps, ("up", n, c))
             for n in range(N)
@@ -489,8 +459,8 @@ class Simulator:
         down_dom = [
             _Domain(ch.downlink_rate_bps, ("down", c)) for c, ch in enumerate(self.channels)
         ]
-        self._up = [[_Station(up_dom[(assoc[k], c)], "up", c) for c in range(C)] for k in range(K)]
-        self._down = [[_Station(down_dom[c], "down", c) for c in range(C)] for _ in range(N)]
+        self._up = [[_Station(up_dom[(assoc[k], c)], 1, 5, c) for c in range(C)] for k in range(K)]
+        self._down = [[_Station(down_dom[c], 3, 6, c) for c in range(C)] for _ in range(N)]
         self.admitted = 0
 
     # ------------------------------------------------------------------ feeds
@@ -581,13 +551,15 @@ class Simulator:
         del self._staged_gains[task.task_id]
         user = task.user_id
         result_bits = self.node.result_size_ratio * task.size_bits
+        cycles = task.size_bits * task.intensity_cpb
         if action == 0:
-            route = (self._cpu[user],)
+            route, work = (self._cpu[user],), (cycles,)
         else:
             up, down = self._up[user][action - 1], self._down[self._assoc[user]][action - 1]
             route = (up, self._vm[user], down) if result_bits > 0 else (up, self._vm[user])
+            work = (task.size_bits, cycles, result_bits)
         self.admitted += 1
-        self._enqueue(route[0], _Job(task, action, gains, result_bits, route))
+        self._enqueue(route[0], _Job(task, action, gains, result_bits, route, work))
 
     @property
     def has_events(self) -> bool:
@@ -627,7 +599,7 @@ class Simulator:
 
     # -------------------------------------------------------------- internal
 
-    def _schedule(self, dom: _Domain, t: float, due: Optional[_Tx], seq: Optional[int] = None) -> None:
+    def _schedule(self, dom: _Domain, t: float, due: Optional[_Job], seq: Optional[int] = None) -> None:
         """Make (t, due) the domain's one live event; an earlier one goes stale."""
         dom.due = due
         dom.event = (t, next(self._seq) if seq is None else seq, dom)
@@ -657,23 +629,26 @@ class Simulator:
             st.queue.append(job)
 
     def _start(self, st: _Station, job: _Job) -> None:
-        setattr(job, _STAGE_FIELDS[st.stage][0], self.clock - job.enq_t)
-        gain = 1.0 if st.channel is None else job.gains[st.channel]
-        tx = st.slot = _Tx(job, gain, st.work(job), st, self.clock)
+        job.times[st.wait] = self.clock - job.enq_t
+        job.gain = 1.0 if st.channel is None else job.gains[st.channel]
+        job.residual = job.work[job.hop]
+        job.last_settle = self.clock
+        job.elapsed = 0.0
+        st.slot = job
         dom = st.domain
         self._settle(dom)
-        dom.members[tx] = None
-        self._relatch(dom)
+        dom.members[job] = None
+        self._relatch(dom)  # sets the job's rate and finish
 
-    def _done(self, dom: _Domain, tx: _Tx) -> Optional[TaskOutcome]:
-        """`tx` leaves its station: the station takes its next job, and the
+    def _done(self, dom: _Domain, job: _Job) -> Optional[TaskOutcome]:
+        """`job` leaves its station: the station takes its next job, and the
         job moves on to its next station or completes."""
-        st, job = tx.station, tx.job
+        st = job.route[job.hop]
         # the stage time as a clock difference, not the latched work / rate:
         # the finish time was rounded, and only the clock version keeps the
         # stage sum consistent with completion minus arrival
-        setattr(job, _STAGE_FIELDS[st.stage][1], tx.elapsed + (self.clock - tx.last_settle))
-        del dom.members[tx]
+        job.times[st.serve] = job.elapsed + (self.clock - job.last_settle)
+        del dom.members[job]
         st.slot = dom.due = None  # an idle domain keeps no finished job alive
         if st.queue:
             self._start(st, st.queue.popleft())
@@ -691,18 +666,17 @@ class Simulator:
             return None
         task = job.task
         return _outcome(
-            self.node, self.channels, task, job.action, job.d1, job.d2, job.d3, job.d4,
-            job.t_exec, job.t_up, job.t_down, self.clock - task.arrival_time,
+            self.node, self.channels, task, job.action, *job.times, self.clock - task.arrival_time
         )
 
     def _settle(self, dom: _Domain) -> None:
         now = self.clock
-        for tx in dom.members:
-            dt = now - tx.last_settle
+        for job in dom.members:
+            dt = now - job.last_settle
             if dt > 0.0:
-                tx.residual = max(0.0, tx.residual - tx.rate * dt)
-                tx.elapsed += dt
-                tx.last_settle = now
+                job.residual = max(0.0, job.residual - job.rate * dt)
+                job.elapsed += dt
+                job.last_settle = now
 
     def _relatch(self, dom: _Domain) -> None:
         """Re-split the nominal rate over the (settled, non-empty) members,
@@ -711,12 +685,12 @@ class Simulator:
         n = len(dom.members)
         total = 0.0
         due = None
-        for tx in dom.members:
-            tx.rate = fair_share_rate(dom.nominal, tx.gain, n)
-            total += tx.rate
-            tx.finish = self.clock + tx.residual / tx.rate
-            if due is None or tx.finish < due.finish:
-                due = tx
+        for job in dom.members:
+            job.rate = fair_share_rate(dom.nominal, job.gain, n)
+            total += job.rate
+            job.finish = self.clock + job.residual / job.rate
+            if due is None or job.finish < due.finish:
+                due = job
         if total > dom.nominal * (1.0 + 1e-9):
             raise SimulationError(
                 f"allocated rates sum to {total} per second, over the nominal "

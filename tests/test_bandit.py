@@ -364,7 +364,8 @@ class TestRmsProp:
         rng = substream(4, "d")
         for _ in range(5):
             model.train_step(rng.random((16, 3)), rng.integers(0, 4, 16), rng.random(16))
-        clone = MlpModel.from_state(model.to_state())
+        clone = MlpModel((3, 8, 4), 0.01, 0.99, 1e-8)
+        clone.load_arrays(model.to_state())
         assert all(np.array_equal(a, b) for a, b in zip(model.weights, clone.weights))
         assert all(np.array_equal(a, b) for a, b in zip(model.acc_w, clone.acc_w))
         x = rng.random((4, 3))
@@ -441,7 +442,7 @@ class TestAgent:
             agent.observe(x, agent.act(x, 0.5), 0.25)
         agent.episodes_trained = 17
         state = agent.to_state()
-        clone = E2daAgent.from_state(state, substream(0, "e"), substream(0, "m"))
+        clone = E2daAgent.from_state(state, 4, substream(0, "e"), substream(0, "m"))
         assert clone.episodes_trained == 17
         assert clone.config == agent.config
         assert clone.reward_params == agent.reward_params
@@ -458,7 +459,7 @@ class TestAgent:
         initial_weights = agent.model.layer_views(agent._initial_params)[0]
         assert all(np.array_equal(a, w) for a, w in zip(anchor, initial_weights))
         state = agent.to_state()
-        clone = E2daAgent.from_state(state, substream(0, "e"), substream(0, "m"))
+        clone = E2daAgent.from_state(state, 4, substream(0, "e"), substream(0, "m"))
         assert all(
             np.array_equal(a, w)
             for a, w in zip(anchor, clone.model.layer_views(clone._initial_params)[0])

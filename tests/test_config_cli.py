@@ -612,6 +612,9 @@ class TestMalformedCheckpoint:
             (_setter("model", "learning_rate", -1), "agent.model.learning_rate"),
             (_setter("model", "rmsprop_decay", 2), "agent.model.rmsprop_decay"),
             (_setter("model", "rmsprop_eps", 0), "agent.model.rmsprop_eps"),
+            (_setter("model", "learning_rate", 0.5), "agent.model.learning_rate"),
+            (_setter("model", "rmsprop_decay", 0.5), "agent.model.rmsprop_decay"),
+            (_setter("config", "hidden_sizes", [8, 16]), "agent.model.layer_sizes"),
         ],
     )
     @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
@@ -916,3 +919,20 @@ class TestDatasetModeDigests:
         assert hashlib.sha256(part.to_csv_text().encode()).hexdigest() == (
             "7f08033aa576d9b24afe1a201305d51b9f15cfc0f6173bf4d9724de0e81ea69c"
         )
+
+
+class TestLiveModeDigests:
+    """metrics.csv bytes of live runs on the small config whose policies do
+    no matmul, so they do not depend on the BLAS build: they pin every
+    realized stage time the simulator's event loop books."""
+
+    @pytest.mark.parametrize(
+        "agent, digest",
+        [("eel", "61407e07ece9048c4eb3664c30fbebc327d9e2e25d7792a8dbfd91bbdbed54f1"),
+         ("random", "3e810c3fc03388dcd995349f33cf9e2aac40695de713e8f90bc632aec6bf1d96")],
+    )
+    def test_metrics_digest(self, tmp_path, agent, digest):
+        config = write_config(tmp_path, "live.json", run={"mode": "live"})
+        out = str(tmp_path / "out")
+        assert cli.main(["evaluate", "--agent", agent, "--config", config, "--out", out]) == 0
+        assert sha256_file(os.path.join(out, "metrics.csv")) == digest

@@ -182,7 +182,7 @@ class TestDatasetCsv:
 
         with monkeypatch.context() as m:
             if streamed:
-                m.setattr(dataset, "read_text", None)
+                m.setattr(dataset, "check_utf8", None)
             fast = read()
         with monkeypatch.context() as m:
             m.setattr(dataset, "_CSV_SPECIALS", (",",))
@@ -287,7 +287,7 @@ class TestDatasetCsv:
                 raise RuntimeError("render failed")
             return float_texts(values)
 
-        monkeypatch.setattr(dataset, "_WRITE_CHUNK", 16)
+        monkeypatch.setattr(dataset, "_ROW_CHUNK", 16)
         monkeypatch.setattr(dataset, "_float_texts", fail_third_chunk)
         with pytest.raises(RuntimeError, match="render failed"):
             small_dataset.write_csv(path)
@@ -312,9 +312,20 @@ class TestDatasetCsvMemory:
         finally:
             tracemalloc.stop()
 
-    def test_reading_peaks_below_twice_the_file(self, small_dataset, tmp_path):
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_reading_peaks_below_twice_the_file(self, small_dataset, tmp_path, quoted):
+        """A file with one quoted cell goes through csv.reader, which must
+        stream too."""
         path = str(tmp_path / "records.csv")
         tiled(small_dataset, 10).write_csv(path)
+        if quoted:
+            with open(path) as fh:
+                lines = fh.read().splitlines(keepends=True)
+            cells = lines[3].split(",")
+            cells[4] = f'"{cells[4]}"'  # size_bits
+            lines[3] = ",".join(cells)
+            with open(path, "w") as fh:
+                fh.writelines(lines)
         size = os.path.getsize(path)
         assert size > 1_000_000
         assert self.peak_bytes(lambda: Dataset.from_csv(path)) < 2 * size

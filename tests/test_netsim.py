@@ -618,7 +618,8 @@ class TestDecisionViewReference:
             seen["up_self"] += any(sim._up[user][c].slot is not None for c in chans)
             seen["down_slot"] += any(sim._down[bs][c].slot is not None for c in chans)
             seen["down_shared"] += any(
-                len({tx.station for tx in sim._down[bs][c].domain.members}) >= 2 for c in chans
+                len({job.route[job.hop] for job in sim._down[bs][c].domain.members}) >= 2
+                for c in chans
             )
             seen["local_queued"] += bool(sim._cpu[user].queue)
             seen["edge_busy"] += sim._vm[user].slot is not None
