@@ -416,10 +416,11 @@ class E2daAgent:
         """Agent with n_actions outputs saved by to_state, built from the
         state's config.  An out-of-range config or reward constant, two
         differing miss penalties, model hyperparameters other than the
-        config implies, or a malformed model or initial parameter array,
-        raises ConfigError whose message starts with its key path in the
-        state; other malformed entries raise KeyError, TypeError or
-        ValueError."""
+        config implies, a malformed model or initial parameter array, or
+        initial parameters present or missing against
+        config.retrain_from_scratch, raises ConfigError whose message starts
+        with its key path in the state; other malformed entries raise
+        KeyError, TypeError or ValueError."""
         cfg_d = dict(state["config"])
         cfg_d["hidden_sizes"] = tuple(cfg_d["hidden_sizes"])
         config = AgentConfig(**cfg_d)
@@ -444,7 +445,13 @@ class E2daAgent:
         model.load_arrays(saved)
         agent.episodes_trained = int(state["episodes_trained"])
         initial = state.get("initial_params")
-        agent._initial_params = None if initial is None else np.zeros_like(model.params)
-        if initial is not None:
-            _load_layers(model, agent._initial_params, initial, "initial_params")
+        anchor = None if initial is None else np.zeros_like(model.params)
+        if anchor is not None:  # loaded before the check, so a bad entry names its key
+            _load_layers(model, anchor, initial, "initial_params")
+        if (anchor is None) == config.retrain_from_scratch:
+            raise ConfigError(
+                f"initial_params is {'null' if anchor is None else 'set'}, but "
+                f"config.retrain_from_scratch is {config.retrain_from_scratch}"
+            )
+        agent._initial_params = anchor
         return agent

@@ -68,6 +68,8 @@ def _context(args: argparse.Namespace) -> Tuple[ExperimentConfig, str, int]:
     """Config, effective mode and effective seed."""
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.run.seed
+    if seed < 0:  # load_config already rejects a negative run.seed
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     return cfg, getattr(args, "mode", None) or cfg.run.mode, seed
 
 
@@ -223,6 +225,8 @@ def _read_checkpoint(
         bounds = tuple((float(lo), float(hi)) for lo, hi in payload.get("context_bounds"))
         workload = replace(cfg.workload, context_bounds=bounds)
         workload.validate()
+    except ConfigError as exc:  # the message names context_bounds
+        raise ConfigError(f"{path}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise invalid("context_bounds", f"must list 3 [min, max] pairs ({exc})") from exc
     return agents, workload

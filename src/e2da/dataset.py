@@ -16,10 +16,11 @@ returns, NULs or any byte outside ASCII) goes through csv.reader, which
 streams it too, after a pass that checks it is UTF-8.
 
 Generation projects no decision on its own.  While the live system runs,
-each arrival's task and Simulator.snapshot go into preallocated columns;
-afterwards one project_outcome call per action, on a column Snapshot and a
-column Task, fills that action's column of the outcome set for every record
-at once, with the same floats as one call per decision.
+each arrival's Simulator.snapshot, the task included, goes into
+preallocated columns; afterwards one project_outcome call per action, on a
+column Snapshot whose task is a column Task, fills that action's column of
+the outcome set for every record at once, with the same floats as one call
+per decision.
 """
 
 from __future__ import annotations
@@ -415,9 +416,9 @@ def generate_dataset(
     C = node.n_channels
     n_actions = C + 1
     # one column per record: the task's and the snapshot's floats, then the
-    # task's ids and the snapshot's base station and per-channel counts
-    floats = np.empty((7 + 3 * C, n_records))
-    ints = np.empty((3 + 2 * C, n_records), dtype=np.int64)
+    # task's ids and the snapshot's per-channel counts
+    floats = np.empty((6 + 3 * C, n_records))
+    ints = np.empty((2 + 2 * C, n_records), dtype=np.int64)
     logged = 0
 
     def logging_policy(sim: Simulator, task: Task) -> int:
@@ -425,12 +426,10 @@ def generate_dataset(
         snap = sim.snapshot(task)
         floats[:, logged] = (
             task.arrival_time, task.size_bits, task.intensity_cpb, task.deadline_s,
-            snap.clock, snap.local_backlog_cycles, snap.edge_backlog_cycles,
+            snap.local_backlog_cycles, snap.edge_backlog_cycles,
             *snap.gains, *snap.uplink_backlog_bits, *snap.downlink_backlog_bits,
         )
-        ints[:, logged] = (
-            task.task_id, task.user_id, snap.base_station, *snap.uplink_others, *snap.downlink_others
-        )
+        ints[:, logged] = (task.task_id, task.user_id, *snap.uplink_others, *snap.downlink_others)
         logged += 1
         if logged >= n_records:
             sim.halt_arrivals()
@@ -444,12 +443,10 @@ def generate_dataset(
     if logged < n_records:
         raise RuntimeError(f"arrival streams dried up after {logged} of {n_records} records")
 
-    arrival, size, intensity, deadline, clock, local, edge = floats[:7]
-    task_id, user_id, base_station = ints[:3]
-    tasks = Task(task_id, user_id, arrival, size, intensity, deadline)
+    arrival, size, intensity, deadline, local, edge = floats[:6]
     snaps = Snapshot(
-        clock, task_id, user_id, base_station, floats[7 : 7 + C], local, edge,
-        floats[7 + C : 7 + 2 * C], floats[7 + 2 * C :], ints[3 : 3 + C], ints[3 + C :],
+        Task(*ints[:2], arrival, size, intensity, deadline), floats[6 : 6 + C], local, edge,
+        floats[6 + C : 6 + 2 * C], floats[6 + 2 * C :], ints[2 : 2 + C], ints[2 + C :],
         sim.node, sim.channels,
     )
     columns = dict(zip(_TASK_COLUMNS, (np.arange(n_records), *ints[:2], *floats[:4])))
@@ -457,7 +454,7 @@ def generate_dataset(
     for name, dtype, shape in _column_specs(n_records, n_actions):
         columns.setdefault(name, np.empty(shape, dtype))
     for a in range(n_actions):
-        out = project_outcome(snaps, tasks, a)
+        out = project_outcome(snaps, a)
         for name in _COLUMNS[len(_TASK_COLUMNS) :]:
             columns[name][:, a] = getattr(out, name)
     return Dataset(columns)

@@ -221,15 +221,14 @@ class _Job:
     service, gain, rate, residual, elapsed and finish are its domain share.
     """
 
-    __slots__ = ("task", "action", "gains", "result_bits", "route", "work", "hop", "enq_t",
-                 "times", "gain", "residual", "rate", "last_settle", "elapsed", "finish")
+    __slots__ = ("task", "action", "gains", "route", "work", "hop", "enq_t", "times",
+                 "gain", "residual", "rate", "last_settle", "elapsed", "finish")
 
-    def __init__(self, task: Task, action: int, gains: Tuple[float, ...], result_bits: float,
+    def __init__(self, task: Task, action: int, gains: Tuple[float, ...],
                  route: Tuple["_Station", ...], work: Tuple[float, ...]):
         self.task = task
         self.action = action
         self.gains = gains
-        self.result_bits = result_bits
         self.route = route
         self.work = work
         self.hop = 0
@@ -289,8 +288,9 @@ class _Station:
 
 class Snapshot(NamedTuple):
     """Frozen view of the resources one task could use, taken at its
-    decision instant: its user's CPU, edge VM and per-channel uplink queues,
-    and its base station's per-channel downlink slots.
+    decision instant: the task itself with its per-channel gains, its user's
+    CPU, edge VM and per-channel uplink queues, and its base station's
+    per-channel downlink slots.
 
     Backlogs include the virtual residual of whatever is in service right
     now.  The *_others counts are the transmitters the task would share a
@@ -300,15 +300,13 @@ class Snapshot(NamedTuple):
     queue instead.  Projections from a snapshot assume no further arrivals
     and hold those populations fixed.
 
-    A column of decisions stacks snapshots: each scalar field becomes an
-    array of shape (R,) and each per-channel field one of shape (C, R), so
-    gains[c] indexes both forms alike; node and channels stay shared.
+    A column of decisions stacks snapshots: the task becomes a Task whose
+    fields are arrays of shape (R,), each scalar field an array of shape
+    (R,) and each per-channel field one of shape (C, R), so gains[c]
+    indexes both forms alike; node and channels stay shared.
     """
 
-    clock: float
-    task_id: int
-    user_id: int
-    base_station: int
+    task: Task
     gains: Tuple[float, ...]
     local_backlog_cycles: float
     edge_backlog_cycles: float
@@ -365,23 +363,16 @@ def _outcome(
     )
 
 
-def project_outcome(snap: Snapshot, task: Task, action: int) -> TaskOutcome:
-    """Deterministic what-if outcome of taking `action` from `snap`.
+def project_outcome(snap: Snapshot, action: int) -> TaskOutcome:
+    """Deterministic what-if outcome of taking `action` for the task of
+    `snap`.
 
     Waits are backlog work over service rate; the task's own transmission
     contends with the frozen set of other active transmitters plus itself.
-    `snap` and `task` describe one decision, or a column of decisions as
-    arrays (see Snapshot), which projects every decision at once with the
-    same floats.
+    `snap` describes one decision, or a column of decisions as arrays (see
+    Snapshot), which projects every decision at once with the same floats.
     """
-    failed = task.task_id != snap.task_id
-    if failed.any() if isinstance(failed, np.ndarray) else failed:
-        raise ValueError(
-            "snapshot was taken for task {}, cannot project task {}".format(
-                *_first_failed(failed, snap.task_id, task.task_id)
-            )
-        )
-    node = snap.node
+    task, node = snap.task, snap.node
     n_ch = len(snap.channels)
     if not 0 <= action <= n_ch:
         raise ValueError(f"action must be in [0, {n_ch}], got {action}")
@@ -496,19 +487,15 @@ class Simulator:
         return gains
 
     def snapshot(self, task: Task) -> Snapshot:
-        """Frozen decision-time view for `task`; does not mutate the state."""
-        gains = self.stage(task)
+        """Frozen decision-time view for `task`.  It stages the task's gains
+        if they are not drawn yet (see stage) and changes nothing else."""
         user = task.user_id
-        bs = self._assoc[user]
         now = self.clock
         cpu, vm = self._cpu[user], self._vm[user]
-        ups, downs = self._up[user], self._down[bs]
+        ups, downs = self._up[user], self._down[self._assoc[user]]
         return Snapshot(
-            clock=now,
-            task_id=task.task_id,
-            user_id=user,
-            base_station=bs,
-            gains=gains,
+            task=task,
+            gains=self.stage(task),
             local_backlog_cycles=cpu.backlog(now),
             edge_backlog_cycles=vm.backlog(now),
             uplink_backlog_bits=tuple(st.backlog(now) for st in ups),
@@ -523,9 +510,7 @@ class Simulator:
         """What-if outcomes for every action, sharing one snapshot and the
         task's own gain draws."""
         snap = self.snapshot(task)
-        return tuple(
-            project_outcome(snap, task, a) for a in range(self.node.n_channels + 1)
-        )
+        return tuple(project_outcome(snap, a) for a in range(self.node.n_channels + 1))
 
     # ------------------------------------------------------------- execution
 
@@ -559,7 +544,7 @@ class Simulator:
             route = (up, self._vm[user], down) if result_bits > 0 else (up, self._vm[user])
             work = (task.size_bits, cycles, result_bits)
         self.admitted += 1
-        self._enqueue(route[0], _Job(task, action, gains, result_bits, route, work))
+        self._enqueue(route[0], _Job(task, action, gains, route, work))
 
     @property
     def has_events(self) -> bool:

@@ -128,9 +128,9 @@ class WorkloadConfig:
                 raise ConfigError(f"{name}: support must be positive, got min {sup[0]}")
         bounds = self.resolved_context_bounds()
         for i, (lo, hi) in enumerate(bounds):
-            if not lo < hi:
+            if not -math.inf < lo < hi < math.inf:
                 raise ConfigError(
-                    f"context_bounds[{i}] must have min < max, got ({lo}, {hi})"
+                    f"context_bounds[{i}] must be finite with min < max, got ({lo}, {hi})"
                 )
 
     def resolved_context_bounds(self) -> Tuple[Tuple[float, float], ...]:

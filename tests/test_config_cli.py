@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -416,6 +417,21 @@ class TestCliEndToEnd:
         ) == 0
         assert read_json(os.path.join(out, "manifest.json"))["seed"] == 99
 
+    @pytest.mark.parametrize("command", ["generate-dataset", "train", "evaluate", "sweep"])
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys, trained, command):
+        config, dataset, model = trained
+        argv = {
+            "generate-dataset": ["generate-dataset"],
+            "train": ["train", "--dataset", dataset],
+            "evaluate": ["evaluate", "--agent", "e2da", "--dataset", dataset, "--model", model],
+            "sweep": ["sweep", "--vary", "size", "--values", "5000", "--agent", "ee"],
+        }[command]
+        out = tmp_path / "out"
+        rc, err = run_cli(argv + ["--config", config, "--out", str(out), "--seed", "-1"], capsys)
+        assert rc == 2, err
+        assert "--seed" in err
+        assert not out.exists()
+
     def test_exit_codes(self, tmp_path, config_path, capsys):
         out = str(tmp_path / "x")
         bad = tmp_path / "bad.json"
@@ -575,6 +591,26 @@ def _infinite_initial_bias(p):
     p["agent"]["initial_params"] = {"weights": model["weights"], "biases": biases}
 
 
+def _infinite_bound(i, value):
+    """Mutation setting one end of context_bounds[0] to value."""
+
+    def mutate(p):
+        p["context_bounds"][0][i] = value
+
+    mutate.__name__ = f"_bound_0_{i}_{value}"
+    return mutate
+
+
+def _anchor_missing(p):
+    p["agent"]["config"]["retrain_from_scratch"] = True
+    p["agent"]["initial_params"] = None
+
+
+def _anchor_unwanted(p):
+    model = p["agent"]["model"]
+    p["agent"]["initial_params"] = {"weights": model["weights"], "biases": model["biases"]}
+
+
 def _setter(section, key, value):
     """Mutation setting agent.<section>.<key> to value."""
 
@@ -598,6 +634,10 @@ class TestMalformedCheckpoint:
             (_nan_weight, "agent.model.weights[0]"),
             (_short_acc_bias, "agent.model.acc_biases[2]"),
             (_infinite_initial_bias, "agent.initial_params.biases[1]"),
+            (_anchor_missing, "agent.initial_params"),
+            (_anchor_unwanted, "agent.initial_params"),
+            (_infinite_bound(0, -math.inf), "context_bounds"),
+            (_infinite_bound(1, math.inf), "context_bounds"),
             (_one_layer, "agent.model.layer_sizes"),
             (_four_inputs, "agent.model.layer_sizes"),
             (_setter("config", "minibatch_size", 0), "agent.config.minibatch_size"),
@@ -663,13 +703,13 @@ def trained_per_user(tmp_path_factory):
 
 
 class TestMalformedCheckpointSet:
-    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
-    def test_penalty_mismatch_exits_2_naming_the_agent(
-        self, tmp_path, capsys, trained_per_user, command
-    ):
+    @staticmethod
+    def run_with(tmp_path, capsys, trained_per_user, command, key, value):
+        """Run command on the per-user checkpoint with agents[1].config[key]
+        set to value; returns the broken file's path and stderr."""
         config, dataset, model = trained_per_user
         payload = read_json(model)
-        payload["agents"][1]["config"]["penalty"] = 0.5
+        payload["agents"][1]["config"][key] = value
         broken = str(tmp_path / "broken-model.json")
         write_json(broken, payload)
         argv = {
@@ -680,7 +720,23 @@ class TestMalformedCheckpointSet:
         }[command]
         rc, err = run_cli(argv + ["--config", config, "--out", str(tmp_path / "out")], capsys)
         assert rc == 2, err
+        return broken, err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+    def test_penalty_mismatch_exits_2_naming_the_agent(
+        self, tmp_path, capsys, trained_per_user, command
+    ):
+        broken, err = self.run_with(tmp_path, capsys, trained_per_user, command, "penalty", 0.5)
         assert broken in err and "agents[1].config.penalty" in err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+    def test_missing_anchor_exits_2_naming_the_agent(
+        self, tmp_path, capsys, trained_per_user, command
+    ):
+        broken, err = self.run_with(
+            tmp_path, capsys, trained_per_user, command, "retrain_from_scratch", True
+        )
+        assert broken in err and "agents[1].initial_params" in err
 
 
 def _truncate(row):

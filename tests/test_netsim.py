@@ -364,13 +364,6 @@ class TestSnapshotProjection:
         want = tuple(0.6 + 0.4 * mirror.random() for _ in range(3))
         assert g1 == want
 
-    def test_projection_rejects_foreign_snapshot(self):
-        node = single_user_node()
-        sim = Simulator(node, (fixed_gain_channel(1e6, 1.0),), substream(0, "g"))
-        snap = sim.snapshot(make_task(task_id=1))
-        with pytest.raises(ValueError):
-            project_outcome(snap, make_task(task_id=2), 0)
-
 
 def mixed_run(n_tasks=2000, seed=13):
     node = NodeConfig(n_users=5, n_base_stations=3, n_channels=3)
@@ -498,7 +491,7 @@ def reference_projections(sim, task):
         for k in range(K)
     ]
     down_bits = [
-        [sum(j.result_bits for j in sim._down[n][c].queue) + tx_residual(sim._down[n][c].slot)
+        [sum(node.result_size_ratio * j.task.size_bits for j in sim._down[n][c].queue) + tx_residual(sim._down[n][c].slot)
          for c in range(C)]
         for n in range(N)
     ]
@@ -574,23 +567,23 @@ def loaded_run(node, on_decision, n_decisions=1500):
     return decided[0]
 
 
-def stack(snaps, tasks):
-    """One column Snapshot and one column Task from per-decision ones:
-    scalar fields become (R,) arrays, per-channel fields (C, R) arrays."""
-    snap = Snapshot(
-        *(np.array([getattr(one, name) for one in snaps]).T for name in Snapshot._fields[:-2]),
+def stack(snaps):
+    """One column Snapshot from per-decision ones: its task's fields and
+    the scalar fields become (R,) arrays, per-channel fields (C, R) arrays."""
+    task = Task(*(np.array([getattr(one.task, f.name) for one in snaps]) for f in fields(Task)))
+    return Snapshot(
+        task,
+        *(np.array([getattr(one, name) for one in snaps]).T for name in Snapshot._fields[1:-2]),
         snaps[0].node, snaps[0].channels,
     )
-    task = Task(*(np.array([getattr(one, f.name) for one in tasks]) for f in fields(Task)))
-    return snap, task
 
 
-def assert_column_matches_scalar(snap_col, task_col, snaps, tasks):
-    """project_outcome on the columns equals the per-decision calls, field
+def assert_column_matches_scalar(snap_col, snaps):
+    """project_outcome on the column equals the per-decision calls, field
     by field and bit for bit, for every action."""
     for action in range(len(snap_col.channels) + 1):
-        col = project_outcome(snap_col, task_col, action)
-        one = [project_outcome(sn, t, action) for sn, t in zip(snaps, tasks, strict=True)]
+        col = project_outcome(snap_col, action)
+        one = [project_outcome(sn, action) for sn in snaps]
         for name in TaskOutcome._fields:
             want = np.array([getattr(o, name) for o in one])
             got = np.broadcast_to(getattr(col, name), want.shape)
@@ -633,45 +626,39 @@ class TestDecisionViewReference:
     def logged_decisions(result_size_ratio, n_decisions):
         node = NodeConfig(n_users=12, n_base_stations=3, n_channels=3,
                           result_size_ratio=result_size_ratio)
-        snaps, tasks = [], []
-
-        def log(sim, task):
-            snaps.append(sim.snapshot(task))
-            tasks.append(task)
-
-        loaded_run(node, log, n_decisions)
-        return snaps, tasks
+        snaps = []
+        loaded_run(node, lambda sim, task: snaps.append(sim.snapshot(task)), n_decisions)
+        return snaps
 
     @pytest.mark.parametrize("result_size_ratio", [0.1, 0.0])
     def test_column_projection_matches_the_scalar_calls(self, result_size_ratio):
-        snaps, tasks = self.logged_decisions(result_size_ratio, 600)
+        snaps = self.logged_decisions(result_size_ratio, 600)
         assert len(snaps) == 600
         assert any(sn.uplink_backlog_bits != (0.0,) * 3 for sn in snaps)
-        assert_column_matches_scalar(*stack(snaps, tasks), snaps, tasks)
+        assert_column_matches_scalar(stack(snaps), snaps)
         if result_size_ratio > 0:
             # a result too small to be a float is not sent, decided per task,
             # here by a task that would otherwise queue behind a busy downlink
             i = next(i for i, sn in enumerate(snaps) if max(sn.downlink_backlog_bits) > 0)
-            tasks[i] = replace(tasks[i], size_bits=5e-324)
-            assert_column_matches_scalar(*stack(snaps, tasks), snaps, tasks)
+            snaps[i] = snaps[i]._replace(task=replace(snaps[i].task, size_bits=5e-324))
+            assert_column_matches_scalar(stack(snaps), snaps)
 
     @pytest.mark.parametrize("action", [0, 1, 3])
     @pytest.mark.parametrize(
         "field, bad",
-        [("size_bits", 0.0), ("intensity_cpb", -1.0), ("task_id", -5),
-         ("gains", 0.0), ("gains", float("nan"))],
+        [("size_bits", 0.0), ("intensity_cpb", -1.0), ("gains", 0.0), ("gains", float("nan"))],
     )
     def test_one_bad_element_raises_the_scalar_error(self, action, field, bad):
-        snaps, tasks = self.logged_decisions(0.1, 50)
+        snaps = self.logged_decisions(0.1, 50)
         if field == "gains":
             snaps[31] = snaps[31]._replace(gains=(bad,) * 3)
             action = action or 2  # a local run reads no gain
         else:
-            tasks[31] = replace(tasks[31], **{field: bad})
+            snaps[31] = snaps[31]._replace(task=replace(snaps[31].task, **{field: bad}))
         with pytest.raises((ValueError, SimulationError)) as scalar:
-            project_outcome(snaps[31], tasks[31], action)
+            project_outcome(snaps[31], action)
         with pytest.raises(type(scalar.value)) as column:
-            project_outcome(*stack(snaps, tasks), action)
+            project_outcome(stack(snaps), action)
         assert str(column.value) == str(scalar.value)
 
 

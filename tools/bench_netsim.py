@@ -2,9 +2,10 @@
 
 Times the event loop (microseconds per popped event, and events per
 completed task) and the decision view (microseconds per
-Simulator.projections call) on live random-policy streams at K = 5, 50 and
-500 users, and writes the results with the machine, the Python, numpy and
-BLAS versions and the repeat count to a JSON file.
+Simulator.projections call, and per decision of a column projection) on
+live random-policy streams at K = 5, 50 and 500 users, and writes the
+results with the machine, the Python, numpy and BLAS versions and the
+repeat count to a JSON file.
 
 Run from the root of a checkout, with the package to measure on the path:
 
@@ -18,8 +19,12 @@ the fixed per-user load of the ROADMAP's scaling curve.  The --tasks tasks
 drawn before timing, so a pass times the simulator alone.  Every round runs
 two passes over the same tasks and actions, which take the same path: one
 times the whole event loop, the other only the projections call that an
-oracle policy makes per decision.  Timings are reported as the minimum and
-median over --repeats rounds.
+oracle policy makes per decision.  The snapshots of that second pass, taken
+outside the timed call, are stacked into one column Snapshot, and each
+round then times one project_outcome call per action on it, as dataset
+generation projects; column_projection_us is that time over the decisions
+projected.  Timings are reported as the minimum and median over --repeats
+rounds.
 """
 
 from __future__ import annotations
@@ -30,11 +35,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
+
+import numpy as np
 
 from bench_dataset import ROOT, machine, summary
-from e2da.netsim import NodeConfig, Simulator, default_channels
+from e2da.netsim import NodeConfig, Simulator, Snapshot, default_channels, project_outcome
 from e2da.rng import substream
-from e2da.workload import WorkloadConfig, task_stream
+from e2da.workload import Task, WorkloadConfig, task_stream
 
 USERS = (5, 50, 500)
 RATE_PER_USER = 4.0
@@ -61,6 +69,17 @@ def live_pass(node, channels, streams, actions, policy_hook=None):
     return time.perf_counter() - t0, events, outcomes
 
 
+def stack(snaps):
+    """One column Snapshot of per-decision ones: the task's fields and the
+    scalar fields as (R,) arrays, the per-channel fields as (C, R) arrays."""
+    task = Task(*(np.array([getattr(s.task, f.name) for s in snaps]) for f in fields(Task)))
+    return Snapshot(
+        task,
+        *(np.array([getattr(s, name) for s in snaps]).T for name in Snapshot._fields[1:-2]),
+        snaps[0].node, snaps[0].channels,
+    )
+
+
 def measure(n_users: int, n_tasks: int, repeats: int) -> dict:
     node = NodeConfig(n_users=n_users, n_base_stations=3, n_channels=3)
     channels = default_channels()
@@ -73,19 +92,27 @@ def measure(n_users: int, n_tasks: int, repeats: int) -> dict:
     total = per_user * n_users
     actions = substream(SEED, "bench-actions").integers(0, node.n_channels + 1, total).tolist()
     spent = [0.0]
+    snaps = []
 
     def timed_projections(sim, task):
         t0 = time.perf_counter()
         sim.projections(task)
         spent[0] += time.perf_counter() - t0
+        snaps.append(sim.snapshot(task))
 
-    loop_s, proj_s = [], []
+    loop_s, proj_s, column_s = [], [], []
     for _ in range(repeats):
         seconds, events, outcomes = live_pass(node, channels, streams, actions)
         loop_s.append(seconds)
         spent[0] = 0.0
+        snaps.clear()
         live_pass(node, channels, streams, actions, timed_projections)
         proj_s.append(spent[0])
+        column = stack(snaps)
+        t0 = time.perf_counter()
+        for action in range(node.n_channels + 1):
+            project_outcome(column, action)
+        column_s.append(time.perf_counter() - t0)
     return {
         "users": n_users,
         "tasks": total,
@@ -93,6 +120,7 @@ def measure(n_users: int, n_tasks: int, repeats: int) -> dict:
         "events_per_task": events / outcomes,
         "event_us": summary(loop_s, 1e6 / events),
         "projections_us": summary(proj_s, 1e6 / total),
+        "column_projection_us": summary(column_s, 1e6 / len(snaps)),
     }
 
 
@@ -113,7 +141,8 @@ def main(argv=None) -> int:
         print(
             f"{name}: {row['event_us']['median']:.2f} us/event, "
             f"{row['events_per_task']:.2f} events/task, "
-            f"{row['projections_us']['median']:.2f} us/projections",
+            f"{row['projections_us']['median']:.2f} us/projections, "
+            f"{row['column_projection_us']['median']:.2f} us/decision in a column",
             file=sys.stderr,
         )
     with open(args.out, "w", encoding="utf-8") as fh:
