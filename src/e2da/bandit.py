@@ -79,7 +79,7 @@ def select_action(q: np.ndarray, epsilon: float, rng: Optional[np.random.Generat
             raise ValueError("epsilon > 0 requires an exploration rng")
         if rng.random() < epsilon:
             return int(rng.integers(len(q)))
-    return int(np.argmax(q))
+    return int(q.argmax())
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,9 @@ class MlpModel:
         self.weights, self.biases = self.layer_views(self.params)
         self.acc_w, self.acc_b = self.layer_views(self.acc)
         self._grads = self.layer_views(self._grad)  # train_step's gradient buffers
-        self._hidden = list(zip(self.weights[:-1], self.biases[:-1]))
+        # per layer, the transposed weight and (1, fan_out) bias views that
+        # the matmuls and the bias adds take
+        *self._hidden_t, self._out_t = [(w.T, b[None]) for w, b in zip(self.weights, self.biases)]
         for w in self.weights if rng is not None else ():
             fan_out, fan_in = w.shape
             limit = init_scale if init_scale is not None else math.sqrt(6.0 / (fan_in + fan_out))
@@ -168,26 +170,46 @@ class MlpModel:
         return self.layer_sizes[-1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Action values for a single context (1d) or a batch (2d)."""
-        q = self._sigmoid(self._layers(x[None] if x.ndim == 1 else x)[1])
-        return q[0] if x.ndim == 1 else q
+        """Action values for a single context (1d) or a batch (2d).  One
+        context runs as a batch of one, through the same matmuls as a
+        batch, without keeping the layer inputs."""
+        if x.ndim != 1:
+            return self._sigmoid(self._layers(x)[1])
+        h = x[None]
+        for wt, b in self._hidden_t:
+            h = h @ wt
+            h += b
+            np.maximum(h, 0.0, out=h)
+        wt, b = self._out_t
+        z = h @ wt
+        z += b
+        return self._sigmoid(z)[0]
 
     def _layers(self, x: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
         """Layer inputs (x, then each ReLU output) and the output pre-activations."""
         acts = [x]
-        for w, b in self._hidden:
-            h = acts[-1] @ w.T
+        for wt, b in self._hidden_t:
+            h = acts[-1] @ wt
             h += b
             acts.append(np.maximum(h, 0.0, out=h))
-        z = acts[-1] @ self.weights[-1].T
-        z += self.biases[-1]
+        wt, b = self._out_t
+        z = acts[-1] @ wt
+        z += b
         return acts, z
 
     @staticmethod
     def _sigmoid(z: np.ndarray) -> np.ndarray:
-        """Logistic function that never overflows: exp only sees -|z|."""
-        e = np.exp(-np.abs(z))
-        return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+        """Logistic function that never overflows: exp only sees -|z|.
+        It is num / (1 + exp(-|z|)), where num is 1 for z >= 0 and
+        exp(-|z|) = exp(z) below; exp(fmin(z, 0)) gives those same bits,
+        and for a NaN z the NaN of the denominator."""
+        e = np.copysign(z, -1.0)
+        np.exp(e, out=e)
+        e += 1.0
+        q = np.fmin(z, 0.0)
+        np.exp(q, out=q)
+        q /= e
+        return q
 
     def loss_and_grads(
         self, x: np.ndarray, actions: np.ndarray, targets: np.ndarray, out=None

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigError
 from .ioutil import atomic_write_text, check_utf8
 from .netsim import ChannelConfig, NodeConfig, Simulator, Snapshot, project_outcome
-from .rng import substream
+from .rng import Uniforms, substream
 from .workload import Task, WorkloadConfig, task_stream
 
 _INT_COLUMNS = ("record_id", "task_id", "user_id")
@@ -435,7 +435,7 @@ def generate_dataset(
             sim.halt_arrivals()
         return int(log_rng.integers(n_actions))
 
-    sim = Simulator(node, channels, substream(seed, "gains"), policy=logging_policy)
+    sim = Simulator(node, channels, Uniforms(substream(seed, "gains")), policy=logging_policy)
     for user in range(node.n_users):
         sim.add_stream(user, task_stream(workload, seed, user, node.n_users))
     while sim.has_events and logged < n_records:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -22,7 +23,7 @@ from .dataset import Dataset, generate_dataset  # noqa: F401  (the CLI imports b
 from .errors import ConfigError
 from .ioutil import atomic_write_text, fmt
 from .netsim import ChannelConfig, NodeConfig, Simulator, TaskOutcome
-from .rng import substream
+from .rng import Uniforms, substream
 from .workload import Task, WorkloadConfig, normalize_context, task_stream
 
 # A policy: choose(user_id, x, pick) -> action, where x is the scaled
@@ -34,10 +35,31 @@ Pick = Callable[[Oracle], int]
 Policy = Callable[[int, np.ndarray, Pick], int]
 
 
+def linear_percentile(values, q: float) -> float:
+    """np.percentile(values, q) over every value, with numpy's default
+    linear method, bit for bit: the order statistics either side of the
+    virtual index (n - 1) * q / 100, then numpy's lerp.  Any NaN value
+    gives NaN.  It partitions a flat copy and never imports numpy.ma,
+    which np.percentile does on first use."""
+    arr = np.array(values, dtype=np.float64).reshape(-1)
+    n = arr.size
+    virtual = (n - 1) * (q / 100)
+    lo = math.floor(virtual) if virtual < n - 1 else -1  # past the end: the maximum
+    hi = lo + 1 if lo >= 0 else -1
+    # numpy's own kth list, so equal values (0.0 and -0.0) land where its
+    # partition puts them; the last place gets the maximum, or a NaN
+    arr.partition(sorted({0, -1, lo, hi}))
+    if math.isnan(arr[-1]):
+        return float(arr[-1])
+    a, b, t = arr.item(lo), arr.item(hi), virtual - lo
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def calibrate_efficiency_scale(dataset: Dataset, percentile: float = 99.0) -> float:
     """Efficiency normalizer: the given percentile of raw bits/(s*J) over
     every recorded (task, action) pair."""
-    return float(np.percentile(efficiency(*dataset.outcome_columns()), percentile))
+    return linear_percentile(efficiency(*dataset.outcome_columns()), percentile)
 
 
 # ------------------------------------------------------------------- metrics
@@ -379,7 +401,7 @@ def _live_rollout(
 
         return ledger.decide(task.task_id, task.user_id, x, pick, episode)
 
-    sim = Simulator(node, channels, substream(seed, "gains"), policy=hook)
+    sim = Simulator(node, channels, Uniforms(substream(seed, "gains")), policy=hook)
     for user in range(node.n_users):
         sim.add_stream(user, task_stream(workload, seed, user, node.n_users))
     while sim.has_events:
@@ -451,4 +473,4 @@ def calibrate_efficiency_scale_live(
         effs.append(efficiency(out.size_bits, out.total_s, out.e_total_j))
 
     _live_rollout(node, channels, workload, seed, 1, n_tasks, ledger, on_outcome=keep_efficiency)
-    return float(np.percentile(np.asarray(effs), percentile))
+    return linear_percentile(effs, percentile)

@@ -339,27 +339,12 @@ def _outcome(
         e_cpu = 0.0
         e_tx = radio_energy(t_up, ch.uplink_power_w)
         e_rx = radio_energy(t_down, ch.downlink_power_w)
-    return TaskOutcome(
-        task_id=task.task_id,
-        user_id=task.user_id,
-        action=action,
-        arrival_s=task.arrival_time,
-        size_bits=task.size_bits,
-        intensity_cpb=task.intensity_cpb,
-        deadline_s=task.deadline_s,
-        d1_s=d1,
-        d2_s=d2,
-        d3_s=d3,
-        d4_s=d4,
-        t_exec_s=t_exec,
-        t_up_s=t_up,
-        t_down_s=t_down,
-        total_s=total,
-        e_cpu_j=e_cpu,
-        e_tx_j=e_tx,
-        e_rx_j=e_rx,
-        e_total_j=e_tx + e_cpu + e_rx,
-        met_deadline=total <= task.deadline_s,
+    return TaskOutcome(  # positional, in field order: a completion builds one per task
+        task.task_id, task.user_id, action,
+        task.arrival_time, task.size_bits, task.intensity_cpb, task.deadline_s,
+        d1, d2, d3, d4, t_exec, t_up, t_down, total,
+        e_cpu, e_tx, e_rx, e_tx + e_cpu + e_rx,
+        total <= task.deadline_s,
     )
 
 
@@ -409,7 +394,8 @@ class Simulator:
 
     Tasks enter either through pre-scheduled arrival events (schedule_arrival
     or add_stream, in which case a policy callback picks the action) or by
-    direct submit() calls at the current clock.
+    direct submit() calls at the current clock.  gain_rng only has to
+    provide random(): a Generator, or a Uniforms over one.
     """
 
     def __init__(
@@ -482,7 +468,7 @@ class Simulator:
         for both transmission legs).  Idempotent per task."""
         gains = self._staged_gains.get(task.task_id)
         if gains is None:
-            gains = tuple(ch.gain.sample(self._gain_rng) for ch in self.channels)
+            gains = tuple([ch.gain.sample(self._gain_rng) for ch in self.channels])
             self._staged_gains[task.task_id] = gains
         return gains
 
@@ -615,12 +601,14 @@ class Simulator:
 
     def _start(self, st: _Station, job: _Job) -> None:
         job.times[st.wait] = self.clock - job.enq_t
-        job.gain = 1.0 if st.channel is None else job.gains[st.channel]
+        dom = st.domain
+        job.gain = gain = 1.0 if st.channel is None else job.gains[st.channel]
+        if not 0.0 < gain <= 1.0:  # once per stage, so _relatch need not; NaN fails too
+            fair_share_rate(dom.nominal, gain, 1)  # raises its error for this gain
         job.residual = job.work[job.hop]
         job.last_settle = self.clock
         job.elapsed = 0.0
         st.slot = job
-        dom = st.domain
         self._settle(dom)
         dom.members[job] = None
         self._relatch(dom)  # sets the job's rate and finish
@@ -666,17 +654,19 @@ class Simulator:
     def _relatch(self, dom: _Domain) -> None:
         """Re-split the nominal rate over the (settled, non-empty) members,
         latch each finish as clock + residual / rate, and schedule the
-        earliest finisher as the domain's one event (ties in member order)."""
+        earliest finisher as the domain's one event (ties in member order).
+        Each rate is fair_share_rate's expression; _start checked the gain."""
         n = len(dom.members)
+        nominal, now = dom.nominal, self.clock
         total = 0.0
         due = None
         for job in dom.members:
-            job.rate = fair_share_rate(dom.nominal, job.gain, n)
-            total += job.rate
-            job.finish = self.clock + job.residual / job.rate
-            if due is None or job.finish < due.finish:
+            job.rate = rate = job.gain * nominal / n
+            total += rate
+            job.finish = finish = now + job.residual / rate
+            if due is None or finish < due.finish:
                 due = job
-        if total > dom.nominal * (1.0 + 1e-9):
+        if total > nominal * (1.0 + 1e-9):
             raise SimulationError(
                 f"allocated rates sum to {total} per second, over the nominal "
                 f"{dom.nominal} of domain {dom.key}"

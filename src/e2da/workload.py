@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .rng import substream
+from .rng import Uniforms, substream
 
 _SMALLEST_POSITIVE = 5e-324  # np.nextafter(0, 1); guards log(0)
 
@@ -79,8 +79,7 @@ class DistributionSpec:
         return DistributionSpec("exponential", mean=mean)
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(NamedTuple):
     task_id: int
     user_id: int
     arrival_time: float  # s
@@ -183,14 +182,7 @@ def sample_task(
     size = cfg.size_bits.sample(rng)
     intensity = cfg.intensity_cpb.sample(rng)
     deadline = cfg.deadline_s.sample(rng)
-    return Task(
-        task_id=task_id,
-        user_id=user_id,
-        arrival_time=arrival_time,
-        size_bits=size,
-        intensity_cpb=intensity,
-        deadline_s=deadline,
-    )
+    return Task(task_id, user_id, arrival_time, size, intensity, deadline)
 
 
 def task_stream(
@@ -203,9 +195,11 @@ def task_stream(
     """Endless Poisson task stream for one user.
 
     Task ids are seq * n_users + user_id: globally unique and strictly
-    increasing with arrival time inside the stream.
+    increasing with arrival time inside the stream.  The stream draws its
+    uniforms in blocks (see Uniforms), with the same values as one scalar
+    draw each.
     """
-    rng = substream(master_seed, "workload", user_id)
+    rng = Uniforms(substream(master_seed, "workload", user_id))
     t = start_time
     seq = 0
     while True:
@@ -218,8 +212,16 @@ def normalize_context(features, scale) -> np.ndarray:
     """Min-max scale (size, intensity, deadline) to [0, 1], clamping
     features that fall outside the bounds; scale is the (lo, span) pair
     WorkloadConfig.context_scale() gives.  features holds the three raw
-    features on its last axis: one task's, or one row per task."""
+    features on its last axis: one task's, or one row per task.  A tuple
+    of one task's floats is scaled in Python floats, with the same
+    arithmetic and clip's handling of -0.0 and NaN (both kept)."""
     lo, span = scale
+    if type(features) is tuple:
+        x = []
+        for f, a, s in zip(features, lo.tolist(), span.tolist()):
+            v = (f - a) / s
+            x.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
+        return np.array(x)
     x = np.subtract(features, lo)
     x /= span
     return x.clip(0.0, 1.0, out=x)

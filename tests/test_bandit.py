@@ -291,6 +291,63 @@ class TestReferenceLearner:
         assert same_bits([model.forward(probe)], [reference_forward(*ref[:2], probe)])
         assert same_bits([model.forward(probe[0])], [reference_forward(*ref[:2], probe[0])])
 
+
+def reference_act(weights, biases, x):
+    """One context's greedy decision as a batch of one: the hidden layers'
+    ReLU matmuls, the -|z| logistic squash and np.argmax.  Returns
+    (q, action); MlpModel.forward and E2daAgent.act must match it bit for
+    bit, since one differing ulp in q can flip a close pick."""
+    h = x[None]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = h @ w.T
+        h += b
+        h = np.maximum(h, 0.0, out=h)
+    z = h @ weights[-1].T
+    z += biases[-1]
+    e = np.exp(-np.abs(z))
+    q = (np.where(z >= 0.0, 1.0, e) / (1.0 + e))[0]
+    return q, int(np.argmax(q))
+
+
+class TestReferenceAct:
+    def check(self, agent, contexts):
+        model = agent.model
+        for x in contexts:
+            want_q, want_a = reference_act(model.weights, model.biases, x)
+            assert same_bits([model.forward(x)], [want_q])
+            assert agent.act(x, 0.0) == want_a
+
+    @pytest.mark.parametrize("hidden", [(50, 50), (8,), (16, 16, 16)])
+    def test_trained_parameters(self, hidden):
+        agent = E2daAgent.create(AgentConfig(hidden_sizes=hidden, minibatch_size=16), 4,
+                                 RewardParams(), 31)
+        rng = substream(32, "act", *hidden)
+        self.check(agent, rng.random((200, 3)))
+        for _ in range(300):
+            x = rng.random(3)
+            agent.observe(x, agent.act(x, 0.5), float(rng.uniform(-1.0, 1.0)))
+        self.check(agent, rng.random((500, 3)))
+        # contexts on the clamp edges, as normalize_context gives them
+        self.check(agent, rng.integers(0, 2, (16, 3)).astype(np.float64))
+
+    def test_saturated_heads(self):
+        agent = E2daAgent.create(AgentConfig(hidden_sizes=(8, 8)), 5, RewardParams(), 33)
+        agent.model.biases[-1][...] = [-60.0, 45.0, 41.0, -41.0, 800.0]
+        self.check(agent, substream(34, "act").random((100, 3)))
+        agent.model.biases[-1][...] = [-800.0, -45.0, -41.0, -60.0, -700.0]
+        self.check(agent, substream(35, "act").random((100, 3)))
+
+    def test_exactly_tied_heads(self):
+        agent = E2daAgent.create(AgentConfig(hidden_sizes=(8,)), 4, RewardParams(), 36)
+        w, b = agent.model.weights[-1], agent.model.biases[-1]
+        w[2] = w[1] = w[3]
+        b[...] = [-5.0, 0.25, 0.25, 0.25]
+        self.check(agent, substream(37, "act").random((100, 3)))
+        w[...] = 0.0
+        b[...] = 50.0  # every head squashes to exactly 1.0
+        self.check(agent, substream(38, "act").random((20, 3)))
+        assert agent.act(np.full(3, 0.5), 0.0) == 0
+
     def test_agent_observe_matches_per_layer_learner(self):
         cfg = AgentConfig(hidden_sizes=(16, 16), minibatch_size=64, buffer_capacity=50,
                           retrain_from_scratch=True, penalty=2.0)

@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -966,6 +968,24 @@ class TestDatasetModeDigests:
                 "--dataset", dataset]
         assert cli.main(argv) == 0
         assert sha256_file(os.path.join(out, "summary.json")) == digest
+
+    def test_calibrating_evaluate_never_imports_numpy_ma(self, tmp_path, trained):
+        """np.percentile imports numpy.ma on first use; the calibration's
+        own percentile does not, so a calibrating command never loads it."""
+        _, dataset, _ = trained
+        config = write_config(tmp_path, "calibrated.json",
+                              reward={"efficiency_scale_bits_per_j_s": None})
+        argv = ["evaluate", "--agent", "eel", "--config", config, "--out",
+                str(tmp_path / "out"), "--dataset", dataset]
+        probe = ("import sys; from e2da import cli; rc = cli.main(sys.argv[1:]); "
+                 "print(rc, 'numpy.ma' in sys.modules)")
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.split()[-2:] == ["0", "False"], done.stderr
+        assert read_json(os.path.join(str(tmp_path / "out"), "manifest.json"))[
+            "scale_origin"] == "dataset_percentile"
 
     def test_per_user_split_digest(self, trained):
         from e2da.experiment import Dataset, split_by_user

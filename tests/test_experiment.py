@@ -14,6 +14,7 @@ from e2da.experiment import (
     calibrate_efficiency_scale,
     calibrate_efficiency_scale_live,
     generate_dataset,
+    linear_percentile,
     make_policy,
     metrics_to_csv_text,
     moving_average,
@@ -350,6 +351,35 @@ class TestCalibration:
         assert calibrate_efficiency_scale(small_dataset) == want
         want50 = float(np.percentile(np.array(effs), 50.0))
         assert calibrate_efficiency_scale(small_dataset, 50.0) == want50
+
+    def test_linear_percentile_matches_numpy_bit_for_bit(self):
+        """28,000 arrays of 1 to 3,000 values, with ties, at percentiles
+        from 0 to 100, the ends and the calibration's 99 included."""
+        rng = substream(43, "percentiles")
+        for case in range(28_000):
+            n = int(rng.integers(1, 3001)) if case % 4 else int(rng.integers(1, 12))
+            kind = case % 4
+            if kind == 0:
+                values = rng.random(n)
+            elif kind == 1:
+                values = rng.integers(0, 5, n).astype(np.float64)  # many ties
+            elif kind == 2:
+                values = np.exp(rng.normal(0.0, 20.0, n))  # efficiencies span decades
+            else:
+                values = np.round(rng.normal(0.0, 1e6, n), -5)
+            q = float(rng.choice([0.0, 1.0, 50.0, 99.0, 99.9, 100.0])) if case % 3 == 0 \
+                else float(rng.uniform(0.0, 100.0))
+            got = linear_percentile(values, q)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.percentile(values, q).tobytes(), (n, q)
+
+    def test_linear_percentile_keeps_nan_and_infinities(self):
+        with np.errstate(invalid="ignore"):  # numpy's own lerp makes inf - inf
+            for values in ([np.nan, 1.0, 2.0], [3.0, np.nan], [1.0, np.inf], [np.inf],
+                           [1.0, 2.0, -np.inf], [7.5]):
+                for q in (0.0, 50.0, 99.0, 100.0):
+                    want = np.percentile(np.array(values), q)
+                    assert np.float64(linear_percentile(values, q)).tobytes() == want.tobytes()
 
     def test_live_calibration_deterministic_and_positive(self, small_node):
         a = calibrate_efficiency_scale_live(

@@ -1,10 +1,9 @@
 import hashlib
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from conftest import fixed_gain_channel, make_task, single_user_node
+from conftest import StubRng, fixed_gain_channel, make_task, single_user_node
 from e2da.errors import ConfigError, SimulationError
 from e2da.netsim import (
     ChannelConfig,
@@ -19,7 +18,7 @@ from e2da.netsim import (
     project_outcome,
     radio_energy,
 )
-from e2da.rng import substream
+from e2da.rng import Uniforms, substream
 from e2da.workload import DistributionSpec, Task, WorkloadConfig, task_stream
 
 
@@ -266,6 +265,16 @@ class TestQueueing:
 
 
 class TestSnapshotProjection:
+    def test_block_drawn_gains_match_scalar_draws(self):
+        # a constant-gain carrier draws nothing, so tasks straddle blocks
+        node = NodeConfig(n_users=4, n_base_stations=2, n_channels=3)
+        chans = default_channels()
+        chans = (chans[0], fixed_gain_channel(2e6, 1.0, gain=0.7), chans[2])
+        blocked = Simulator(node, chans, Uniforms(substream(9, "gains")))
+        scalar = Simulator(node, chans, substream(9, "gains"))
+        tasks = [make_task(task_id=i) for i in range(2000)]
+        assert [repr(blocked.stage(t)) for t in tasks] == [repr(scalar.stage(t)) for t in tasks]
+
     def test_projection_matches_realized_on_idle_system(self):
         node = single_user_node(n_channels=2, result_size_ratio=0.1)
         chans = (fixed_gain_channel(2e6, 1.0, gain=0.7),
@@ -570,7 +579,7 @@ def loaded_run(node, on_decision, n_decisions=1500):
 def stack(snaps):
     """One column Snapshot from per-decision ones: its task's fields and
     the scalar fields become (R,) arrays, per-channel fields (C, R) arrays."""
-    task = Task(*(np.array([getattr(one.task, f.name) for one in snaps]) for f in fields(Task)))
+    task = Task(*(np.array([getattr(one.task, name) for one in snaps]) for name in Task._fields))
     return Snapshot(
         task,
         *(np.array([getattr(one, name) for one in snaps]).T for name in Snapshot._fields[1:-2]),
@@ -640,7 +649,7 @@ class TestDecisionViewReference:
             # a result too small to be a float is not sent, decided per task,
             # here by a task that would otherwise queue behind a busy downlink
             i = next(i for i, sn in enumerate(snaps) if max(sn.downlink_backlog_bits) > 0)
-            snaps[i] = snaps[i]._replace(task=replace(snaps[i].task, size_bits=5e-324))
+            snaps[i] = snaps[i]._replace(task=snaps[i].task._replace(size_bits=5e-324))
             assert_column_matches_scalar(stack(snaps), snaps)
 
     @pytest.mark.parametrize("action", [0, 1, 3])
@@ -654,7 +663,7 @@ class TestDecisionViewReference:
             snaps[31] = snaps[31]._replace(gains=(bad,) * 3)
             action = action or 2  # a local run reads no gain
         else:
-            snaps[31] = snaps[31]._replace(task=replace(snaps[31].task, **{field: bad}))
+            snaps[31] = snaps[31]._replace(task=snaps[31].task._replace(**{field: bad}))
         with pytest.raises((ValueError, SimulationError)) as scalar:
             project_outcome(snaps[31], action)
         with pytest.raises(type(scalar.value)) as column:
@@ -682,6 +691,16 @@ class TestValidationAndErrors:
         with pytest.raises(ValueError, match="finite positive"):
             sim.submit(make_task(**{field: bad}), action)
         assert sim.admitted == 0 and not sim.has_events
+
+    @pytest.mark.parametrize("u, shown", [(1.5, "1.2"), (-2.0, "-0.2"), (float("nan"), "nan")])
+    def test_a_gain_outside_0_1_fails_its_transmission(self, u, shown):
+        """A gain draw the channel's support cannot give, from a scripted
+        stream, fails with fair_share_rate's error when its leg starts."""
+        node = single_user_node()
+        ch = ChannelConfig(1e6, 1e6, 1.0, 0.5, gain=DistributionSpec.uniform(0.6, 1.0))
+        sim = Simulator(node, (ch,), StubRng([u]))
+        with pytest.raises(ValueError, match=rf"^gain must be in \(0, 1\], got {shown}"):
+            sim.submit(make_task(), 1)
 
     def test_advance_on_empty_calendar(self):
         node = single_user_node()

@@ -96,6 +96,18 @@ class TestSampleTask:
         assert (task.task_id, task.user_id, task.arrival_time) == (9, 2, 1.5)
 
 
+def reference_task_stream(cfg, master_seed, user_id, n_users):
+    """The stream as one scalar Generator.random() call per draw:
+    interarrival gap, then size, intensity and deadline.  task_stream must
+    give the same tasks, float for float."""
+    rng = substream(master_seed, "workload", user_id)
+    t, seq = 0.0, 0
+    while True:
+        t += sample_interarrival(rng, cfg.arrival_rate_per_s)
+        yield sample_task(rng, cfg, t, user_id, seq * n_users + user_id)
+        seq += 1
+
+
 class TestTaskStream:
     def test_deterministic(self):
         cfg = WorkloadConfig()
@@ -127,6 +139,28 @@ class TestTaskStream:
         times = [t.arrival_time for t in itertools.islice(task_stream(cfg, 5, 0, 1), 50)]
         assert all(b > a for a, b in zip(times, times[1:]))
         assert times[0] > 0.0
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            WorkloadConfig(),
+            # 2, 3 and 4 draws per task, so tasks straddle block boundaries
+            WorkloadConfig(
+                arrival_rate_per_s=3.0,
+                size_bits=DistributionSpec.constant(5000.0),
+                deadline_s=DistributionSpec.exponential(0.02),
+                context_bounds=((1.0, 9000.0), (10.0, 1000.0), (0.001, 0.1)),
+            ),
+            WorkloadConfig(intensity_cpb=DistributionSpec.constant(100.0),
+                           size_bits=DistributionSpec.constant(10.0),
+                           context_bounds=((1.0, 90.0), (10.0, 1000.0), (0.01, 0.018))),
+        ],
+    )
+    def test_matches_scalar_draw_reference(self, cfg):
+        for seed, user, n_users in ((5, 0, 1), (5, 3, 4), (11, 49, 50), (0, 2, 500)):
+            got = itertools.islice(task_stream(cfg, seed, user, n_users), 2000)
+            want = itertools.islice(reference_task_stream(cfg, seed, user, n_users), 2000)
+            assert [repr(t) for t in got] == [repr(t) for t in want]
 
     def test_start_time_offset(self):
         cfg = WorkloadConfig()
@@ -186,6 +220,20 @@ class TestContextScaling:
         assert normalize_context(features(lo), scale).tolist() == [0.0, 0.0, 0.0]
         wild = make_task(size_bits=1e9, intensity_cpb=1.0, deadline_s=100.0)
         assert normalize_context(features(wild), scale).tolist() == [1.0, 0.0, 1.0]
+
+    def test_one_task_tuple_keeps_the_array_path_bits(self):
+        """The tuple path keeps what clip does with -0.0 and NaN: both stay,
+        sign and payload included, while a negative value clamps to +0.0."""
+        scale = (np.array([0.0, 10.0, 0.01]), np.array([10.0, 990.0, 0.008]))
+        specials = [-0.0, 0.0, -1e-300, float("nan"), -float("nan"), float("inf"),
+                    -float("inf"), 5e-324, 10.0, 10.000000000000002, 1000.0, 0.018, 3.0]
+        rng = substream(6, "specials")
+        for _ in range(500):
+            f = tuple(specials[i] for i in rng.integers(0, len(specials), 3))
+            got = normalize_context(f, scale)
+            want = normalize_context(np.array(f), scale)
+            assert got.dtype == want.dtype and got.shape == want.shape == (3,)
+            assert got.tobytes() == want.tobytes(), f
 
     def test_rows_scale_like_single_tasks(self):
         cfg = WorkloadConfig()

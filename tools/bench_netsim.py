@@ -3,9 +3,10 @@
 Times the event loop (microseconds per popped event, and events per
 completed task) and the decision view (microseconds per
 Simulator.projections call, and per decision of a column projection) on
-live random-policy streams at K = 5, 50 and 500 users, and writes the
-results with the machine, the Python, numpy and BLAS versions and the
-repeat count to a JSON file.
+live random-policy streams at K = 5, 50 and 500 users, and one whole live
+decision (live_e2da_us, live_random_us) and one streamed task
+(task_stream_us) at K = 50.  The results go to a JSON file with the
+machine, the Python, numpy and BLAS versions and the repeat count.
 
 Run from the root of a checkout, with the package to measure on the path:
 
@@ -23,8 +24,18 @@ oracle policy makes per decision.  The snapshots of that second pass, taken
 outside the timed call, are stacked into one column Snapshot, and each
 round then times one project_outcome call per action on it, as dataset
 generation projects; column_projection_us is that time over the decisions
-projected.  Timings are reported as the minimum and median over --repeats
-rounds.
+projected.
+
+The live section times the whole per-decision path of a live evaluation at
+K = 50 users and 40 tasks/s each, as the benchmark's live-k50 workload runs
+it: task streams, gains, context scaling, the policy, submit and the event
+loop.  live_e2da_us is run_live_evaluation with an untrained e2da agent
+(greedy forward per decision) and live_random_us with the random policy,
+each per decision over --tasks decisions in episodes of 100;
+task_stream_us is the time per task to seed the 50 per-user task streams
+and draw --tasks tasks from them.
+
+Timings are reported as the minimum and median over --repeats rounds.
 """
 
 from __future__ import annotations
@@ -35,11 +46,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
 
 import numpy as np
 
 from bench_dataset import ROOT, machine, summary
+from e2da.bandit import AgentConfig, E2daAgent, RewardParams
+from e2da.experiment import run_live_evaluation
 from e2da.netsim import NodeConfig, Simulator, Snapshot, default_channels, project_outcome
 from e2da.rng import substream
 from e2da.workload import Task, WorkloadConfig, task_stream
@@ -47,6 +59,7 @@ from e2da.workload import Task, WorkloadConfig, task_stream
 USERS = (5, 50, 500)
 RATE_PER_USER = 4.0
 SEED = 0
+LIVE_USERS, LIVE_RATE_PER_USER, TASKS_PER_EPISODE = 50, 40.0, 100
 
 
 def live_pass(node, channels, streams, actions, policy_hook=None):
@@ -72,7 +85,7 @@ def live_pass(node, channels, streams, actions, policy_hook=None):
 def stack(snaps):
     """One column Snapshot of per-decision ones: the task's fields and the
     scalar fields as (R,) arrays, the per-channel fields as (C, R) arrays."""
-    task = Task(*(np.array([getattr(s.task, f.name) for s in snaps]) for f in fields(Task)))
+    task = Task(*(np.array([getattr(s.task, name) for s in snaps]) for name in Task._fields))
     return Snapshot(
         task,
         *(np.array([getattr(s, name) for s in snaps]).T for name in Snapshot._fields[1:-2]),
@@ -124,6 +137,37 @@ def measure(n_users: int, n_tasks: int, repeats: int) -> dict:
     }
 
 
+def measure_live(n_tasks: int, repeats: int) -> dict:
+    node = NodeConfig(n_users=LIVE_USERS, n_base_stations=3, n_channels=3)
+    channels = default_channels()
+    workload = WorkloadConfig(arrival_rate_per_s=LIVE_RATE_PER_USER)
+    params = RewardParams(1.0, 1e6)
+    agent = E2daAgent.create(AgentConfig(), node.n_channels + 1, params, SEED)
+    n_episodes = max(1, n_tasks // TASKS_PER_EPISODE)
+    decisions = n_episodes * TASKS_PER_EPISODE
+    per_user = max(1, n_tasks // LIVE_USERS)
+    runs = {"live_e2da_us": [], "live_random_us": [], "task_stream_us": []}
+    for _ in range(repeats):
+        for name in ("e2da", "random"):
+            t0 = time.perf_counter()
+            run_live_evaluation(name, node, channels, workload, params, n_episodes,
+                                TASKS_PER_EPISODE, SEED, [agent])
+            runs[f"live_{name}_us"].append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        for user in range(LIVE_USERS):
+            for _task in itertools.islice(task_stream(workload, SEED, user, LIVE_USERS), per_user):
+                pass
+        runs["task_stream_us"].append(time.perf_counter() - t0)
+    return {
+        "users": LIVE_USERS,
+        "arrival_rate_per_s": LIVE_RATE_PER_USER,
+        "decisions": decisions,
+        "live_e2da_us": summary(runs["live_e2da_us"], 1e6 / decisions),
+        "live_random_us": summary(runs["live_random_us"], 1e6 / decisions),
+        "task_stream_us": summary(runs["task_stream_us"], 1e6 / (per_user * LIVE_USERS)),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
@@ -136,6 +180,7 @@ def main(argv=None) -> int:
         "tasks": args.tasks,
         "arrival_rate_per_s": RATE_PER_USER,
         "netsim": {f"k{k}": measure(k, args.tasks, args.repeats) for k in USERS},
+        "live": measure_live(args.tasks, args.repeats),
     }
     for name, row in result["netsim"].items():
         print(
@@ -145,6 +190,13 @@ def main(argv=None) -> int:
             f"{row['column_projection_us']['median']:.2f} us/decision in a column",
             file=sys.stderr,
         )
+    live = result["live"]
+    print(
+        f"live k{live['users']}: {live['live_e2da_us']['median']:.2f} us/decision e2da, "
+        f"{live['live_random_us']['median']:.2f} us/decision random, "
+        f"{live['task_stream_us']['median']:.2f} us/task from the streams",
+        file=sys.stderr,
+    )
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
