@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,16 +70,23 @@ def epsilon_at(epsilon0: float, decay: float, epsilon_min: float, episode: int) 
     return max(epsilon_min, epsilon0 * decay**episode)
 
 
-def select_action(q: np.ndarray, epsilon: float, rng: Optional[np.random.Generator]) -> int:
-    """Greedy on q with probability 1 - epsilon, uniform otherwise.
-    Greedy ties resolve to the lowest action index; epsilon = 0 consumes
-    no randomness at all."""
+def select_action(
+    values: Callable[[], np.ndarray],
+    n_actions: int,
+    epsilon: float,
+    rng: Optional[np.random.Generator],
+) -> int:
+    """Uniform over n_actions with probability epsilon, otherwise greedy on
+    the action values that values() returns.  The coin, and on an
+    exploring step the action, are drawn before values() runs, which only
+    a greedy step calls.  Greedy ties resolve to the lowest action index;
+    epsilon = 0 consumes no randomness at all."""
     if epsilon > 0.0:
         if rng is None:
             raise ValueError("epsilon > 0 requires an exploration rng")
         if rng.random() < epsilon:
-            return int(rng.integers(len(q)))
-    return int(q.argmax())
+            return int(rng.integers(n_actions))
+    return int(values().argmax())
 
 
 @dataclass(frozen=True)
@@ -402,7 +409,8 @@ class E2daAgent:
         return epsilon_at(cfg.epsilon0, cfg.epsilon_decay, cfg.epsilon_min, episode)
 
     def act(self, context: np.ndarray, epsilon: float) -> int:
-        return select_action(self.model.forward(context), epsilon, self.explore_rng)
+        forward, n_actions = self.model.forward, self.model.n_actions
+        return select_action(lambda: forward(context), n_actions, epsilon, self.explore_rng)
 
     def observe(self, context: np.ndarray, action: int, reward: float) -> None:
         """Record one outcome and run the configured number of replay steps."""

@@ -3,8 +3,9 @@
 Replay rollouts sample records of a logged dataset (see dataset.py)
 uniformly, so every action's consequence is known without re-simulating;
 live rollouts instead submit real tasks and settle each decision when its
-completion event fires.  Both book decisions through one episode ledger,
-learning or frozen alike.
+completion event fires.  Both turn their episode sums into metric rows
+through one episode ledger, learning or frozen alike: a live rollout books
+each decision as its feedback arrives, a replay books each episode whole.
 """
 
 from __future__ import annotations
@@ -144,6 +145,20 @@ def summarize(
 # ----------------------------------------------------------------- rollouts
 
 
+class _OraclePolicy:
+    """An oracle's policy: the action its rule ranks first.  It carries
+    the rule, so a replay gathers a whole episode's actions from the
+    rule's action vector instead of asking once per decision."""
+
+    __slots__ = ("rule",)
+
+    def __init__(self, rule: Oracle):
+        self.rule = rule
+
+    def __call__(self, user: int, x: np.ndarray, pick: Pick) -> int:
+        return pick(self.rule)
+
+
 def make_policy(
     name: str,
     agents: Sequence[E2daAgent] = (),
@@ -165,8 +180,7 @@ def make_policy(
             return lambda user, x, pick: agent.act(x, 0.0)
         return lambda user, x, pick: agents[user].act(x, 0.0)
     if name in ORACLES:
-        rule = ORACLES[name]
-        return lambda user, x, pick: pick(rule)
+        return _OraclePolicy(ORACLES[name])
     if name == "random":
         if rng is None or n_actions < 1:
             raise ValueError("random policy needs rng and n_actions")
@@ -182,7 +196,8 @@ class _Ledger:
     time, lets a learning agent observe the reward, and adds them to the
     row of the episode the decision was made in.  A learning agent picks
     its own actions at its episode's epsilon; without one, `choose`
-    decides.
+    decides.  book() enters a whole episode's sums at once, for a replay
+    that decides and settles without the ledger.
     """
 
     def __init__(
@@ -218,10 +233,25 @@ class _Ledger:
         book[3] += response
         book[4] += 1
 
+    def book(
+        self, episode: int, reward: float, met: int, energy: float, response: float, n: int
+    ) -> None:
+        self._books[episode] = [reward, met, energy, response, n]
+
     def rows(self, phase: str) -> List[MetricsRow]:
         return [
             MetricsRow(ep, phase, b[0], b[1] / b[4], b[2], b[3]) for ep, b in self._books.items()
         ]
+
+
+def _fold(values: np.ndarray) -> float:
+    """Left-to-right float sum from +0.0, the order settle() adds in: an
+    all -0.0 column sums to +0.0, and no pairwise or compensated
+    summation changes the last bit."""
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
 
 
 def _replay(
@@ -236,29 +266,53 @@ def _replay(
     """Each episode samples records uniformly with replacement, so one task
     can recur within an episode; every decision settles at once against
     the recorded outcome of the chosen action.  Contexts, rewards and each
-    oracle's action vector are computed once per dataset as arrays, and
-    each decision reads its own values from them with .item(): no column
-    is converted to Python values as a whole."""
+    oracle's action vector are computed once per dataset as arrays.
+
+    An oracle policy's episode actions are one gather from its rule's
+    action vector.  A learning agent acts and then observes once per
+    decision, in decision order, and any other policy is asked once per
+    decision, so their random draws keep their order.  The episode is then
+    booked whole from the chosen (record, action) cells of the reward,
+    verdict, energy and response matrices."""
+    if tasks_per_episode < 1:
+        return  # nothing is decided, so no episode is booked
     outcomes = dataset.outcome_columns()
     features = (dataset.size_bits, dataset.intensity_cpb, dataset.deadline_s)
     contexts = normalize_context(np.column_stack(features), workload.context_scale())
     rewards = compute_reward(*outcomes, dataset.met_deadline, ledger.reward_params)
     users, met = dataset.user_id, dataset.met_deadline
     energy, response = dataset.e_total_j, dataset.total_s
+    learner, choose = ledger.learner, ledger.choose
     picks: Dict[Oracle, np.ndarray] = {}
 
-    def pick(rule: Oracle, i: int) -> int:
+    def pick_vector(rule: Oracle) -> np.ndarray:
         if rule not in picks:
             picks[rule] = rule(*outcomes)
-        return picks[rule].item(i)
+        return picks[rule]
 
     for e in range(n_episodes):
         episode = start_episode + e
-        for i in ep_rng.integers(0, len(dataset), size=tasks_per_episode).tolist():
-            a = ledger.decide(i, users.item(i), contexts[i], lambda rule: pick(rule, i), episode)
-            ledger.settle(
-                i, rewards.item(i, a), met.item(i, a), energy.item(i, a), response.item(i, a)
-            )
+        rows = ep_rng.integers(0, len(dataset), size=tasks_per_episode)
+        if learner is not None:
+            epsilon = learner.epsilon(episode)
+            actions = []
+            for i in rows.tolist():
+                x = contexts[i]
+                a = learner.act(x, epsilon)
+                learner.observe(x, a, rewards.item(i, a))
+                actions.append(a)
+        elif isinstance(choose, _OraclePolicy):
+            actions = pick_vector(choose.rule)[rows]
+        else:
+            actions = []
+            for i in rows.tolist():
+                a = choose(users.item(i), contexts[i], lambda rule: pick_vector(rule).item(i))
+                actions.append(a)
+        cells = (rows, np.asarray(actions))
+        ledger.book(
+            episode, _fold(rewards[cells]), int(np.count_nonzero(met[cells])),
+            _fold(energy[cells]), _fold(response[cells]), tasks_per_episode,
+        )
 
 
 def run_training(

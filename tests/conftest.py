@@ -33,11 +33,14 @@ class StubRng:
     def __init__(self, uniforms=(), integers=()):
         self._uniforms = list(uniforms)
         self._integers = list(integers)
+        self.calls = []  # ("random",) or ("integers", *args), in call order
 
     def random(self):
+        self.calls.append(("random",))
         return self._uniforms.pop(0)
 
     def integers(self, *args, **kwargs):
+        self.calls.append(("integers", *args))
         return self._integers.pop(0)
 
 

@@ -93,22 +93,27 @@ class TestEpsilon:
         assert epsilon_at(1.0, 1.0, 1.0, 500) == 1.0
 
 
+def values_of(q):
+    """select_action's values() for fixed action values q."""
+    return lambda: q
+
+
 class TestSelectAction:
     def test_greedy_and_ties(self):
-        assert select_action(np.array([0.1, 0.9, 0.3]), 0.0, None) == 1
-        assert select_action(np.array([0.3, 0.7, 0.7]), 0.0, None) == 1
+        assert select_action(values_of(np.array([0.1, 0.9, 0.3])), 3, 0.0, None) == 1
+        assert select_action(values_of(np.array([0.3, 0.7, 0.7])), 3, 0.0, None) == 1
 
     def test_zero_epsilon_consumes_no_randomness(self):
         rng = substream(1, "explore")
         state_before = copy.deepcopy(rng.bit_generator.state)
-        select_action(np.array([0.2, 0.8]), 0.0, rng)
+        select_action(values_of(np.array([0.2, 0.8])), 2, 0.0, rng)
         assert rng.bit_generator.state == state_before
 
     def test_explore_path_mirrors_generator(self):
         rng = substream(2, "explore")
         mirror = substream(2, "explore")
         q = np.array([0.9, 0.1, 0.1, 0.1])
-        picks = [select_action(q, 1.0, rng) for _ in range(50)]
+        picks = [select_action(values_of(q), 4, 1.0, rng) for _ in range(50)]
         want = []
         for _ in range(50):
             mirror.random()
@@ -117,13 +122,13 @@ class TestSelectAction:
 
     def test_exploit_branch_with_partial_epsilon(self):
         # scripted uniform draw 0.9 >= eps 0.5: greedy, no integer draw
-        assert select_action(np.array([0.1, 0.6]), 0.5, StubRng([0.9])) == 1
+        assert select_action(values_of(np.array([0.1, 0.6])), 2, 0.5, StubRng([0.9])) == 1
         # draw 0.2 < eps: uniform pick from scripted integers
-        assert select_action(np.array([0.1, 0.6]), 0.5, StubRng([0.2], [0])) == 0
+        assert select_action(values_of(np.array([0.1, 0.6])), 2, 0.5, StubRng([0.2], [0])) == 0
 
     def test_requires_rng_when_exploring(self):
         with pytest.raises(ValueError):
-            select_action(np.array([0.1]), 0.5, None)
+            select_action(values_of(np.array([0.1])), 1, 0.5, None)
 
 
 class TestMlpForward:
@@ -480,6 +485,22 @@ class TestAgent:
         x = np.array([0.2, 0.5, 0.8])
         assert agent.act(x, 0.0) == int(np.argmax(agent.model.forward(x)))
         assert agent.explore_rng.bit_generator.state == state
+
+    def test_act_draws_before_any_forward(self, monkeypatch):
+        """act draws the coin, then on an exploring step the action, and
+        runs the forward only on a greedy step."""
+        agent = tiny_agent(8)
+        forward, forwards = agent.model.forward, []
+        monkeypatch.setattr(agent.model, "forward", lambda x: forwards.append(x) or forward(x))
+        x = np.array([0.2, 0.5, 0.8])
+        agent.explore_rng = StubRng([0.1], [3])  # 0.1 < 0.5 explores
+        assert agent.act(x, 0.5) == 3
+        assert agent.explore_rng.calls == [("random",), ("integers", 4)]
+        assert forwards == []
+        agent.explore_rng = StubRng([0.7])  # 0.7 >= 0.5 exploits
+        assert agent.act(x, 0.5) == int(np.argmax(forward(x)))
+        assert agent.explore_rng.calls == [("random",)]
+        assert len(forwards) == 1
 
     def test_observe_trains_toward_target(self):
         agent = tiny_agent(5, train_steps_per_observation=4)

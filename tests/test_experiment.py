@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from e2da import experiment
 from e2da.bandit import AgentConfig, E2daAgent, RewardParams, compute_reward
 from e2da.errors import ConfigError
 from e2da.experiment import (
@@ -29,6 +30,7 @@ from e2da.experiment import (
     write_metrics,
 )
 from e2da.baselines import r_star
+from e2da.ioutil import fmt
 from e2da.netsim import NodeConfig, Simulator, default_channels
 from e2da.rng import substream
 from e2da.workload import WorkloadConfig, normalize_context, task_stream
@@ -801,3 +803,137 @@ class TestReplayBookingReference:
                 response += float(out[1])
                 met += bool(out[3])
             assert row == MetricsRow(e, "train", reward, met / 12, energy, response)
+
+
+def ledger_replay(ledger, dataset, workload, ep_rng, n_episodes, tasks_per_episode, start_episode):
+    """Reference replay, one decision at a time through the ledger: decide()
+    asks the policy or the learner, settle() reads the chosen cell with
+    .item() and adds it to its episode's row.  experiment._replay must book
+    the same rows from arrays."""
+    outcomes = dataset.outcome_columns()
+    features = (dataset.size_bits, dataset.intensity_cpb, dataset.deadline_s)
+    contexts = normalize_context(np.column_stack(features), workload.context_scale())
+    rewards = compute_reward(*outcomes, dataset.met_deadline, ledger.reward_params)
+    users, met = dataset.user_id, dataset.met_deadline
+    energy, response = dataset.e_total_j, dataset.total_s
+    picks = {}
+
+    def pick(rule, i):
+        if rule not in picks:
+            picks[rule] = rule(*outcomes)
+        return picks[rule].item(i)
+
+    for e in range(n_episodes):
+        episode = start_episode + e
+        for i in ep_rng.integers(0, len(dataset), size=tasks_per_episode).tolist():
+            a = ledger.decide(i, users.item(i), contexts[i], lambda rule: pick(rule, i), episode)
+            ledger.settle(
+                i, rewards.item(i, a), met.item(i, a), energy.item(i, a), response.item(i, a)
+            )
+
+
+@pytest.fixture
+def per_decision(monkeypatch):
+    """per_decision(fn, *args, **kw) calls fn with the reference replay."""
+
+    def call(fn, *args, **kw):
+        with monkeypatch.context() as m:
+            m.setattr(experiment, "_replay", ledger_replay)
+            return fn(*args, **kw)
+
+    return call
+
+
+class TestReplayMatchesLedgerReference:
+    """Every replay rollout writes the metrics.csv text of the per-decision
+    ledger replay, and a learner ends with the same parameters."""
+
+    PARAMS = RewardParams(1.0, 1e6)
+    KW = dict(n_episodes=6, tasks_per_episode=25, seed=19)
+
+    def check_policy(self, per_decision, make, dataset, **kw):
+        kw = {**self.KW, **kw}
+        args = (dataset, WorkloadConfig(), self.PARAMS)
+        got = run_evaluation(make(), *args, **kw)
+        want = per_decision(run_evaluation, make(), *args, **kw)
+        assert metrics_to_csv_text(got) == metrics_to_csv_text(want)
+        return got
+
+    @pytest.mark.parametrize("name", ["eel", "ee", "r"])
+    def test_oracles(self, name, small_dataset, per_decision):
+        self.check_policy(per_decision, lambda: make_policy(name), small_dataset)
+        self.check_policy(
+            per_decision, lambda: make_policy(name), small_dataset,
+            phase="train", stream="train", start_episode=3,
+        )
+        assert self.check_policy(
+            per_decision, lambda: make_policy(name), small_dataset, tasks_per_episode=0
+        ) == []
+
+    def test_random(self, small_dataset, per_decision):
+        def make():
+            return make_policy("random", rng=substream(19, "pol"), n_actions=4)
+
+        self.check_policy(per_decision, make, small_dataset)
+
+    def test_frozen_e2da(self, small_dataset, per_decision):
+        shared = fresh_agent(81)
+        run_training(shared, small_dataset, WorkloadConfig(), 3, 20, seed=5)
+        self.check_policy(per_decision, lambda: make_policy("e2da", [shared]), small_dataset)
+        agents = per_user_agents(82, 4)
+        self.check_policy(per_decision, lambda: make_policy("e2da", agents), small_dataset)
+
+    def test_lambdas(self, small_dataset, per_decision):
+        self.check_policy(per_decision, lambda: lambda user, x, pick: 2, small_dataset)
+        # a policy that asks for an oracle's pick on some decisions only
+        mixed = lambda user, x, pick: pick(r_star) if user % 2 else 3  # noqa: E731
+        self.check_policy(per_decision, lambda: mixed, small_dataset)
+
+    def test_training(self, small_dataset, per_decision):
+        wl = WorkloadConfig()
+        agent, mirror = fresh_agent(83), fresh_agent(83)
+        agent.episodes_trained = mirror.episodes_trained = 2
+        got = run_training(agent, small_dataset, wl, 4, 25, seed=23)
+        want = per_decision(run_training, mirror, small_dataset, wl, 4, 25, seed=23)
+        assert metrics_to_csv_text(got) == metrics_to_csv_text(want)
+        assert agent.episodes_trained == mirror.episodes_trained == 6
+        assert np.array_equal(agent.model.params, mirror.model.params)
+        assert np.array_equal(agent.model.acc, mirror.model.acc)
+
+    def test_training_per_user(self, small_dataset, per_decision):
+        wl = WorkloadConfig()
+        got, got_each = run_training_per_user(per_user_agents(84, 4), small_dataset, wl, 3, 10, seed=29)
+        want, want_each = per_decision(
+            run_training_per_user, per_user_agents(84, 4), small_dataset, wl, 3, 10, seed=29
+        )
+        assert metrics_to_csv_text(got) == metrics_to_csv_text(want)
+        for g, w in zip(got_each, want_each):
+            assert metrics_to_csv_text(g) == metrics_to_csv_text(w)
+
+    def test_all_misses_at_zero_penalty_read_positive_zero(self, small_dataset, per_decision):
+        """With no miss penalty every reward of an all-miss episode is -0.0;
+        the sum starts at +0.0, so the row reads 0.0, as settle() books it."""
+        columns = small_dataset.columns()
+        missed = Dataset({**columns, "met_deadline": np.zeros_like(columns["met_deadline"])})
+        params = RewardParams(0.0, 1e6)
+        args = (missed, WorkloadConfig(), params)
+        kw = dict(n_episodes=2, tasks_per_episode=5, seed=31)
+        got = run_evaluation(make_policy("eel"), *args, **kw)
+        want = per_decision(run_evaluation, make_policy("eel"), *args, **kw)
+        assert metrics_to_csv_text(got) == metrics_to_csv_text(want)
+        assert [fmt(r.reward) for r in got] == ["0.0", "0.0"]
+        assert [r.deadline_frac for r in got] == [0.0, 0.0]
+
+    def test_few_records_many_tasks(self, small_dataset, per_decision):
+        """Three records drawn fifty times per episode: every record recurs."""
+        tiny = small_dataset.subset(np.array([5, 17, 42]))
+        agent = fresh_agent(85)
+        for name in ("eel", "random", "e2da"):
+            def make():
+                return make_policy(name, [agent], substream(37, "pol"), 4)
+
+            self.check_policy(per_decision, make, tiny, tasks_per_episode=50)
+        trainee, mirror = fresh_agent(86), fresh_agent(86)
+        got = run_training(trainee, tiny, WorkloadConfig(), 3, 50, seed=41)
+        want = per_decision(run_training, mirror, tiny, WorkloadConfig(), 3, 50, seed=41)
+        assert metrics_to_csv_text(got) == metrics_to_csv_text(want)

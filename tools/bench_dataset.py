@@ -2,7 +2,8 @@
 
 Times generate_dataset (microseconds per record), Dataset.write_csv,
 Dataset.from_csv, calibrate_efficiency_scale and replay evaluation
-(microseconds per decision for the eel oracle and for an e2da agent) on the
+(microseconds per decision for the eel oracle, the random policy and an
+e2da agent) on the
 datasets of configs/default.json and of the replay-k5 and generate-k500
 benchmark workloads, records the tracemalloc peak (MiB) of one write_csv
 and one from_csv call on each, and writes the results with the machine, the
@@ -45,6 +46,7 @@ from e2da.experiment import (
     make_policy,
     run_evaluation,
 )
+from e2da.rng import substream
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATASETS = {
@@ -101,11 +103,15 @@ def measure(name: str, config_path: str, repeats: int, work_dir: str) -> dict:
     agent = E2daAgent.create(cfg.agent, n_actions, params, seed)
 
     def replay(policy_name: str):
-        agents = [agent] if policy_name == "e2da" else []
-        return lambda: run_evaluation(
-            make_policy(policy_name, agents), loaded, cfg.workload, params,
-            run.n_test_episodes, run.tasks_per_episode, seed,
-        )
+        def once():
+            # a fresh stream per call, as each evaluate command draws its own
+            rng = substream(seed, "logging-policy")
+            return run_evaluation(
+                make_policy(policy_name, [agent], rng, n_actions), loaded, cfg.workload,
+                params, run.n_test_episodes, run.tasks_per_episode, seed,
+            )
+
+        return once
 
     out_path = os.path.join(work_dir, f"{name}-rewritten.csv")
     return {
@@ -121,6 +127,7 @@ def measure(name: str, config_path: str, repeats: int, work_dir: str) -> dict:
         "from_csv_peak_mib": peak_mib(lambda: Dataset.from_csv(path)),
         "calibrate_s": summary(timed(lambda: calibrate_efficiency_scale(loaded), repeats)),
         "replay_eel_us_per_decision": summary(timed(replay("eel"), repeats), 1e6 / decisions),
+        "replay_random_us_per_decision": summary(timed(replay("random"), repeats), 1e6 / decisions),
         "replay_e2da_us_per_decision": summary(timed(replay("e2da"), repeats), 1e6 / decisions),
     }
 
@@ -178,7 +185,8 @@ def main(argv=None) -> int:
                 f"write peak {row['write_csv_peak_mib']:.2f} MiB, "
                 f"read peak {row['from_csv_peak_mib']:.2f} MiB, "
                 f"calibrate {row['calibrate_s']['median'] * 1e3:.1f} ms, "
-                f"replay eel {row['replay_eel_us_per_decision']['median']:.1f} us, "
+                f"replay eel {row['replay_eel_us_per_decision']['median']:.2f} us, "
+                f"random {row['replay_random_us_per_decision']['median']:.2f} us, "
                 f"e2da {row['replay_e2da_us_per_decision']['median']:.1f} us per decision",
                 file=sys.stderr,
             )

@@ -1,8 +1,9 @@
 """Per-layer timings of the learner step, in process.
 
 Times MlpModel.forward on one context, MlpModel.loss_and_grads and
-MlpModel.apply_grads on one minibatch, ReplayBuffer.sample and
-E2daAgent.observe, at the agent sizes of configs/default.json (a 3-50-50-4
+MlpModel.apply_grads on one minibatch, ReplayBuffer.sample,
+E2daAgent.observe and one training decision (E2daAgent.act at epsilon 0.9,
+then observe, as early replay training runs them), at the agent sizes of configs/default.json (a 3-50-50-4
 network, minibatches of 64), and writes the results with the machine, the
 Python, numpy and BLAS versions and the repeat count to a JSON file.
 
@@ -33,6 +34,7 @@ from e2da.config import load_config
 from e2da.rng import substream
 
 CONFIG = os.path.join(ROOT, "configs", "default.json")
+TRAIN_EPSILON = 0.9  # the default decay's rate after ~21 episodes
 
 
 def per_call_us(fn, calls: int, repeats: int) -> dict:
@@ -70,6 +72,7 @@ def measure(calls: int, repeats: int, warmup: int) -> dict:
         "apply_grads_us": lambda: model.apply_grads(gw, gb),
         "sample_us": lambda: buffer.sample(sample_rng, batch),
         "observe_us": lambda: agent.observe(one, 1, 0.5),
+        "train_decision_us": lambda: agent.observe(one, agent.act(one, TRAIN_EPSILON), 0.5),
     }
     result = {
         "layer_sizes": list(model.layer_sizes),
