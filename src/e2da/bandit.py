@@ -10,7 +10,7 @@ updates over minibatches replayed from a ring buffer.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -422,6 +422,8 @@ class E2daAgent:
             self.model.train_step(*batch)
 
     def to_state(self) -> dict:
+        from .config import to_json  # config imports this module
+
         initial = None
         if self._initial_params is not None:
             weights, biases = self.model.layer_views(self._initial_params)
@@ -429,10 +431,10 @@ class E2daAgent:
                        "biases": [a.tolist() for a in biases]}
         return {
             "model": self.model.to_state(),
-            "reward_params": asdict(self.reward_params),
+            "reward_params": to_json(self.reward_params),
             "initial_params": initial,
             "episodes_trained": self.episodes_trained,
-            "config": asdict(self.config),
+            "config": to_json(self.config),
         }
 
     @classmethod
@@ -444,17 +446,18 @@ class E2daAgent:
         minibatch_rng: np.random.Generator,
     ) -> "E2daAgent":
         """Agent with n_actions outputs saved by to_state, built from the
-        state's config.  An out-of-range config or reward constant, two
-        differing miss penalties, model hyperparameters other than the
-        config implies, a malformed model or initial parameter array, or
-        initial parameters present or missing against
-        config.retrain_from_scratch, raises ConfigError whose message starts
-        with its key path in the state; other malformed entries raise
-        KeyError, TypeError or ValueError."""
-        cfg_d = dict(state["config"])
-        cfg_d["hidden_sizes"] = tuple(cfg_d["hidden_sizes"])
-        config = AgentConfig(**cfg_d)
-        rp = RewardParams(**state["reward_params"])
+        state's config.  The config and reward sections are read like a
+        run config's agent section.  A mistyped, unknown or out-of-range
+        config or reward constant, two differing miss penalties, model
+        hyperparameters other than the config implies, a malformed model
+        or initial parameter array, or initial parameters present or
+        missing against config.retrain_from_scratch, raises ConfigError
+        whose message starts with its key path in the state; other
+        malformed entries raise KeyError, TypeError or ValueError."""
+        from .config import read_section  # config imports this module
+
+        config = read_section(AgentConfig, state["config"], "config")
+        rp = read_section(RewardParams, state["reward_params"], "reward_params")
         for key, section in (("config", config), ("reward_params", rp)):
             try:
                 section.validate()

@@ -363,7 +363,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--values must be comma separated numbers: {exc}") from exc
     if not values:
         raise ConfigError("--values must list at least one mean")
-    # a scenario's label names its directory and keys its logging substream
+    # a scenario's label names its directory; in dataset mode it also keys
+    # the random policy's substream (live random draws from the rollout's)
     labels = [f"{args.vary}-{value:g}" for value in values]
     first_with: Dict[str, float] = {}
     for value, label in zip(values, labels):

@@ -141,7 +141,7 @@ def _value(raw, hint, where: str):
     if hint is DistributionSpec:
         return _dist_from_json(raw, where)
     if is_dataclass(hint):
-        return _section(hint, raw, where)
+        return read_section(hint, raw, where)
     args = get_args(hint)
     if get_origin(hint) is Union:  # Optional[X]
         return None if raw is None else _value(raw, args[0], where)
@@ -158,7 +158,7 @@ def _value(raw, hint, where: str):
     return hint(raw)
 
 
-def _section(cls, raw, where: str):
+def read_section(cls, raw, where: str):
     """One dataclass from its JSON object; `where` is its key path."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object, got {raw!r}")
@@ -180,7 +180,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("config root must be a JSON object")
     # "channels": null, like no channels key, selects the default channel set
     sections = {k: v for k, v in raw.items() if not (k == "channels" and v is None)}
-    cfg = _section(ExperimentConfig, sections, "")
+    cfg = read_section(ExperimentConfig, sections, "")
     if "channels" not in sections:
         n = cfg.system.n_channels
         channels = default_channels()[:n]
@@ -195,15 +195,17 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(read_json(path))
 
 
-def _to_json(value):
+def to_json(value):
+    """`value` as JSON data: a dataclass becomes an object keyed as in a
+    config file, a tuple a list."""
     if isinstance(value, DistributionSpec):
         return _dist_to_json(value)
     if is_dataclass(value):
         return {
-            _JSON_KEYS.get(f.name, f.name): _to_json(getattr(value, f.name)) for f in fields(value)
+            _JSON_KEYS.get(f.name, f.name): to_json(getattr(value, f.name)) for f in fields(value)
         }
     if isinstance(value, tuple):
-        return [_to_json(v) for v in value]
+        return [to_json(v) for v in value]
     return value
 
 
@@ -214,7 +216,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         system=replace(cfg.system, association=cfg.system.resolved_association()),
         workload=replace(cfg.workload, context_bounds=cfg.workload.resolved_context_bounds()),
     )
-    return _to_json(resolved)
+    return to_json(resolved)
 
 
 def with_sweep_value(cfg: ExperimentConfig, axis: str, mean_value: float) -> ExperimentConfig:

@@ -2,10 +2,10 @@
 
 Replay rollouts sample records of a logged dataset (see dataset.py)
 uniformly, so every action's consequence is known without re-simulating;
-live rollouts instead submit real tasks and settle each decision when its
-completion event fires.  Both turn their episode sums into metric rows
-through one episode ledger, learning or frozen alike: a live rollout books
-each decision as its feedback arrives, a replay books each episode whole.
+live rollouts instead submit real tasks and book each decision when its
+completion event fires.  Both take a policy, an oracle or a learning agent
+and turn each episode's sums into one metric row: a live rollout adds each
+outcome as its feedback arrives, a replay books each episode whole.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,13 +27,11 @@ from .netsim import ChannelConfig, NodeConfig, Simulator, TaskOutcome
 from .rng import Uniforms, substream
 from .workload import Task, WorkloadConfig, normalize_context, task_stream
 
-# A policy: choose(user_id, x, pick) -> action, where x is the scaled
-# context and pick(rule) is the action an oracle rule ranks first for this
-# decision.  Replay reads picks from one action vector per rule and
-# dataset; live mode ranks the task's projections on demand.
+# A policy: choose(user_id, x) -> action, where x is the task's scaled
+# context.  An oracle is no policy of this kind: it ranks every action's
+# outcome (see OraclePolicy).
 Oracle = Callable[..., np.ndarray]
-Pick = Callable[[Oracle], int]
-Policy = Callable[[int, np.ndarray, Pick], int]
+Policy = Callable[[int, np.ndarray], int]
 
 
 def linear_percentile(values, q: float) -> float:
@@ -145,18 +143,16 @@ def summarize(
 # ----------------------------------------------------------------- rollouts
 
 
-class _OraclePolicy:
-    """An oracle's policy: the action its rule ranks first.  It carries
-    the rule, so a replay gathers a whole episode's actions from the
-    rule's action vector instead of asking once per decision."""
+class OraclePolicy(NamedTuple):
+    """An oracle's policy: the action its rule ranks first.  A replay
+    gathers an episode's actions from the rule's action vector over the
+    dataset; a live rollout ranks the task's projections."""
 
-    __slots__ = ("rule",)
+    rule: Oracle
 
-    def __init__(self, rule: Oracle):
-        self.rule = rule
 
-    def __call__(self, user: int, x: np.ndarray, pick: Pick) -> int:
-        return pick(self.rule)
+# What a rollout follows: a policy, an oracle, or a learning agent.
+Decider = Union[Policy, OraclePolicy, E2daAgent]
 
 
 def make_policy(
@@ -164,90 +160,40 @@ def make_policy(
     agents: Sequence[E2daAgent] = (),
     rng: Optional[np.random.Generator] = None,
     n_actions: int = 0,
-) -> Policy:
+) -> Union[Policy, OraclePolicy]:
     """Frozen decision function for one agent name, for replay and live
     rollouts alike.
 
     The learned agent sees only the scaled context and acts greedily; with
-    one agent per user, the decision's user picks the agent.  Oracles take
-    their rule's pick, which only they request.  Random draws from rng.
+    one agent per user, the decision's user picks the agent.  An oracle
+    is its OraclePolicy.  Random draws from rng.
     """
     if name == "e2da":
         if not agents:
             raise ValueError("e2da policy needs at least one agent")
         if len(agents) == 1:
             agent = agents[0]
-            return lambda user, x, pick: agent.act(x, 0.0)
-        return lambda user, x, pick: agents[user].act(x, 0.0)
+            return lambda user, x: agent.act(x, 0.0)
+        return lambda user, x: agents[user].act(x, 0.0)
     if name in ORACLES:
-        return _OraclePolicy(ORACLES[name])
+        return OraclePolicy(ORACLES[name])
     if name == "random":
         if rng is None or n_actions < 1:
             raise ValueError("random policy needs rng and n_actions")
-        return lambda user, x, pick: int(rng.integers(n_actions))
+        return lambda user, x: int(rng.integers(n_actions))
     raise ValueError(f"unknown policy {name!r}")
 
 
-class _Ledger:
-    """Books one rollout into per-episode metric rows.
-
-    decide() records (x, action, episode) under a decision key; settle()
-    takes that decision's reward, deadline verdict, energy and response
-    time, lets a learning agent observe the reward, and adds them to the
-    row of the episode the decision was made in.  A learning agent picks
-    its own actions at its episode's epsilon; without one, `choose`
-    decides.  book() enters a whole episode's sums at once, for a replay
-    that decides and settles without the ledger.
-    """
-
-    def __init__(
-        self,
-        reward_params: RewardParams,
-        choose: Optional[Policy] = None,
-        learner: Optional[E2daAgent] = None,
-    ):
-        self.reward_params = reward_params
-        self.choose = choose
-        self.learner = learner
-        self._pending: Dict[int, Tuple[np.ndarray, int, int]] = {}
-        self._books: Dict[int, list] = {}  # episode -> [reward, met, energy, response, n]
-
-    def decide(self, key: int, user: int, x: np.ndarray, pick: Pick, episode: int) -> int:
-        if self.learner is None:
-            action = self.choose(user, x, pick)
-        else:
-            action = self.learner.act(x, self.learner.epsilon(episode))
-        self._pending[key] = (x, action, episode)
-        if episode not in self._books:
-            self._books[episode] = [0.0, 0, 0.0, 0.0, 0]
-        return action
-
-    def settle(self, key: int, reward: float, met: bool, energy: float, response: float) -> None:
-        x, action, episode = self._pending.pop(key)
-        if self.learner is not None:
-            self.learner.observe(x, action, reward)
-        book = self._books[episode]
-        book[0] += reward
-        book[1] += met
-        book[2] += energy
-        book[3] += response
-        book[4] += 1
-
-    def book(
-        self, episode: int, reward: float, met: int, energy: float, response: float, n: int
-    ) -> None:
-        self._books[episode] = [reward, met, energy, response, n]
-
-    def rows(self, phase: str) -> List[MetricsRow]:
-        return [
-            MetricsRow(ep, phase, b[0], b[1] / b[4], b[2], b[3]) for ep, b in self._books.items()
-        ]
+def _row(episode: int, phase: str, reward: float, met: int, energy: float,
+         response: float, n: int) -> MetricsRow:
+    """An episode's metric row from its sums over n decisions."""
+    return MetricsRow(episode, phase, reward, met / n, energy, response)
 
 
 def _fold(values: np.ndarray) -> float:
-    """Left-to-right float sum from +0.0, the order settle() adds in: an
-    all -0.0 column sums to +0.0, and no pairwise or compensated
-    summation changes the last bit."""
+    """Left-to-right float sum from +0.0, the order a live rollout books
+    its outcomes in: an all -0.0 column sums to +0.0, and no pairwise or
+    compensated summation changes the last bit."""
     total = 0.0
     for v in values.tolist():
         total += v
@@ -255,64 +201,58 @@ def _fold(values: np.ndarray) -> float:
 
 
 def _replay(
-    ledger: _Ledger,
+    decider: Decider,
+    reward_params: RewardParams,
     dataset: Dataset,
     workload: WorkloadConfig,
     ep_rng: np.random.Generator,
     n_episodes: int,
     tasks_per_episode: int,
     start_episode: int,
-) -> None:
+    phase: str,
+) -> List[MetricsRow]:
     """Each episode samples records uniformly with replacement, so one task
     can recur within an episode; every decision settles at once against
-    the recorded outcome of the chosen action.  Contexts, rewards and each
-    oracle's action vector are computed once per dataset as arrays.
+    the recorded outcome of the chosen action.  Contexts, rewards and an
+    oracle's action vector are computed once per call as arrays.
 
-    An oracle policy's episode actions are one gather from its rule's
-    action vector.  A learning agent acts and then observes once per
-    decision, in decision order, and any other policy is asked once per
-    decision, so their random draws keep their order.  The episode is then
-    booked whole from the chosen (record, action) cells of the reward,
-    verdict, energy and response matrices."""
+    An oracle's episode actions are one gather from its action vector.  A
+    learning agent acts and then observes once per decision, in decision
+    order, and a policy is asked once per decision, so their random draws
+    keep their order.  The episode is then booked whole from the chosen
+    (record, action) cells of the reward, verdict, energy and response
+    matrices."""
     if tasks_per_episode < 1:
-        return  # nothing is decided, so no episode is booked
+        return []  # nothing is decided, so no episode is booked
     outcomes = dataset.outcome_columns()
     features = (dataset.size_bits, dataset.intensity_cpb, dataset.deadline_s)
     contexts = normalize_context(np.column_stack(features), workload.context_scale())
-    rewards = compute_reward(*outcomes, dataset.met_deadline, ledger.reward_params)
+    rewards = compute_reward(*outcomes, dataset.met_deadline, reward_params)
     users, met = dataset.user_id, dataset.met_deadline
     energy, response = dataset.e_total_j, dataset.total_s
-    learner, choose = ledger.learner, ledger.choose
-    picks: Dict[Oracle, np.ndarray] = {}
-
-    def pick_vector(rule: Oracle) -> np.ndarray:
-        if rule not in picks:
-            picks[rule] = rule(*outcomes)
-        return picks[rule]
-
+    oracle_actions = decider.rule(*outcomes) if isinstance(decider, OraclePolicy) else None
+    rows = []
     for e in range(n_episodes):
         episode = start_episode + e
-        rows = ep_rng.integers(0, len(dataset), size=tasks_per_episode)
-        if learner is not None:
-            epsilon = learner.epsilon(episode)
+        records = ep_rng.integers(0, len(dataset), size=tasks_per_episode)
+        if oracle_actions is not None:
+            actions = oracle_actions[records]
+        elif isinstance(decider, E2daAgent):
+            epsilon = decider.epsilon(episode)
             actions = []
-            for i in rows.tolist():
+            for i in records.tolist():
                 x = contexts[i]
-                a = learner.act(x, epsilon)
-                learner.observe(x, a, rewards.item(i, a))
+                a = decider.act(x, epsilon)
+                decider.observe(x, a, rewards.item(i, a))
                 actions.append(a)
-        elif isinstance(choose, _OraclePolicy):
-            actions = pick_vector(choose.rule)[rows]
         else:
-            actions = []
-            for i in rows.tolist():
-                a = choose(users.item(i), contexts[i], lambda rule: pick_vector(rule).item(i))
-                actions.append(a)
-        cells = (rows, np.asarray(actions))
-        ledger.book(
-            episode, _fold(rewards[cells]), int(np.count_nonzero(met[cells])),
+            actions = [decider(users.item(i), contexts[i]) for i in records.tolist()]
+        cells = (records, np.asarray(actions))
+        rows.append(_row(
+            episode, phase, _fold(rewards[cells]), int(np.count_nonzero(met[cells])),
             _fold(energy[cells]), _fold(response[cells]), tasks_per_episode,
-        )
+        ))
+    return rows
 
 
 def run_training(
@@ -328,16 +268,17 @@ def run_training(
     and learns from the recorded outcome of the chosen action.  Episode
     numbering continues from the agent's count.  stream_salt separates the
     episode streams of sibling agents trained from one master seed."""
-    ledger = _Ledger(agent.reward_params, learner=agent)
     ep_rng = substream(seed, "episodes", "train", *stream_salt)
-    start = agent.episodes_trained
-    _replay(ledger, dataset, workload, ep_rng, n_episodes, tasks_per_episode, start)
+    rows = _replay(
+        agent, agent.reward_params, dataset, workload, ep_rng, n_episodes, tasks_per_episode,
+        agent.episodes_trained, "train",
+    )
     agent.episodes_trained += n_episodes
-    return ledger.rows("train")
+    return rows
 
 
 def run_evaluation(
-    choose: Policy,
+    choose: Union[Policy, OraclePolicy],
     dataset: Dataset,
     workload: WorkloadConfig,
     reward_params: RewardParams,
@@ -349,10 +290,11 @@ def run_evaluation(
     start_episode: int = 0,
 ) -> List[MetricsRow]:
     """Frozen-policy rollout over dataset episodes; no learning happens."""
-    ledger = _Ledger(reward_params, choose)
     ep_rng = substream(seed, "episodes", stream)
-    _replay(ledger, dataset, workload, ep_rng, n_episodes, tasks_per_episode, start_episode)
-    return ledger.rows(phase)
+    return _replay(
+        choose, reward_params, dataset, workload, ep_rng, n_episodes, tasks_per_episode,
+        start_episode, phase,
+    )
 
 
 def split_by_user(dataset: Dataset, n_users: int) -> List[Dataset]:
@@ -419,26 +361,32 @@ def run_training_per_user(
 
 
 def _live_rollout(
+    decider: Decider,
+    reward_params: RewardParams,
     node: NodeConfig,
     channels: Sequence[ChannelConfig],
     workload: WorkloadConfig,
     seed: int,
     n_episodes: int,
     tasks_per_episode: int,
-    ledger: _Ledger,
     start_episode: int = 0,
+    phase: str = "test",
     on_outcome: Optional[Callable[[TaskOutcome], None]] = None,
-) -> None:
+) -> List[MetricsRow]:
     """Drive the live simulator for n_episodes * tasks_per_episode decisions.
 
-    Tasks are decided at arrival and settled in completion order against
+    Tasks are decided at arrival and booked in completion order against
     the episode they were submitted in (feedback is delayed, as in the real
-    system).  on_outcome, when given, sees each outcome after it settles;
-    no outcome is kept.
+    system), where a learning agent also observes the reward.  An oracle
+    ranks the task's projections.  on_outcome, when given, sees each
+    outcome after it is booked; no outcome is kept.
     """
     total = n_episodes * tasks_per_episode
     decided = 0
     scale = workload.context_scale()
+    learner = decider if isinstance(decider, E2daAgent) else None
+    pending: Dict[int, Tuple[Optional[np.ndarray], int, int]] = {}  # task -> (x, action, episode)
+    books: Dict[int, list] = {}  # episode -> [reward, met, energy, response, n]
 
     def hook(sim: Simulator, task: Task) -> int:
         nonlocal decided
@@ -446,14 +394,22 @@ def _live_rollout(
         decided += 1
         if decided >= total:
             sim.halt_arrivals()
-        x = normalize_context((task.size_bits, task.intensity_cpb, task.deadline_s), scale)
-
-        def pick(rule: Oracle) -> int:
+        x = None
+        if isinstance(decider, OraclePolicy):
             outs = sim.projections(task)
             total_s = np.array([out.total_s for out in outs])
-            return int(rule(task.size_bits, total_s, np.array([out.e_total_j for out in outs])))
-
-        return ledger.decide(task.task_id, task.user_id, x, pick, episode)
+            e_total_j = np.array([out.e_total_j for out in outs])
+            action = int(decider.rule(task.size_bits, total_s, e_total_j))
+        else:
+            x = normalize_context((task.size_bits, task.intensity_cpb, task.deadline_s), scale)
+            if learner is not None:
+                action = learner.act(x, learner.epsilon(episode))
+            else:
+                action = decider(task.user_id, x)
+        pending[task.task_id] = (x, action, episode)
+        if episode not in books:
+            books[episode] = [0.0, 0, 0.0, 0.0, 0]
+        return action
 
     sim = Simulator(node, channels, Uniforms(substream(seed, "gains")), policy=hook)
     for user in range(node.n_users):
@@ -462,12 +418,21 @@ def _live_rollout(
         out = sim.advance()
         if out is not None:
             met = out.met_deadline
-            r = compute_reward(out.size_bits, out.total_s, out.e_total_j, met, ledger.reward_params)
-            ledger.settle(out.task_id, float(r), met, out.e_total_j, out.total_s)
+            r = float(compute_reward(out.size_bits, out.total_s, out.e_total_j, met, reward_params))
+            x, action, episode = pending.pop(out.task_id)
+            if learner is not None:
+                learner.observe(x, action, r)
+            book = books[episode]
+            book[0] += r
+            book[1] += met
+            book[2] += out.e_total_j
+            book[3] += out.total_s
+            book[4] += 1
             if on_outcome is not None:
                 on_outcome(out)
     if decided < total:
         raise RuntimeError(f"live run decided only {decided} of {total} tasks")
+    return [_row(episode, phase, *book) for episode, book in books.items()]
 
 
 def run_live_training(
@@ -481,11 +446,12 @@ def run_live_training(
 ) -> List[MetricsRow]:
     """Live-mode training: the agent schedules real arrivals and observes
     each reward at the task's completion event."""
-    ledger = _Ledger(agent.reward_params, learner=agent)
-    start = agent.episodes_trained
-    _live_rollout(node, channels, workload, seed, n_episodes, tasks_per_episode, ledger, start)
+    rows = _live_rollout(
+        agent, agent.reward_params, node, channels, workload, seed, n_episodes,
+        tasks_per_episode, agent.episodes_trained, "train",
+    )
     agent.episodes_trained += n_episodes
-    return ledger.rows("train")
+    return rows
 
 
 def run_live_evaluation(
@@ -502,10 +468,11 @@ def run_live_evaluation(
 ) -> List[MetricsRow]:
     """Live-mode frozen-policy rollout; oracle policies project at decision
     time from the current system snapshot."""
-    rng = substream(seed, "logging-policy")
-    ledger = _Ledger(reward_params, make_policy(name, agents, rng, node.n_channels + 1))
-    _live_rollout(node, channels, workload, seed, n_episodes, tasks_per_episode, ledger)
-    return ledger.rows(phase)
+    choose = make_policy(name, agents, substream(seed, "logging-policy"), node.n_channels + 1)
+    return _live_rollout(
+        choose, reward_params, node, channels, workload, seed, n_episodes, tasks_per_episode,
+        phase=phase,
+    )
 
 
 def calibrate_efficiency_scale_live(
@@ -520,11 +487,14 @@ def calibrate_efficiency_scale_live(
     run whose realized efficiencies set the normalizer.  Its rewards are
     booked against a unit scale and discarded."""
     rng = substream(seed, "calibration-actions")
-    ledger = _Ledger(RewardParams(), make_policy("random", rng=rng, n_actions=node.n_channels + 1))
+    choose = make_policy("random", rng=rng, n_actions=node.n_channels + 1)
     effs: List[float] = []
 
     def keep_efficiency(out: TaskOutcome) -> None:
         effs.append(efficiency(out.size_bits, out.total_s, out.e_total_j))
 
-    _live_rollout(node, channels, workload, seed, 1, n_tasks, ledger, on_outcome=keep_efficiency)
+    _live_rollout(
+        choose, RewardParams(), node, channels, workload, seed, 1, n_tasks,
+        on_outcome=keep_efficiency,
+    )
     return linear_percentile(effs, percentile)

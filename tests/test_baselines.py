@@ -91,18 +91,15 @@ class TestBruteForceCrossCheck:
 
 
 class TestPolicyWrappers:
-    """make_policy turns an agent name into choose(user_id, x, pick)."""
+    """make_policy turns an agent name into choose(user_id, x), or an
+    oracle's name into the OraclePolicy that carries its rule."""
 
     def test_oracle_policy_dispatch(self):
         ps = proj([(1000.0, 0.1, 10.0), (1000.0, 5.0, 0.1), (1000.0, 0.5, 0.2)])
-        x = np.zeros(3)
-
-        def pick(rule):
-            return int(rule(*ps))
-
-        assert make_policy("r")(0, x, pick) == 0
-        assert make_policy("ee")(0, x, pick) == 1
-        assert make_policy("eel")(0, x, pick) == 2
+        assert int(make_policy("r").rule(*ps)) == 0
+        assert int(make_policy("ee").rule(*ps)) == 1
+        assert int(make_policy("eel").rule(*ps)) == 2
+        assert not callable(make_policy("eel"))  # the rollouts apply its rule
 
     def test_oracle_policy_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -111,9 +108,5 @@ class TestPolicyWrappers:
     def test_random_policy_mirrors_generator(self):
         choose = make_policy("random", rng=substream(9, "actions"), n_actions=4)
         mirror = substream(9, "actions")
-
-        def pick(rule):
-            raise AssertionError("random must not request oracle picks")
-
-        picks = [choose(0, np.zeros(3), pick) for _ in range(20)]
+        picks = [choose(u % 3, np.zeros(3)) for u in range(20)]
         assert picks == [int(mirror.integers(4)) for _ in range(20)]

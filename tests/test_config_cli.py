@@ -657,6 +657,15 @@ class TestMalformedCheckpoint:
             (_setter("model", "learning_rate", 0.5), "agent.model.learning_rate"),
             (_setter("model", "rmsprop_decay", 0.5), "agent.model.rmsprop_decay"),
             (_setter("config", "hidden_sizes", [8, 16]), "agent.model.layer_sizes"),
+            (_setter("config", "minibatch_size", 8.5),
+             "agent.config.minibatch_size must be an integer"),
+            (_setter("config", "train_steps_per_observation", 1.5),
+             "agent.config.train_steps_per_observation must be an integer"),
+            (_setter("config", "hidden_sizes", [8.5]),
+             "agent.config.hidden_sizes[0] must be an integer"),
+            (_setter("config", "penalty", True), "agent.config.penalty must be a finite number"),
+            (_setter("reward_params", "penalty", True),
+             "agent.reward_params.penalty must be a finite number"),
         ],
     )
     @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
@@ -1005,6 +1014,8 @@ class TestLiveModeDigests:
     @pytest.mark.parametrize(
         "agent, digest",
         [("eel", "61407e07ece9048c4eb3664c30fbebc327d9e2e25d7792a8dbfd91bbdbed54f1"),
+         ("ee", "138639cbb69cac759e01a956c762ee145e36233cea330f383986a564a9dbf9d8"),
+         ("r", "88b25a6ecbab7702b99c3bbdb6a8c0be48cc61531b9ca08fe66f25763825c6da"),
          ("random", "3e810c3fc03388dcd995349f33cf9e2aac40695de713e8f90bc632aec6bf1d96")],
     )
     def test_metrics_digest(self, tmp_path, agent, digest):
@@ -1012,3 +1023,12 @@ class TestLiveModeDigests:
         out = str(tmp_path / "out")
         assert cli.main(["evaluate", "--agent", agent, "--config", config, "--out", out]) == 0
         assert sha256_file(os.path.join(out, "metrics.csv")) == digest
+
+    def test_random_train_digest(self, tmp_path):
+        """The random baseline's train log books live outcomes as they settle."""
+        config = write_config(tmp_path, "live.json", run={"mode": "live"})
+        out = str(tmp_path / "out")
+        assert cli.main(["train", "--agent", "random", "--config", config, "--out", out]) == 0
+        assert sha256_file(os.path.join(out, "metrics.csv")) == (
+            "c3b88bc0894bdfa0975c853a12250ca1f57d1ce24383d0f4e0a6e5ed86f6c5da"
+        )

@@ -11,6 +11,7 @@ from e2da.errors import ConfigError
 from e2da.experiment import (
     Dataset,
     MetricsRow,
+    OraclePolicy,
     average_rows,
     calibrate_efficiency_scale,
     calibrate_efficiency_scale_live,
@@ -464,7 +465,7 @@ class TestRunEvaluation:
         params = RewardParams(penalty=1.0, efficiency_scale=1e6)
         wl = WorkloadConfig()
         rows = run_evaluation(
-            lambda user, x, pick: 2, small_dataset, wl, params,
+            lambda user, x: 2, small_dataset, wl, params,
             n_episodes=4, tasks_per_episode=7, seed=11,
         )
         mirror = substream(11, "episodes", "test")
@@ -502,7 +503,7 @@ class TestRunEvaluation:
     def test_phase_stream_and_offset(self, small_dataset):
         params = RewardParams(1.0, 1e6)
         rows = run_evaluation(
-            lambda user, x, pick: 0, small_dataset, WorkloadConfig(), params,
+            lambda user, x: 0, small_dataset, WorkloadConfig(), params,
             n_episodes=2, tasks_per_episode=3, seed=5,
             phase="train", stream="train", start_episode=40,
         )
@@ -805,31 +806,46 @@ class TestReplayBookingReference:
             assert row == MetricsRow(e, "train", reward, met / 12, energy, response)
 
 
-def ledger_replay(ledger, dataset, workload, ep_rng, n_episodes, tasks_per_episode, start_episode):
-    """Reference replay, one decision at a time through the ledger: decide()
-    asks the policy or the learner, settle() reads the chosen cell with
-    .item() and adds it to its episode's row.  experiment._replay must book
-    the same rows from arrays."""
+def per_decision_replay(
+    decider, reward_params, dataset, workload, ep_rng, n_episodes, tasks_per_episode,
+    start_episode, phase,
+):
+    """Reference replay, one decision at a time: it takes the oracle's
+    action for the record, or asks the learner (which then observes) or
+    the policy, reads the chosen cell with .item() and adds it to its
+    episode's sums with +=.  experiment._replay must book the same rows
+    from arrays."""
     outcomes = dataset.outcome_columns()
     features = (dataset.size_bits, dataset.intensity_cpb, dataset.deadline_s)
     contexts = normalize_context(np.column_stack(features), workload.context_scale())
-    rewards = compute_reward(*outcomes, dataset.met_deadline, ledger.reward_params)
+    rewards = compute_reward(*outcomes, dataset.met_deadline, reward_params)
     users, met = dataset.user_id, dataset.met_deadline
     energy, response = dataset.e_total_j, dataset.total_s
-    picks = {}
-
-    def pick(rule, i):
-        if rule not in picks:
-            picks[rule] = rule(*outcomes)
-        return picks[rule].item(i)
-
+    if isinstance(decider, OraclePolicy):
+        oracle_actions = decider.rule(*outcomes)
+    rows = []
     for e in range(n_episodes):
         episode = start_episode + e
+        book = [0.0, 0, 0.0, 0.0, 0]
         for i in ep_rng.integers(0, len(dataset), size=tasks_per_episode).tolist():
-            a = ledger.decide(i, users.item(i), contexts[i], lambda rule: pick(rule, i), episode)
-            ledger.settle(
-                i, rewards.item(i, a), met.item(i, a), energy.item(i, a), response.item(i, a)
-            )
+            x = contexts[i]
+            if isinstance(decider, OraclePolicy):
+                a = oracle_actions.item(i)
+            elif isinstance(decider, E2daAgent):
+                a = decider.act(x, decider.epsilon(episode))
+            else:
+                a = decider(users.item(i), x)
+            r = rewards.item(i, a)
+            if isinstance(decider, E2daAgent):
+                decider.observe(x, a, r)
+            book[0] += r
+            book[1] += met.item(i, a)
+            book[2] += energy.item(i, a)
+            book[3] += response.item(i, a)
+            book[4] += 1
+        if book[4]:
+            rows.append(MetricsRow(episode, phase, book[0], book[1] / book[4], book[2], book[3]))
+    return rows
 
 
 @pytest.fixture
@@ -838,15 +854,15 @@ def per_decision(monkeypatch):
 
     def call(fn, *args, **kw):
         with monkeypatch.context() as m:
-            m.setattr(experiment, "_replay", ledger_replay)
+            m.setattr(experiment, "_replay", per_decision_replay)
             return fn(*args, **kw)
 
     return call
 
 
-class TestReplayMatchesLedgerReference:
+class TestReplayMatchesPerDecisionReference:
     """Every replay rollout writes the metrics.csv text of the per-decision
-    ledger replay, and a learner ends with the same parameters."""
+    reference replay, and a learner ends with the same parameters."""
 
     PARAMS = RewardParams(1.0, 1e6)
     KW = dict(n_episodes=6, tasks_per_episode=25, seed=19)
@@ -884,10 +900,10 @@ class TestReplayMatchesLedgerReference:
         self.check_policy(per_decision, lambda: make_policy("e2da", agents), small_dataset)
 
     def test_lambdas(self, small_dataset, per_decision):
-        self.check_policy(per_decision, lambda: lambda user, x, pick: 2, small_dataset)
-        # a policy that asks for an oracle's pick on some decisions only
-        mixed = lambda user, x, pick: pick(r_star) if user % 2 else 3  # noqa: E731
-        self.check_policy(per_decision, lambda: mixed, small_dataset)
+        self.check_policy(per_decision, lambda: lambda user, x: 2, small_dataset)
+        # a policy whose action depends on the decision's user
+        by_user = lambda user, x: 3 if user % 2 else user // 2  # noqa: E731
+        self.check_policy(per_decision, lambda: by_user, small_dataset)
 
     def test_training(self, small_dataset, per_decision):
         wl = WorkloadConfig()
@@ -912,7 +928,7 @@ class TestReplayMatchesLedgerReference:
 
     def test_all_misses_at_zero_penalty_read_positive_zero(self, small_dataset, per_decision):
         """With no miss penalty every reward of an all-miss episode is -0.0;
-        the sum starts at +0.0, so the row reads 0.0, as settle() books it."""
+        the sum starts at +0.0, so the row reads 0.0, as += from 0.0 books it."""
         columns = small_dataset.columns()
         missed = Dataset({**columns, "met_deadline": np.zeros_like(columns["met_deadline"])})
         params = RewardParams(0.0, 1e6)

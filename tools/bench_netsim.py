@@ -4,7 +4,7 @@ Times the event loop (microseconds per popped event, and events per
 completed task) and the decision view (microseconds per
 Simulator.projections call, and per decision of a column projection) on
 live random-policy streams at K = 5, 50 and 500 users, and one whole live
-decision (live_e2da_us, live_random_us) and one streamed task
+decision (live_e2da_us, live_eel_us, live_random_us) and one streamed task
 (task_stream_us) at K = 50.  The results go to a JSON file with the
 machine, the Python, numpy and BLAS versions and the repeat count.
 
@@ -30,8 +30,10 @@ The live section times the whole per-decision path of a live evaluation at
 K = 50 users and 40 tasks/s each, as the benchmark's live-k50 workload runs
 it: task streams, gains, context scaling, the policy, submit and the event
 loop.  live_e2da_us is run_live_evaluation with an untrained e2da agent
-(greedy forward per decision) and live_random_us with the random policy,
-each per decision over --tasks decisions in episodes of 100;
+(greedy forward per decision), live_eel_us with the eel oracle (one
+Simulator.projections call and its ranking per decision) and
+live_random_us with the random policy, each per decision over --tasks
+decisions in episodes of 100;
 task_stream_us is the time per task to seed the 50 per-user task streams
 and draw --tasks tasks from them.
 
@@ -146,9 +148,9 @@ def measure_live(n_tasks: int, repeats: int) -> dict:
     n_episodes = max(1, n_tasks // TASKS_PER_EPISODE)
     decisions = n_episodes * TASKS_PER_EPISODE
     per_user = max(1, n_tasks // LIVE_USERS)
-    runs = {"live_e2da_us": [], "live_random_us": [], "task_stream_us": []}
+    runs = {"live_e2da_us": [], "live_eel_us": [], "live_random_us": [], "task_stream_us": []}
     for _ in range(repeats):
-        for name in ("e2da", "random"):
+        for name in ("e2da", "eel", "random"):
             t0 = time.perf_counter()
             run_live_evaluation(name, node, channels, workload, params, n_episodes,
                                 TASKS_PER_EPISODE, SEED, [agent])
@@ -163,6 +165,7 @@ def measure_live(n_tasks: int, repeats: int) -> dict:
         "arrival_rate_per_s": LIVE_RATE_PER_USER,
         "decisions": decisions,
         "live_e2da_us": summary(runs["live_e2da_us"], 1e6 / decisions),
+        "live_eel_us": summary(runs["live_eel_us"], 1e6 / decisions),
         "live_random_us": summary(runs["live_random_us"], 1e6 / decisions),
         "task_stream_us": summary(runs["task_stream_us"], 1e6 / (per_user * LIVE_USERS)),
     }
@@ -193,6 +196,7 @@ def main(argv=None) -> int:
     live = result["live"]
     print(
         f"live k{live['users']}: {live['live_e2da_us']['median']:.2f} us/decision e2da, "
+        f"{live['live_eel_us']['median']:.2f} us/decision eel, "
         f"{live['live_random_us']['median']:.2f} us/decision random, "
         f"{live['task_stream_us']['median']:.2f} us/task from the streams",
         file=sys.stderr,
