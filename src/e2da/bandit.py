@@ -29,7 +29,7 @@ class RewardParams:
     penalty: float = 1.0
     efficiency_scale: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 <= self.penalty < math.inf:
             raise ConfigError(f"penalty must be finite and >= 0, got {self.penalty}")
         if not 0 < self.efficiency_scale < math.inf:
@@ -105,7 +105,7 @@ class AgentConfig:
     init_scale: Optional[float] = None
     retrain_from_scratch: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ConfigError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
         for f_name in ("learning_rate", "rmsprop_eps"):
@@ -366,8 +366,6 @@ class E2daAgent:
         minibatch_rng: np.random.Generator,
         context_dim: int = 3,
     ):
-        config.validate()
-        reward_params.validate()
         self.config = config
         self.reward_params = reward_params
         self.model = MlpModel(
@@ -447,8 +445,9 @@ class E2daAgent:
     ) -> "E2daAgent":
         """Agent with n_actions outputs saved by to_state, built from the
         state's config.  The config and reward sections are read like a
-        run config's agent section.  A mistyped, unknown or out-of-range
-        config or reward constant, two differing miss penalties, model
+        run config's agent section, and each dataclass checks its own
+        constants when built.  A mistyped, unknown or out-of-range config
+        or reward constant, two differing miss penalties, model
         hyperparameters other than the config implies, a malformed model
         or initial parameter array, or initial parameters present or
         missing against config.retrain_from_scratch, raises ConfigError
@@ -458,11 +457,6 @@ class E2daAgent:
 
         config = read_section(AgentConfig, state["config"], "config")
         rp = read_section(RewardParams, state["reward_params"], "reward_params")
-        for key, section in (("config", config), ("reward_params", rp)):
-            try:
-                section.validate()
-            except ConfigError as exc:
-                raise ConfigError(f"{key}.{exc}") from None
         if config.penalty != rp.penalty:
             raise ConfigError(
                 f"config.penalty {config.penalty!r} differs from reward_params.penalty "

@@ -224,7 +224,6 @@ def _read_checkpoint(
     try:
         bounds = tuple((float(lo), float(hi)) for lo, hi in payload.get("context_bounds"))
         workload = replace(cfg.workload, context_bounds=bounds)
-        workload.validate()
     except ConfigError as exc:  # the message names context_bounds
         raise ConfigError(f"{path}: {exc}") from exc
     except (TypeError, ValueError) as exc:

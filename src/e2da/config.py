@@ -4,13 +4,16 @@ Field names carry their units (bps, Hz, W, s, bits) because unit mistakes
 are the usual way these experiments go quietly wrong.  Every section
 mirrors one dataclass: its keys are the field names (only NodeConfig.kappa
 is spelled kappa_j_per_cycle_hz2), each value is checked against its
-field's type, and absent keys take the field defaults.  Unknown keys are
-rejected rather than ignored so typos surface as errors.
+field's type, and absent keys take the field defaults.  Each dataclass
+checks its own values when built, and read_section puts the section's key
+path in front of its message.  Unknown keys are rejected rather than
+ignored so typos surface as errors.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -35,6 +38,16 @@ class RewardConfig:
     efficiency_scale_bits_per_j_s: Optional[float] = None  # None means calibrate
     calibration_percentile: float = 99.0
 
+    def __post_init__(self) -> None:
+        scale = self.efficiency_scale_bits_per_j_s
+        if scale is not None and scale <= 0:
+            raise ConfigError(f"efficiency_scale_bits_per_j_s must be > 0, got {scale}")
+        if not 0 < self.calibration_percentile <= 100:
+            raise ConfigError(
+                "calibration_percentile must be in (0, 100], "
+                f"got {self.calibration_percentile}"
+            )
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -46,53 +59,44 @@ class RunConfig:
     tasks_per_episode: int = 100
     agent_scope: str = "shared"
 
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for f_name in ("n_records", "n_train_episodes", "n_test_episodes", "tasks_per_episode"):
+            if getattr(self, f_name) < 1:
+                raise ConfigError(f"{f_name} must be >= 1, got {getattr(self, f_name)}")
+        if self.agent_scope not in AGENT_SCOPES:
+            raise ConfigError(
+                f"agent_scope must be one of {AGENT_SCOPES}, got {self.agent_scope!r}"
+            )
+        if self.agent_scope == "per_user" and self.mode != "dataset":
+            raise ConfigError(
+                "agent_scope 'per_user' partitions dataset records by user "
+                "and therefore requires run.mode 'dataset'"
+            )
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One field per JSON section."""
+    """One field per JSON section.  Absent channels select the first
+    system.n_channels carriers of the three in default_channels()."""
 
     system: NodeConfig = field(default_factory=NodeConfig)
-    channels: Tuple[ChannelConfig, ...] = field(default_factory=default_channels)
+    channels: Optional[Tuple[ChannelConfig, ...]] = None
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     agent: AgentConfig = field(default_factory=AgentConfig)
     reward: RewardConfig = field(default_factory=RewardConfig)
     run: RunConfig = field(default_factory=RunConfig)
 
-    def validate(self) -> None:
-        self.system.validate()
-        if len(self.channels) != self.system.n_channels:
+    def __post_init__(self) -> None:
+        n = self.system.n_channels
+        if self.channels is None:
+            object.__setattr__(self, "channels", default_channels()[:n])
+        if len(self.channels) != n:
             raise ConfigError(
-                f"channels lists {len(self.channels)} entries but system.n_channels "
-                f"is {self.system.n_channels}"
-            )
-        for i, ch in enumerate(self.channels):
-            ch.validate(f"channels[{i}]")
-        self.workload.validate()
-        self.agent.validate()
-        scale = self.reward.efficiency_scale_bits_per_j_s
-        if scale is not None and scale <= 0:
-            raise ConfigError(f"reward.efficiency_scale_bits_per_j_s must be > 0, got {scale}")
-        if not 0 < self.reward.calibration_percentile <= 100:
-            raise ConfigError(
-                "reward.calibration_percentile must be in (0, 100], "
-                f"got {self.reward.calibration_percentile}"
-            )
-        run = self.run
-        if run.mode not in MODES:
-            raise ConfigError(f"run.mode must be one of {MODES}, got {run.mode!r}")
-        if run.seed < 0:
-            raise ConfigError(f"run.seed must be >= 0, got {run.seed}")
-        for f_name in ("n_records", "n_train_episodes", "n_test_episodes", "tasks_per_episode"):
-            if getattr(run, f_name) < 1:
-                raise ConfigError(f"run.{f_name} must be >= 1, got {getattr(run, f_name)}")
-        if run.agent_scope not in AGENT_SCOPES:
-            raise ConfigError(
-                f"run.agent_scope must be one of {AGENT_SCOPES}, got {run.agent_scope!r}"
-            )
-        if run.agent_scope == "per_user" and run.mode != "dataset":
-            raise ConfigError(
-                "run.agent_scope 'per_user' partitions dataset records by user "
-                "and therefore requires run.mode 'dataset'"
+                f"channels has {len(self.channels)} entries but system.n_channels is {n}"
             )
 
 
@@ -106,16 +110,17 @@ def _dist_from_json(obj, where: str) -> DistributionSpec:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object with a 'kind'")
     kind = obj.get("kind")
-    if kind not in _DIST_KEYS:
+    if not isinstance(kind, str) or kind not in _DIST_KEYS:
         raise ConfigError(f"{where}.kind must be uniform/constant/exponential, got {kind!r}")
     keys = _DIST_KEYS[kind]
     _require_keys(obj, ("kind",) + keys, where)
     if any(k not in obj for k in keys):
         raise ConfigError(f"{where}: {kind} needs {' and '.join(map(repr, keys))}")
-    params = (_value(obj[k], float, f"{where}.{k}") for k in keys)
-    dist = getattr(DistributionSpec, kind)(*params)
-    dist.validate(where)
-    return dist
+    params = [_value(obj[k], float, f"{where}.{k}") for k in keys]
+    try:
+        return getattr(DistributionSpec, kind)(*params)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _dist_to_json(dist: DistributionSpec) -> dict:
@@ -172,27 +177,26 @@ def read_section(cls, raw, where: str):
             values[f.name] = _value(raw[key], hints[f.name], path)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{where}: missing required field {key!r}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigError as exc:  # the message starts with the field's name
+        name = re.match(r"\w*", str(exc)).group()
+        key = f"{where}.{_JSON_KEYS.get(name, name)}" if where else name
+        raise ConfigError(key + str(exc)[len(name):]) from None
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    # "channels": null, like no channels key, selects the default channel set
-    sections = {k: v for k, v in raw.items() if not (k == "channels" and v is None)}
-    cfg = read_section(ExperimentConfig, sections, "")
-    if "channels" not in sections:
-        n = cfg.system.n_channels
-        channels = default_channels()[:n]
-        if len(channels) != n:
-            raise ConfigError(f"no default channel set for n_channels={n}; list them explicitly")
-        cfg = replace(cfg, channels=channels)
-    cfg.validate()
-    return cfg
+    return read_section(ExperimentConfig, raw, "")
 
 
 def load_config(path: str) -> ExperimentConfig:
-    return config_from_dict(read_json(path))
+    raw = read_json(path)  # its errors already name the path
+    try:
+        return config_from_dict(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def to_json(value):
@@ -229,7 +233,10 @@ def with_sweep_value(cfg: ExperimentConfig, axis: str, mean_value: float) -> Exp
         raise ConfigError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     if mean_value <= 10:
         raise ConfigError(f"sweep mean must be > 10, got {mean_value}")
-    dist = DistributionSpec.uniform(10.0, 2.0 * mean_value - 10.0)
-    workload = replace(cfg.workload, context_bounds=None, **{SWEEP_AXES[axis]: dist})
-    workload.validate()
+    feature = SWEEP_AXES[axis]
+    try:
+        dist = DistributionSpec.uniform(10.0, 2.0 * mean_value - 10.0)
+        workload = replace(cfg.workload, context_bounds=None, **{feature: dist})
+    except ConfigError as exc:
+        raise ConfigError(f"workload.{feature}: {exc}") from None
     return replace(cfg, workload=workload)

@@ -411,7 +411,6 @@ def generate_dataset(
     once: one project_outcome call per action on a column of decisions."""
     if n_records < 1:
         raise ConfigError(f"n_records must be >= 1, got {n_records}")
-    workload.validate()
     log_rng = substream(seed, "logging-policy")
     C = node.n_channels
     n_actions = C + 1

@@ -118,14 +118,13 @@ class ChannelConfig:
     gain: DistributionSpec = field(default_factory=lambda: DistributionSpec.uniform(0.6, 1.0))
     carrier_mhz: float = 0.0
 
-    def validate(self, name: str = "channel") -> None:
+    def __post_init__(self) -> None:
         for f_name in ("uplink_rate_bps", "downlink_rate_bps", "uplink_power_w", "downlink_power_w"):
             if getattr(self, f_name) <= 0:
-                raise ConfigError(f"{name}.{f_name} must be > 0, got {getattr(self, f_name)}")
-        self.gain.validate(f"{name}.gain")
+                raise ConfigError(f"{f_name} must be > 0, got {getattr(self, f_name)}")
         sup = self.gain.support()
         if sup is None or sup[0] <= 0.0 or sup[1] > 1.0:
-            raise ConfigError(f"{name}.gain support must lie in (0, 1], got {sup}")
+            raise ConfigError(f"gain support must lie in (0, 1], got {sup}")
 
 
 def default_channels() -> Tuple[ChannelConfig, ...]:
@@ -160,7 +159,7 @@ class NodeConfig:
     result_size_ratio: float = 0.1
     association: Optional[Tuple[int, ...]] = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f_name in ("n_users", "n_base_stations", "n_channels"):
             if getattr(self, f_name) < 1:
                 raise ConfigError(f"{f_name} must be >= 1, got {getattr(self, f_name)}")
@@ -405,13 +404,10 @@ class Simulator:
         gain_rng: np.random.Generator,
         policy: Optional[Callable[["Simulator", Task], int]] = None,
     ):
-        node.validate()
         if len(channels) != node.n_channels:
             raise ConfigError(
                 f"expected {node.n_channels} channel configs, got {len(channels)}"
             )
-        for i, ch in enumerate(channels):
-            ch.validate(f"channels[{i}]")
         self.node = node
         self.channels = tuple(channels)
         self.policy = policy
@@ -425,6 +421,19 @@ class Simulator:
         assoc = node.resolved_association()
         self._assoc = assoc
         K, N, C = node.n_users, node.n_base_stations, node.n_channels
+        # A share is least at the lowest gain with the most members: the
+        # users of the busiest base station on an uplink, every base station
+        # on a downlink.  One that rounds to 0 bps would divide by zero.
+        members = {"uplink": int(np.bincount(assoc).max()), "downlink": N}
+        for i, ch in enumerate(self.channels):
+            gain = ch.gain.support()[0]
+            for leg, n in members.items():
+                nominal = getattr(ch, f"{leg}_rate_bps")
+                if fair_share_rate(nominal, gain, n) == 0.0:
+                    raise ConfigError(
+                        f"channels[{i}]: the {leg} share of {n} stations at gain {gain} "
+                        f"and {nominal} bps rounds to 0 bps"
+                    )
         # a station's wait and service time land at these indexes of _Job.times
         self._cpu = [_Station(_Domain(node.user_cpu_hz, ("cpu", k)), 0, 4) for k in range(K)]
         self._vm = [_Station(_Domain(node.edge_vm_hz, ("vm", k)), 2, 4) for k in range(K)]

@@ -17,6 +17,7 @@ from .errors import ConfigError
 from .rng import Uniforms, substream
 
 _SMALLEST_POSITIVE = 5e-324  # np.nextafter(0, 1); guards log(0)
+_FEATURES = ("size_bits", "intensity_cpb", "deadline_s")  # context order
 
 
 @dataclass(frozen=True)
@@ -31,22 +32,16 @@ class DistributionSpec:
     value: float = 0.0
     mean: float = 0.0
 
-    def validate(self, name: str) -> None:
+    def __post_init__(self) -> None:
         for f_name in ("minimum", "maximum", "value", "mean"):
             if not math.isfinite(getattr(self, f_name)):
-                raise ConfigError(f"{name}: {f_name} must be finite, got {getattr(self, f_name)}")
-        if self.kind == "uniform":
-            if not (self.minimum < self.maximum):
-                raise ConfigError(
-                    f"{name}: uniform needs min < max, got [{self.minimum}, {self.maximum}]"
-                )
-        elif self.kind == "constant":
-            pass
-        elif self.kind == "exponential":
-            if not self.mean > 0:
-                raise ConfigError(f"{name}: exponential needs mean > 0, got {self.mean}")
-        else:
-            raise ConfigError(f"{name}: unknown distribution kind {self.kind!r}")
+                raise ConfigError(f"{f_name} must be finite, got {getattr(self, f_name)}")
+        if self.kind not in ("uniform", "constant", "exponential"):
+            raise ConfigError(f"unknown distribution kind {self.kind!r}")
+        if self.kind == "uniform" and not self.minimum < self.maximum:
+            raise ConfigError(f"uniform needs min < max, got [{self.minimum}, {self.maximum}]")
+        if self.kind == "exponential" and not self.mean > 0:
+            raise ConfigError(f"exponential needs mean > 0, got {self.mean}")
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.kind == "uniform":
@@ -109,20 +104,13 @@ class WorkloadConfig:
     )
     context_bounds: Optional[Tuple[Tuple[float, float], ...]] = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.arrival_rate_per_s > 0:
             raise ConfigError(
                 f"arrival_rate_per_s must be > 0, got {self.arrival_rate_per_s}"
             )
-        self.size_bits.validate("size_bits")
-        self.intensity_cpb.validate("intensity_cpb")
-        self.deadline_s.validate("deadline_s")
-        for dist, name in (
-            (self.size_bits, "size_bits"),
-            (self.intensity_cpb, "intensity_cpb"),
-            (self.deadline_s, "deadline_s"),
-        ):
-            sup = dist.support()
+        for name in _FEATURES:
+            sup = getattr(self, name).support()
             if sup is not None and sup[0] <= 0:
                 raise ConfigError(f"{name}: support must be positive, got min {sup[0]}")
         bounds = self.resolved_context_bounds()
@@ -140,12 +128,8 @@ class WorkloadConfig:
                 )
             return tuple((float(lo), float(hi)) for lo, hi in self.context_bounds)
         bounds = []
-        for dist, name in (
-            (self.size_bits, "size_bits"),
-            (self.intensity_cpb, "intensity_cpb"),
-            (self.deadline_s, "deadline_s"),
-        ):
-            sup = dist.support()
+        for name in _FEATURES:
+            sup = getattr(self, name).support()
             if sup is None or sup[0] == sup[1]:
                 raise ConfigError(
                     f"context_bounds must be given explicitly: {name} has "

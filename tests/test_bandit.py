@@ -75,9 +75,9 @@ class TestReward:
 
     def test_params_validate(self):
         with pytest.raises(ConfigError):
-            RewardParams(penalty=-0.1).validate()
+            RewardParams(penalty=-0.1)
         with pytest.raises(ConfigError):
-            RewardParams(efficiency_scale=0.0).validate()
+            RewardParams(efficiency_scale=0.0)
 
 
 class TestEpsilon:
@@ -545,8 +545,8 @@ class TestAgent:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            AgentConfig(hidden_sizes=()).validate()
+            AgentConfig(hidden_sizes=())
         with pytest.raises(ConfigError):
-            AgentConfig(rmsprop_decay=1.0).validate()
+            AgentConfig(rmsprop_decay=1.0)
         with pytest.raises(ConfigError):
-            AgentConfig(epsilon0=1.2).validate()
+            AgentConfig(epsilon0=1.2)

@@ -503,6 +503,97 @@ class TestMalformedConfig:
         assert rc == 2, err
         assert key in err
 
+    @pytest.mark.parametrize(
+        "section, values, key",
+        [
+            ("system", {"n_users": 0}, "system.n_users"),
+            ("system", {"user_cpu_hz": 0}, "system.user_cpu_hz"),
+            ("system", {"kappa_j_per_cycle_hz2": 0}, "system.kappa_j_per_cycle_hz2"),
+            ("agent", {"learning_rate": 0}, "agent.learning_rate"),
+            ("agent", {"hidden_sizes": []}, "agent.hidden_sizes"),
+            ("agent", {"epsilon0": 1.5}, "agent.epsilon0"),
+            ("workload", {"arrival_rate_per_s": 0}, "workload.arrival_rate_per_s"),
+            ("workload", {"context_bounds": [[0, 1]]}, "workload.context_bounds"),
+            ("workload", {"size_bits": {"kind": "exponential", "mean": 1000}},
+             "workload.context_bounds"),
+        ],
+    )
+    def test_out_of_range_exits_2_naming_file_and_key(self, tmp_path, capsys, section,
+                                                      values, key):
+        path = write_config(tmp_path, "config.json", **{section: values})
+        rc, err = run_cli(
+            ["generate-dataset", "--config", path, "--out", str(tmp_path / "o")], capsys
+        )
+        assert rc == 2, err
+        assert f"{path}: {key} " in err
+
+    def test_json_error_names_the_path_once(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("{not json")
+        rc, err = run_cli(
+            ["generate-dataset", "--config", str(path), "--out", str(tmp_path / "o")], capsys
+        )
+        assert rc == 2, err
+        assert err.count(str(path)) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["generate-dataset"], ["evaluate", "--mode", "live", "--agent", "eel"]],
+    )
+    def test_fair_share_rounding_to_zero_exits_2(self, tmp_path, capsys, argv):
+        # 5e-324 * 1 bps shared by two users of one base station rounds to 0 bps
+        raw = {
+            "system": {"n_users": 5, "n_channels": 1},
+            "channels": [{"uplink_rate_bps": 1.0, "downlink_rate_bps": 1e6,
+                          "uplink_power_w": 1, "downlink_power_w": 1,
+                          "gain": {"kind": "constant", "value": 5e-324}}],
+            "run": {"n_records": 200},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        rc, err = run_cli(argv + ["--config", str(path), "--out", str(tmp_path / "o")], capsys)
+        assert rc == 2, err
+        assert "channels[0]" in err
+
+
+DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "default.json")
+
+
+def _key_path(keys):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
+def _scalar_leaves(node, keys=(), enclosing=""):
+    """(key list, enclosing object's key path) of every scalar under node."""
+    if not isinstance(node, (dict, list)):
+        yield list(keys), enclosing
+        return
+    for k, value in node.items() if isinstance(node, dict) else enumerate(node):
+        child = (*keys, k)
+        yield from _scalar_leaves(
+            value, child, _key_path(child) if isinstance(value, dict) else enclosing
+        )
+
+
+class TestMalformedConfigSweep:
+    def test_every_leaf_returns_or_names_its_object(self):
+        with open(DEFAULT_CONFIG) as fh:
+            default = json.load(fh)
+        leaves = list(_scalar_leaves(default))
+        assert (["channels", 1, "gain", "min"], "channels[1].gain") in leaves
+        assert (["system", "association", 0], "system") in leaves
+        for keys, enclosing in leaves:
+            for value in (0, -1, 0.5, 1e308, 5e-324, True, "x", None, [], {}):
+                raw = json.loads(json.dumps(default))
+                node = raw
+                for k in keys[:-1]:
+                    node = node[k]
+                node[keys[-1]] = value
+                try:
+                    config_from_dict(raw)
+                except ConfigError as exc:
+                    assert enclosing in str(exc), (keys, value, str(exc))
+
 
 def write_config(tmp_path, name, **sections):
     cfg = json.loads(json.dumps(SMALL_CONFIG))

@@ -63,18 +63,13 @@ class TestOps:
 
 class TestConfigs:
     def test_channel_gain_support_must_fit(self):
-        bad = ChannelConfig(1e6, 1e6, 1.0, 0.5, gain=DistributionSpec.uniform(0.5, 1.2))
         with pytest.raises(ConfigError):
-            bad.validate()
-        zero = ChannelConfig(1e6, 1e6, 1.0, 0.5, gain=DistributionSpec.constant(0.0))
+            ChannelConfig(1e6, 1e6, 1.0, 0.5, gain=DistributionSpec.uniform(0.5, 1.2))
         with pytest.raises(ConfigError):
-            zero.validate()
+            ChannelConfig(1e6, 1e6, 1.0, 0.5, gain=DistributionSpec.constant(0.0))
 
     def test_default_channels_shape(self):
-        chans = default_channels()
-        assert len(chans) == 3
-        for ch in chans:
-            ch.validate()
+        assert len(default_channels()) == 3
 
     def test_association_default_round_robin(self):
         node = NodeConfig(n_users=5, n_base_stations=3)
@@ -83,9 +78,8 @@ class TestConfigs:
     def test_association_explicit(self):
         node = NodeConfig(n_users=3, n_base_stations=2, association=(1, 1, 0))
         assert node.resolved_association() == (1, 1, 0)
-        bad = NodeConfig(n_users=3, n_base_stations=2, association=(0, 2, 0))
         with pytest.raises(ConfigError):
-            bad.validate()
+            NodeConfig(n_users=3, n_base_stations=2, association=(0, 2, 0))
 
     def test_simulator_channel_count_checked(self):
         node = NodeConfig(n_users=1, n_base_stations=1, n_channels=2)

@@ -53,16 +53,16 @@ class TestDistributionSpec:
     @pytest.mark.parametrize(
         "dist",
         [
-            DistributionSpec.uniform(2.0, 2.0),
-            DistributionSpec.uniform(3.0, 1.0),
-            DistributionSpec.exponential(0.0),
-            DistributionSpec.exponential(-1.0),
-            DistributionSpec("gaussian"),
+            lambda: DistributionSpec.uniform(2.0, 2.0),
+            lambda: DistributionSpec.uniform(3.0, 1.0),
+            lambda: DistributionSpec.exponential(0.0),
+            lambda: DistributionSpec.exponential(-1.0),
+            lambda: DistributionSpec("gaussian"),
         ],
     )
     def test_validate_rejects(self, dist):
         with pytest.raises(ConfigError):
-            dist.validate("field")
+            dist()
 
 
 class TestInterarrival:
@@ -180,9 +180,8 @@ class TestWorkloadConfig:
         )
 
     def test_unbounded_feature_needs_explicit_bounds(self):
-        cfg = WorkloadConfig(size_bits=DistributionSpec.exponential(1000.0))
-        with pytest.raises(ConfigError):
-            cfg.resolved_context_bounds()
+        with pytest.raises(ConfigError, match="context_bounds"):
+            WorkloadConfig(size_bits=DistributionSpec.exponential(1000.0))
         ok = WorkloadConfig(
             size_bits=DistributionSpec.exponential(1000.0),
             context_bounds=((1.0, 9000.0), (10.0, 1000.0), (0.01, 0.018)),
@@ -190,13 +189,12 @@ class TestWorkloadConfig:
         assert ok.resolved_context_bounds()[0] == (1.0, 9000.0)
 
     def test_nonpositive_support_rejected(self):
-        cfg = WorkloadConfig(size_bits=DistributionSpec.uniform(0.0, 10.0))
         with pytest.raises(ConfigError):
-            cfg.validate()
+            WorkloadConfig(size_bits=DistributionSpec.uniform(0.0, 10.0))
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ConfigError):
-            WorkloadConfig(arrival_rate_per_s=0.0).validate()
+            WorkloadConfig(arrival_rate_per_s=0.0)
 
 
 def features(task):
