@@ -1,8 +1,9 @@
 """Frozen-state oracle schedulers.
 
 Each oracle ranks the what-if outcomes of tasks, given as arrays with the
-actions on the last axis (a dataset's R x A columns, or one task's
-Simulator.projections live), and returns the best action along that axis.
+actions on the last axis (a replay episode's gathered k x A dataset rows,
+or one task's Simulator.projections live), and returns the best action
+along that axis.
 Each is deliberately blind to everything its criterion ignores: eel_star
 maximizes bits per second-joule, ee_star bits per joule, r_star minimizes
 response time.  None of them looks at the deadline.  Ties go to the lowest

@@ -33,6 +33,7 @@ from .config import (
     ExperimentConfig,
     config_to_dict,
     load_config,
+    read_value,
     with_sweep_value,
 )
 from .errors import ConfigError
@@ -221,14 +222,12 @@ def _read_checkpoint(
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise invalid(where, f"is not a valid agent state ({exc!r})") from exc
         agents.append(agent)
-    try:
-        bounds = tuple((float(lo), float(hi)) for lo, hi in payload.get("context_bounds"))
-        workload = replace(cfg.workload, context_bounds=bounds)
-    except ConfigError as exc:  # the message names context_bounds
+    try:  # the message starts with a key path in context_bounds
+        hint = Tuple[Tuple[float, float], ...]
+        bounds = read_value(payload.get("context_bounds"), hint, "context_bounds")
+        return agents, replace(cfg.workload, context_bounds=bounds)
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise invalid("context_bounds", f"must list 3 [min, max] pairs ({exc})") from exc
-    return agents, workload
 
 
 def _write_checkpoint(

@@ -20,7 +20,7 @@ from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 from .bandit import AgentConfig
 from .errors import ConfigError
 from .ioutil import read_json
-from .netsim import ChannelConfig, NodeConfig, default_channels
+from .netsim import ChannelConfig, NodeConfig, check_fair_shares, default_channels
 from .workload import DistributionSpec, WorkloadConfig
 
 MODES = ("dataset", "live")
@@ -98,6 +98,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"channels has {len(self.channels)} entries but system.n_channels is {n}"
             )
+        check_fair_shares(self.system, self.channels)
 
 
 def _require_keys(obj: dict, allowed, where: str) -> None:
@@ -116,7 +117,7 @@ def _dist_from_json(obj, where: str) -> DistributionSpec:
     _require_keys(obj, ("kind",) + keys, where)
     if any(k not in obj for k in keys):
         raise ConfigError(f"{where}: {kind} needs {' and '.join(map(repr, keys))}")
-    params = [_value(obj[k], float, f"{where}.{k}") for k in keys]
+    params = [read_value(obj[k], float, f"{where}.{k}") for k in keys]
     try:
         return getattr(DistributionSpec, kind)(*params)
     except ConfigError as exc:
@@ -141,7 +142,7 @@ _SCALARS = {
 }
 
 
-def _value(raw, hint, where: str):
+def read_value(raw, hint, where: str):
     """The JSON value `raw` checked against the type `hint` and converted."""
     if hint is DistributionSpec:
         return _dist_from_json(raw, where)
@@ -149,14 +150,14 @@ def _value(raw, hint, where: str):
         return read_section(hint, raw, where)
     args = get_args(hint)
     if get_origin(hint) is Union:  # Optional[X]
-        return None if raw is None else _value(raw, args[0], where)
+        return None if raw is None else read_value(raw, args[0], where)
     if get_origin(hint) is tuple:
         if not isinstance(raw, list):
             raise ConfigError(f"{where} must be a list, got {raw!r}")
         items = args[:1] * len(raw) if args[-1] is Ellipsis else args
         if len(items) != len(raw):
             raise ConfigError(f"{where} must list {len(items)} entries, got {len(raw)}")
-        return tuple(_value(v, t, f"{where}[{i}]") for i, (v, t) in enumerate(zip(raw, items)))
+        return tuple(read_value(v, t, f"{where}[{i}]") for i, (v, t) in enumerate(zip(raw, items)))
     wanted, accepts = _SCALARS[hint]
     if not accepts(raw):
         raise ConfigError(f"{where} must be {wanted}, got {raw!r}")
@@ -174,7 +175,7 @@ def read_section(cls, raw, where: str):
     for key, f in by_key.items():
         path = f"{where}.{key}" if where else key
         if key in raw:
-            values[f.name] = _value(raw[key], hints[f.name], path)
+            values[f.name] = read_value(raw[key], hints[f.name], path)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{where}: missing required field {key!r}")
     try:

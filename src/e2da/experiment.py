@@ -3,8 +3,8 @@
 Replay rollouts sample records of a logged dataset (see dataset.py)
 uniformly, so every action's consequence is known without re-simulating;
 live rollouts instead submit real tasks and book each decision when its
-completion event fires.  Both take a policy, an oracle or a learning agent
-and turn each episode's sums into one metric row: a live rollout adds each
+completion event fires.  Both take a frozen policy or a learning agent and
+turn each episode's sums into one metric row: a live rollout adds each
 outcome as its feedback arrives, a replay books each episode whole.
 """
 
@@ -14,7 +14,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,11 +27,11 @@ from .netsim import ChannelConfig, NodeConfig, Simulator, TaskOutcome
 from .rng import Uniforms, substream
 from .workload import Task, WorkloadConfig, normalize_context, task_stream
 
-# A policy: choose(user_id, x) -> action, where x is the task's scaled
-# context.  An oracle is no policy of this kind: it ranks every action's
-# outcome (see OraclePolicy).
-Oracle = Callable[..., np.ndarray]
-Policy = Callable[[int, np.ndarray], int]
+# A frozen policy: choose(users, x, outcomes) -> actions, elementwise over
+# decisions.  A live decision passes its int user and 1-d scaled context, a
+# replay episode its (k,) users and (k, 3) contexts; outcomes() returns the
+# decisions' what-if (size, T, E), actions on the last axis.
+Policy = Callable[[Any, np.ndarray, Callable[[], tuple]], Any]
 
 
 def linear_percentile(values, q: float) -> float:
@@ -143,44 +143,36 @@ def summarize(
 # ----------------------------------------------------------------- rollouts
 
 
-class OraclePolicy(NamedTuple):
-    """An oracle's policy: the action its rule ranks first.  A replay
-    gathers an episode's actions from the rule's action vector over the
-    dataset; a live rollout ranks the task's projections."""
-
-    rule: Oracle
-
-
-# What a rollout follows: a policy, an oracle, or a learning agent.
-Decider = Union[Policy, OraclePolicy, E2daAgent]
-
-
 def make_policy(
     name: str,
     agents: Sequence[E2daAgent] = (),
     rng: Optional[np.random.Generator] = None,
     n_actions: int = 0,
-) -> Union[Policy, OraclePolicy]:
-    """Frozen decision function for one agent name, for replay and live
-    rollouts alike.
+) -> Policy:
+    """Frozen policy for one agent name, for replay and live rollouts alike.
 
-    The learned agent sees only the scaled context and acts greedily; with
-    one agent per user, the decision's user picks the agent.  An oracle
-    is its OraclePolicy.  Random draws from rng.
+    The learned agent acts greedily on the scaled context, one decision at
+    a time; with one agent per user, the decision's user picks the agent.
+    An oracle ranks the outcomes with its rule; random draws from rng.
     """
     if name == "e2da":
         if not agents:
             raise ValueError("e2da policy needs at least one agent")
-        if len(agents) == 1:
-            agent = agents[0]
-            return lambda user, x: agent.act(x, 0.0)
-        return lambda user, x: agents[user].act(x, 0.0)
+
+        def choose(users, x, outcomes):
+            if isinstance(users, np.ndarray):  # a replay episode's rows
+                return [choose(u, row, outcomes) for u, row in zip(users.tolist(), x)]
+            return agents[users if len(agents) > 1 else 0].act(x, 0.0)
+
+        return choose
     if name in ORACLES:
-        return OraclePolicy(ORACLES[name])
+        rule = ORACLES[name]
+        return lambda users, x, outcomes: rule(*outcomes())
     if name == "random":
         if rng is None or n_actions < 1:
             raise ValueError("random policy needs rng and n_actions")
-        return lambda user, x: int(rng.integers(n_actions))
+        # a vector draw equals as many scalar draws; getattr skips np.shape's asarray on an int
+        return lambda users, x, outcomes: rng.integers(n_actions, size=getattr(users, "shape", None))
     raise ValueError(f"unknown policy {name!r}")
 
 
@@ -201,7 +193,7 @@ def _fold(values: np.ndarray) -> float:
 
 
 def _replay(
-    decider: Decider,
+    decider: Union[Policy, E2daAgent],
     reward_params: RewardParams,
     dataset: Dataset,
     workload: WorkloadConfig,
@@ -213,15 +205,15 @@ def _replay(
 ) -> List[MetricsRow]:
     """Each episode samples records uniformly with replacement, so one task
     can recur within an episode; every decision settles at once against
-    the recorded outcome of the chosen action.  Contexts, rewards and an
-    oracle's action vector are computed once per call as arrays.
+    the recorded outcome of the chosen action.  Contexts and rewards are
+    computed once per call as arrays.
 
-    An oracle's episode actions are one gather from its action vector.  A
-    learning agent acts and then observes once per decision, in decision
-    order, and a policy is asked once per decision, so their random draws
-    keep their order.  The episode is then booked whole from the chosen
-    (record, action) cells of the reward, verdict, energy and response
-    matrices."""
+    A frozen policy is asked once per episode, with the sampled rows'
+    users and contexts and their gathered outcome rows.  A learning agent
+    acts and then observes once per decision, in decision order, so its
+    random draws keep their order.  The episode is then booked whole from
+    the chosen (record, action) cells of the reward, verdict, energy and
+    response matrices."""
     if tasks_per_episode < 1:
         return []  # nothing is decided, so no episode is booked
     outcomes = dataset.outcome_columns()
@@ -230,14 +222,11 @@ def _replay(
     rewards = compute_reward(*outcomes, dataset.met_deadline, reward_params)
     users, met = dataset.user_id, dataset.met_deadline
     energy, response = dataset.e_total_j, dataset.total_s
-    oracle_actions = decider.rule(*outcomes) if isinstance(decider, OraclePolicy) else None
     rows = []
     for e in range(n_episodes):
         episode = start_episode + e
         records = ep_rng.integers(0, len(dataset), size=tasks_per_episode)
-        if oracle_actions is not None:
-            actions = oracle_actions[records]
-        elif isinstance(decider, E2daAgent):
+        if isinstance(decider, E2daAgent):
             epsilon = decider.epsilon(episode)
             actions = []
             for i in records.tolist():
@@ -246,7 +235,8 @@ def _replay(
                 decider.observe(x, a, rewards.item(i, a))
                 actions.append(a)
         else:
-            actions = [decider(users.item(i), contexts[i]) for i in records.tolist()]
+            gathered = lambda: tuple(c[records] for c in outcomes)  # noqa: E731
+            actions = decider(users[records], contexts[records], gathered)
         cells = (records, np.asarray(actions))
         rows.append(_row(
             episode, phase, _fold(rewards[cells]), int(np.count_nonzero(met[cells])),
@@ -278,7 +268,7 @@ def run_training(
 
 
 def run_evaluation(
-    choose: Union[Policy, OraclePolicy],
+    choose: Policy,
     dataset: Dataset,
     workload: WorkloadConfig,
     reward_params: RewardParams,
@@ -360,8 +350,14 @@ def run_training_per_user(
     return average_rows(per_user), per_user
 
 
+def _projected(sim: Simulator, task: Task) -> tuple:
+    """A live task's what-if (size, T, E), one T and E per action."""
+    outs = sim.projections(task)
+    return task.size_bits, np.array([o.total_s for o in outs]), np.array([o.e_total_j for o in outs])
+
+
 def _live_rollout(
-    decider: Decider,
+    decider: Union[Policy, E2daAgent],
     reward_params: RewardParams,
     node: NodeConfig,
     channels: Sequence[ChannelConfig],
@@ -377,15 +373,17 @@ def _live_rollout(
 
     Tasks are decided at arrival and booked in completion order against
     the episode they were submitted in (feedback is delayed, as in the real
-    system), where a learning agent also observes the reward.  An oracle
-    ranks the task's projections.  on_outcome, when given, sees each
-    outcome after it is booked; no outcome is kept.
+    system), where a learning agent also observes the reward.  A frozen
+    policy is asked once per decision, with the task's user and scaled
+    context; its outcomes() projects the task's what-if (size, T, E) from
+    the current snapshot.  on_outcome, when given, sees each outcome after
+    it is booked; no outcome is kept.
     """
     total = n_episodes * tasks_per_episode
     decided = 0
     scale = workload.context_scale()
     learner = decider if isinstance(decider, E2daAgent) else None
-    pending: Dict[int, Tuple[Optional[np.ndarray], int, int]] = {}  # task -> (x, action, episode)
+    pending: Dict[int, Tuple[np.ndarray, int, int]] = {}  # task -> (x, action, episode)
     books: Dict[int, list] = {}  # episode -> [reward, met, energy, response, n]
 
     def hook(sim: Simulator, task: Task) -> int:
@@ -394,18 +392,11 @@ def _live_rollout(
         decided += 1
         if decided >= total:
             sim.halt_arrivals()
-        x = None
-        if isinstance(decider, OraclePolicy):
-            outs = sim.projections(task)
-            total_s = np.array([out.total_s for out in outs])
-            e_total_j = np.array([out.e_total_j for out in outs])
-            action = int(decider.rule(task.size_bits, total_s, e_total_j))
+        x = normalize_context((task.size_bits, task.intensity_cpb, task.deadline_s), scale)
+        if learner is not None:
+            action = learner.act(x, learner.epsilon(episode))
         else:
-            x = normalize_context((task.size_bits, task.intensity_cpb, task.deadline_s), scale)
-            if learner is not None:
-                action = learner.act(x, learner.epsilon(episode))
-            else:
-                action = decider(task.user_id, x)
+            action = int(decider(task.user_id, x, lambda: _projected(sim, task)))
         pending[task.task_id] = (x, action, episode)
         if episode not in books:
             books[episode] = [0.0, 0, 0.0, 0.0, 0]
@@ -466,8 +457,8 @@ def run_live_evaluation(
     agents: Sequence[E2daAgent] = (),
     phase: str = "test",
 ) -> List[MetricsRow]:
-    """Live-mode frozen-policy rollout; oracle policies project at decision
-    time from the current system snapshot."""
+    """Live-mode frozen-policy rollout; an oracle ranks each task's
+    projections from the system snapshot at its decision."""
     choose = make_policy(name, agents, substream(seed, "logging-policy"), node.n_channels + 1)
     return _live_rollout(
         choose, reward_params, node, channels, workload, seed, n_episodes, tasks_per_episode,

@@ -183,6 +183,24 @@ class NodeConfig:
         return tuple(k % self.n_base_stations for k in range(self.n_users))
 
 
+def check_fair_shares(node: NodeConfig, channels: Sequence[ChannelConfig]) -> None:
+    """Reject a channel whose least fair share rounds to 0 bps, which would
+    divide by zero.  A share is least at the lowest gain with the most
+    members: the users of the busiest base station on an uplink, every
+    base station on a downlink."""
+    members = {"uplink": int(np.bincount(node.resolved_association()).max()),
+               "downlink": node.n_base_stations}
+    for i, ch in enumerate(channels):
+        gain = ch.gain.support()[0]
+        for leg, n in members.items():
+            nominal = getattr(ch, f"{leg}_rate_bps")
+            if fair_share_rate(nominal, gain, n) == 0.0:
+                raise ConfigError(
+                    f"channels[{i}]: the {leg} share of {n} stations at gain {gain} "
+                    f"and {nominal} bps rounds to 0 bps"
+                )
+
+
 class TaskOutcome(NamedTuple):
     """Realized (or projected) fate of one task: timing decomposition,
     energy decomposition, and deadline verdict.  action 0 is local, action
@@ -418,22 +436,10 @@ class Simulator:
         self._halted = False
         self._streams: Dict[int, Iterator[Task]] = {}
         self._staged_gains: Dict[int, Tuple[float, ...]] = {}
+        check_fair_shares(node, self.channels)
         assoc = node.resolved_association()
         self._assoc = assoc
         K, N, C = node.n_users, node.n_base_stations, node.n_channels
-        # A share is least at the lowest gain with the most members: the
-        # users of the busiest base station on an uplink, every base station
-        # on a downlink.  One that rounds to 0 bps would divide by zero.
-        members = {"uplink": int(np.bincount(assoc).max()), "downlink": N}
-        for i, ch in enumerate(self.channels):
-            gain = ch.gain.support()[0]
-            for leg, n in members.items():
-                nominal = getattr(ch, f"{leg}_rate_bps")
-                if fair_share_rate(nominal, gain, n) == 0.0:
-                    raise ConfigError(
-                        f"channels[{i}]: the {leg} share of {n} stations at gain {gain} "
-                        f"and {nominal} bps rounds to 0 bps"
-                    )
         # a station's wait and service time land at these indexes of _Job.times
         self._cpu = [_Station(_Domain(node.user_cpu_hz, ("cpu", k)), 0, 4) for k in range(K)]
         self._vm = [_Station(_Domain(node.edge_vm_hz, ("vm", k)), 2, 4) for k in range(K)]

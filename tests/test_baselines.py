@@ -91,15 +91,14 @@ class TestBruteForceCrossCheck:
 
 
 class TestPolicyWrappers:
-    """make_policy turns an agent name into choose(user_id, x), or an
-    oracle's name into the OraclePolicy that carries its rule."""
+    """make_policy turns an agent or oracle name into the elementwise
+    choose(users, x, outcomes)."""
 
     def test_oracle_policy_dispatch(self):
         ps = proj([(1000.0, 0.1, 10.0), (1000.0, 5.0, 0.1), (1000.0, 0.5, 0.2)])
-        assert int(make_policy("r").rule(*ps)) == 0
-        assert int(make_policy("ee").rule(*ps)) == 1
-        assert int(make_policy("eel").rule(*ps)) == 2
-        assert not callable(make_policy("eel"))  # the rollouts apply its rule
+        assert int(make_policy("r")(0, np.zeros(3), lambda: ps)) == 0
+        assert int(make_policy("ee")(0, np.zeros(3), lambda: ps)) == 1
+        assert int(make_policy("eel")(0, np.zeros(3), lambda: ps)) == 2
 
     def test_oracle_policy_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -108,5 +107,5 @@ class TestPolicyWrappers:
     def test_random_policy_mirrors_generator(self):
         choose = make_policy("random", rng=substream(9, "actions"), n_actions=4)
         mirror = substream(9, "actions")
-        picks = [choose(u % 3, np.zeros(3)) for u in range(20)]
+        picks = [choose(u % 3, np.zeros(3), None) for u in range(20)]
         assert picks == [int(mirror.integers(4)) for _ in range(20)]

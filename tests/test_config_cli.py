@@ -553,7 +553,7 @@ class TestMalformedConfig:
         path.write_text(json.dumps(raw))
         rc, err = run_cli(argv + ["--config", str(path), "--out", str(tmp_path / "o")], capsys)
         assert rc == 2, err
-        assert "channels[0]" in err
+        assert f"{path}: channels[0]" in err
 
 
 DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "default.json")
@@ -684,13 +684,13 @@ def _infinite_initial_bias(p):
     p["agent"]["initial_params"] = {"weights": model["weights"], "biases": biases}
 
 
-def _infinite_bound(i, value):
-    """Mutation setting one end of context_bounds[0] to value."""
+def _bound(i, j, value):
+    """Mutation setting context_bounds[i][j] to value."""
 
     def mutate(p):
-        p["context_bounds"][0][i] = value
+        p["context_bounds"][i][j] = value
 
-    mutate.__name__ = f"_bound_0_{i}_{value}"
+    mutate.__name__ = f"_bound_{i}_{j}_{value}"
     return mutate
 
 
@@ -729,8 +729,10 @@ class TestMalformedCheckpoint:
             (_infinite_initial_bias, "agent.initial_params.biases[1]"),
             (_anchor_missing, "agent.initial_params"),
             (_anchor_unwanted, "agent.initial_params"),
-            (_infinite_bound(0, -math.inf), "context_bounds"),
-            (_infinite_bound(1, math.inf), "context_bounds"),
+            (_bound(0, 0, -math.inf), "context_bounds"),
+            (_bound(0, 1, math.inf), "context_bounds"),
+            (_bound(0, 0, "10.0"), "context_bounds[0][0] must be a finite number"),
+            (_bound(1, 0, True), "context_bounds[1][0] must be a finite number"),
             (_one_layer, "agent.model.layer_sizes"),
             (_four_inputs, "agent.model.layer_sizes"),
             (_setter("config", "minibatch_size", 0), "agent.config.minibatch_size"),

@@ -11,7 +11,6 @@ from e2da.errors import ConfigError
 from e2da.experiment import (
     Dataset,
     MetricsRow,
-    OraclePolicy,
     average_rows,
     calibrate_efficiency_scale,
     calibrate_efficiency_scale_live,
@@ -465,7 +464,7 @@ class TestRunEvaluation:
         params = RewardParams(penalty=1.0, efficiency_scale=1e6)
         wl = WorkloadConfig()
         rows = run_evaluation(
-            lambda user, x: 2, small_dataset, wl, params,
+            lambda users, x, outcomes: 2, small_dataset, wl, params,
             n_episodes=4, tasks_per_episode=7, seed=11,
         )
         mirror = substream(11, "episodes", "test")
@@ -503,7 +502,7 @@ class TestRunEvaluation:
     def test_phase_stream_and_offset(self, small_dataset):
         params = RewardParams(1.0, 1e6)
         rows = run_evaluation(
-            lambda user, x: 0, small_dataset, WorkloadConfig(), params,
+            lambda users, x, outcomes: 0, small_dataset, WorkloadConfig(), params,
             n_episodes=2, tasks_per_episode=3, seed=5,
             phase="train", stream="train", start_episode=40,
         )
@@ -686,6 +685,60 @@ class TestLiveRuns:
         assert all(np.isfinite(r.reward) for r in rows)
 
 
+class TestFrozenPolicyCallContract:
+    """A replay asks a frozen policy once per episode with the episode's
+    rows; a live rollout asks it once per decision with scalars, so a live
+    decision pays for no one-row arrays."""
+
+    def test_replay_asks_once_per_episode_with_the_gathered_rows(self, small_dataset):
+        ds, wl, calls = small_dataset, WorkloadConfig(), []
+
+        def spy(users, x, outcomes):
+            calls.append((users, x, outcomes()))
+            return np.zeros(len(users), dtype=np.int64)
+
+        run_evaluation(spy, ds, wl, RewardParams(1.0, 1e6), n_episodes=4, tasks_per_episode=7,
+                       seed=11)
+        assert len(calls) == 4
+        mirror = substream(11, "episodes", "test")
+        features = np.column_stack((ds.size_bits, ds.intensity_cpb, ds.deadline_s))
+        contexts = normalize_context(features, wl.context_scale())
+        for users, x, (size, total_s, e_total_j) in calls:
+            records = mirror.integers(0, len(ds), size=7)
+            assert users.shape == (7,) and np.array_equal(users, ds.user_id[records])
+            assert x.shape == (7, 3) and np.array_equal(x, contexts[records])
+            assert size.shape == (7, 1) and np.array_equal(size[:, 0], ds.size_bits[records])
+            assert np.array_equal(total_s, ds.total_s[records])
+            assert np.array_equal(e_total_j, ds.e_total_j[records])
+
+    def test_live_asks_once_per_decision_with_scalars(self, small_node, monkeypatch):
+        wl, projected, calls = WorkloadConfig(), [], []
+        real = Simulator.projections
+
+        def recording(sim, task):
+            projected.append((task, real(sim, task)))
+            return projected[-1][1]
+
+        monkeypatch.setattr(Simulator, "projections", recording)
+
+        def spy(user, x, outcomes):
+            size, total_s, e_total_j = outcomes()
+            task, outs = projected[-1]
+            assert type(user) is int and user == task.user_id
+            features = (task.size_bits, task.intensity_cpb, task.deadline_s)
+            assert x.shape == (3,) and np.array_equal(x, normalize_context(features, wl.context_scale()))
+            assert size == task.size_bits
+            assert np.array_equal(total_s, [o.total_s for o in outs])
+            assert np.array_equal(e_total_j, [o.e_total_j for o in outs])
+            calls.append(user)
+            return np.argmin(total_s)
+
+        rows = experiment._live_rollout(
+            spy, RewardParams(1.0, 1e6), small_node, default_channels(), wl, 23, 3, 20
+        )
+        assert len(calls) == len(projected) == 60 and len(rows) == 3
+
+
 def hand_driven_live(node, wl, params, seed, n_episodes, tasks_per_episode, decide,
                      learn=None, start_episode=0, phase="test"):
     """Reference booking for the live loops: a Simulator driven by hand with
@@ -810,31 +863,28 @@ def per_decision_replay(
     decider, reward_params, dataset, workload, ep_rng, n_episodes, tasks_per_episode,
     start_episode, phase,
 ):
-    """Reference replay, one decision at a time: it takes the oracle's
-    action for the record, or asks the learner (which then observes) or
-    the policy, reads the chosen cell with .item() and adds it to its
-    episode's sums with +=.  experiment._replay must book the same rows
-    from arrays."""
+    """Reference replay, one decision at a time: it asks the learner (which
+    then observes) or the policy, with the record's int user, 1-d context
+    and scalar-size outcomes, as a live decision does; it reads the chosen
+    cell with .item() and adds it to its episode's sums with +=.
+    experiment._replay must book the same rows from arrays."""
     outcomes = dataset.outcome_columns()
     features = (dataset.size_bits, dataset.intensity_cpb, dataset.deadline_s)
     contexts = normalize_context(np.column_stack(features), workload.context_scale())
     rewards = compute_reward(*outcomes, dataset.met_deadline, reward_params)
     users, met = dataset.user_id, dataset.met_deadline
     energy, response = dataset.e_total_j, dataset.total_s
-    if isinstance(decider, OraclePolicy):
-        oracle_actions = decider.rule(*outcomes)
     rows = []
     for e in range(n_episodes):
         episode = start_episode + e
         book = [0.0, 0, 0.0, 0.0, 0]
         for i in ep_rng.integers(0, len(dataset), size=tasks_per_episode).tolist():
             x = contexts[i]
-            if isinstance(decider, OraclePolicy):
-                a = oracle_actions.item(i)
-            elif isinstance(decider, E2daAgent):
+            if isinstance(decider, E2daAgent):
                 a = decider.act(x, decider.epsilon(episode))
             else:
-                a = decider(users.item(i), x)
+                row = (dataset.size_bits.item(i), response[i], energy[i])
+                a = int(decider(users.item(i), x, lambda: row))
             r = rewards.item(i, a)
             if isinstance(decider, E2daAgent):
                 decider.observe(x, a, r)
@@ -900,9 +950,9 @@ class TestReplayMatchesPerDecisionReference:
         self.check_policy(per_decision, lambda: make_policy("e2da", agents), small_dataset)
 
     def test_lambdas(self, small_dataset, per_decision):
-        self.check_policy(per_decision, lambda: lambda user, x: 2, small_dataset)
-        # a policy whose action depends on the decision's user
-        by_user = lambda user, x: 3 if user % 2 else user // 2  # noqa: E731
+        self.check_policy(per_decision, lambda: lambda users, x, outcomes: 2, small_dataset)
+        # a policy whose action depends on the decision's user, elementwise
+        by_user = lambda users, x, outcomes: np.where(users % 2, 3, users // 2)  # noqa: E731
         self.check_policy(per_decision, lambda: by_user, small_dataset)
 
     def test_training(self, small_dataset, per_decision):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from e2da.rng import Uniforms, substream
 
@@ -61,3 +62,24 @@ def test_uniforms_hold_at_most_max_4_n_undrawn_values():
         blocked.random()
         assert counting.drawn - n <= max(4, n)
     assert counting.drawn - n <= Uniforms.MOST
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 11])
+@pytest.mark.parametrize("seed", [0, 1, 7919])
+def test_vector_draw_equals_scalar_draws(n, seed):
+    """One integers(n, size=k) call draws what k scalar integers(n) calls
+    draw, and so does any split of the k draws into chunks, and the
+    generator ends in the same state.  A replay episode's random policy
+    draws its actions as one vector, a live decision as one scalar."""
+    k = 10_000
+    scalar, vector, chunked = (substream(seed, "actions") for _ in range(3))
+    want = [int(scalar.integers(n)) for _ in range(k)]
+    assert vector.integers(n, size=k).tolist() == want
+    got = []
+    splits = np.random.default_rng(seed)
+    while len(got) < k:
+        size = min(int(splits.integers(1, 300)), k - len(got))
+        got += chunked.integers(n, size=size).tolist()
+    assert got == want
+    assert scalar.bit_generator.state == vector.bit_generator.state == chunked.bit_generator.state
+    assert scalar.random() == vector.random() == chunked.random()
