@@ -2,7 +2,8 @@
 
 Subcommands:
   generate-dataset  run the live system under uniform random actions and log
-                    every arrival's per-action projections to dataset.csv
+                    every arrival's per-action projections to dataset.csv,
+                    plus the same columns in dataset.csv.npy for fast reads
   train             fit the neural bandit (or log a random baseline) and write
                     metrics.csv plus a model.json checkpoint
   evaluate          run a frozen policy and write test metrics plus summary.json
@@ -36,6 +37,7 @@ from .config import (
     read_value,
     with_sweep_value,
 )
+from .dataset import column_path, load_dataset, save_dataset
 from .errors import ConfigError
 from .experiment import (
     Dataset,
@@ -97,10 +99,12 @@ def _write_manifest(
     write_json(_output(out_dir, "manifest.json"), manifest)
 
 
-def _load_dataset(path: Optional[str], cfg: ExperimentConfig) -> Dataset:
+def _load_dataset(path: Optional[str], cfg: ExperimentConfig, extra: dict) -> Dataset:
+    """The dataset of a dataset-mode run, checked against the config;
+    extra records the dataset file's hash."""
     if not path:
         raise ConfigError("dataset mode requires --dataset PATH")
-    dataset = Dataset.from_csv(path)
+    dataset, extra["dataset_sha256"] = load_dataset(path)
     if not len(dataset):
         raise ConfigError(f"{path} holds no records")
     n_actions, n_users = cfg.system.n_channels + 1, cfg.system.n_users
@@ -281,9 +285,11 @@ def _evaluate(
 def cmd_generate_dataset(args: argparse.Namespace) -> int:
     cfg, _, seed = _context(args)
     dataset = generate_dataset(cfg.system, cfg.channels, cfg.workload, cfg.run.n_records, seed)
-    dataset.write_csv(_output(args.out, "dataset.csv"))
+    path = _output(args.out, "dataset.csv")
+    save_dataset(dataset, path)
+    outputs = ["dataset.csv", os.path.basename(column_path(path))]
     extra = {"n_records": len(dataset)}
-    _write_manifest(args.out, "generate-dataset", cfg, seed, ["dataset.csv"], extra)
+    _write_manifest(args.out, "generate-dataset", cfg, seed, outputs, extra)
     print(f"wrote {len(dataset)} records to {os.path.join(args.out, 'dataset.csv')}")
     return 0
 
@@ -291,9 +297,9 @@ def cmd_generate_dataset(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg, mode, seed = _context(args)
     run = cfg.run
-    dataset = _load_dataset(args.dataset, cfg) if mode == "dataset" else None
     outputs = ["metrics.csv"]
     extra: dict = {"agent": args.agent, "mode": mode}
+    dataset = _load_dataset(args.dataset, cfg, extra) if mode == "dataset" else None
 
     if args.agent == "random" and args.resume:
         raise ConfigError("--resume only applies to the learned agent")
@@ -328,8 +334,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg, mode, seed = _context(args)
-    dataset = _load_dataset(args.dataset, cfg) if mode == "dataset" else None
     extra: dict = {"agent": args.agent, "mode": mode}
+    dataset = _load_dataset(args.dataset, cfg, extra) if mode == "dataset" else None
     if args.agent == "e2da" and not args.model:
         raise ConfigError("evaluating the learned agent requires --model PATH")
     agents, params, workload = _policy_inputs(

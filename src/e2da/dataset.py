@@ -6,6 +6,20 @@ per-action what-if outcome set.  It is stored as columns, so replay
 indexes arrays instead of walking records, and it round-trips through
 dataset.csv byte for byte.
 
+Saved, a dataset is dataset.csv plus a column file beside it,
+dataset.csv.npy: consecutive NPY records, first the sha256 of the CSV's
+bytes as a 0-d bytes array, then every column in _COLUMNS order.
+load_dataset hashes the CSV once and hands the hash to Dataset.from_csv,
+which takes the columns from the column file only when that file is
+bound to those bytes, loads without pickles, holds exactly the columns
+of _column_specs and has no row that the parser's array checks
+(_valid_rows) cannot clear; otherwise, and whenever the column file is
+missing, it parses the text, which alone reports errors.  Deleting the
+column file loses nothing but time.  A column file whose digest record
+matches is trusted: its payload is not compared with the CSV's cells,
+only checked for shape, dtype and the row checks, so a column file
+edited by hand can change the data while the CSV's hash stays the same.
+
 The CSV codec streams: its memory is one bounded buffer plus the columns,
 never the whole file as text.  write_csv renders rows in chunks of
 _ROW_CHUNK and writes each chunk as it is rendered.  from_csv makes two
@@ -26,6 +40,7 @@ per decision.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -33,7 +48,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .ioutil import atomic_write_text, check_utf8
+from .ioutil import atomic_open, atomic_write_text, check_utf8, sha256_file
 from .netsim import ChannelConfig, NodeConfig, Simulator, Snapshot, project_outcome
 from .rng import Uniforms, substream
 from .workload import Task, WorkloadConfig, task_stream
@@ -64,6 +79,10 @@ _ACTION_INDEX = {col: i for i, (col, _) in enumerate(_ACTION_FIELDS)}
 _TOTALS = tuple(
     (_ACTION_INDEX[total], slice(_ACTION_INDEX[first], _ACTION_INDEX[last] + 1))
     for total, first, last in (("T_s", "d1_s", "t_down_s"), ("e_total_J", "e_cpu_J", "e_rx_J"))
+)
+# _TOTALS by Dataset column name: each total column with its part columns
+_SUMS = tuple(
+    (_ACTION_FIELDS[i][1], tuple(name for _, name in _ACTION_FIELDS[parts])) for i, parts in _TOTALS
 )
 # text that csv.reader reads differently from a plain split on "," and "\n"
 _CSV_SPECIALS = ('"', "\r", "\x00")
@@ -145,12 +164,16 @@ class Dataset:
         atomic_write_text(path, self._csv_chunks())
 
     @classmethod
-    def from_csv(cls, path: str) -> "Dataset":
+    def from_csv(cls, path: str, digest: Optional[str] = None) -> "Dataset":
         """Read records written by write_csv.  A malformed header raises
         ConfigError naming the path and the first wrong column, a malformed
         row naming the path and the row (rows count from 1 after the
         header), and bytes that are not UTF-8 naming the path and the byte
         offset.
+
+        Given digest, the sha256 of the file's bytes, the columns come from
+        the column file beside it when that file is bound to digest and
+        valid (see _read_columns), and the text is not parsed.
 
         The file is streamed in two passes.  A scan reads it in byte chunks
         of _SCAN_CHUNK, keeps the header line and counts the lines; then
@@ -161,6 +184,9 @@ class Dataset:
         carriage returns, NULs or bytes outside ASCII, and any file
         np.loadtxt cannot parse, is read by csv.reader and the scalar
         parser, which alone decide the verdict."""
+        columns = None if digest is None else _read_columns(column_path(path), digest)
+        if columns is not None:
+            return cls(columns)
         scan = _scan(path)
         if scan is not None:
             header_line, n_lines = scan
@@ -357,17 +383,12 @@ def _parse_body(
         return None
     if len(parsed) != n_lines:  # np.loadtxt skips the blank lines csv.reader rejects
         return None
-    ids, task = parsed["ids"], parsed["task"]
-    actions, met_text = parsed["actions"]["fields"], parsed["actions"]["met"]
+    met_text = parsed["actions"]["met"]
     met = met_text == "1"
-    deadline = task[:, 3]
-    ok = _finite_positive(task[:, 1:]).all(axis=1)
-    ok &= ((met_text == "0") | met).all(axis=1)
-    ok &= (met == (actions[:, :, _ACTION_INDEX["T_s"]] <= deadline[:, None])).all(axis=1)
-    for i, parts in _TOTALS:
-        ok &= _surely_sums_to(actions[:, :, i], actions[:, :, parts]).all(axis=1)
+    columns = _assemble(parsed["ids"], parsed["task"], parsed["actions"]["fields"], met)
+    ok = _valid_rows(columns) & ((met_text == "0") | met).all(axis=1)
     _recheck_rows(path, (np.flatnonzero(~ok) + 1).tolist(), n_act, width)
-    return _assemble(ids, task, actions, met)
+    return columns
 
 
 def _recheck_rows(path: str, rows: List[int], n_act: int, width: int) -> None:
@@ -380,22 +401,98 @@ def _recheck_rows(path: str, rows: List[int], n_act: int, width: int) -> None:
             _parse_row(path, row, line.rstrip("\n").split(","), n_act, width)
 
 
+def _valid_rows(columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Where a row of Dataset columns certainly passes the scalar parser's
+    value checks: finite and positive size_bits, intensity_cpb and
+    deadline_s, met_deadline equal to total_s <= deadline_s, and both
+    totals surely summing to their parts.  A row it does not clear may
+    still pass; only the scalar parser decides that."""
+    deadline = columns["deadline_s"]
+    ok = _finite_positive(deadline)
+    ok &= _finite_positive(columns["size_bits"]) & _finite_positive(columns["intensity_cpb"])
+    ok &= (columns["met_deadline"] == (columns["total_s"] <= deadline[:, None])).all(axis=1)
+    for total, parts in _SUMS:
+        ok &= _surely_sums_to(columns[total], [columns[p] for p in parts]).all(axis=1)
+    return ok
+
+
 def _finite_positive(values: np.ndarray) -> np.ndarray:
     return (values > 0.0) & (values < math.inf)
 
 
-def _surely_sums_to(total: np.ndarray, parts: np.ndarray) -> np.ndarray:
+def _surely_sums_to(total: np.ndarray, parts: Sequence[np.ndarray]) -> np.ndarray:
     """Where total certainly passes the scalar parser's checks: finite and
-    positive, and within relative 1e-9 of the math.fsum of parts.  The
-    plain sum's error is bounded by n * 2**-52 * sum(|parts|), the
-    tolerance is shrunk by that bound and by 0.1%, and totals far from 1
-    are left to the exact check."""
+    positive, and within relative 1e-9 of the math.fsum of the part
+    arrays.  The plain sum's error is bounded by n * 2**-52 * sum(|parts|),
+    the tolerance is shrunk by that bound and by 0.1%, and totals far from
+    1 are left to the exact check."""
     with np.errstate(over="ignore", invalid="ignore"):  # a malformed part may be inf or nan
-        plain = np.add.reduce(parts, axis=-1)
-        bound = parts.shape[-1] * 2.0**-52 * np.add.reduce(np.abs(parts), axis=-1)
+        plain = sum(parts[1:], parts[0])
+        bound = len(parts) * 2.0**-52 * sum(map(np.abs, parts))
         size = np.maximum(np.abs(total), np.abs(plain)) - bound
         close = np.abs(total - plain) + bound <= 0.999e-9 * size
     return close & _finite_positive(total) & (total > 1e-290) & (total < 1e290)
+
+
+def column_path(csv_path: str) -> str:
+    """Path of the column file that goes with the dataset file csv_path."""
+    return csv_path + ".npy"
+
+
+def save_dataset(dataset: Dataset, path: str) -> str:
+    """Write dataset.csv to path, then its column file beside it, each
+    atomically; return the CSV's sha256, which the column file holds."""
+    dataset.write_csv(path)
+    digest = sha256_file(path)
+    with atomic_open(column_path(path), "wb") as fh:
+        fh.write(_digest_record(digest))
+        for column in dataset.columns().values():
+            np.lib.format.write_array(fh, column, allow_pickle=False)
+    return digest
+
+
+def load_dataset(path: str) -> Tuple[Dataset, str]:
+    """The dataset in the dataset file path, and the file's sha256.  The
+    columns come from the column file beside it when that file is bound
+    to these bytes and valid, and from the text otherwise.  The binding
+    is the digest record alone: a bound column file is trusted to hold
+    the CSV's values, which are not compared cell by cell."""
+    digest = sha256_file(path)
+    return Dataset.from_csv(path, digest), digest
+
+
+def _digest_record(digest: str) -> bytes:
+    """The first record of a column file: the CSV's sha256 in hex, as
+    the NPY bytes of a 0-d bytes array."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.array(digest.encode("ascii")), allow_pickle=False)
+    return buf.getvalue()
+
+
+def _read_columns(path: str, digest: str) -> Optional[Dict[str, np.ndarray]]:
+    """The columns in the column file at path, or None unless the file
+    starts with the record of digest and then holds, loaded without
+    pickles and with nothing after them, the columns of _column_specs for
+    some row count and at least two actions, with every row cleared by
+    _valid_rows."""
+    head = _digest_record(digest)
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(head)) != head:
+                return None
+            arrays = [np.lib.format.read_array(fh, allow_pickle=False) for _ in _COLUMNS]
+            if fh.read(1):
+                return None
+    except (OSError, ValueError, OverflowError, MemoryError):
+        return None
+    columns = dict(zip(_COLUMNS, arrays))
+    shape = columns["met_deadline"].shape
+    if len(shape) != 2 or shape[1] < 2:
+        return None
+    for name, dtype, want in _column_specs(*shape):
+        if columns[name].dtype != dtype or columns[name].shape != want:
+            return None
+    return columns if _valid_rows(columns).all() else None
 
 
 def generate_dataset(

@@ -151,18 +151,26 @@ def make_policy(
 ) -> Policy:
     """Frozen policy for one agent name, for replay and live rollouts alike.
 
-    The learned agent acts greedily on the scaled context, one decision at
-    a time; with one agent per user, the decision's user picks the agent.
-    An oracle ranks the outcomes with its rule; random draws from rng.
+    The learned agent acts greedily on the scaled context; with one agent
+    per user, the decision's user picks the agent.  A live decision is one
+    act call; a replay episode runs one batched forward per agent over its
+    rows (see _greedy).  An oracle ranks the outcomes with its rule;
+    random draws from rng.
     """
     if name == "e2da":
         if not agents:
             raise ValueError("e2da policy needs at least one agent")
 
         def choose(users, x, outcomes):
-            if isinstance(users, np.ndarray):  # a replay episode's rows
-                return [choose(u, row, outcomes) for u, row in zip(users.tolist(), x)]
-            return agents[users if len(agents) > 1 else 0].act(x, 0.0)
+            if not isinstance(users, np.ndarray):  # one live decision
+                return agents[users if len(agents) > 1 else 0].act(x, 0.0)
+            if len(agents) == 1:
+                return _greedy(agents[0], x)
+            actions = np.empty(len(users), dtype=np.intp)
+            for u in np.unique(users).tolist():
+                rows = users == u
+                actions[rows] = _greedy(agents[u], x[rows])
+            return actions
 
         return choose
     if name in ORACLES:
@@ -174,6 +182,27 @@ def make_policy(
         # a vector draw equals as many scalar draws; getattr skips np.shape's asarray on an int
         return lambda users, x, outcomes: rng.integers(n_actions, size=getattr(users, "shape", None))
     raise ValueError(f"unknown policy {name!r}")
+
+
+# a batched argmax whose top two values are closer than this is re-decided
+# by act: far above the ~1e-15 that a batched forward's values differ by
+# from one-row forwards, so every other row's argmax is act's
+_CERTAIN_GAP = 1e-9
+
+
+def _greedy(agent: E2daAgent, x: np.ndarray) -> np.ndarray:
+    """agent.act(row, 0.0) for every row of x, from one batched forward.
+    A row whose top two values differ by less than _CERTAIN_GAP, or that
+    is not finite, goes through act itself, which draws no randomness at
+    epsilon 0, so exact ties resolve to the lowest action as act does."""
+    values = agent.model.forward(x)
+    actions = values.argmax(axis=1)
+    if values.shape[1] > 1:
+        top = np.partition(values, -2, axis=1)
+        unsure = ~(top[:, -1] - top[:, -2] >= _CERTAIN_GAP)  # NaN gaps included
+        for i in np.flatnonzero(unsure).tolist():
+            actions[i] = agent.act(x[i], 0.0)
+    return actions
 
 
 def _row(episode: int, phase: str, reward: float, met: int, energy: float,

@@ -1,11 +1,12 @@
 """Small file helpers: atomic writes, hashing, stable float text."""
 
 import codecs
+import contextlib
 import hashlib
 import itertools
 import json
 import os
-from typing import Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -24,20 +25,30 @@ def fmt(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path: str, pieces: Iterable[str]) -> None:
-    """Write the text pieces in order to a temp file and rename it over
-    path, so readers never see partial output.  Pieces may be produced
-    while the file is written; if producing or writing one fails, the temp
-    file is removed and path is left as it was."""
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w") -> Iterator[IO]:
+    """A temp file opened for writing, in text (UTF-8, line endings kept)
+    or binary mode, that is renamed over path when the block ends.  Readers
+    never see partial output: if the block raises, the temp file is
+    removed and path is left as it was."""
     tmp = path + ".tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(pieces)
+        with open(tmp, mode, **text) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def atomic_write_text(path: str, pieces: Iterable[str]) -> None:
+    """Write the text pieces in order to path atomically.  Pieces may be
+    produced while the file is written; if producing or writing one fails,
+    path is left as it was."""
+    with atomic_open(path) as fh:
+        fh.writelines(pieces)
 
 
 def read_text(path: str) -> str:

@@ -18,6 +18,7 @@ from e2da.bandit import (
     select_action,
 )
 from e2da.errors import ConfigError, TrainingFault
+from e2da.experiment import make_policy
 from e2da.rng import substream
 
 
@@ -316,11 +317,17 @@ def reference_act(weights, biases, x):
 
 class TestReferenceAct:
     def check(self, agent, contexts):
+        """act on every context, and the frozen replay policy on all of
+        them as one batch, match reference_act."""
         model = agent.model
+        wants = []
         for x in contexts:
             want_q, want_a = reference_act(model.weights, model.biases, x)
             assert same_bits([model.forward(x)], [want_q])
             assert agent.act(x, 0.0) == want_a
+            wants.append(want_a)
+        batch = make_policy("e2da", [agent])(np.zeros(len(contexts), dtype=np.int64), contexts, None)
+        assert np.asarray(batch).tolist() == wants
 
     @pytest.mark.parametrize("hidden", [(50, 50), (8,), (16, 16, 16)])
     def test_trained_parameters(self, hidden):
@@ -352,6 +359,37 @@ class TestReferenceAct:
         b[...] = 50.0  # every head squashes to exactly 1.0
         self.check(agent, substream(38, "act").random((20, 3)))
         assert agent.act(np.full(3, 0.5), 0.0) == 0
+
+    def test_exactly_tied_rows_inside_a_batch(self):
+        """Heads 1 and 2 are equal, so every row they win is an exact tie,
+        and the batch mixes those rows with rows heads 0 and 3 win clearly.
+        The batched policy sends the close rows, and only them, through
+        act, which resolves each tie to head 1."""
+        agent = E2daAgent.create(AgentConfig(hidden_sizes=(8,)), 4, RewardParams(), 39)
+        w, b = agent.model.weights[-1], agent.model.biases[-1]
+        w[2] = w[1]
+        b[...] = [0.05, 0.0, 0.0, 0.1]
+        contexts = substream(40, "act").random((200, 3))
+        q = np.array([reference_act(agent.model.weights, agent.model.biases, x)[0] for x in contexts])
+        top = np.sort(q, axis=1)
+        close = np.flatnonzero(top[:, -1] - top[:, -2] < 1e-9).tolist()
+        assert 0 < len(close) < len(contexts)
+        assert all(q[i, 1] == q[i, 2] == q[i].max() for i in close)
+        assert {0, 3} <= set(q.argmax(axis=1).tolist())
+        row_of = {x.tobytes(): i for i, x in enumerate(contexts)}
+        acted = []
+        act = agent.act
+
+        def spy(x, epsilon):
+            acted.append(row_of[x.tobytes()])
+            return act(x, epsilon)
+
+        agent.act = spy
+        self.check(agent, contexts)  # one act per context, then the batch
+        assert acted[len(contexts):] == close
+        state = agent.explore_rng.bit_generator.state
+        make_policy("e2da", [agent])(np.zeros(len(contexts), dtype=np.int64), contexts, None)
+        assert agent.explore_rng.bit_generator.state == state
 
     def test_agent_observe_matches_per_layer_learner(self):
         cfg = AgentConfig(hidden_sizes=(16, 16), minibatch_size=64, buffer_capacity=50,

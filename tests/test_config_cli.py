@@ -256,7 +256,7 @@ class TestCliEndToEnd:
         assert rc == 0
         manifest = check_manifest(data_dir, "generate-dataset")
         assert manifest["seed"] == 7
-        assert "dataset.csv" in manifest["outputs"]
+        assert set(manifest["outputs"]) == {"dataset.csv", "dataset.csv.npy"}
         assert "wrote 150 records" in capsys.readouterr().out
 
         rc = cli.main(
@@ -1006,6 +1006,75 @@ class TestMalformedDataset:
             with open(os.path.join(out, "metrics.csv"), "rb") as fh:
                 metrics.append(fh.read())
         assert metrics[0] == metrics[1]
+
+
+class TestColumnFileBeside:
+    """The column file generate-dataset writes beside dataset.csv is read
+    only while it is bound to the CSV's bytes; errors come from the CSV."""
+
+    @staticmethod
+    def copy_dataset(dataset, tmp_path):
+        """dataset.csv and its column file, copied to tmp_path/data."""
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("dataset.csv", "dataset.csv.npy"):
+            with open(os.path.join(os.path.dirname(dataset), name), "rb") as fh:
+                (data / name).write_bytes(fh.read())
+        return str(data / "dataset.csv")
+
+    def test_an_edited_cell_exits_2_naming_its_row(self, tmp_path, capsys, trained):
+        config, dataset, _ = trained
+        path = self.copy_dataset(dataset, tmp_path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        lines[3] = ",".join(_met_flipped(lines[3].split(",")))
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert os.path.exists(path + ".npy")
+        rc, err = run_cli(
+            ["evaluate", "--config", config, "--out", str(tmp_path / "out"),
+             "--agent", "eel", "--dataset", path],
+            capsys,
+        )
+        assert rc == 2, err
+        assert f"{path} row 3: a1_met" in err
+
+    def test_a_column_file_without_its_csv_fails_as_a_missing_csv(self, tmp_path, capsys, trained):
+        config, dataset, _ = trained
+        path = self.copy_dataset(dataset, tmp_path)
+        argv = ["evaluate", "--config", config, "--out", str(tmp_path / "out"),
+                "--agent", "eel", "--dataset", path]
+        os.remove(path)
+        with_columns = run_cli(argv, capsys)
+        os.remove(path + ".npy")
+        assert with_columns == run_cli(argv, capsys)
+        assert with_columns[0] == 3 and path in with_columns[1]
+        assert not os.path.exists(str(tmp_path / "out"))
+
+    def test_train_and_evaluate_record_the_dataset_digest(self, tmp_path, trained):
+        config, dataset, model = trained
+        digest = sha256_file(dataset)
+        assert check_manifest(os.path.dirname(model), "train")["dataset_sha256"] == digest
+        for agent, extra in (("eel", []), ("e2da", ["--model", model])):
+            out = str(tmp_path / agent)
+            argv = ["evaluate", "--config", config, "--out", out, "--agent", agent,
+                    "--dataset", dataset]
+            assert cli.main(argv + extra) == 0
+            assert check_manifest(out, "evaluate")["dataset_sha256"] == digest
+        out = str(tmp_path / "live")
+        argv = ["evaluate", "--config", config, "--out", out, "--agent", "eel", "--mode", "live"]
+        assert cli.main(argv) == 0
+        assert "dataset_sha256" not in check_manifest(out, "evaluate")
+
+    def test_per_user_runs_record_the_dataset_digest(self, tmp_path, trained_per_user):
+        config, dataset, model = trained_per_user
+        digest = sha256_file(dataset)
+        assert check_manifest(os.path.dirname(model), "train")["dataset_sha256"] == digest
+        out = str(tmp_path / "eval")
+        argv = ["evaluate", "--config", config, "--out", out, "--agent", "e2da",
+                "--dataset", dataset, "--model", model]
+        assert cli.main(argv) == 0
+        assert check_manifest(out, "evaluate")["dataset_sha256"] == digest
 
 
 class TestNonUtf8Input:

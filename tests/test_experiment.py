@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from e2da import dataset as dataset_module
 from e2da import experiment
 from e2da.bandit import AgentConfig, E2daAgent, RewardParams, compute_reward
 from e2da.errors import ConfigError
@@ -30,7 +31,8 @@ from e2da.experiment import (
     write_metrics,
 )
 from e2da.baselines import r_star
-from e2da.ioutil import fmt
+from e2da.dataset import column_path, load_dataset, save_dataset
+from e2da.ioutil import fmt, sha256_file
 from e2da.netsim import NodeConfig, Simulator, default_channels
 from e2da.rng import substream
 from e2da.workload import WorkloadConfig, normalize_context, task_stream
@@ -340,6 +342,163 @@ class TestDatasetCsvMemory:
             peaks.append(self.peak_bytes(lambda: big.write_csv(str(tmp_path / "records.csv"))))
         assert os.path.getsize(tmp_path / "records.csv") > 2_500_000
         assert peaks[1] < peaks[0] + 2**20
+
+
+def column_bits(dataset):
+    """Every column's dtype, shape and bytes, floats read as int64, so
+    -0.0 and 0.0 differ."""
+    return {
+        name: (c.dtype.str, c.shape, (c.view(np.int64) if c.dtype == np.float64 else c).tobytes())
+        for name, c in dataset.columns().items()
+    }
+
+
+def write_column_records(path, digest, columns):
+    """A column file written record by record with np.save: the CSV's hex
+    sha256 as a 0-d bytes array, then the given arrays."""
+    with open(path, "wb") as fh:
+        np.save(fh, np.array(digest.encode("ascii")))
+        for column in columns:
+            np.save(fh, column)
+
+
+def _with_column(name, change):
+    def mutate(columns):
+        columns[name] = change(columns[name])
+        return columns
+    return mutate
+
+
+def _flip_one_verdict(met):
+    met = met.copy()
+    met[7, 2] = not met[7, 2]
+    return met
+
+
+def _bump_one_total(total):
+    total = total.copy()
+    total[11, 1] *= 1.5
+    return total
+
+
+class TestColumnFile:
+    """save_dataset's column file, and load_dataset, which reads it only
+    when it is bound to the CSV's bytes and valid, and otherwise parses
+    the CSV text."""
+
+    @pytest.fixture
+    def saved(self, small_dataset, tmp_path):
+        path = str(tmp_path / "dataset.csv")
+        digest = save_dataset(small_dataset, path)
+        assert digest == sha256_file(path)
+        return path, digest
+
+    @pytest.fixture
+    def text_parses(self, monkeypatch):
+        """The paths whose CSV text is parsed (every parse starts with _scan)."""
+        calls = []
+        real = dataset_module._scan
+
+        def spy(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(dataset_module, "_scan", spy)
+        return calls
+
+    def test_file_is_the_digest_then_every_column_as_npy_records(self, small_dataset, saved):
+        path, digest = saved
+        assert column_path(path) == path + ".npy"
+        columns = small_dataset.columns()
+        with open(column_path(path), "rb") as fh:
+            records = [np.load(fh, allow_pickle=False) for _ in range(1 + len(columns))]
+            assert fh.read() == b""
+        assert records[0] == np.array(digest.encode("ascii"))
+        assert list(columns) == list(dataset_module._COLUMNS)
+        for record, column in zip(records[1:], columns.values()):
+            assert record.dtype == column.dtype and np.array_equal(record, column)
+        rewritten = path + ".copy"
+        write_column_records(rewritten, digest, columns.values())
+        with open(rewritten, "rb") as a, open(column_path(path), "rb") as b:
+            assert a.read() == b.read()
+
+    def test_loader_matches_from_csv_bit_for_bit(self, saved, text_parses):
+        path, digest = saved
+        want = column_bits(Dataset.from_csv(path))  # without a digest, always the text
+        assert text_parses == [path]
+        text_parses.clear()
+        loaded, got_digest = load_dataset(path)
+        assert (column_bits(loaded), got_digest, text_parses) == (want, digest, [])
+        os.remove(column_path(path))
+        loaded, got_digest = load_dataset(path)
+        assert (column_bits(loaded), got_digest, text_parses) == (want, digest, [path])
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["missing", "empty", "truncated", "truncated head", "trailing bytes", "garbage",
+         "pickled", "8 TiB header", "shape beyond int64", "float32 sizes", "int32 ids", "int8 verdicts", "extra action",
+         "one row short", "two-d record ids", "one action", "another dataset",
+         "flipped verdict", "total off its parts", "negative deadline", "nan intensity"],
+    )
+    def test_an_unusable_column_file_gives_the_csv_result(
+        self, small_node, small_dataset, saved, text_parses, kind
+    ):
+        path, digest = saved
+        target = column_path(path)
+        with open(target, "rb") as fh:
+            good = fh.read()
+        columns = dict(small_dataset.columns())
+        records = {
+            "float32 sizes": _with_column("size_bits", lambda c: c.astype(np.float32)),
+            "int32 ids": _with_column("user_id", lambda c: c.astype(np.int32)),
+            "int8 verdicts": _with_column("met_deadline", lambda c: c.astype(np.int8)),
+            "extra action": _with_column("total_s", lambda c: np.hstack([c, c[:, :1]])),
+            "one row short": _with_column("e_tx_j", lambda c: c[:-1]),
+            "two-d record ids": _with_column("record_id", lambda c: c[:, None]),
+            "one action": lambda cols: {k: (v[:, :1] if v.ndim == 2 else v) for k, v in cols.items()},
+            "flipped verdict": _with_column("met_deadline", _flip_one_verdict),
+            "total off its parts": _with_column("e_total_j", _bump_one_total),
+            "negative deadline": _with_column("deadline_s", lambda c: -c),
+            "nan intensity": _with_column("intensity_cpb", lambda c: np.where(c > 0, np.nan, c)),
+        }
+        if kind == "missing":
+            os.remove(target)
+        elif kind in records:
+            write_column_records(target, digest, records[kind](columns).values())
+        else:
+            content = {
+                "empty": b"",
+                "truncated": good[:-100],
+                "truncated head": good[:50],
+                "trailing bytes": good + b"\0",
+                "garbage": substream(5, "garbage").bytes(len(good)),
+            }.get(kind)
+            if kind == "pickled":
+                write_column_records(target, digest, [np.array([{"x": 1}], dtype=object)])
+            elif kind in ("8 TiB header", "shape beyond int64"):
+                # a header that asks read_array to allocate more than any host
+                # has (MemoryError) or more elements than int64 counts (OverflowError)
+                write_column_records(target, digest, [])
+                shape = (2**40,) if kind == "8 TiB header" else (2**70,)
+                with open(target, "ab") as fh:
+                    np.lib.format.write_array_header_1_0(
+                        fh, {"descr": "<f8", "fortran_order": False, "shape": shape}
+                    )
+                    fh.write(bytes(64))
+            elif kind == "another dataset":
+                other = generate_dataset(
+                    small_node, default_channels(), WorkloadConfig(), n_records=200, seed=43
+                )
+                save_dataset(other, str(target) + ".csv")
+                os.replace(str(target) + ".csv.npy", target)
+            else:
+                with open(target, "wb") as fh:
+                    fh.write(content)
+        want = column_bits(Dataset.from_csv(path))
+        text_parses.clear()
+        loaded, got_digest = load_dataset(path)
+        assert (column_bits(loaded), got_digest, text_parses) == (want, digest, [path])
+        assert want == column_bits(small_dataset)
 
 
 class TestCalibration:

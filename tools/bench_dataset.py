@@ -1,20 +1,23 @@
 """Per-layer timings of the dataset path, in process.
 
 Times generate_dataset (microseconds per record), Dataset.write_csv,
-Dataset.from_csv, calibrate_efficiency_scale and replay evaluation
-(microseconds per decision for the eel oracle, the random policy and an
-e2da agent) on the
+Dataset.from_csv (the text parse), load_dataset (hashing the CSV, then
+loading and checking the column file beside it),
+calibrate_efficiency_scale and replay evaluation (microseconds per
+decision for the eel oracle, the random policy and an e2da agent) on the
 datasets of configs/default.json and of the replay-k5 and generate-k500
-benchmark workloads, records the tracemalloc peak (MiB) of one write_csv
-and one from_csv call on each, and writes the results with the machine, the
-Python, numpy and BLAS versions and the repeat count to a JSON file.
+benchmark workloads, records the tracemalloc peak (MiB) of one write_csv,
+one from_csv and one load_dataset call on each, and writes the results with
+the machine, the Python, numpy and BLAS versions and the repeat count to a
+JSON file.
 
 Run from the root of a checkout, with the package to measure on the path:
 
     PYTHONPATH=src python3 tools/bench_dataset.py [--repeats 5] [--out BENCH_dataset.json]
 
 Only the stdlib and numpy are used.  Each dataset is generated with its
-config's run.seed and written to a temporary directory; every timing is
+config's run.seed and saved (dataset.csv and its column file) to a
+temporary directory; every timing is
 repeated and reported as its minimum and median in seconds (microseconds
 per record for generation, and per decision for replay, over the config's
 test episodes).  The memory peaks come from one separate call each, since
@@ -39,6 +42,7 @@ import numpy as np
 from e2da import __file__ as package_file
 from e2da.bandit import E2daAgent, RewardParams
 from e2da.config import load_config
+from e2da.dataset import column_path, load_dataset, save_dataset
 from e2da.experiment import (
     Dataset,
     calibrate_efficiency_scale,
@@ -91,9 +95,7 @@ def measure(name: str, config_path: str, repeats: int, work_dir: str) -> dict:
 
     dataset = generate()
     path = os.path.join(work_dir, f"{name}.csv")
-    dataset.write_csv(path)
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    digest = save_dataset(dataset, path)
     loaded = Dataset.from_csv(path)
     scale = calibrate_efficiency_scale(loaded, cfg.reward.calibration_percentile)
     params = RewardParams(cfg.agent.penalty, scale)
@@ -119,12 +121,15 @@ def measure(name: str, config_path: str, repeats: int, work_dir: str) -> dict:
         "records": len(loaded),
         "csv_bytes": os.path.getsize(path),
         "csv_sha256": digest,
+        "column_file_bytes": os.path.getsize(column_path(path)),
         "decisions": decisions,
         "generate_us_per_record": summary(timed(generate, repeats), 1e6 / len(dataset)),
         "write_csv_s": summary(timed(lambda: loaded.write_csv(out_path), repeats)),
         "from_csv_s": summary(timed(lambda: Dataset.from_csv(path), repeats)),
+        "load_dataset_s": summary(timed(lambda: load_dataset(path), repeats)),
         "write_csv_peak_mib": peak_mib(lambda: loaded.write_csv(out_path)),
         "from_csv_peak_mib": peak_mib(lambda: Dataset.from_csv(path)),
+        "load_dataset_peak_mib": peak_mib(lambda: load_dataset(path)),
         "calibrate_s": summary(timed(lambda: calibrate_efficiency_scale(loaded), repeats)),
         "replay_eel_us_per_decision": summary(timed(replay("eel"), repeats), 1e6 / decisions),
         "replay_random_us_per_decision": summary(timed(replay("random"), repeats), 1e6 / decisions),
@@ -182,8 +187,10 @@ def main(argv=None) -> int:
                 f"generate {row['generate_us_per_record']['median']:.1f} us per record, "
                 f"write {row['write_csv_s']['median']:.3f} s, "
                 f"read {row['from_csv_s']['median']:.3f} s, "
+                f"load {row['load_dataset_s']['median']:.3f} s, "
                 f"write peak {row['write_csv_peak_mib']:.2f} MiB, "
                 f"read peak {row['from_csv_peak_mib']:.2f} MiB, "
+                f"load peak {row['load_dataset_peak_mib']:.2f} MiB, "
                 f"calibrate {row['calibrate_s']['median'] * 1e3:.1f} ms, "
                 f"replay eel {row['replay_eel_us_per_decision']['median']:.2f} us, "
                 f"random {row['replay_random_us_per_decision']['median']:.2f} us, "
