@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+_UTF8_CHUNK = 1 << 16  # bytes check_utf8 decodes at a time
+
 
 def fmt(value) -> str:
     """Shortest round-trip text for floats, 1/0 for booleans and plain
@@ -64,11 +66,11 @@ def read_text(path: str) -> str:
 
 def check_utf8(path: str) -> None:
     """Raise read_text's ConfigError if the file is not UTF-8 text, reading
-    it 64 KiB at a time."""
+    it _UTF8_CHUNK bytes at a time."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     read = 0
     with open(path, "rb") as fh:
-        for chunk in itertools.chain(iter(lambda: fh.read(1 << 16), b""), [b""]):
+        for chunk in itertools.chain(iter(lambda: fh.read(_UTF8_CHUNK), b""), [b""]):
             # the decoder sees the bytes it kept from the last chunk, then this one
             start = read - len(decoder.getstate()[0])
             read += len(chunk)

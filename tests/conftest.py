@@ -109,3 +109,32 @@ def max_rel_err(analytic, numeric):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+# Cell values that probe the dataset parser where its checks are tight, by
+# the kind of dataset column they go in; "*r" scales the cell by 1 + r.
+MUTATIONS = {
+    "total": ["*0.9e-9", "*1e-9", "*1.1e-9", "*-0.999e-9", "*-1.001e-9"],
+    "part": ["nan", "inf", "-1.0", "0.0", "5e-324", "1e300"],
+    "met": ["0", "1", " 1", "1.0", "01", ""],
+    "int": ["+3", " 4", "05", "1.0", "1e2", "-1", "99999999999999999999"],
+    "task": [" 0.5", "0.5 ", "nan", "-1", "1e400", "1_0.0", "0x10", "5e-324"],
+}
+
+
+def mutation_columns(header):
+    """The indices of the dataset.csv columns each kind of MUTATIONS goes in."""
+    return {
+        "total": [i for i, h in enumerate(header) if h.endswith(("_T_s", "_e_total_J"))],
+        "part": [i for i, h in enumerate(header) if h.endswith(("d2_s", "t_up_s", "e_tx_J"))],
+        "met": [i for i, h in enumerate(header) if h.endswith("_met")],
+        "int": [0, 1, 2],
+        "task": [3, 4, 5, 6],
+    }
+
+
+def mutated(cell, value):
+    """The text a MUTATIONS value puts in place of cell."""
+    if value.startswith("*"):
+        return repr(float(cell) * (1 + float(value[1:])))
+    return value

@@ -1,17 +1,28 @@
-"""Property test of the dataset CSV codec: write_csv then from_csv gives back
-every column bit for bit, for any finite positive floats, subnormals and
-values near the top of the float range included.
+"""Property tests of the dataset CSV codec.
 
-The profile is derandomized, keeps no example database and bounds the
+write_csv then from_csv gives back every column bit for bit, for any
+finite positive floats, subnormals and values near the top of the float
+range included.  And a dataset.csv with one cell rewritten gives the same
+evaluate verdict whether its column file is gone or left stale beside it.
+
+The profiles are derandomized, keep no example database and bound the
 number of examples, so the suite stays deterministic and quick.
 """
 
+import contextlib
+import io
+import json
 import math
+import shutil
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import MUTATIONS, mutated, mutation_columns
+from e2da import cli
+from e2da.dataset import column_path
 from e2da.experiment import Dataset
 
 PROFILE = settings(
@@ -76,3 +87,66 @@ def test_csv_round_trip_is_bit_exact(tmp_path_factory, dataset):
         read = getattr(back, name)
         assert read.dtype == column.dtype and read.shape == column.shape, name
         assert read.tobytes() == column.tobytes(), name
+
+
+EDIT_PROFILE = settings(PROFILE, max_examples=60)
+EDIT_CONFIG = {
+    "system": {"n_users": 4, "n_base_stations": 2, "n_channels": 3},
+    "workload": {"arrival_rate_per_s": 40.0},
+    "run": {"mode": "dataset", "seed": 7, "n_records": 30, "n_test_episodes": 3,
+            "tasks_per_episode": 10},
+}
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A config, the dataset.csv it generates (its column file beside it)
+    and the CSV's lines."""
+    root = tmp_path_factory.mktemp("saved")
+    config = str(root / "config.json")
+    with open(config, "w") as fh:
+        json.dump(EDIT_CONFIG, fh)
+    assert cli.main(["generate-dataset", "--config", config, "--out", str(root)]) == 0
+    path = str(root / "dataset.csv")
+    with open(path) as fh:
+        return config, path, fh.read().splitlines()
+
+
+def run_evaluate(config, path, out):
+    """cli.main's exit code and stderr for an eel evaluation of path."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["evaluate", "--agent", "eel", "--config", config, "--dataset", path,
+                       "--out", out])
+    return rc, err.getvalue()
+
+
+@EDIT_PROFILE
+@given(data=st.data())
+def test_an_edited_cell_reads_the_same_with_a_stale_column_file(
+    tmp_path_factory, saved, data
+):
+    """One cell rewritten with a MUTATIONS value: evaluate gives the same
+    exit code and stderr with the column file deleted as with the
+    original left beside the edited CSV, and either accepts the file or
+    exits 2 naming the edited row."""
+    config, original, lines = saved
+    kind = data.draw(st.sampled_from(sorted(MUTATIONS)))
+    column = data.draw(st.sampled_from(mutation_columns(lines[0].split(","))[kind]))
+    row = data.draw(st.integers(1, len(lines) - 1))
+    cells = lines[row].split(",")
+    cells[column] = mutated(cells[column], data.draw(st.sampled_from(MUTATIONS[kind])))
+    work = tmp_path_factory.mktemp("edited")
+    path = str(work / "dataset.csv")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines[:row] + [",".join(cells)] + lines[row + 1 :]) + "\n")
+    without = run_evaluate(config, path, str(work / "without"))
+    shutil.copy(column_path(original), column_path(path))
+    stale = run_evaluate(config, path, str(work / "stale"))
+    assert without == stale
+    assert without[0] in (0, 2), without
+    if without[0] == 2:
+        assert f"{path} row {row}: " in without[1]
+    else:
+        metrics = [(work / out / "metrics.csv").read_bytes() for out in ("without", "stale")]
+        assert metrics[0] == metrics[1]

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import MUTATIONS, mutated, mutation_columns
 from e2da import dataset as dataset_module
-from e2da import experiment
+from e2da import experiment, ioutil
 from e2da.bandit import AgentConfig, E2daAgent, RewardParams, compute_reward
 from e2da.errors import ConfigError
 from e2da.experiment import (
@@ -114,108 +115,83 @@ class TestDatasetCsv:
             read = getattr(back, name)
             assert read.dtype == column.dtype and np.array_equal(read, column), name
 
-    MUTATIONS = {
-        "total": ["*0.9e-9", "*1e-9", "*1.1e-9", "*-0.999e-9", "*-1.001e-9"],
-        "part": ["nan", "inf", "-1.0", "0.0", "5e-324", "1e300"],
-        "met": ["0", "1", " 1", "1.0", "01", ""],
-        "int": ["+3", " 4", "05", "1.0", "1e2", "-1", "99999999999999999999"],
-        "task": [" 0.5", "0.5 ", "nan", "-1", "1e400", "1_0.0", "0x10", "5e-324"],
-    }
-
-    def test_array_checks_agree_with_the_scalar_parser(self, small_dataset, tmp_path, monkeypatch):
-        """On rows mutated where the one-pass reader's array checks could
-        diverge from the scalar parser, both give the same verdict and
-        message and read the same bytes."""
+    def test_array_checks_agree_with_the_scalar_parser(self, small_dataset):
+        """The column file's gate is sound: of the rows mutated where its
+        array checks are tight, every row whose cells have column values
+        and that _valid_rows clears is a row the scalar parser accepts."""
         import random
-
-        from e2da import dataset
 
         text = small_dataset.to_csv_text().splitlines()
         header, rows = text[0].split(","), text[1:41]
-        columns = {
-            "total": [i for i, h in enumerate(header) if h.endswith(("_T_s", "_e_total_J"))],
-            "part": [i for i, h in enumerate(header) if h.endswith(("d2_s", "t_up_s", "e_tx_J"))],
-            "met": [i for i, h in enumerate(header) if h.endswith("_met")],
-            "int": [0, 1, 2],
-            "task": [3, 4, 5, 6],
-        }
-        rng = random.Random(5)
-        path = str(tmp_path / "mutated.csv")
+        columns = mutation_columns(header)
+        n_act, met_cols = small_dataset.n_actions, set(columns["met"])
 
-        def read():
+        def as_columns(cells):
+            """The row as one-row Dataset columns, or None when a cell has
+            no column value."""
             try:
-                return Dataset.from_csv(path).to_csv_text()
-            except ConfigError as exc:
-                return str(exc)
+                values = [int(c) for c in cells[:3]] + [
+                    {"0": False, "1": True}[c] if i in met_cols else float(c)
+                    for i, c in enumerate(cells[3:], 3)
+                ]
+                return dataset_module._rows_to_columns([values], n_act)
+            except (KeyError, ValueError, OverflowError):
+                return None
 
+        rng = random.Random(5)
+        verdicts = []
         for _ in range(150):
             cells = [row.split(",") for row in rows]
             for _ in range(rng.randint(1, 3)):
                 kind = rng.choice(sorted(columns))
                 row, col = rng.choice(cells), rng.choice(columns[kind])
-                value = rng.choice(self.MUTATIONS[kind])
-                if value.startswith("*"):
-                    value = repr(float(row[col]) * (1 + float(value[1:])))
-                row[col] = value
-            with open(path, "w") as fh:
-                fh.write("\n".join(",".join(c) for c in [header] + cells) + "\n")
-            fast = read()
-            with monkeypatch.context() as m:
-                m.setattr(dataset, "_CSV_SPECIALS", (",",))  # every file takes the scalar path
-                assert read() == fast
+                row[col] = mutated(row[col], rng.choice(MUTATIONS[kind]))
+            for row, original in zip(cells, rows):
+                converted = as_columns(row)
+                if ",".join(row) == original or converted is None:
+                    continue
+                cleared = bool(dataset_module._valid_rows(converted)[0])
+                verdicts.append(cleared)
+                if cleared:
+                    dataset_module._parse_record(row, n_act, len(header))  # raises if unsound
+        assert True in verdicts and False in verdicts
 
     def test_round_trip_text_is_stable(self, small_dataset, tmp_path):
         path = str(tmp_path / "records.csv")
         small_dataset.write_csv(path)
         assert Dataset.from_csv(path).to_csv_text() == small_dataset.to_csv_text()
 
-    # Edge cases of the streamed reader, on files longer than one scan chunk.
-    # Each reads the file twice, the second time with every file sent to
-    # the csv.reader path, and both reads must give the same result.
+    # Edge cases of the streamed reader, on files longer than two of
+    # check_utf8's chunks.
 
     @staticmethod
-    def read_both(path, monkeypatch, streamed=False):
-        """The text or error message of reading path.  streamed: the first
-        read must not fall back to reading the whole file."""
-        from e2da import dataset
-
-        def read():
-            try:
-                return Dataset.from_csv(path).to_csv_text()
-            except ConfigError as exc:
-                return str(exc)
-
-        with monkeypatch.context() as m:
-            if streamed:
-                m.setattr(dataset, "check_utf8", None)
-            fast = read()
-        with monkeypatch.context() as m:
-            m.setattr(dataset, "_CSV_SPECIALS", (",",))
-            assert read() == fast
-        return fast
+    def read_or_error(path):
+        """The text or error message of reading path."""
+        try:
+            return Dataset.from_csv(path).to_csv_text()
+        except ConfigError as exc:
+            return str(exc)
 
     @staticmethod
     def write_bytes(path, data):
-        from e2da import dataset
-
-        assert len(data) > 2 * dataset._SCAN_CHUNK
+        assert len(data) > 2 * ioutil._UTF8_CHUNK
         with open(path, "wb") as fh:
             fh.write(data)
 
     @pytest.fixture()
     def lines(self, small_dataset):
-        """The lines of a file with 3 x 200 records, several scan chunks long."""
+        """The lines of a file with 3 x 200 records, several chunks long."""
         return tiled(small_dataset, 3).to_csv_text().splitlines()
 
     @pytest.mark.parametrize(
-        "cell, value, detail, streamed",
-        [(4, "nan", "size_bits must be finite and positive", True),
-         (4, "1e400", "size_bits must be finite and positive", True),
-         (19, "2", "a0_met must be 0 or 1", True),
-         (1, "1.0", "invalid literal for int()", False)],  # np.loadtxt rejects it
+        "cell, value, detail",
+        [(4, "nan", "size_bits must be finite and positive"),
+         (4, "1e400", "size_bits must be finite and positive"),
+         (19, "2", "a0_met must be 0 or 1"),
+         (1, "1.0", "invalid literal for int()")],
     )
     def test_malformed_row_after_the_first_chunk_is_named(
-        self, lines, tmp_path, monkeypatch, cell, value, detail, streamed
+        self, lines, tmp_path, cell, value, detail
     ):
         row = 400
         cells = lines[row].split(",")
@@ -223,54 +199,46 @@ class TestDatasetCsv:
         lines[row] = ",".join(cells)
         path = str(tmp_path / "broken.csv")
         self.write_bytes(path, ("\n".join(lines) + "\n").encode())
-        message = self.read_both(path, monkeypatch, streamed)
+        message = self.read_or_error(path)
         assert message.startswith(f"{path} row {row}: ") and detail in message
 
     @pytest.mark.parametrize("start", [-1, -2])
-    def test_bad_utf8_across_a_chunk_boundary_names_its_offset(
-        self, lines, tmp_path, monkeypatch, start
-    ):
-        from e2da import dataset
-
+    def test_bad_utf8_across_a_chunk_boundary_names_its_offset(self, lines, tmp_path, start):
         data = ("\n".join(lines) + "\n").encode()
-        at = 2 * dataset._SCAN_CHUNK + start  # a 3-byte sequence cut short
+        at = 2 * ioutil._UTF8_CHUNK + start  # a 3-byte sequence cut short
         path = str(tmp_path / "broken.csv")
         self.write_bytes(path, data[:at] + b"\xe2\x82" + data[at:])
-        assert self.read_both(path, monkeypatch) == (
+        assert self.read_or_error(path) == (
             f"{path} is not UTF-8 text: byte 0xe2 at offset {at}"
         )
 
-    def test_valid_utf8_across_a_chunk_boundary_names_its_row(
-        self, lines, tmp_path, monkeypatch
-    ):
-        from e2da import dataset
-
+    def test_valid_utf8_across_a_chunk_boundary_names_its_row(self, lines, tmp_path):
         data = ("\n".join(lines) + "\n").encode()
-        at = dataset._SCAN_CHUNK - 1  # the two bytes of "é" straddle the chunk boundary
+        at = ioutil._UTF8_CHUNK - 1  # the two bytes of "é" straddle the chunk boundary
         row = data[:at].count(b"\n")  # the line it breaks, 0 being the header
         path = str(tmp_path / "broken.csv")
         self.write_bytes(path, data[:at] + "é".encode() + data[at:])
-        assert self.read_both(path, monkeypatch).startswith(f"{path} row {row}: ")
+        assert self.read_or_error(path).startswith(f"{path} row {row}: ")
 
-    def test_missing_final_newline_reads_the_same(self, lines, tmp_path, monkeypatch):
+    def test_missing_final_newline_reads_the_same(self, lines, tmp_path):
         path = str(tmp_path / "records.csv")
         self.write_bytes(path, "\n".join(lines).encode())
-        assert self.read_both(path, monkeypatch, True) == "\n".join(lines) + "\n"
+        assert self.read_or_error(path) == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("ending", ["", "\n"])
-    def test_header_only_file_has_no_records(self, lines, tmp_path, monkeypatch, ending):
+    def test_header_only_file_has_no_records(self, lines, tmp_path, ending):
         path = str(tmp_path / "empty.csv")
         with open(path, "w") as fh:
             fh.write(lines[0] + ending)
-        assert self.read_both(path, monkeypatch, True) == lines[0] + "\n"
+        assert self.read_or_error(path) == lines[0] + "\n"
         assert Dataset.from_csv(path).n_actions == 4
 
     @pytest.mark.parametrize("row", [1, 300, 600])
-    def test_blank_line_is_named(self, lines, tmp_path, monkeypatch, row):
+    def test_blank_line_is_named(self, lines, tmp_path, row):
         lines.insert(row, "")
         path = str(tmp_path / "blank.csv")
         self.write_bytes(path, ("\n".join(lines) + "\n").encode())
-        assert self.read_both(path, monkeypatch) == (
+        assert self.read_or_error(path) == (
             f"{path} row {row}: has 0 columns, the header has 59"
         )
 
@@ -319,8 +287,7 @@ class TestDatasetCsvMemory:
 
     @pytest.mark.parametrize("quoted", [False, True])
     def test_reading_peaks_below_twice_the_file(self, small_dataset, tmp_path, quoted):
-        """A file with one quoted cell goes through csv.reader, which must
-        stream too."""
+        """A file with one quoted cell streams too."""
         path = str(tmp_path / "records.csv")
         tiled(small_dataset, 10).write_csv(path)
         if quoted:
@@ -395,15 +362,15 @@ class TestColumnFile:
 
     @pytest.fixture
     def text_parses(self, monkeypatch):
-        """The paths whose CSV text is parsed (every parse starts with _scan)."""
+        """The paths whose CSV text is parsed (every parse is _read_rows)."""
         calls = []
-        real = dataset_module._scan
+        real = dataset_module._read_rows
 
         def spy(path):
             calls.append(path)
             return real(path)
 
-        monkeypatch.setattr(dataset_module, "_scan", spy)
+        monkeypatch.setattr(dataset_module, "_read_rows", spy)
         return calls
 
     def test_file_is_the_digest_then_every_column_as_npy_records(self, small_dataset, saved):

@@ -1,8 +1,10 @@
 """Per-layer timings of the dataset path, in process.
 
 Times generate_dataset (microseconds per record), Dataset.write_csv,
-Dataset.from_csv (the text parse), load_dataset (hashing the CSV, then
-loading and checking the column file beside it),
+Dataset.from_csv without a digest (the one text parser: csv.reader and the
+scalar row parser, which every read without a usable column file takes),
+load_dataset (hashing the CSV, then loading and checking the column file
+beside it),
 calibrate_efficiency_scale and replay evaluation (microseconds per
 decision for the eel oracle, the random policy and an e2da agent) on the
 datasets of configs/default.json and of the replay-k5 and generate-k500
