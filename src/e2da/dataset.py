@@ -181,23 +181,40 @@ class Dataset:
 def _read_rows(path: str) -> Dict[str, np.ndarray]:
     """Columns of a dataset file read by csv.reader and the scalar row
     parser, _ROW_CHUNK rows at a time.  Bytes that are not UTF-8 are
-    reported first, wherever they are, as when the file was read whole."""
+    reported first, wherever they are, as when the file was read whole.
+
+    Each chunk is copied into columns that double their rows when full
+    and are cut to the row count at the end, both in place (resize), so
+    the parse never holds its columns twice."""
     check_utf8(path)
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         n_act = _check_header(path, header)
         rows = enumerate(reader, 1)
-        chunks = []
+        columns = {name: np.empty(shape, dtype) for name, dtype, shape in _column_specs(0, n_act)}
+        n = 0
         while True:
             batch = [
-                _parse_row(path, n, row, n_act, len(header))
-                for n, row in itertools.islice(rows, _ROW_CHUNK)
+                _parse_row(path, k, row, n_act, len(header))
+                for k, row in itertools.islice(rows, _ROW_CHUNK)
             ]
-            chunks.append(_rows_to_columns(batch, n_act))
+            if n + len(batch) > len(columns["record_id"]):
+                _resize_rows(columns, max(_ROW_CHUNK, 2 * n))
+            for name, chunk in _rows_to_columns(batch, n_act).items():
+                columns[name][n : n + len(batch)] = chunk
+            n += len(batch)
             if len(batch) < _ROW_CHUNK:
                 break
-    return {name: np.concatenate([c[name] for c in chunks]) for name in _COLUMNS}
+    _resize_rows(columns, n)
+    return columns
+
+
+def _resize_rows(columns: Dict[str, np.ndarray], n_rows: int) -> None:
+    """Give every column n_rows rows, in place: kept rows keep their
+    values, new rows are zero.  No view of a column may exist."""
+    for column in columns.values():
+        column.resize((n_rows,) + column.shape[1:], refcheck=False)
 
 
 def _float_texts(values: np.ndarray) -> np.ndarray:
@@ -414,9 +431,11 @@ def generate_dataset(
     once: one project_outcome call per action on a column of decisions."""
     if n_records < 1:
         raise ConfigError(f"n_records must be >= 1, got {n_records}")
-    log_rng = substream(seed, "logging-policy")
     C = node.n_channels
     n_actions = C + 1
+    # the uniform logging policy reads no state and decides exactly
+    # n_records tasks, so its actions are one vector draw, in arrival order
+    actions = substream(seed, "logging-policy").integers(n_actions, size=n_records).tolist()
     # one column per record: the task's and the snapshot's floats, then the
     # task's ids and the snapshot's per-channel counts
     floats = np.empty((6 + 3 * C, n_records))
@@ -435,7 +454,7 @@ def generate_dataset(
         logged += 1
         if logged >= n_records:
             sim.halt_arrivals()
-        return int(log_rng.integers(n_actions))
+        return actions[logged - 1]
 
     sim = Simulator(node, channels, Uniforms(substream(seed, "gains")), policy=logging_policy)
     for user in range(node.n_users):

@@ -3,7 +3,9 @@
 Replay rollouts sample records of a logged dataset (see dataset.py)
 uniformly, so every action's consequence is known without re-simulating;
 live rollouts instead submit real tasks and book each decision when its
-completion event fires.  Both take a frozen policy or a learning agent and
+completion event fires.  A live frozen e2da, which reads only the task,
+decides each user's tasks per block ahead of arrival, one batched forward
+per block.  Both take a frozen policy or a learning agent and
 turn each episode's sums into one metric row: a live rollout adds each
 outcome as its feedback arrives, a replay books each episode whole.
 """
@@ -12,9 +14,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,8 +31,9 @@ from .rng import Uniforms, substream
 from .workload import Task, WorkloadConfig, normalize_context, task_stream
 
 # A frozen policy: choose(users, x, outcomes) -> actions, elementwise over
-# decisions.  A live decision passes its int user and 1-d scaled context, a
-# replay episode its (k,) users and (k, 3) contexts; outcomes() returns the
+# decisions.  A replay episode, or a block of one user's live tasks decided
+# ahead, passes (k,) users and (k, 3) scaled contexts; any other live
+# decision passes its int user and 1-d context.  outcomes() returns the
 # decisions' what-if (size, T, E), actions on the last axis.
 Policy = Callable[[Any, np.ndarray, Callable[[], tuple]], Any]
 
@@ -152,18 +156,16 @@ def make_policy(
     """Frozen policy for one agent name, for replay and live rollouts alike.
 
     The learned agent acts greedily on the scaled context; with one agent
-    per user, the decision's user picks the agent.  A live decision is one
-    act call; a replay episode runs one batched forward per agent over its
-    rows (see _greedy).  An oracle ranks the outcomes with its rule;
-    random draws from rng.
+    per user, the decision's user picks the agent.  It takes arrays only
+    (a replay episode, or a live block of one user's tasks) and runs one
+    batched forward per agent over their rows (see _greedy).  An oracle
+    ranks the outcomes with its rule; random draws from rng.
     """
     if name == "e2da":
         if not agents:
             raise ValueError("e2da policy needs at least one agent")
 
         def choose(users, x, outcomes):
-            if not isinstance(users, np.ndarray):  # one live decision
-                return agents[users if len(agents) > 1 else 0].act(x, 0.0)
             if len(agents) == 1:
                 return _greedy(agents[0], x)
             actions = np.empty(len(users), dtype=np.intp)
@@ -397,6 +399,7 @@ def _live_rollout(
     start_episode: int = 0,
     phase: str = "test",
     on_outcome: Optional[Callable[[TaskOutcome], None]] = None,
+    ahead: bool = False,
 ) -> List[MetricsRow]:
     """Drive the live simulator for n_episodes * tasks_per_episode decisions.
 
@@ -407,13 +410,34 @@ def _live_rollout(
     context; its outcomes() projects the task's what-if (size, T, E) from
     the current snapshot.  on_outcome, when given, sees each outcome after
     it is booked; no outcome is kept.
+
+    ahead says that the frozen policy reads nothing but the task, as the
+    learned one does.  Each user's tasks are then decided before they
+    arrive, a block at a time: the user's share of the decisions still to
+    come, at least one, scaled together and passed to the policy as
+    arrays, whose actions the arrival hook looks up.  Only the workload
+    streams are read early, and nothing else draws from them, so no draw
+    changes.
     """
     total = n_episodes * tasks_per_episode
     decided = 0
     scale = workload.context_scale()
     learner = decider if isinstance(decider, E2daAgent) else None
-    pending: Dict[int, Tuple[np.ndarray, int, int]] = {}  # task -> (x, action, episode)
+    early: Dict[int, int] = {}  # task -> action, decided ahead
+    # task -> (x, action, episode); x is for a learner to observe
+    pending: Dict[int, Tuple[Optional[np.ndarray], int, int]] = {}
     books: Dict[int, list] = {}  # episode -> [reward, met, energy, response, n]
+
+    def decide_ahead(user: int, stream: Iterator[Task]) -> Iterator[Task]:
+        while True:
+            share = -(-(total - decided) // node.n_users)  # ceil((total - decided) / n_users)
+            block = list(itertools.islice(stream, max(1, share)))
+            x = np.array([(t.size_bits, t.intensity_cpb, t.deadline_s) for t in block])
+            x = normalize_context(x, scale)
+            actions = decider(np.full(len(x), user), x, None).tolist()
+            early.update(zip([t.task_id for t in block], actions))
+            del x, actions  # the generator keeps its locals while it yields the block
+            yield from block
 
     def hook(sim: Simulator, task: Task) -> int:
         nonlocal decided
@@ -421,11 +445,14 @@ def _live_rollout(
         decided += 1
         if decided >= total:
             sim.halt_arrivals()
-        x = normalize_context((task.size_bits, task.intensity_cpb, task.deadline_s), scale)
-        if learner is not None:
-            action = learner.act(x, learner.epsilon(episode))
+        if ahead:
+            x, action = None, early.pop(task.task_id)
         else:
-            action = int(decider(task.user_id, x, lambda: _projected(sim, task)))
+            x = normalize_context((task.size_bits, task.intensity_cpb, task.deadline_s), scale)
+            if learner is not None:
+                action = learner.act(x, learner.epsilon(episode))
+            else:
+                action = int(decider(task.user_id, x, lambda: _projected(sim, task)))
         pending[task.task_id] = (x, action, episode)
         if episode not in books:
             books[episode] = [0.0, 0, 0.0, 0.0, 0]
@@ -433,7 +460,8 @@ def _live_rollout(
 
     sim = Simulator(node, channels, Uniforms(substream(seed, "gains")), policy=hook)
     for user in range(node.n_users):
-        sim.add_stream(user, task_stream(workload, seed, user, node.n_users))
+        stream = task_stream(workload, seed, user, node.n_users)
+        sim.add_stream(user, decide_ahead(user, stream) if ahead else stream)
     while sim.has_events:
         out = sim.advance()
         if out is not None:
@@ -487,11 +515,14 @@ def run_live_evaluation(
     phase: str = "test",
 ) -> List[MetricsRow]:
     """Live-mode frozen-policy rollout; an oracle ranks each task's
-    projections from the system snapshot at its decision."""
+    projections from the system snapshot at its decision, and random draws
+    in decision order.  The learned policy reads only the task, so its
+    tasks are decided ahead of arrival, a block per user (see
+    _live_rollout)."""
     choose = make_policy(name, agents, substream(seed, "logging-policy"), node.n_channels + 1)
     return _live_rollout(
         choose, reward_params, node, channels, workload, seed, n_episodes, tasks_per_episode,
-        phase=phase,
+        phase=phase, ahead=name == "e2da",
     )
 
 

@@ -813,8 +813,10 @@ class TestLiveRuns:
 
 class TestFrozenPolicyCallContract:
     """A replay asks a frozen policy once per episode with the episode's
-    rows; a live rollout asks it once per decision with scalars, so a live
-    decision pays for no one-row arrays."""
+    rows.  A live rollout asks an oracle or random once per decision with
+    scalars, so such a decision pays for no one-row arrays, and decides
+    the learned policy ahead of arrival: one batched forward per block of
+    a user's tasks, never one per decision."""
 
     def test_replay_asks_once_per_episode_with_the_gathered_rows(self, small_dataset):
         ds, wl, calls = small_dataset, WorkloadConfig(), []
@@ -863,6 +865,48 @@ class TestFrozenPolicyCallContract:
             spy, RewardParams(1.0, 1e6), small_node, default_channels(), wl, 23, 3, 20
         )
         assert len(calls) == len(projected) == 60 and len(rows) == 3
+
+    def test_live_e2da_runs_one_forward_per_block(self, small_node, monkeypatch):
+        wl, agent, shapes = WorkloadConfig(), fresh_agent(91), []
+        run_live_training(agent, small_node, default_channels(), wl, 3, 30, seed=5)
+        forward = agent.model.forward
+
+        def spy(x):
+            shapes.append(np.shape(x))
+            return forward(x)
+
+        monkeypatch.setattr(agent.model, "forward", spy)
+        drawn = counting_task_streams(monkeypatch)
+        rows = run_live_evaluation(
+            "e2da", small_node, default_channels(), wl, RewardParams(1.0, 1e6), 3, 20, seed=23,
+            agents=[agent],
+        )
+        assert len(rows) == 3
+        # each user's first block is its share of all 60 decisions
+        assert shapes[: small_node.n_users] == [(15, 3)] * small_node.n_users
+        assert all(len(shape) == 2 for shape in shapes)  # no one-row forward
+        assert sum(n for n, _ in shapes) == drawn[0]
+        assert small_node.n_users <= len(shapes) < 60
+
+
+def acting(agents):
+    """The frozen learned policy one decision at a time: act at epsilon 0
+    by the decision's user's agent, or by the one shared agent."""
+    return lambda user, x, outcomes: agents[user if len(agents) > 1 else 0].act(x, 0.0)
+
+
+def counting_task_streams(monkeypatch):
+    """Make the rollouts count the tasks they draw; returns the one-item
+    list that holds the count."""
+    drawn = [0]
+
+    def counted(*args):
+        for task in task_stream(*args):
+            drawn[0] += 1
+            yield task
+
+    monkeypatch.setattr(experiment, "task_stream", counted)
+    return drawn
 
 
 def hand_driven_live(node, wl, params, seed, n_episodes, tasks_per_episode, decide,
@@ -940,6 +984,45 @@ class TestLiveBookingReference:
 
         assert rows == hand_driven_live(small_node, wl, params, decide=decide, **self.KW)
 
+    @pytest.mark.parametrize("case", ["trained", "tied", "refill"])
+    def test_frozen_e2da_evaluation(self, small_node, monkeypatch, case):
+        """Deciding each user's tasks in blocks ahead of arrival books the
+        rows of one act(x, 0.0) per decision at arrival.  A block is the
+        user's share of the decisions still to come, so the run draws at
+        least one spare task per user and at most one first block more."""
+        wl, params = WorkloadConfig(), RewardParams(1.0, 1e6)
+        kw, K = dict(self.KW), small_node.n_users
+        if case == "trained":
+            agents = [fresh_agent(63)]
+            run_live_training(agents[0], small_node, default_channels(), wl, 3, 30, seed=5)
+        elif case == "tied":
+            agents = [fresh_agent(64)]
+            agents[0].model.weights[-1][...] = 0.0
+            agents[0].model.biases[-1][...] = 0.0
+        else:
+            agents = per_user_agents(65, K)
+            kw.update(n_episodes=6, tasks_per_episode=50)
+        drawn = counting_task_streams(monkeypatch)
+        rows = run_live_evaluation(
+            "e2da", small_node, default_channels(), wl, params, agents=agents, **kw
+        )
+        act_by_user = acting(agents)
+        acted = []
+
+        def decide(sim, task, ep):
+            features = (task.size_bits, task.intensity_cpb, task.deadline_s)
+            acted.append(act_by_user(task.user_id, normalize_context(features, wl.context_scale()), None))
+            return acted[-1], None
+
+        assert rows == hand_driven_live(small_node, wl, params, decide=decide, **kw)
+        total = kw["n_episodes"] * kw["tasks_per_episode"]
+        first_blocks = K * -(-total // K)
+        assert total + K <= drawn[0] <= total + first_blocks
+        if case == "tied":
+            assert set(acted) == {0}
+        if case == "refill":
+            assert drawn[0] > first_blocks  # some user drew a second block
+
     def test_training_observes_in_completion_order(self, small_node):
         wl = WorkloadConfig()
         agent, mirror = fresh_agent(61), fresh_agent(61)
@@ -991,7 +1074,7 @@ def per_decision_replay(
 ):
     """Reference replay, one decision at a time: it asks the learner (which
     then observes) or the policy, with the record's int user, 1-d context
-    and scalar-size outcomes, as a live decision does; it reads the chosen
+    and scalar-size outcomes, as a live oracle decision does; it reads the chosen
     cell with .item() and adds it to its episode's sums with +=.
     experiment._replay must book the same rows from arrays."""
     outcomes = dataset.outcome_columns()
@@ -1043,11 +1126,13 @@ class TestReplayMatchesPerDecisionReference:
     PARAMS = RewardParams(1.0, 1e6)
     KW = dict(n_episodes=6, tasks_per_episode=25, seed=19)
 
-    def check_policy(self, per_decision, make, dataset, **kw):
+    def check_policy(self, per_decision, make, dataset, reference=None, **kw):
+        """make() against per_decision, which asks reference() (by default
+        make()) once per decision."""
         kw = {**self.KW, **kw}
         args = (dataset, WorkloadConfig(), self.PARAMS)
         got = run_evaluation(make(), *args, **kw)
-        want = per_decision(run_evaluation, make(), *args, **kw)
+        want = per_decision(run_evaluation, (reference or make)(), *args, **kw)
         assert metrics_to_csv_text(got) == metrics_to_csv_text(want)
         return got
 
@@ -1071,9 +1156,11 @@ class TestReplayMatchesPerDecisionReference:
     def test_frozen_e2da(self, small_dataset, per_decision):
         shared = fresh_agent(81)
         run_training(shared, small_dataset, WorkloadConfig(), 3, 20, seed=5)
-        self.check_policy(per_decision, lambda: make_policy("e2da", [shared]), small_dataset)
+        self.check_policy(per_decision, lambda: make_policy("e2da", [shared]), small_dataset,
+                          reference=lambda: acting([shared]))
         agents = per_user_agents(82, 4)
-        self.check_policy(per_decision, lambda: make_policy("e2da", agents), small_dataset)
+        self.check_policy(per_decision, lambda: make_policy("e2da", agents), small_dataset,
+                          reference=lambda: acting(agents))
 
     def test_lambdas(self, small_dataset, per_decision):
         self.check_policy(per_decision, lambda: lambda users, x, outcomes: 2, small_dataset)
@@ -1124,7 +1211,8 @@ class TestReplayMatchesPerDecisionReference:
             def make():
                 return make_policy(name, [agent], substream(37, "pol"), 4)
 
-            self.check_policy(per_decision, make, tiny, tasks_per_episode=50)
+            reference = (lambda: acting([agent])) if name == "e2da" else None
+            self.check_policy(per_decision, make, tiny, reference, tasks_per_episode=50)
         trainee, mirror = fresh_agent(86), fresh_agent(86)
         got = run_training(trainee, tiny, WorkloadConfig(), 3, 50, seed=41)
         want = per_decision(run_training, mirror, tiny, WorkloadConfig(), 3, 50, seed=41)

@@ -70,7 +70,8 @@ def test_vector_draw_equals_scalar_draws(n, seed):
     """One integers(n, size=k) call draws what k scalar integers(n) calls
     draw, and so does any split of the k draws into chunks, and the
     generator ends in the same state.  A replay episode's random policy
-    draws its actions as one vector, a live decision as one scalar."""
+    draws its actions as one vector, and so does generate_dataset's
+    logging policy for all its records; a live decision draws one scalar."""
     k = 10_000
     scalar, vector, chunked = (substream(seed, "actions") for _ in range(3))
     want = [int(scalar.integers(n)) for _ in range(k)]

@@ -3,9 +3,13 @@
 Times MlpModel.forward on one context, MlpModel.loss_and_grads and
 MlpModel.apply_grads on one minibatch, ReplayBuffer.sample,
 E2daAgent.observe and one training decision (E2daAgent.act at epsilon 0.9,
-then observe, as early replay training runs them), at the agent sizes of configs/default.json (a 3-50-50-4
-network, minibatches of 64), and writes the results with the machine, the
-Python, numpy and BLAS versions and the repeat count to a JSON file.
+then observe, as early replay training runs them), at the agent sizes of
+configs/default.json (a 3-50-50-4 network, minibatches of 64), and one
+frozen decision two ways: E2daAgent.act at epsilon 0 on one context, and
+the batched greedy policy over a block of 40 contexts (a live-k50 user's
+first block: 2,000 decisions over 50 users) per context.  It writes the
+results with the machine, the Python, numpy and BLAS versions and the
+repeat count to a JSON file.
 
 Run from the root of a checkout, with the package to measure on the path:
 
@@ -16,7 +20,7 @@ Only the stdlib and numpy are used.  The agent first observes --warmup
 outcomes, so its replay buffer holds that many and its parameters have
 moved off their initial values.  Every timing is --repeats rounds of --calls
 calls, reported as the minimum and median over rounds, in microseconds per
-call.
+call (per context for the block).
 """
 
 from __future__ import annotations
@@ -31,20 +35,23 @@ import time
 from bench_dataset import ROOT, machine
 from e2da.bandit import E2daAgent, RewardParams, reward_to_target
 from e2da.config import load_config
+from e2da.experiment import _greedy
 from e2da.rng import substream
 
 CONFIG = os.path.join(ROOT, "configs", "default.json")
 TRAIN_EPSILON = 0.9  # the default decay's rate after ~21 episodes
+BLOCK_ROWS = 40  # contexts in one frozen block
 
 
-def per_call_us(fn, calls: int, repeats: int) -> dict:
-    """Microseconds per call of fn over `repeats` rounds of `calls` calls."""
+def per_call_us(fn, calls: int, repeats: int, per: int = 1) -> dict:
+    """Microseconds per call of fn, divided by per, over `repeats` rounds
+    of `calls` calls."""
     rounds = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         for _ in range(calls):
             fn()
-        rounds.append((time.perf_counter() - t0) * 1e6 / calls)
+        rounds.append((time.perf_counter() - t0) * 1e6 / (calls * per))
     return {"min": min(rounds), "median": statistics.median(rounds), "samples": rounds}
 
 
@@ -79,6 +86,15 @@ def measure(calls: int, repeats: int, warmup: int) -> dict:
         "minibatch_size": batch,
         "buffer_size": buffer.size,
     }
+    # first, while the parameters are the warmed-up ones: the timings
+    # below keep stepping the model, which may saturate its heads into
+    # ties that the block would send back through act
+    block = contexts[:BLOCK_ROWS]
+    result["frozen_decision_us"] = {
+        "act": per_call_us(lambda: agent.act(one, 0.0), calls, repeats),
+        "block": per_call_us(lambda: _greedy(agent, block), calls, repeats, BLOCK_ROWS),
+        "block_rows": BLOCK_ROWS,
+    }
     for name, fn in timed.items():
         result[name] = per_call_us(fn, calls, repeats)
     return result
@@ -98,7 +114,9 @@ def main(argv=None) -> int:
         "warmup": args.warmup,
         "learner": measure(args.calls, args.repeats, args.warmup),
     }
-    row = result["learner"]
+    row = dict(result["learner"])
+    frozen = row.pop("frozen_decision_us")
+    row.update((f"frozen_{kind}_us", frozen[kind]) for kind in ("act", "block"))
     names = [name for name in row if name.endswith("_us")]
     print(", ".join(f"{name[:-3]} {row[name]['median']:.1f} us" for name in names), file=sys.stderr)
     with open(args.out, "w", encoding="utf-8") as fh:

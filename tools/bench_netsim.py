@@ -30,7 +30,8 @@ The live section times the whole per-decision path of a live evaluation at
 K = 50 users and 40 tasks/s each, as the benchmark's live-k50 workload runs
 it: task streams, gains, context scaling, the policy, submit and the event
 loop.  live_e2da_us is run_live_evaluation with an untrained e2da agent
-(greedy forward per decision), live_eel_us with the eel oracle (one
+(one batched greedy forward per block of a user's tasks, decided ahead of
+arrival), live_eel_us with the eel oracle (one
 Simulator.projections call and its ranking per decision) and
 live_random_us with the random policy, each per decision over --tasks
 decisions in episodes of 100;
