@@ -18,6 +18,9 @@ import numpy as np
 from .errors import ConfigError, TrainingFault
 from .rng import substream
 
+# width of the paper's context: the scaled (size, intensity, deadline)
+CONTEXT_DIM = 3
+
 
 @dataclass(frozen=True)
 class RewardParams:
@@ -179,18 +182,10 @@ class MlpModel:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Action values for a single context (1d) or a batch (2d).  One
         context runs as a batch of one, through the same matmuls as a
-        batch, without keeping the layer inputs."""
-        if x.ndim != 1:
-            return self._sigmoid(self._layers(x)[1])
-        h = x[None]
-        for wt, b in self._hidden_t:
-            h = h @ wt
-            h += b
-            np.maximum(h, 0.0, out=h)
-        wt, b = self._out_t
-        z = h @ wt
-        z += b
-        return self._sigmoid(z)[0]
+        batch."""
+        batch = x[None] if x.ndim == 1 else x
+        values = self._sigmoid(self._layers(batch)[1])
+        return values if batch is x else values[0]
 
     def _layers(self, x: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
         """Layer inputs (x, then each ReLU output) and the output pre-activations."""
@@ -327,11 +322,11 @@ def _load_layers(model: MlpModel, flat: np.ndarray, saved: dict, prefix: str,
 class ReplayBuffer:
     """Fixed-capacity ring of (context, action, target) observations."""
 
-    def __init__(self, capacity: int, context_dim: int = 3):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.contexts = np.zeros((capacity, context_dim))
+        self.contexts = np.zeros((capacity, CONTEXT_DIM))
         self.actions = np.zeros(capacity, dtype=np.intp)
         self.targets = np.zeros(capacity)
         self.size = 0
@@ -364,19 +359,18 @@ class E2daAgent:
         init_rng: Optional[np.random.Generator],
         explore_rng: np.random.Generator,
         minibatch_rng: np.random.Generator,
-        context_dim: int = 3,
     ):
         self.config = config
         self.reward_params = reward_params
         self.model = MlpModel(
-            (context_dim, *config.hidden_sizes, n_actions),
+            (CONTEXT_DIM, *config.hidden_sizes, n_actions),
             config.learning_rate,
             config.rmsprop_decay,
             config.rmsprop_eps,
             rng=init_rng,
             init_scale=config.init_scale,
         )
-        self.buffer = ReplayBuffer(config.buffer_capacity, context_dim)
+        self.buffer = ReplayBuffer(config.buffer_capacity)
         self.explore_rng = explore_rng
         self.minibatch_rng = minibatch_rng
         self.episodes_trained = 0

@@ -11,9 +11,9 @@ Subcommands:
                     knob, writing per-scenario metrics and sweep_summary.json
 
 Every command writes a manifest.json with the fully resolved configuration,
-the effective seed, and a sha256 per output file, so runs can be reproduced
-and compared byte for byte.  Exit codes: 0 ok, 2 configuration error, 3 I/O
-error, 4 runtime failure.
+the effective seed, the numpy version, and a sha256 per output file, so runs
+can be reproduced and compared byte for byte.  Exit codes: 0 ok, 2
+configuration error, 3 I/O error, 4 runtime failure.
 """
 
 from __future__ import annotations
@@ -91,6 +91,8 @@ def _write_manifest(
     manifest = {
         "command": command,
         "tool_version": __version__,
+        # the pinned output digests hold for one numpy; a mismatch names its own
+        "numpy_version": np.__version__,
         "seed": seed,
         "config": config_to_dict(cfg),
         "outputs": {name: sha256_file(os.path.join(out_dir, name)) for name in outputs},
@@ -270,8 +272,7 @@ def _evaluate(
     if mode == "dataset":
         choose = make_policy(name, agents, rng, cfg.system.n_channels + 1)
         return run_evaluation(
-            choose, dataset, workload, params, n_episodes, run.tasks_per_episode, seed,
-            phase=phase, stream=phase,
+            choose, dataset, workload, params, n_episodes, run.tasks_per_episode, seed, phase=phase,
         )
     return run_live_evaluation(
         name, cfg.system, cfg.channels, workload, params, n_episodes, run.tasks_per_episode,

@@ -2,18 +2,16 @@
 
 Field names carry their units (bps, Hz, W, s, bits) because unit mistakes
 are the usual way these experiments go quietly wrong.  Every section
-mirrors one dataclass: its keys are the field names (only NodeConfig.kappa
-is spelled kappa_j_per_cycle_hz2), each value is checked against its
-field's type, and absent keys take the field defaults.  Each dataclass
-checks its own values when built, and read_section puts the section's key
-path in front of its message.  Unknown keys are rejected rather than
-ignored so typos surface as errors.
+mirrors one dataclass: its keys are the field names, each value is
+checked against its field's type, and absent keys take the field
+defaults.  Each dataclass checks its own values when built, and
+read_section puts the section's key path in front of its message.
+Unknown keys are rejected rather than ignored so typos surface as errors.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -27,8 +25,6 @@ MODES = ("dataset", "live")
 AGENT_SCOPES = ("shared", "per_user")
 # sweep axis -> the workload distribution it rescales
 SWEEP_AXES = {"intensity": "intensity_cpb", "size": "size_bits"}
-# dataclass field -> JSON key, where the two differ
-_JSON_KEYS = {"kappa": "kappa_j_per_cycle_hz2"}
 # distribution kind -> its JSON parameters, in constructor order
 _DIST_KEYS = {"uniform": ("min", "max"), "constant": ("value",), "exponential": ("mean",)}
 
@@ -168,22 +164,20 @@ def read_section(cls, raw, where: str):
     """One dataclass from its JSON object; `where` is its key path."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object, got {raw!r}")
-    by_key = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    by_key = {f.name: f for f in fields(cls)}
     _require_keys(raw, by_key, where or "config")
     hints = get_type_hints(cls)
     values = {}
     for key, f in by_key.items():
         path = f"{where}.{key}" if where else key
         if key in raw:
-            values[f.name] = read_value(raw[key], hints[f.name], path)
+            values[key] = read_value(raw[key], hints[key], path)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{where}: missing required field {key!r}")
     try:
         return cls(**values)
     except ConfigError as exc:  # the message starts with the field's name
-        name = re.match(r"\w*", str(exc)).group()
-        key = f"{where}.{_JSON_KEYS.get(name, name)}" if where else name
-        raise ConfigError(key + str(exc)[len(name):]) from None
+        raise ConfigError(f"{where}.{exc}" if where else str(exc)) from None
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -206,9 +200,7 @@ def to_json(value):
     if isinstance(value, DistributionSpec):
         return _dist_to_json(value)
     if is_dataclass(value):
-        return {
-            _JSON_KEYS.get(f.name, f.name): to_json(getattr(value, f.name)) for f in fields(value)
-        }
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple):
         return [to_json(v) for v in value]
     return value

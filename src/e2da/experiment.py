@@ -16,8 +16,10 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+    get_type_hints,
+)
 
 import numpy as np
 
@@ -68,8 +70,10 @@ def calibrate_efficiency_scale(dataset: Dataset, percentile: float = 99.0) -> fl
 # ------------------------------------------------------------------- metrics
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
+    """One episode's metrics; the CSV writer, reader and average_rows go
+    field by field, so the field list is written only here."""
+
     episode: int
     phase: str  # "train" or "test"
     reward: float
@@ -78,6 +82,7 @@ class MetricsRow:
     response_s: float
 
 
+# MetricsRow's fields as the metrics.csv header spells them
 METRICS_COLUMNS = ("episode", "phase", "reward", "deadline_frac", "energy_J", "response_s")
 
 
@@ -85,10 +90,7 @@ def metrics_to_csv_text(rows: Sequence[MetricsRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(METRICS_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [fmt(r.episode), r.phase, fmt(r.reward), fmt(r.deadline_frac), fmt(r.energy_j), fmt(r.response_s)]
-        )
+    writer.writerows([fmt(v) for v in r] for r in rows)
     return buf.getvalue()
 
 
@@ -97,15 +99,11 @@ def write_metrics(path: str, rows: Sequence[MetricsRow]) -> None:
 
 
 def read_metrics(path: str) -> List[MetricsRow]:
-    out = []
+    types = get_type_hints(MetricsRow).values()  # each field's type parses its column
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for row in reader:
-            out.append(
-                MetricsRow(int(row[0]), row[1], float(row[2]), float(row[3]), float(row[4]), float(row[5]))
-            )
-    return out
+        return [MetricsRow._make(t(v) for t, v in zip(types, row)) for row in reader]
 
 
 def moving_average(values: Sequence[float], window: int) -> np.ndarray:
@@ -125,14 +123,13 @@ def moving_average(values: Sequence[float], window: int) -> np.ndarray:
 def summarize(
     series_by_name: Mapping[str, Sequence[MetricsRow]],
     tasks_per_episode: int,
-    phase: str = "test",
 ) -> dict:
-    """Per-name means over one phase."""
+    """Per-name means over the test episodes."""
     per: Dict[str, dict] = {}
     for name, series in series_by_name.items():
-        rows = [r for r in series if r.phase == phase]
+        rows = [r for r in series if r.phase == "test"]
         if not rows:
-            raise ValueError(f"series {name!r} has no {phase!r} rows")
+            raise ValueError(f"series {name!r} has no 'test' rows")
         n_tasks = len(rows) * tasks_per_episode
         per[name] = {
             "episodes": len(rows),
@@ -141,7 +138,7 @@ def summarize(
             "mean_task_energy_j": float(sum(r.energy_j for r in rows) / n_tasks),
             "mean_task_response_s": float(sum(r.response_s for r in rows) / n_tasks),
         }
-    return {"phase": phase, "tasks_per_episode": tasks_per_episode, "agents": per}
+    return {"phase": "test", "tasks_per_episode": tasks_per_episode, "agents": per}
 
 
 # ----------------------------------------------------------------- rollouts
@@ -307,14 +304,12 @@ def run_evaluation(
     tasks_per_episode: int,
     seed: int,
     phase: str = "test",
-    stream: str = "test",
-    start_episode: int = 0,
 ) -> List[MetricsRow]:
-    """Frozen-policy rollout over dataset episodes; no learning happens."""
-    ep_rng = substream(seed, "episodes", stream)
+    """Frozen-policy rollout over dataset episodes drawn from the phase's
+    episode stream and numbered from 0; no learning happens."""
+    ep_rng = substream(seed, "episodes", phase)
     return _replay(
-        choose, reward_params, dataset, workload, ep_rng, n_episodes, tasks_per_episode,
-        start_episode, phase,
+        choose, reward_params, dataset, workload, ep_rng, n_episodes, tasks_per_episode, 0, phase,
     )
 
 
@@ -346,16 +341,8 @@ def average_rows(rows_by_agent: Sequence[Sequence[MetricsRow]]) -> List[MetricsR
         if any(r.episode != first.episode or r.phase != first.phase for r in group):
             raise ValueError("metric series are not aligned on (episode, phase)")
         n = len(group)
-        combined.append(
-            MetricsRow(
-                first.episode,
-                first.phase,
-                sum(r.reward for r in group) / n,
-                sum(r.deadline_frac for r in group) / n,
-                sum(r.energy_j for r in group) / n,
-                sum(r.response_s for r in group) / n,
-            )
-        )
+        numbers = list(zip(*group))[2:]  # every field after (episode, phase)
+        combined.append(MetricsRow(first.episode, first.phase, *(sum(c) / n for c in numbers)))
     return combined
 
 
@@ -409,7 +396,8 @@ def _live_rollout(
     policy is asked once per decision, with the task's user and scaled
     context; its outcomes() projects the task's what-if (size, T, E) from
     the current snapshot.  on_outcome, when given, sees each outcome after
-    it is booked; no outcome is kept.
+    it is booked; no outcome is kept.  A run of no decisions books no
+    episode, as a replay does.
 
     ahead says that the frozen policy reads nothing but the task, as the
     learned one does.  Each user's tasks are then decided before they
@@ -419,6 +407,8 @@ def _live_rollout(
     streams are read early, and nothing else draws from them, so no draw
     changes.
     """
+    if n_episodes < 1 or tasks_per_episode < 1:
+        return []
     total = n_episodes * tasks_per_episode
     decided = 0
     scale = workload.context_scale()
@@ -531,12 +521,11 @@ def calibrate_efficiency_scale_live(
     channels: Sequence[ChannelConfig],
     workload: WorkloadConfig,
     seed: int,
-    n_tasks: int = 2000,
     percentile: float = 99.0,
 ) -> float:
-    """Live-mode analogue of the dataset calibration: a short random-policy
-    run whose realized efficiencies set the normalizer.  Its rewards are
-    booked against a unit scale and discarded."""
+    """Live-mode analogue of the dataset calibration: a 2,000-task
+    random-policy run whose realized efficiencies set the normalizer.  Its
+    rewards are booked against a unit scale and discarded."""
     rng = substream(seed, "calibration-actions")
     choose = make_policy("random", rng=rng, n_actions=node.n_channels + 1)
     effs: List[float] = []
@@ -545,7 +534,7 @@ def calibrate_efficiency_scale_live(
         effs.append(efficiency(out.size_bits, out.total_s, out.e_total_j))
 
     _live_rollout(
-        choose, RewardParams(), node, channels, workload, seed, 1, n_tasks,
+        choose, RewardParams(), node, channels, workload, seed, 1, 2000,
         on_outcome=keep_efficiency,
     )
     return linear_percentile(effs, percentile)

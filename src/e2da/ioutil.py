@@ -53,20 +53,9 @@ def atomic_write_text(path: str, pieces: Iterable[str]) -> None:
         fh.writelines(pieces)
 
 
-def read_text(path: str) -> str:
-    """Contents of a UTF-8 text file, line endings untouched; bytes that are
-    not UTF-8 raise ConfigError naming the path and the byte offset."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc, 0) from None
-
-
 def check_utf8(path: str) -> None:
-    """Raise read_text's ConfigError if the file is not UTF-8 text, reading
-    it _UTF8_CHUNK bytes at a time."""
+    """Raise ConfigError naming the path and the byte offset if the file is
+    not UTF-8 text, reading it _UTF8_CHUNK bytes at a time."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     read = 0
     with open(path, "rb") as fh:
@@ -91,8 +80,10 @@ def _not_utf8(path: str, exc: UnicodeDecodeError, start: int) -> ConfigError:
 def read_json(path: str):
     """Parsed contents of a JSON file; malformed JSON or text that is not
     UTF-8 raises ConfigError."""
+    check_utf8(path)
     try:
-        return json.loads(read_text(path))
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 

@@ -155,7 +155,7 @@ class NodeConfig:
     n_channels: int = 3
     user_cpu_hz: float = 1e9
     edge_vm_hz: float = 4e9
-    kappa: float = 1e-27
+    kappa_j_per_cycle_hz2: float = 1e-27
     result_size_ratio: float = 0.1
     association: Optional[Tuple[int, ...]] = None
 
@@ -163,7 +163,7 @@ class NodeConfig:
         for f_name in ("n_users", "n_base_stations", "n_channels"):
             if getattr(self, f_name) < 1:
                 raise ConfigError(f"{f_name} must be >= 1, got {getattr(self, f_name)}")
-        for f_name in ("user_cpu_hz", "edge_vm_hz", "kappa"):
+        for f_name in ("user_cpu_hz", "edge_vm_hz", "kappa_j_per_cycle_hz2"):
             if getattr(self, f_name) <= 0:
                 raise ConfigError(f"{f_name} must be > 0, got {getattr(self, f_name)}")
         if self.result_size_ratio < 0:
@@ -349,7 +349,9 @@ def _outcome(
     the times are one decision's floats or a column's equal-length arrays;
     the action is one int either way."""
     if action == 0:
-        e_cpu = cpu_energy(node.kappa, task.size_bits, task.intensity_cpb, node.user_cpu_hz)
+        e_cpu = cpu_energy(
+            node.kappa_j_per_cycle_hz2, task.size_bits, task.intensity_cpb, node.user_cpu_hz
+        )
         e_tx = e_rx = 0.0
     else:
         ch = channels[action - 1]

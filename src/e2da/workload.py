@@ -174,7 +174,6 @@ def task_stream(
     master_seed: int,
     user_id: int,
     n_users: int,
-    start_time: float = 0.0,
 ) -> Iterator[Task]:
     """Endless Poisson task stream for one user.
 
@@ -184,7 +183,7 @@ def task_stream(
     draw each.
     """
     rng = Uniforms(substream(master_seed, "workload", user_id))
-    t = start_time
+    t = 0.0
     seq = 0
     while True:
         t += sample_interarrival(rng, cfg.arrival_rate_per_s)

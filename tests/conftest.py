@@ -63,7 +63,7 @@ def single_user_node(**overrides):
         n_channels=1,
         user_cpu_hz=1e9,
         edge_vm_hz=4e9,
-        kappa=1e-27,
+        kappa_j_per_cycle_hz2=1e-27,
         result_size_ratio=0.1,
     )
     defaults.update(overrides)

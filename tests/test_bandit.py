@@ -474,18 +474,18 @@ class TestRmsProp:
 
 class TestReplayBuffer:
     def test_ring_overwrite(self):
-        buf = ReplayBuffer(3, context_dim=1)
+        buf = ReplayBuffer(3)
         for i in range(5):
-            buf.push(np.array([float(i)]), i % 2, float(10 * i))
+            buf.push(np.full(3, float(i)), i % 2, float(10 * i))
         assert buf.size == 3
         # slots hold items 3, 4, 2 after wraparound
         assert buf.contexts[:, 0].tolist() == [3.0, 4.0, 2.0]
         assert buf.targets.tolist() == [30.0, 40.0, 20.0]
 
     def test_sample_mirrors_generator(self):
-        buf = ReplayBuffer(10, context_dim=1)
+        buf = ReplayBuffer(10)
         for i in range(4):
-            buf.push(np.array([float(i)]), i, float(i))
+            buf.push(np.full(3, float(i)), i, float(i))
         rng = substream(5, "mb")
         mirror = substream(5, "mb")
         ctx, act, rew = buf.sample(rng, 6)

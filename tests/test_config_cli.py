@@ -239,6 +239,7 @@ def read_json(path):
 def check_manifest(out_dir, command):
     manifest = read_json(os.path.join(out_dir, "manifest.json"))
     assert manifest["command"] == command
+    assert manifest["numpy_version"] == np.__version__
     for name, digest in manifest["outputs"].items():
         assert sha256_file(os.path.join(out_dir, name)) == digest
     return manifest

@@ -511,10 +511,10 @@ class TestCalibration:
 
     def test_live_calibration_deterministic_and_positive(self, small_node):
         a = calibrate_efficiency_scale_live(
-            small_node, default_channels(), WorkloadConfig(), seed=5, n_tasks=300
+            small_node, default_channels(), WorkloadConfig(), seed=5
         )
         b = calibrate_efficiency_scale_live(
-            small_node, default_channels(), WorkloadConfig(), seed=5, n_tasks=300
+            small_node, default_channels(), WorkloadConfig(), seed=5
         )
         assert a == b and a > 0.0
 
@@ -629,10 +629,9 @@ class TestRunEvaluation:
         params = RewardParams(1.0, 1e6)
         rows = run_evaluation(
             lambda users, x, outcomes: 0, small_dataset, WorkloadConfig(), params,
-            n_episodes=2, tasks_per_episode=3, seed=5,
-            phase="train", stream="train", start_episode=40,
+            n_episodes=2, tasks_per_episode=3, seed=5, phase="train",
         )
-        assert [r.episode for r in rows] == [40, 41]
+        assert [r.episode for r in rows] == [0, 1]
         assert all(r.phase == "train" for r in rows)
 
 
@@ -809,6 +808,22 @@ class TestLiveRuns:
         )
         assert len(rows) == 2
         assert all(np.isfinite(r.reward) for r in rows)
+
+    @pytest.mark.parametrize("n_episodes, tasks_per_episode", [(0, 10), (3, 0), (0, 0)])
+    def test_no_decisions_book_no_episode(self, small_node, n_episodes, tasks_per_episode):
+        """As a replay does, a live rollout asked for no decision returns
+        no row, for every policy kind and for a learner."""
+        wl, params = WorkloadConfig(), RewardParams(1.0, 1e6)
+        for name in ("eel", "random", "e2da"):
+            rows = run_live_evaluation(
+                name, small_node, default_channels(), wl, params, n_episodes, tasks_per_episode,
+                seed=23, agents=[fresh_agent(51)],
+            )
+            assert rows == [], name
+        agent = fresh_agent(51)
+        rows = run_live_training(agent, small_node, default_channels(), wl, n_episodes,
+                                 tasks_per_episode, seed=23)
+        assert rows == [] and agent.episodes_trained == n_episodes
 
 
 class TestFrozenPolicyCallContract:
@@ -1140,8 +1155,7 @@ class TestReplayMatchesPerDecisionReference:
     def test_oracles(self, name, small_dataset, per_decision):
         self.check_policy(per_decision, lambda: make_policy(name), small_dataset)
         self.check_policy(
-            per_decision, lambda: make_policy(name), small_dataset,
-            phase="train", stream="train", start_episode=3,
+            per_decision, lambda: make_policy(name), small_dataset, phase="train",
         )
         assert self.check_policy(
             per_decision, lambda: make_policy(name), small_dataset, tasks_per_episode=0

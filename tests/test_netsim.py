@@ -516,7 +516,7 @@ def reference_projections(sim, task):
         if action == 0:
             d1 = local[user] / node.user_cpu_hz
             t_exec = exec_time(size, cpb, node.user_cpu_hz)
-            e_cpu = cpu_energy(node.kappa, size, cpb, node.user_cpu_hz)
+            e_cpu = cpu_energy(node.kappa_j_per_cycle_hz2, size, cpb, node.user_cpu_hz)
             total = d1 + t_exec
         else:
             c = action - 1

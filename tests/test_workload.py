@@ -162,13 +162,6 @@ class TestTaskStream:
             want = itertools.islice(reference_task_stream(cfg, seed, user, n_users), 2000)
             assert [repr(t) for t in got] == [repr(t) for t in want]
 
-    def test_start_time_offset(self):
-        cfg = WorkloadConfig()
-        base = list(itertools.islice(task_stream(cfg, 5, 0, 1), 5))
-        moved = list(itertools.islice(task_stream(cfg, 5, 0, 1, start_time=10.0), 5))
-        for a, b in zip(base, moved):
-            assert b.arrival_time == pytest.approx(a.arrival_time + 10.0, rel=1e-12)
-
 
 class TestWorkloadConfig:
     def test_default_bounds_from_supports(self):

@@ -1,7 +1,9 @@
 """Per-layer timings of the learner step, in process.
 
-Times MlpModel.forward on one context, MlpModel.loss_and_grads and
-MlpModel.apply_grads on one minibatch, ReplayBuffer.sample,
+Times MlpModel.forward on one context; on one minibatch,
+MlpModel.loss_and_grads into fresh arrays, MlpModel.apply_grads with
+gradients it copies in, and MlpModel.train_step, the step training runs,
+which keeps its gradients in the model's own buffers; ReplayBuffer.sample,
 E2daAgent.observe and one training decision (E2daAgent.act at epsilon 0.9,
 then observe, as early replay training runs them), at the agent sizes of
 configs/default.json (a 3-50-50-4 network, minibatches of 64), and one
@@ -77,6 +79,7 @@ def measure(calls: int, repeats: int, warmup: int) -> dict:
         "forward_us": lambda: model.forward(one),
         "loss_and_grads_us": lambda: model.loss_and_grads(x, a, targets),
         "apply_grads_us": lambda: model.apply_grads(gw, gb),
+        "train_step_us": lambda: model.train_step(x, a, targets),
         "sample_us": lambda: buffer.sample(sample_rng, batch),
         "observe_us": lambda: agent.observe(one, 1, 0.5),
         "train_decision_us": lambda: agent.observe(one, agent.act(one, TRAIN_EPSILON), 0.5),
