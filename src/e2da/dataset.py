@@ -52,7 +52,7 @@ from .errors import ConfigError
 from .ioutil import atomic_open, atomic_write_text, check_utf8, sha256_file
 from .netsim import ChannelConfig, NodeConfig, Simulator, Snapshot, project_outcome
 from .rng import Uniforms, substream
-from .workload import Task, WorkloadConfig, task_stream
+from .workload import Task, WorkloadConfig, arrivals
 
 _INT_COLUMNS = ("record_id", "task_id", "user_id")
 _FLOAT_TASK_COLUMNS = ("arrival_s", "size_bits", "intensity_cpb", "deadline_s")
@@ -452,17 +452,12 @@ def generate_dataset(
         )
         ints[:, logged] = (task.task_id, task.user_id, *snap.uplink_others, *snap.downlink_others)
         logged += 1
-        if logged >= n_records:
-            sim.halt_arrivals()
         return actions[logged - 1]
 
     sim = Simulator(node, channels, Uniforms(substream(seed, "gains")), policy=logging_policy)
-    for user in range(node.n_users):
-        sim.add_stream(user, task_stream(workload, seed, user, node.n_users))
-    while sim.has_events and logged < n_records:
+    sim.add_arrivals(itertools.islice(arrivals(workload, seed, node.n_users), n_records))
+    while logged < n_records:
         sim.advance()
-    if logged < n_records:
-        raise RuntimeError(f"arrival streams dried up after {logged} of {n_records} records")
 
     arrival, size, intensity, deadline, local, edge = floats[:6]
     snaps = Snapshot(

@@ -2,12 +2,13 @@
 
 Replay rollouts sample records of a logged dataset (see dataset.py)
 uniformly, so every action's consequence is known without re-simulating;
-live rollouts instead submit real tasks and book each decision when its
-completion event fires.  A live frozen e2da, which reads only the task,
-decides each user's tasks per block ahead of arrival, one batched forward
-per block.  Both take a frozen policy or a learning agent and
-turn each episode's sums into one metric row: a live rollout adds each
-outcome as its feedback arrives, a replay books each episode whole.
+live rollouts instead submit the workload's first arrivals as real tasks
+and book each decision when its completion event fires.  A live frozen
+e2da, which reads only the task, decides each episode's tasks ahead of
+arrival, one batched forward per episode.  Both take a frozen policy or a
+learning agent and turn each episode's sums into one metric row: a live
+rollout adds each outcome as its feedback arrives, a replay books each
+episode whole.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ from .errors import ConfigError
 from .ioutil import atomic_write_text, fmt
 from .netsim import ChannelConfig, NodeConfig, Simulator, TaskOutcome
 from .rng import Uniforms, substream
-from .workload import Task, WorkloadConfig, normalize_context, task_stream
+from .workload import Task, WorkloadConfig, arrivals, normalize_context
 
 # A frozen policy: choose(users, x, outcomes) -> actions, elementwise over
-# decisions.  A replay episode, or a block of one user's live tasks decided
-# ahead, passes (k,) users and (k, 3) scaled contexts; any other live
-# decision passes its int user and 1-d context.  outcomes() returns the
-# decisions' what-if (size, T, E), actions on the last axis.
+# decisions.  A replay episode, or a live episode decided ahead, passes
+# (k,) users and (k, 3) scaled contexts; any other live decision passes
+# its int user and 1-d context.  outcomes() returns the decisions' what-if
+# (size, T, E), actions on the last axis.
 Policy = Callable[[Any, np.ndarray, Callable[[], tuple]], Any]
 
 
@@ -154,7 +155,7 @@ def make_policy(
 
     The learned agent acts greedily on the scaled context; with one agent
     per user, the decision's user picks the agent.  It takes arrays only
-    (a replay episode, or a live block of one user's tasks) and runs one
+    (a replay episode, or a live episode decided ahead) and runs one
     batched forward per agent over their rows (see _greedy).  An oracle
     ranks the outcomes with its rule; random draws from rng.
     """
@@ -388,7 +389,9 @@ def _live_rollout(
     on_outcome: Optional[Callable[[TaskOutcome], None]] = None,
     ahead: bool = False,
 ) -> List[MetricsRow]:
-    """Drive the live simulator for n_episodes * tasks_per_episode decisions.
+    """Drive the live simulator over the first n_episodes *
+    tasks_per_episode tasks of the workload's arrivals, which no decision
+    changes.
 
     Tasks are decided at arrival and booked in completion order against
     the episode they were submitted in (feedback is delayed, as in the real
@@ -400,16 +403,14 @@ def _live_rollout(
     episode, as a replay does.
 
     ahead says that the frozen policy reads nothing but the task, as the
-    learned one does.  Each user's tasks are then decided before they
-    arrive, a block at a time: the user's share of the decisions still to
-    come, at least one, scaled together and passed to the policy as
-    arrays, whose actions the arrival hook looks up.  Only the workload
-    streams are read early, and nothing else draws from them, so no draw
-    changes.
+    learned one does.  Each episode's tasks are then decided before the
+    first of them arrives: scaled together and passed to the policy as
+    arrays, once per episode as in a replay, whose actions the arrival hook
+    looks up.  Only the workload streams are read early, and nothing else
+    draws from them, so no draw changes.
     """
     if n_episodes < 1 or tasks_per_episode < 1:
         return []
-    total = n_episodes * tasks_per_episode
     decided = 0
     scale = workload.context_scale()
     learner = decider if isinstance(decider, E2daAgent) else None
@@ -418,23 +419,18 @@ def _live_rollout(
     pending: Dict[int, Tuple[Optional[np.ndarray], int, int]] = {}
     books: Dict[int, list] = {}  # episode -> [reward, met, energy, response, n]
 
-    def decide_ahead(user: int, stream: Iterator[Task]) -> Iterator[Task]:
-        while True:
-            share = -(-(total - decided) // node.n_users)  # ceil((total - decided) / n_users)
-            block = list(itertools.islice(stream, max(1, share)))
+    def decide_ahead(feed: Iterator[Task]) -> Iterator[Task]:
+        for block in iter(lambda: list(itertools.islice(feed, tasks_per_episode)), []):
+            users = np.array([t.user_id for t in block])
             x = np.array([(t.size_bits, t.intensity_cpb, t.deadline_s) for t in block])
-            x = normalize_context(x, scale)
-            actions = decider(np.full(len(x), user), x, None).tolist()
+            actions = decider(users, normalize_context(x, scale), None).tolist()
             early.update(zip([t.task_id for t in block], actions))
-            del x, actions  # the generator keeps its locals while it yields the block
             yield from block
 
     def hook(sim: Simulator, task: Task) -> int:
         nonlocal decided
         episode = start_episode + decided // tasks_per_episode
         decided += 1
-        if decided >= total:
-            sim.halt_arrivals()
         if ahead:
             x, action = None, early.pop(task.task_id)
         else:
@@ -449,9 +445,8 @@ def _live_rollout(
         return action
 
     sim = Simulator(node, channels, Uniforms(substream(seed, "gains")), policy=hook)
-    for user in range(node.n_users):
-        stream = task_stream(workload, seed, user, node.n_users)
-        sim.add_stream(user, decide_ahead(user, stream) if ahead else stream)
+    feed = itertools.islice(arrivals(workload, seed, node.n_users), n_episodes * tasks_per_episode)
+    sim.add_arrivals(decide_ahead(feed) if ahead else feed)
     while sim.has_events:
         out = sim.advance()
         if out is not None:
@@ -468,8 +463,6 @@ def _live_rollout(
             book[4] += 1
             if on_outcome is not None:
                 on_outcome(out)
-    if decided < total:
-        raise RuntimeError(f"live run decided only {decided} of {total} tasks")
     return [_row(episode, phase, *book) for episode, book in books.items()]
 
 
@@ -507,7 +500,7 @@ def run_live_evaluation(
     """Live-mode frozen-policy rollout; an oracle ranks each task's
     projections from the system snapshot at its decision, and random draws
     in decision order.  The learned policy reads only the task, so its
-    tasks are decided ahead of arrival, a block per user (see
+    tasks are decided ahead of arrival, an episode at a time (see
     _live_rollout)."""
     choose = make_policy(name, agents, substream(seed, "logging-policy"), node.n_channels + 1)
     return _live_rollout(

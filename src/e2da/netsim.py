@@ -411,10 +411,14 @@ def project_outcome(snap: Snapshot, action: int) -> TaskOutcome:
 class Simulator:
     """Event-calendar simulator; ties broken by submission sequence.
 
-    Tasks enter either through pre-scheduled arrival events (schedule_arrival
-    or add_stream, in which case a policy callback picks the action) or by
-    direct submit() calls at the current clock.  gain_rng only has to
-    provide random(): a Generator, or a Uniforms over one.
+    Tasks enter either through arrival events, where a policy callback
+    picks the action, or by direct submit() calls at the current clock.
+    Arrivals are scheduled one at a time (schedule_arrival) or come from
+    one feed in arrival order (add_arrivals), whose next task goes on the
+    calendar when the last one's arrival fires; so an arrival at exactly
+    the instant of another event is ordered by when the feed reached it.
+    gain_rng only has to provide random(): a Generator, or a Uniforms over
+    one.
     """
 
     def __init__(
@@ -435,8 +439,8 @@ class Simulator:
         self._gain_rng = gain_rng
         self._calendar: List[tuple] = []
         self._seq = itertools.count()
-        self._halted = False
-        self._streams: Dict[int, Iterator[Task]] = {}
+        self._feed: Iterator[Task] = iter(())
+        self._fed: Optional[Task] = None  # the last task pulled from the feed
         self._staged_gains: Dict[int, Tuple[float, ...]] = {}
         check_fair_shares(node, self.channels)
         assoc = node.resolved_association()
@@ -466,17 +470,16 @@ class Simulator:
             )
         heappush(self._calendar, (task.arrival_time, next(self._seq), task))
 
-    def add_stream(self, user_id: int, tasks: Iterator[Task]) -> None:
-        """Register a lazy task source; the next task is pulled when the
-        previous one's arrival event fires."""
-        self._streams[user_id] = tasks
-        first = next(tasks, None)
-        if first is not None:
-            self.schedule_arrival(first)
+    def add_arrivals(self, tasks: Iterator[Task]) -> None:
+        """Take arrivals from a lazy feed in arrival order: its next task is
+        pulled when the arrival of the last one pulled fires."""
+        self._feed = tasks
+        self._pull()
 
-    def halt_arrivals(self) -> None:
-        """Stop admitting tasks; already-scheduled arrivals are discarded."""
-        self._halted = True
+    def _pull(self) -> None:
+        self._fed = next(self._feed, None)
+        if self._fed is not None:
+            self.schedule_arrival(self._fed)
 
     # ------------------------------------------------------------- decisions
 
@@ -594,13 +597,8 @@ class Simulator:
         heappush(self._calendar, dom.event)
 
     def _handle_arrival(self, task: Task) -> None:
-        if self._halted:
-            return
-        stream = self._streams.get(task.user_id)
-        if stream is not None:
-            nxt = next(stream, None)
-            if nxt is not None:
-                self.schedule_arrival(nxt)
+        if task is self._fed:
+            self._pull()
         self.stage(task)
         if self.policy is None:
             raise SimulationError(

@@ -7,8 +7,10 @@ in isolation.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -189,6 +191,15 @@ def task_stream(
         t += sample_interarrival(rng, cfg.arrival_rate_per_s)
         yield sample_task(rng, cfg, t, user_id, seq * n_users + user_id)
         seq += 1
+
+
+def arrivals(cfg: WorkloadConfig, master_seed: int, n_users: int) -> Iterator[Task]:
+    """Every user's task_stream merged into one endless feed in arrival
+    order; tasks that arrive at the same instant come in user order.  The
+    feed holds one drawn task per user, and a user's stream draws again
+    only when the feed is asked for the task after that user's last."""
+    streams = [task_stream(cfg, master_seed, u, n_users) for u in range(n_users)]
+    return heapq.merge(*streams, key=attrgetter("arrival_time"))
 
 
 def normalize_context(features, scale) -> np.ndarray:

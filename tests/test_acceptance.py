@@ -9,6 +9,7 @@ Scenario constants were chosen once, verified empirically, and are frozen:
 changing them invalidates the recorded baselines in the repository notes.
 """
 
+import itertools
 import json
 import os
 import time
@@ -36,7 +37,7 @@ from e2da.experiment import (
 )
 from e2da.netsim import ChannelConfig, NodeConfig, Simulator, default_channels
 from e2da.rng import substream
-from e2da.workload import DistributionSpec, Task, WorkloadConfig, task_stream
+from e2da.workload import DistributionSpec, Task, WorkloadConfig, arrivals
 
 
 def report(capsys, tag, ok, detail):
@@ -116,20 +117,17 @@ class TestOutcomeAccounting:
         n_tasks = 100_000
         seed = 13
         act_rng = substream(seed, "actions")
-        decided = [0]
 
         def policy(sim, task):
-            decided[0] += 1
-            if decided[0] >= n_tasks:
-                sim.halt_arrivals()
             return int(act_rng.integers(4))
 
         t0 = time.perf_counter()
         sim = Simulator(
             BENCH_NODE, default_channels(), substream(seed, "gains"), policy=policy
         )
-        for u in range(BENCH_NODE.n_users):
-            sim.add_stream(u, task_stream(WorkloadConfig(), seed, u, BENCH_NODE.n_users))
+        sim.add_arrivals(
+            itertools.islice(arrivals(WorkloadConfig(), seed, BENCH_NODE.n_users), n_tasks)
+        )
         outs = sim.run_to_completion()
         elapsed = time.perf_counter() - t0
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import MUTATIONS, mutated, mutation_columns
 from e2da import dataset as dataset_module
+from e2da import workload as workload_module
 from e2da import experiment, ioutil
 from e2da.bandit import AgentConfig, E2daAgent, RewardParams, compute_reward
 from e2da.errors import ConfigError
@@ -36,7 +38,7 @@ from e2da.dataset import column_path, load_dataset, save_dataset
 from e2da.ioutil import fmt, sha256_file
 from e2da.netsim import NodeConfig, Simulator, default_channels
 from e2da.rng import substream
-from e2da.workload import WorkloadConfig, normalize_context, task_stream
+from e2da.workload import WorkloadConfig, arrivals, normalize_context, task_stream
 
 
 @pytest.fixture(scope="module")
@@ -830,8 +832,8 @@ class TestFrozenPolicyCallContract:
     """A replay asks a frozen policy once per episode with the episode's
     rows.  A live rollout asks an oracle or random once per decision with
     scalars, so such a decision pays for no one-row arrays, and decides
-    the learned policy ahead of arrival: one batched forward per block of
-    a user's tasks, never one per decision."""
+    the learned policy ahead of arrival: one batched forward per episode,
+    as a replay asks, never one per decision."""
 
     def test_replay_asks_once_per_episode_with_the_gathered_rows(self, small_dataset):
         ds, wl, calls = small_dataset, WorkloadConfig(), []
@@ -881,7 +883,7 @@ class TestFrozenPolicyCallContract:
         )
         assert len(calls) == len(projected) == 60 and len(rows) == 3
 
-    def test_live_e2da_runs_one_forward_per_block(self, small_node, monkeypatch):
+    def test_live_e2da_runs_one_forward_per_episode(self, small_node, monkeypatch):
         wl, agent, shapes = WorkloadConfig(), fresh_agent(91), []
         run_live_training(agent, small_node, default_channels(), wl, 3, 30, seed=5)
         forward = agent.model.forward
@@ -897,11 +899,9 @@ class TestFrozenPolicyCallContract:
             agents=[agent],
         )
         assert len(rows) == 3
-        # each user's first block is its share of all 60 decisions
-        assert shapes[: small_node.n_users] == [(15, 3)] * small_node.n_users
-        assert all(len(shape) == 2 for shape in shapes)  # no one-row forward
-        assert sum(n for n, _ in shapes) == drawn[0]
-        assert small_node.n_users <= len(shapes) < 60
+        assert shapes == [(20, 3)] * 3  # no one-row forward
+        # the feed holds one drawn task per user past the run's 60
+        assert drawn[0] == 60 + small_node.n_users - 1
 
 
 def acting(agents):
@@ -911,8 +911,8 @@ def acting(agents):
 
 
 def counting_task_streams(monkeypatch):
-    """Make the rollouts count the tasks they draw; returns the one-item
-    list that holds the count."""
+    """Make every arrival feed count the tasks its users' streams draw;
+    returns the one-item list that holds the count."""
     drawn = [0]
 
     def counted(*args):
@@ -920,8 +920,22 @@ def counting_task_streams(monkeypatch):
             drawn[0] += 1
             yield task
 
-    monkeypatch.setattr(experiment, "task_stream", counted)
+    monkeypatch.setattr(workload_module, "task_stream", counted)
     return drawn
+
+
+def batch_rows(monkeypatch, agent):
+    """Make the agent's model record the row count of each batched
+    forward; returns the list that holds them."""
+    rows, forward = [], agent.model.forward
+
+    def spy(x):
+        if np.ndim(x) == 2:
+            rows.append(len(x))
+        return forward(x)
+
+    monkeypatch.setattr(agent.model, "forward", spy)
+    return rows
 
 
 def hand_driven_live(node, wl, params, seed, n_episodes, tasks_per_episode, decide,
@@ -930,22 +944,19 @@ def hand_driven_live(node, wl, params, seed, n_episodes, tasks_per_episode, deci
     the rollout's substreams.  decide(sim, task, episode) returns (action,
     context); each outcome is scored when its completion event fires and
     booked to the episode its task was decided in."""
-    total = n_episodes * tasks_per_episode
     decided = [0]
     pending = {}
 
     def policy(sim, task):
         ep = decided[0] // tasks_per_episode
         decided[0] += 1
-        if decided[0] >= total:
-            sim.halt_arrivals()
         action, x = decide(sim, task, start_episode + ep)
         pending[task.task_id] = (ep, x, action)
         return action
 
     sim = Simulator(node, default_channels(), substream(seed, "gains"), policy=policy)
-    for user in range(node.n_users):
-        sim.add_stream(user, task_stream(wl, seed, user, node.n_users))
+    feed = arrivals(wl, seed, node.n_users)
+    sim.add_arrivals(itertools.islice(feed, n_episodes * tasks_per_episode))
     books = [[0.0, 0, 0.0, 0.0, 0] for _ in range(n_episodes)]
     while sim.has_events:
         out = sim.advance()
@@ -999,12 +1010,13 @@ class TestLiveBookingReference:
 
         assert rows == hand_driven_live(small_node, wl, params, decide=decide, **self.KW)
 
-    @pytest.mark.parametrize("case", ["trained", "tied", "refill"])
+    @pytest.mark.parametrize("case", ["trained", "tied", "per_user"])
     def test_frozen_e2da_evaluation(self, small_node, monkeypatch, case):
-        """Deciding each user's tasks in blocks ahead of arrival books the
-        rows of one act(x, 0.0) per decision at arrival.  A block is the
-        user's share of the decisions still to come, so the run draws at
-        least one spare task per user and at most one first block more."""
+        """Deciding each episode's tasks ahead of arrival books the rows of
+        one act(x, 0.0) per decision at arrival.  The feed holds one drawn
+        task per user, so the run draws exactly K - 1 spare tasks.  With
+        per-user agents, each episode's forward goes to every user's agent
+        with that user's rows of the episode."""
         wl, params = WorkloadConfig(), RewardParams(1.0, 1e6)
         kw, K = dict(self.KW), small_node.n_users
         if case == "trained":
@@ -1017,10 +1029,13 @@ class TestLiveBookingReference:
         else:
             agents = per_user_agents(65, K)
             kw.update(n_episodes=6, tasks_per_episode=50)
+        batches = [batch_rows(monkeypatch, agent) for agent in agents]
         drawn = counting_task_streams(monkeypatch)
         rows = run_live_evaluation(
             "e2da", small_node, default_channels(), wl, params, agents=agents, **kw
         )
+        # the reference below draws through the same counted streams
+        n_drawn, batches = drawn[0], [list(sizes) for sizes in batches]
         act_by_user = acting(agents)
         acted = []
 
@@ -1030,13 +1045,14 @@ class TestLiveBookingReference:
             return acted[-1], None
 
         assert rows == hand_driven_live(small_node, wl, params, decide=decide, **kw)
-        total = kw["n_episodes"] * kw["tasks_per_episode"]
-        first_blocks = K * -(-total // K)
-        assert total + K <= drawn[0] <= total + first_blocks
+        assert n_drawn == kw["n_episodes"] * kw["tasks_per_episode"] + K - 1
         if case == "tied":
             assert set(acted) == {0}
-        if case == "refill":
-            assert drawn[0] > first_blocks  # some user drew a second block
+        if case == "per_user":
+            assert all(len(sizes) == kw["n_episodes"] for sizes in batches)
+            assert [sum(ep) for ep in zip(*batches)] == [kw["tasks_per_episode"]] * kw["n_episodes"]
+        else:
+            assert batches == [[kw["tasks_per_episode"]] * kw["n_episodes"]]
 
     def test_training_observes_in_completion_order(self, small_node):
         wl = WorkloadConfig()

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from e2da.netsim import (
     radio_energy,
 )
 from e2da.rng import Uniforms, substream
-from e2da.workload import DistributionSpec, Task, WorkloadConfig, task_stream
+from e2da.workload import DistributionSpec, Task, WorkloadConfig, arrivals
 
 
 class TestOps:
@@ -199,8 +200,9 @@ class TestQueueing:
         assert [o.d4_s for o in outs] == [0.0, 0.10000000000000009, 0.0, 0.0]
 
     def test_tied_finishers_leave_before_a_later_scheduled_arrival(self):
-        """As above, plus user 4's stream: a local task at 2.5 schedules an
-        arrival at 3.5, the instant tasks 0 and 1 finish.  That arrival was
+        """As above, plus a feed of user 4's tasks: a local task at 2.5
+        puts the arrival at 3.5 on the calendar, the instant tasks 0 and 1
+        finish.  That arrival was
         put on the calendar after the finish times were latched, so it is
         decided after both tied departures and sees 2 and 3 as the only
         other transmitters."""
@@ -218,7 +220,7 @@ class TestQueueing:
         for tid, at, size in ((0, 0.0, 1e6), (1, 0.0, 1e6), (2, 0.0, 3e6), (3, 1.5, 1e6)):
             sim.schedule_arrival(make_task(task_id=tid, user_id=tid, arrival_time=at,
                                            size_bits=size, intensity_cpb=10.0))
-        sim.add_stream(4, iter([
+        sim.add_arrivals(iter([
             make_task(task_id=4, user_id=4, arrival_time=2.5, size_bits=1e3, intensity_cpb=10.0),
             make_task(task_id=5, user_id=4, arrival_time=3.5, size_bits=1e6, intensity_cpb=10.0),
         ]))
@@ -256,6 +258,39 @@ class TestQueueing:
         assert outs[1].d2_s == 1.0  # uplink slot busy with task 0
         assert outs[1].d3_s == 2.0  # VM still has 2 s of task 0 left
         assert outs[1].total_s == 7.0
+
+
+class TestLocalCpuQueueing:
+    """One user computing locally is an M/G/1 FIFO queue: Poisson arrivals
+    and service times size * 100 / 1e9 s, sizes uniform on [1e4, 1e5]
+    bits.  Its mean wait d1_s matches Pollaczek-Khinchine,
+    W = lambda E[S^2] / (2 (1 - rho)) (Kleinrock, Queueing Systems, Vol. 1,
+    ch. 5), within 4 batch-means standard errors over 20 batches."""
+
+    @pytest.mark.parametrize("rho", [0.3, 0.6, 0.8])
+    def test_mean_wait_matches_pollaczek_khinchine(self, rho):
+        lo, hi, cpb, cpu_hz = 1e4, 1e5, 100.0, 1e9
+        mean_s = (lo + hi) / 2 * cpb / cpu_hz
+        second_moment_s2 = (hi**3 - lo**3) / (3 * (hi - lo)) * (cpb / cpu_hz) ** 2
+        rate = rho / mean_s
+        want = rate * second_moment_s2 / (2 * (1 - rho))
+        wl = WorkloadConfig(
+            arrival_rate_per_s=rate, size_bits=DistributionSpec.uniform(lo, hi),
+            intensity_cpb=DistributionSpec.constant(cpb), deadline_s=DistributionSpec.constant(1.0),
+            context_bounds=((lo, hi), (1.0, 1000.0), (0.5, 2.0)),
+        )
+        node = NodeConfig(n_users=1, n_base_stations=1, n_channels=1, user_cpu_hz=cpu_hz)
+        sim = Simulator(node, default_channels()[:1], substream(3, "gains"), policy=lambda s, t: 0)
+        sim.add_arrivals(itertools.islice(arrivals(wl, 3, 1), 100_000))
+        waits = []  # in completion order, which FIFO makes arrival order
+        while sim.has_events:
+            out = sim.advance()
+            if out is not None:
+                waits.append(out.d1_s)
+        batch_means = np.array(waits).reshape(20, -1).mean(axis=1)
+        std_err = batch_means.std(ddof=1) / np.sqrt(20)
+        assert len(waits) == 100_000
+        assert abs(batch_means.mean() - want) < 4 * std_err
 
 
 class TestSnapshotProjection:
@@ -372,18 +407,13 @@ def mixed_run(n_tasks=2000, seed=13):
     node = NodeConfig(n_users=5, n_base_stations=3, n_channels=3)
     wl = WorkloadConfig()
     act_rng = substream(seed, "actions")
-    decided = [0]
 
     def policy(sim, task):
-        decided[0] += 1
-        if decided[0] >= n_tasks:
-            sim.halt_arrivals()
         return int(act_rng.integers(4))
 
     sim = Simulator(node, default_channels(), substream(seed, "gains"),
                     policy=policy)
-    for u in range(5):
-        sim.add_stream(u, task_stream(wl, seed, u, 5))
+    sim.add_arrivals(itertools.islice(arrivals(wl, seed, 5), n_tasks))
     outs = sim.run_to_completion()
     return sim, outs
 
@@ -415,7 +445,7 @@ class TestMixedRunProperties:
         _, b = mixed_run(n_tasks=500)
         assert a == b
 
-    def test_halt_truly_stops_admissions(self):
+    def test_a_feed_of_n_tasks_admits_exactly_n(self):
         sim, outs = mixed_run(n_tasks=50)
         assert sim.admitted == 50
         assert not sim.has_events
@@ -554,20 +584,15 @@ def loaded_run(node, on_decision, n_decisions=1500):
     channel.  on_decision(sim, task) sees every decision before it is made."""
     wl = WorkloadConfig(arrival_rate_per_s=150.0)
     act_rng = substream(21, "actions")
-    decided = [0]
 
     def policy(sim, task):
         on_decision(sim, task)
-        decided[0] += 1
-        if decided[0] >= n_decisions:
-            sim.halt_arrivals()
         return int(act_rng.integers(node.n_channels + 1))
 
     sim = Simulator(node, default_channels(), substream(21, "gains"), policy=policy)
-    for u in range(node.n_users):
-        sim.add_stream(u, task_stream(wl, 21, u, node.n_users))
+    sim.add_arrivals(itertools.islice(arrivals(wl, 21, node.n_users), n_decisions))
     sim.run_to_completion()
-    return decided[0]
+    return sim.admitted
 
 
 def stack(snaps):

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import StubRng, make_task
+from e2da import workload
 from e2da.errors import ConfigError
 from e2da.rng import substream
 from e2da.workload import (
     DistributionSpec,
     WorkloadConfig,
+    arrivals,
     normalize_context,
     sample_interarrival,
     sample_task,
@@ -161,6 +163,48 @@ class TestTaskStream:
             got = itertools.islice(task_stream(cfg, seed, user, n_users), 2000)
             want = itertools.islice(reference_task_stream(cfg, seed, user, n_users), 2000)
             assert [repr(t) for t in got] == [repr(t) for t in want]
+
+
+class TestArrivals:
+    @pytest.mark.parametrize("n_users", [1, 3, 50])
+    def test_merges_the_user_streams_in_time_order(self, n_users):
+        """A prefix of the feed is the users' stream prefixes interleaved
+        in non-decreasing arrival time."""
+        cfg, n = WorkloadConfig(), 40 * n_users
+        got = list(itertools.islice(arrivals(cfg, 5, n_users), n))
+        streams = [itertools.islice(task_stream(cfg, 5, u, n_users), n) for u in range(n_users)]
+        want = sorted(itertools.chain(*streams), key=lambda t: (t.arrival_time, t.user_id))
+        assert got == want[:n]
+        times = [t.arrival_time for t in got]
+        assert times == sorted(times)
+
+    def test_tied_arrivals_come_in_user_order(self, monkeypatch):
+        """Users 0, 1 and 2 arrive every 1, 2 and 3 s, so they tie at
+        every even second and every multiple of 3 s."""
+
+        def grid(cfg, master_seed, user_id, n_users):
+            for seq in itertools.count(1):
+                yield make_task(task_id=seq * n_users + user_id, user_id=user_id,
+                                arrival_time=float(seq * (user_id + 1)))
+
+        monkeypatch.setattr(workload, "task_stream", grid)
+        got = [(t.arrival_time, t.user_id) for t in itertools.islice(arrivals(None, 0, 3), 11)]
+        assert got == [(1.0, 0), (2.0, 0), (2.0, 1), (3.0, 0), (3.0, 2), (4.0, 0), (4.0, 1),
+                       (5.0, 0), (6.0, 0), (6.0, 1), (6.0, 2)]
+
+    def test_holds_one_drawn_task_per_user(self, monkeypatch):
+        drawn = []
+
+        def counted(*args):
+            for task in task_stream(*args):
+                drawn.append(task)
+                yield task
+
+        monkeypatch.setattr(workload, "task_stream", counted)
+        feed = arrivals(WorkloadConfig(), 5, 4)
+        assert drawn == []  # nothing is drawn before the feed is asked
+        list(itertools.islice(feed, 10))
+        assert len(drawn) == 10 + 4 - 1
 
 
 class TestWorkloadConfig:

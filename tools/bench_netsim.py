@@ -30,13 +30,12 @@ The live section times the whole per-decision path of a live evaluation at
 K = 50 users and 40 tasks/s each, as the benchmark's live-k50 workload runs
 it: task streams, gains, context scaling, the policy, submit and the event
 loop.  live_e2da_us is run_live_evaluation with an untrained e2da agent
-(one batched greedy forward per block of a user's tasks, decided ahead of
-arrival), live_eel_us with the eel oracle (one
-Simulator.projections call and its ranking per decision) and
-live_random_us with the random policy, each per decision over --tasks
-decisions in episodes of 100;
-task_stream_us is the time per task to seed the 50 per-user task streams
-and draw --tasks tasks from them.
+(one batched greedy forward per episode, decided ahead of arrival),
+live_eel_us with the eel oracle (one Simulator.projections call and its
+ranking per decision) and live_random_us with the random policy, each per
+decision over --tasks decisions in episodes of 100; task_stream_us is
+the time per task to seed the 50 per-user task streams and draw --tasks
+tasks from them.
 
 Timings are reported as the minimum and median over --repeats rounds.
 """
@@ -44,11 +43,13 @@ Timings are reported as the minimum and median over --repeats rounds.
 from __future__ import annotations
 
 import argparse
+import heapq
 import itertools
 import json
 import os
 import sys
 import time
+from operator import attrgetter
 
 import numpy as np
 
@@ -66,7 +67,8 @@ LIVE_USERS, LIVE_RATE_PER_USER, TASKS_PER_EPISODE = 50, 40.0, 100
 
 
 def live_pass(node, channels, streams, actions, policy_hook=None):
-    """One live run; returns (seconds in the event loop, events, outcomes)."""
+    """One live run of the per-user task lists, merged in arrival order;
+    returns (seconds in the event loop, events, outcomes)."""
     pick = iter(actions)
 
     def policy(sim, task):
@@ -75,8 +77,7 @@ def live_pass(node, channels, streams, actions, policy_hook=None):
         return next(pick)
 
     sim = Simulator(node, channels, substream(SEED, "gains"), policy=policy)
-    for user, tasks in enumerate(streams):
-        sim.add_stream(user, iter(tasks))
+    sim.add_arrivals(heapq.merge(*streams, key=attrgetter("arrival_time")))
     events = outcomes = 0
     t0 = time.perf_counter()
     while sim.has_events:
