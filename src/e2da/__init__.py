@@ -1,26 +1,7 @@
 """Multi-user multi-channel mobile-edge offloading: simulator, neural
-epsilon-greedy scheduler, oracle schedulers, and an experiment harness."""
+epsilon-greedy scheduler, oracle schedulers, and an experiment harness.
+
+Importing the package loads none of its modules; import each name from the
+module that defines it, such as e2da.netsim.Simulator."""
 
 __version__ = "0.1.0"
-
-from .workload import DistributionSpec, Task, WorkloadConfig
-from .netsim import ChannelConfig, NodeConfig, Simulator, TaskOutcome
-from .bandit import AgentConfig, E2daAgent, RewardParams
-from .baselines import eel_star, ee_star, r_star
-
-__all__ = [
-    "DistributionSpec",
-    "Task",
-    "WorkloadConfig",
-    "ChannelConfig",
-    "NodeConfig",
-    "Simulator",
-    "TaskOutcome",
-    "AgentConfig",
-    "E2daAgent",
-    "RewardParams",
-    "eel_star",
-    "ee_star",
-    "r_star",
-    "__version__",
-]

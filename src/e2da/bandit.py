@@ -15,6 +15,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import AgentConfig, read_section, to_json
 from .errors import ConfigError, TrainingFault
 from .rng import substream
 
@@ -90,43 +91,6 @@ def select_action(
         if rng.random() < epsilon:
             return int(rng.integers(n_actions))
     return int(values().argmax())
-
-
-@dataclass(frozen=True)
-class AgentConfig:
-    hidden_sizes: Tuple[int, ...] = (50, 50)
-    learning_rate: float = 1e-3
-    rmsprop_decay: float = 0.99
-    rmsprop_eps: float = 1e-8
-    minibatch_size: int = 64
-    train_steps_per_observation: int = 1
-    buffer_capacity: int = 50_000
-    epsilon0: float = 1.0
-    epsilon_decay: float = 0.995
-    epsilon_min: float = 0.01
-    penalty: float = 1.0
-    init_scale: Optional[float] = None
-    retrain_from_scratch: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
-            raise ConfigError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
-        for f_name in ("learning_rate", "rmsprop_eps"):
-            if not getattr(self, f_name) > 0:
-                raise ConfigError(f"{f_name} must be > 0, got {getattr(self, f_name)}")
-        if not 0.0 < self.rmsprop_decay < 1.0:
-            raise ConfigError(f"rmsprop_decay must be in (0, 1), got {self.rmsprop_decay}")
-        for f_name in ("minibatch_size", "train_steps_per_observation", "buffer_capacity"):
-            if getattr(self, f_name) <= 0:
-                raise ConfigError(f"{f_name} must be > 0, got {getattr(self, f_name)}")
-        for f_name in ("epsilon0", "epsilon_decay", "epsilon_min"):
-            v = getattr(self, f_name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{f_name} must be in [0, 1], got {v}")
-        if not 0 <= self.penalty < math.inf:
-            raise ConfigError(f"penalty must be finite and >= 0, got {self.penalty}")
-        if self.init_scale is not None and self.init_scale <= 0:
-            raise ConfigError(f"init_scale must be > 0, got {self.init_scale}")
 
 
 class MlpModel:
@@ -414,8 +378,6 @@ class E2daAgent:
             self.model.train_step(*batch)
 
     def to_state(self) -> dict:
-        from .config import to_json  # config imports this module
-
         initial = None
         if self._initial_params is not None:
             weights, biases = self.model.layer_views(self._initial_params)
@@ -447,8 +409,6 @@ class E2daAgent:
         missing against config.retrain_from_scratch, raises ConfigError
         whose message starts with its key path in the state; other
         malformed entries raise KeyError, TypeError or ValueError."""
-        from .config import read_section  # config imports this module
-
         config = read_section(AgentConfig, state["config"], "config")
         rp = read_section(RewardParams, state["reward_params"], "reward_params")
         if config.penalty != rp.penalty:

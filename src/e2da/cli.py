@@ -511,7 +511,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     except Exception as exc:  # simulator or training faults
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,10 +15,9 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
-from .bandit import AgentConfig
 from .errors import ConfigError
 from .ioutil import read_json
-from .netsim import ChannelConfig, NodeConfig, check_fair_shares, default_channels
+from .system import ChannelConfig, NodeConfig, check_fair_shares, default_channels
 from .workload import DistributionSpec, WorkloadConfig
 
 MODES = ("dataset", "live")
@@ -43,6 +42,43 @@ class RewardConfig:
                 "calibration_percentile must be in (0, 100], "
                 f"got {self.calibration_percentile}"
             )
+
+
+@dataclass(frozen=True)
+class AgentConfig:
+    hidden_sizes: Tuple[int, ...] = (50, 50)
+    learning_rate: float = 1e-3
+    rmsprop_decay: float = 0.99
+    rmsprop_eps: float = 1e-8
+    minibatch_size: int = 64
+    train_steps_per_observation: int = 1
+    buffer_capacity: int = 50_000
+    epsilon0: float = 1.0
+    epsilon_decay: float = 0.995
+    epsilon_min: float = 0.01
+    penalty: float = 1.0
+    init_scale: Optional[float] = None
+    retrain_from_scratch: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
+            raise ConfigError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
+        for f_name in ("learning_rate", "rmsprop_eps"):
+            if not getattr(self, f_name) > 0:
+                raise ConfigError(f"{f_name} must be > 0, got {getattr(self, f_name)}")
+        if not 0.0 < self.rmsprop_decay < 1.0:
+            raise ConfigError(f"rmsprop_decay must be in (0, 1), got {self.rmsprop_decay}")
+        for f_name in ("minibatch_size", "train_steps_per_observation", "buffer_capacity"):
+            if getattr(self, f_name) <= 0:
+                raise ConfigError(f"{f_name} must be > 0, got {getattr(self, f_name)}")
+        for f_name in ("epsilon0", "epsilon_decay", "epsilon_min"):
+            v = getattr(self, f_name)
+            if not 0.0 <= v <= 1.0:
+                raise ConfigError(f"{f_name} must be in [0, 1], got {v}")
+        if not 0 <= self.penalty < math.inf:
+            raise ConfigError(f"penalty must be finite and >= 0, got {self.penalty}")
+        if self.init_scale is not None and self.init_scale <= 0:
+            raise ConfigError(f"init_scale must be > 0, got {self.init_scale}")
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .ioutil import atomic_open, atomic_write_text, check_utf8, sha256_file
-from .netsim import ChannelConfig, NodeConfig, Simulator, Snapshot, project_outcome
 from .rng import Uniforms, substream
+from .system import ChannelConfig, NodeConfig
 from .workload import Task, WorkloadConfig, arrivals
 
 _INT_COLUMNS = ("record_id", "task_id", "user_id")
@@ -429,6 +429,10 @@ def generate_dataset(
     arrival's task and decision snapshot until exactly n_records are
     collected, then project every logged decision's what-if outcome set at
     once: one project_outcome call per action on a column of decisions."""
+    # imported here, not at the top: train and evaluate load this module
+    # to replay a dataset, and a replay never runs the simulator
+    from .netsim import Simulator, Snapshot, project_outcome
+
     if n_records < 1:
         raise ConfigError(f"n_records must be >= 1, got {n_records}")
     C = node.n_channels

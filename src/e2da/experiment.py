@@ -18,8 +18,8 @@ import io
 import itertools
 import math
 from typing import (
-    Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
-    get_type_hints,
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
+    Tuple, Union, get_type_hints,
 )
 
 import numpy as np
@@ -29,9 +29,12 @@ from .baselines import ORACLES
 from .dataset import Dataset, generate_dataset  # noqa: F401  (the CLI imports both from here)
 from .errors import ConfigError
 from .ioutil import atomic_write_text, fmt
-from .netsim import ChannelConfig, NodeConfig, Simulator, TaskOutcome
 from .rng import Uniforms, substream
+from .system import ChannelConfig, NodeConfig
 from .workload import Task, WorkloadConfig, arrivals, normalize_context
+
+if TYPE_CHECKING:  # for annotations; only _live_rollout loads the simulator
+    from .netsim import Simulator, TaskOutcome
 
 # A frozen policy: choose(users, x, outcomes) -> actions, elementwise over
 # decisions.  A replay episode, or a live episode decided ahead, passes
@@ -409,6 +412,10 @@ def _live_rollout(
     looks up.  Only the workload streams are read early, and nothing else
     draws from them, so no draw changes.
     """
+    # imported here, not at the top: train and evaluate load this module
+    # to replay a dataset, and a replay never runs the simulator
+    from .netsim import Simulator
+
     if n_episodes < 1 or tasks_per_episode < 1:
         return []
     decided = 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from e2da.netsim import ChannelConfig, NodeConfig
+from e2da.system import ChannelConfig, NodeConfig
 from e2da.workload import DistributionSpec, Task
 
 

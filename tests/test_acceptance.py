@@ -11,8 +11,11 @@ changing them invalidates the recorded baselines in the repository notes.
 
 import itertools
 import json
+import multiprocessing
 import os
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,7 +27,8 @@ from conftest import (
     single_user_node,
 )
 from e2da import cli
-from e2da.bandit import AgentConfig, E2daAgent, MlpModel, RewardParams
+from e2da.bandit import E2daAgent, MlpModel, RewardParams
+from e2da.config import AgentConfig
 from e2da.experiment import (
     calibrate_efficiency_scale,
     generate_dataset,
@@ -35,8 +39,9 @@ from e2da.experiment import (
     run_training,
     summarize,
 )
-from e2da.netsim import ChannelConfig, NodeConfig, Simulator, default_channels
+from e2da.netsim import Simulator
 from e2da.rng import substream
+from e2da.system import ChannelConfig, NodeConfig, default_channels
 from e2da.workload import DistributionSpec, Task, WorkloadConfig, arrivals
 
 
@@ -81,34 +86,70 @@ def bench_params(bench_dataset):
     return RewardParams(1.0, calibrate_efficiency_scale(bench_dataset))
 
 
-@pytest.fixture(scope="module")
-def convergence_runs(bench_dataset, bench_params):
-    """Full train/test protocol: per seed, the learner against each oracle."""
+# The four 100,000-step trainings, seeds 1-3 of the protocol and C10's
+# control, are independent and seeded, so they run side by side in worker
+# processes.  Workers are spawned, not forked from a process that may hold
+# BLAS threads, so each gets its data as arguments and returns what the
+# checks read.
+
+
+def protocol_run(dataset, params, seed):
+    """Full train/test protocol for one seed, the learner against each
+    oracle: the mean test-episode reward per policy, the training rows and
+    the run's own wall time."""
     t0 = time.perf_counter()
-    test_rewards = {name: [] for name in ("e2da", "eel", "ee", "r")}
-    train_series = []
-    for seed in BENCH_SEEDS:
-        for name in ("eel", "ee", "r"):
-            rows = run_evaluation(
-                make_policy(name), bench_dataset, BENCH_WORKLOAD, bench_params,
-                100, EPISODE_TASKS, seed=seed,
-            )
-            test_rewards[name].append(float(np.mean([r.reward for r in rows])))
-        agent = E2daAgent.create(AgentConfig(), 4, bench_params, seed)
-        train_rows = run_training(
-            agent, bench_dataset, BENCH_WORKLOAD, 1000, EPISODE_TASKS, seed=seed
+    rewards = {}
+    for name in ("eel", "ee", "r"):
+        rows = run_evaluation(
+            make_policy(name), dataset, BENCH_WORKLOAD, params, 100, EPISODE_TASKS, seed=seed,
         )
-        eval_rows = run_evaluation(
-            make_policy("e2da", [agent]), bench_dataset, BENCH_WORKLOAD,
-            bench_params, 100, EPISODE_TASKS, seed=seed,
-        )
-        test_rewards["e2da"].append(float(np.mean([r.reward for r in eval_rows])))
-        train_series.append(train_rows)
+        rewards[name] = float(np.mean([r.reward for r in rows]))
+    agent = E2daAgent.create(AgentConfig(), 4, params, seed)
+    train_rows = run_training(agent, dataset, BENCH_WORKLOAD, 1000, EPISODE_TASKS, seed=seed)
+    eval_rows = run_evaluation(
+        make_policy("e2da", [agent]), dataset, BENCH_WORKLOAD, params, 100, EPISODE_TASKS,
+        seed=seed,
+    )
+    rewards["e2da"] = float(np.mean([r.reward for r in eval_rows]))
+    return rewards, train_rows, time.perf_counter() - t0
+
+
+def control_run(dataset, params, seed):
+    """Training rows of an agent pinned to always explore."""
+    pinned = AgentConfig(epsilon0=1.0, epsilon_decay=1.0, epsilon_min=1.0)
+    agent = E2daAgent.create(pinned, 4, params, seed)
+    return run_training(agent, dataset, BENCH_WORKLOAD, 1000, EPISODE_TASKS, seed=seed)
+
+
+def strict_worker():
+    """A worker fails on a RuntimeWarning, as the suite does (pyproject.toml)."""
+    warnings.simplefilter("error", RuntimeWarning)
+
+
+@pytest.fixture(scope="module")
+def trainings(bench_dataset, bench_params):
+    """(protocol runs for BENCH_SEEDS in order, control rows at seed 7)."""
+    workers = min(4, os.cpu_count() or 1)
+    args = (bench_dataset, bench_params)
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, spawn, initializer=strict_worker) as pool:
+        runs = [pool.submit(protocol_run, *args, seed) for seed in BENCH_SEEDS]
+        control = pool.submit(control_run, *args, 7)
+        return [run.result() for run in runs], control.result()
+
+
+@pytest.fixture(scope="module")
+def convergence_runs(trainings):
+    """Per-policy test rewards averaged over the seeds, the training series,
+    and the seeds' summed wall time: parallel workers do not shrink it."""
+    runs, _ = trainings
     return {
-        "rewards": {k: float(np.mean(v)) for k, v in test_rewards.items()},
-        "per_seed": test_rewards,
-        "train_series": train_series,
-        "elapsed_s": time.perf_counter() - t0,
+        "rewards": {
+            name: float(np.mean([rewards[name] for rewards, _, _ in runs]))
+            for name in ("e2da", "eel", "ee", "r")
+        },
+        "train_series": [rows for _, rows, _ in runs],
+        "elapsed_s": sum(seconds for _, _, seconds in runs),
     }
 
 
@@ -296,7 +337,7 @@ class TestLearningConvergence:
             f"{m['e2da']:.3f} vs efficiency-per-time oracle {m['eel']:.3f} "
             f"(need >= 0.9x), energy oracle {m['ee']:.3f} and fastest-route "
             f"oracle {m['r']:.3f} (need strictly greater), "
-            f"runtime {elapsed:.0f}s (limit 600s)",
+            f"runtime summed over seeds {elapsed:.0f}s (limit 600s)",
         )
         assert m["e2da"] >= 0.9 * m["eel"]
         assert m["e2da"] > m["ee"]
@@ -453,14 +494,8 @@ class TestCliDeterminism:
 
 
 class TestNoLearningControl:
-    def test_c10_pinned_exploration_has_flat_reward_trend(
-        self, capsys, bench_dataset, bench_params
-    ):
-        pinned = AgentConfig(epsilon0=1.0, epsilon_decay=1.0, epsilon_min=1.0)
-        agent = E2daAgent.create(pinned, 4, bench_params, 7)
-        rows = run_training(
-            agent, bench_dataset, BENCH_WORKLOAD, 1000, EPISODE_TASKS, seed=7
-        )
+    def test_c10_pinned_exploration_has_flat_reward_trend(self, capsys, trainings):
+        _, rows = trainings
         y = np.array([r.reward for r in rows])
         x = np.arange(len(y), dtype=float)
         xc = x - x.mean()

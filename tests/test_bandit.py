@@ -6,7 +6,6 @@ import pytest
 
 from conftest import StubRng, finite_difference_grads, max_rel_err
 from e2da.bandit import (
-    AgentConfig,
     E2daAgent,
     MlpModel,
     ReplayBuffer,
@@ -17,6 +16,7 @@ from e2da.bandit import (
     reward_to_target,
     select_action,
 )
+from e2da.config import AgentConfig
 from e2da.errors import ConfigError, TrainingFault
 from e2da.experiment import make_policy
 from e2da.rng import substream

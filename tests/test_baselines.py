@@ -3,8 +3,8 @@ import pytest
 
 from e2da.baselines import ORACLES, ee_star, eel_star, r_star
 from e2da.experiment import generate_dataset, make_policy
-from e2da.netsim import NodeConfig, default_channels
 from e2da.rng import substream
+from e2da.system import NodeConfig, default_channels
 from e2da.workload import WorkloadConfig
 
 

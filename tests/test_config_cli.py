@@ -596,6 +596,14 @@ class TestMalformedConfigSweep:
                     assert enclosing in str(exc), (keys, value, str(exc))
 
 
+def run_python(args):
+    """A fresh interpreter run with `args`, the package under test on its path."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 def write_config(tmp_path, name, **sections):
     cfg = json.loads(json.dumps(SMALL_CONFIG))
     for section, values in sections.items():
@@ -1143,19 +1151,17 @@ class TestDatasetModeDigests:
 
     def test_calibrating_evaluate_never_imports_numpy_ma(self, tmp_path, trained):
         """np.percentile imports numpy.ma on first use; the calibration's
-        own percentile does not, so a calibrating command never loads it."""
+        own percentile does not, so a calibrating command never loads it.
+        A replay never loads the simulator either."""
         _, dataset, _ = trained
         config = write_config(tmp_path, "calibrated.json",
                               reward={"efficiency_scale_bits_per_j_s": None})
         argv = ["evaluate", "--agent", "eel", "--config", config, "--out",
                 str(tmp_path / "out"), "--dataset", dataset]
         probe = ("import sys; from e2da import cli; rc = cli.main(sys.argv[1:]); "
-                 "print(rc, 'numpy.ma' in sys.modules)")
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=package_root)
-        done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.stdout.split()[-2:] == ["0", "False"], done.stderr
+                 "print(rc, 'numpy.ma' in sys.modules, 'e2da.netsim' in sys.modules)")
+        done = run_python(["-c", probe, *argv])
+        assert done.stdout.split()[-3:] == ["0", "False", "False"], done.stderr
         assert read_json(os.path.join(str(tmp_path / "out"), "manifest.json"))[
             "scale_origin"] == "dataset_percentile"
 
@@ -1167,6 +1173,49 @@ class TestDatasetModeDigests:
         assert hashlib.sha256(part.to_csv_text().encode()).hexdigest() == (
             "7f08033aa576d9b24afe1a201305d51b9f15cfc0f6173bf4d9724de0e81ea69c"
         )
+
+
+class TestProcessEntry:
+    """`python -m e2da` and the console script run cli.main in one entry,
+    which freezes the collector before exit.  The probes run a fresh
+    interpreter, whose modules no earlier test has loaded."""
+
+    def test_importing_the_package_loads_no_module(self):
+        probe = "import sys, e2da; print(sorted(m for m in sys.modules if m.startswith('e2da.')))"
+        done = run_python(["-c", probe])
+        assert done.returncode == 0 and done.stdout.split() == ["[]"], done.stderr
+
+    def test_version_exits_0(self):
+        from e2da import __version__
+
+        done = run_python(["-m", "e2da", "--version"])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["e2da", __version__]
+
+    def test_malformed_config_exits_2_naming_the_file(self, tmp_path):
+        config = write_config(tmp_path, "bad.json", run={"n_records": "many"})
+        done = run_python(["-m", "e2da", "evaluate", "--agent", "eel", "--config", config,
+                           "--out", str(tmp_path / "out")])
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"error: {config}: run.n_records"), done.stderr
+
+    def test_dataset_train_loads_no_simulator_and_freezes_nothing(self, tmp_path, trained):
+        config, dataset, _ = trained
+        argv = ["train", "--config", config, "--out", str(tmp_path / "out"), "--dataset", dataset]
+        probe = ("import gc, sys; from e2da import cli; rc = cli.main(sys.argv[1:]); "
+                 "print(rc, 'e2da.netsim' in sys.modules, gc.get_freeze_count())")
+        done = run_python(["-c", probe, *argv])
+        assert done.stdout.split()[-3:] == ["0", "False", "0"], done.stderr
+
+    def test_entry_freezes_the_collector_after_main(self, monkeypatch):
+        from e2da import __main__ as entry
+
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+        monkeypatch.setattr(entry.gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exc:
+            entry.run()
+        assert exc.value.code == 3 and calls == ["main", "freeze"]
 
 
 class TestLiveModeDigests:

@@ -10,7 +10,8 @@ from conftest import MUTATIONS, mutated, mutation_columns
 from e2da import dataset as dataset_module
 from e2da import workload as workload_module
 from e2da import experiment, ioutil
-from e2da.bandit import AgentConfig, E2daAgent, RewardParams, compute_reward
+from e2da.bandit import E2daAgent, RewardParams, compute_reward
+from e2da.config import AgentConfig
 from e2da.errors import ConfigError
 from e2da.experiment import (
     Dataset,
@@ -36,8 +37,9 @@ from e2da.experiment import (
 from e2da.baselines import r_star
 from e2da.dataset import column_path, load_dataset, save_dataset
 from e2da.ioutil import fmt, sha256_file
-from e2da.netsim import NodeConfig, Simulator, default_channels
+from e2da.netsim import Simulator
 from e2da.rng import substream
+from e2da.system import NodeConfig, default_channels
 from e2da.workload import WorkloadConfig, arrivals, normalize_context, task_stream
 
 

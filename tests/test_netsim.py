@@ -6,20 +6,17 @@ import pytest
 
 from conftest import StubRng, fixed_gain_channel, make_task, single_user_node
 from e2da.errors import ConfigError, SimulationError
-from e2da.netsim import (
+from e2da.netsim import Simulator, Snapshot, TaskOutcome, project_outcome
+from e2da.rng import Uniforms, substream
+from e2da.system import (
     ChannelConfig,
     NodeConfig,
-    Simulator,
-    Snapshot,
-    TaskOutcome,
     cpu_energy,
     default_channels,
     exec_time,
     fair_share_rate,
-    project_outcome,
     radio_energy,
 )
-from e2da.rng import Uniforms, substream
 from e2da.workload import DistributionSpec, Task, WorkloadConfig, arrivals
 
 

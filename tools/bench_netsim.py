@@ -4,9 +4,9 @@ Times the event loop (microseconds per popped event, and events per
 completed task) and the decision view (microseconds per
 Simulator.projections call, and per decision of a column projection) on
 live random-policy streams at K = 5, 50 and 500 users, and one whole live
-decision (live_e2da_us, live_eel_us, live_random_us) and one streamed task
-(task_stream_us) at K = 50.  The results go to a JSON file with the
-machine, the Python, numpy and BLAS versions and the repeat count.
+decision (live_e2da_us, live_eel_us, live_random_us) and one task drawn from
+the arrival feed (arrivals_us) at K = 50.  The results go to a JSON file
+with the machine, the Python, numpy and BLAS versions and the repeat count.
 
 Run from the root of a checkout, with the package to measure on the path:
 
@@ -33,9 +33,10 @@ loop.  live_e2da_us is run_live_evaluation with an untrained e2da agent
 (one batched greedy forward per episode, decided ahead of arrival),
 live_eel_us with the eel oracle (one Simulator.projections call and its
 ranking per decision) and live_random_us with the random policy, each per
-decision over --tasks decisions in episodes of 100; task_stream_us is
-the time per task to seed the 50 per-user task streams and draw --tasks
-tasks from them.
+decision over --tasks decisions in episodes of 100; arrivals_us is the
+time per task to seed workload.arrivals, the one feed that merges the 50
+users' task streams in arrival order as a live run reads them, and draw as
+many tasks from it as the live runs decide.
 
 Timings are reported as the minimum and median over --repeats rounds.
 """
@@ -54,11 +55,13 @@ from operator import attrgetter
 import numpy as np
 
 from bench_dataset import ROOT, machine, summary
-from e2da.bandit import AgentConfig, E2daAgent, RewardParams
+from e2da.bandit import E2daAgent, RewardParams
+from e2da.config import AgentConfig
 from e2da.experiment import run_live_evaluation
-from e2da.netsim import NodeConfig, Simulator, Snapshot, default_channels, project_outcome
+from e2da.netsim import Simulator, Snapshot, project_outcome
 from e2da.rng import substream
-from e2da.workload import Task, WorkloadConfig, task_stream
+from e2da.system import NodeConfig, default_channels
+from e2da.workload import Task, WorkloadConfig, arrivals, task_stream
 
 USERS = (5, 50, 500)
 RATE_PER_USER = 4.0
@@ -149,8 +152,7 @@ def measure_live(n_tasks: int, repeats: int) -> dict:
     agent = E2daAgent.create(AgentConfig(), node.n_channels + 1, params, SEED)
     n_episodes = max(1, n_tasks // TASKS_PER_EPISODE)
     decisions = n_episodes * TASKS_PER_EPISODE
-    per_user = max(1, n_tasks // LIVE_USERS)
-    runs = {"live_e2da_us": [], "live_eel_us": [], "live_random_us": [], "task_stream_us": []}
+    runs = {"live_e2da_us": [], "live_eel_us": [], "live_random_us": [], "arrivals_us": []}
     for _ in range(repeats):
         for name in ("e2da", "eel", "random"):
             t0 = time.perf_counter()
@@ -158,10 +160,9 @@ def measure_live(n_tasks: int, repeats: int) -> dict:
                                 TASKS_PER_EPISODE, SEED, [agent])
             runs[f"live_{name}_us"].append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        for user in range(LIVE_USERS):
-            for _task in itertools.islice(task_stream(workload, SEED, user, LIVE_USERS), per_user):
-                pass
-        runs["task_stream_us"].append(time.perf_counter() - t0)
+        for _task in itertools.islice(arrivals(workload, SEED, LIVE_USERS), decisions):
+            pass
+        runs["arrivals_us"].append(time.perf_counter() - t0)
     return {
         "users": LIVE_USERS,
         "arrival_rate_per_s": LIVE_RATE_PER_USER,
@@ -169,7 +170,7 @@ def measure_live(n_tasks: int, repeats: int) -> dict:
         "live_e2da_us": summary(runs["live_e2da_us"], 1e6 / decisions),
         "live_eel_us": summary(runs["live_eel_us"], 1e6 / decisions),
         "live_random_us": summary(runs["live_random_us"], 1e6 / decisions),
-        "task_stream_us": summary(runs["task_stream_us"], 1e6 / (per_user * LIVE_USERS)),
+        "arrivals_us": summary(runs["arrivals_us"], 1e6 / decisions),
     }
 
 
@@ -200,7 +201,7 @@ def main(argv=None) -> int:
         f"live k{live['users']}: {live['live_e2da_us']['median']:.2f} us/decision e2da, "
         f"{live['live_eel_us']['median']:.2f} us/decision eel, "
         f"{live['live_random_us']['median']:.2f} us/decision random, "
-        f"{live['task_stream_us']['median']:.2f} us/task from the streams",
+        f"{live['arrivals_us']['median']:.2f} us/task from the arrival feed",
         file=sys.stderr,
     )
     with open(args.out, "w", encoding="utf-8") as fh:
