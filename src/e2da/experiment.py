@@ -3,12 +3,14 @@
 Replay rollouts sample records of a logged dataset (see dataset.py)
 uniformly, so every action's consequence is known without re-simulating;
 live rollouts instead submit the workload's first arrivals as real tasks
-and book each decision when its completion event fires.  A live frozen
-e2da, which reads only the task, decides each episode's tasks ahead of
-arrival, one batched forward per episode.  Both take a frozen policy or a
-learning agent and turn each episode's sums into one metric row: a live
-rollout adds each outcome as its feedback arrives, a replay books each
-episode whole.
+and book each decision when its completion event fires.  A live run reads
+its tasks an episode at a time and scales each episode's contexts
+together.  A frozen e2da or random reads only the task, so it decides the
+whole episode there, as a replay does; only the learner and the oracles,
+which read the system state, decide at each arrival.  Both rollouts take
+a frozen policy or a learning agent and turn each episode's sums into one
+metric row: a live rollout adds each outcome as its feedback arrives, a
+replay books each episode whole.
 """
 
 from __future__ import annotations
@@ -31,15 +33,15 @@ from .errors import ConfigError
 from .ioutil import atomic_write_text, fmt
 from .rng import Uniforms, substream
 from .system import ChannelConfig, NodeConfig
-from .workload import Task, WorkloadConfig, arrivals, normalize_context
+from .workload import Task, WorkloadConfig, _features_of, arrivals, normalize_context
 
 if TYPE_CHECKING:  # for annotations; only _live_rollout loads the simulator
     from .netsim import Simulator, TaskOutcome
 
 # A frozen policy: choose(users, x, outcomes) -> actions, elementwise over
 # decisions.  A replay episode, or a live episode decided ahead, passes
-# (k,) users and (k, 3) scaled contexts; any other live decision passes
-# its int user and 1-d context.  outcomes() returns the decisions' what-if
+# (k,) users and (k, 3) scaled contexts; a live oracle decision passes its
+# int user and 1-d context.  outcomes() returns the decisions' what-if
 # (size, T, E), actions on the last axis.
 Policy = Callable[[Any, np.ndarray, Callable[[], tuple]], Any]
 
@@ -108,20 +110,6 @@ def read_metrics(path: str) -> List[MetricsRow]:
         reader = csv.reader(fh)
         next(reader)
         return [MetricsRow._make(t(v) for t, v in zip(types, row)) for row in reader]
-
-
-def moving_average(values: Sequence[float], window: int) -> np.ndarray:
-    """Trailing mean over min(window, i + 1) points; output length matches."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    arr = np.asarray(values, dtype=np.float64)
-    out = np.empty_like(arr)
-    csum = np.cumsum(arr)
-    for i in range(len(arr)):
-        lo = max(0, i - window + 1)
-        span = csum[i] - (csum[lo - 1] if lo > 0 else 0.0)
-        out[i] = span / (i - lo + 1)
-    return out
 
 
 def summarize(
@@ -249,8 +237,7 @@ def _replay(
     if tasks_per_episode < 1:
         return []  # nothing is decided, so no episode is booked
     outcomes = dataset.outcome_columns()
-    features = (dataset.size_bits, dataset.intensity_cpb, dataset.deadline_s)
-    contexts = normalize_context(np.column_stack(features), workload.context_scale())
+    contexts = normalize_context(np.column_stack(_features_of(dataset)), workload.context_scale())
     rewards = compute_reward(*outcomes, dataset.met_deadline, reward_params)
     users, met = dataset.user_id, dataset.met_deadline
     energy, response = dataset.e_total_j, dataset.total_s
@@ -396,64 +383,59 @@ def _live_rollout(
     tasks_per_episode tasks of the workload's arrivals, which no decision
     changes.
 
-    Tasks are decided at arrival and booked in completion order against
-    the episode they were submitted in (feedback is delayed, as in the real
-    system), where a learning agent also observes the reward.  A frozen
-    policy is asked once per decision, with the task's user and scaled
-    context; its outcomes() projects the task's what-if (size, T, E) from
-    the current snapshot.  on_outcome, when given, sees each outcome after
-    it is booked; no outcome is kept.  A run of no decisions books no
-    episode, as a replay does.
+    The feed is read one block of tasks_per_episode arrivals at a time.
+    Before a block's first task arrives, the block's contexts are scaled in
+    one call, its episode's book opens, and each task's context and episode
+    are recorded.  Only the workload streams are read early, and nothing
+    else draws from them, so no draw changes.  A run of no decisions reads
+    no block and books no episode, as a replay does.
 
-    ahead says that the frozen policy reads nothing but the task, as the
-    learned one does.  Each episode's tasks are then decided before the
-    first of them arrives: scaled together and passed to the policy as
-    arrays, once per episode as in a replay, whose actions the arrival hook
-    looks up.  Only the workload streams are read early, and nothing else
-    draws from them, so no draw changes.
+    ahead says that the frozen policy reads nothing but the task: it is
+    then asked once per block, with the block's users and contexts as
+    arrays, as in a replay.  Otherwise the arrival hook decides: a
+    learning agent acts on the task's context, and a frozen policy (an
+    oracle) is asked with the task's user and context, its outcomes()
+    projecting the task's what-if (size, T, E) from the current snapshot.
+    Each decision is booked in completion order against its episode
+    (feedback is delayed, as in the real system), where a learning agent
+    also observes the reward.  on_outcome, when given, sees each outcome
+    after it is booked; no outcome is kept.
     """
     # imported here, not at the top: train and evaluate load this module
     # to replay a dataset, and a replay never runs the simulator
     from .netsim import Simulator
 
-    if n_episodes < 1 or tasks_per_episode < 1:
-        return []
-    decided = 0
     scale = workload.context_scale()
     learner = decider if isinstance(decider, E2daAgent) else None
-    early: Dict[int, int] = {}  # task -> action, decided ahead
-    # task -> (x, action, episode); x is for a learner to observe
-    pending: Dict[int, Tuple[Optional[np.ndarray], int, int]] = {}
+    # task -> [x, action, episode]; the hook fills in an action not decided
+    # ahead, and x is for a learner to observe
+    pending: Dict[int, list] = {}
     books: Dict[int, list] = {}  # episode -> [reward, met, energy, response, n]
 
-    def decide_ahead(feed: Iterator[Task]) -> Iterator[Task]:
-        for block in iter(lambda: list(itertools.islice(feed, tasks_per_episode)), []):
-            users = np.array([t.user_id for t in block])
-            x = np.array([(t.size_bits, t.intensity_cpb, t.deadline_s) for t in block])
-            actions = decider(users, normalize_context(x, scale), None).tolist()
-            early.update(zip([t.task_id for t in block], actions))
+    def by_episode(feed: Iterator[Task]) -> Iterator[Task]:
+        blocks = iter(lambda: list(itertools.islice(feed, tasks_per_episode)), [])
+        for episode, block in enumerate(blocks, start_episode):
+            x = normalize_context(np.array([_features_of(t) for t in block]), scale)
+            actions = itertools.repeat(None)
+            if ahead:
+                actions = decider(np.array([t.user_id for t in block]), x, None).tolist()
+            pending.update((t.task_id, [row, a, episode]) for t, row, a in zip(block, x, actions))
+            books[episode] = [0.0, 0, 0.0, 0.0, 0]
             yield from block
 
     def hook(sim: Simulator, task: Task) -> int:
-        nonlocal decided
-        episode = start_episode + decided // tasks_per_episode
-        decided += 1
-        if ahead:
-            x, action = None, early.pop(task.task_id)
-        else:
-            x = normalize_context((task.size_bits, task.intensity_cpb, task.deadline_s), scale)
+        decision = pending[task.task_id]
+        if decision[1] is None:
+            x, _, episode = decision
             if learner is not None:
-                action = learner.act(x, learner.epsilon(episode))
+                decision[1] = learner.act(x, learner.epsilon(episode))
             else:
-                action = int(decider(task.user_id, x, lambda: _projected(sim, task)))
-        pending[task.task_id] = (x, action, episode)
-        if episode not in books:
-            books[episode] = [0.0, 0, 0.0, 0.0, 0]
-        return action
+                decision[1] = int(decider(task.user_id, x, lambda: _projected(sim, task)))
+        return decision[1]
 
     sim = Simulator(node, channels, Uniforms(substream(seed, "gains")), policy=hook)
     feed = itertools.islice(arrivals(workload, seed, node.n_users), n_episodes * tasks_per_episode)
-    sim.add_arrivals(decide_ahead(feed) if ahead else feed)
+    sim.add_arrivals(by_episode(feed))
     while sim.has_events:
         out = sim.advance()
         if out is not None:
@@ -505,14 +487,14 @@ def run_live_evaluation(
     phase: str = "test",
 ) -> List[MetricsRow]:
     """Live-mode frozen-policy rollout; an oracle ranks each task's
-    projections from the system snapshot at its decision, and random draws
-    in decision order.  The learned policy reads only the task, so its
-    tasks are decided ahead of arrival, an episode at a time (see
-    _live_rollout)."""
+    projections from the system snapshot at its decision.  The learned
+    policy and random read only the task, so their tasks are decided ahead
+    of arrival, an episode at a time (see _live_rollout); random's one
+    vector draw per episode equals a scalar draw per decision."""
     choose = make_policy(name, agents, substream(seed, "logging-policy"), node.n_channels + 1)
     return _live_rollout(
         choose, reward_params, node, channels, workload, seed, n_episodes, tasks_per_episode,
-        phase=phase, ahead=name == "e2da",
+        phase=phase, ahead=name not in ORACLES,
     )
 
 
@@ -524,8 +506,9 @@ def calibrate_efficiency_scale_live(
     percentile: float = 99.0,
 ) -> float:
     """Live-mode analogue of the dataset calibration: a 2,000-task
-    random-policy run whose realized efficiencies set the normalizer.  Its
-    rewards are booked against a unit scale and discarded."""
+    random-policy run whose realized efficiencies set the normalizer,
+    decided ahead in 100-task blocks.  Its rewards are booked against a
+    unit scale and discarded."""
     rng = substream(seed, "calibration-actions")
     choose = make_policy("random", rng=rng, n_actions=node.n_channels + 1)
     effs: List[float] = []
@@ -534,7 +517,7 @@ def calibrate_efficiency_scale_live(
         effs.append(efficiency(out.size_bits, out.total_s, out.e_total_j))
 
     _live_rollout(
-        choose, RewardParams(), node, channels, workload, seed, 1, 2000,
-        on_outcome=keep_efficiency,
+        choose, RewardParams(), node, channels, workload, seed, 20, 100,
+        on_outcome=keep_efficiency, ahead=True,
     )
     return linear_percentile(effs, percentile)

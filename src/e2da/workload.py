@@ -20,6 +20,8 @@ from .rng import Uniforms, substream
 
 _SMALLEST_POSITIVE = 5e-324  # np.nextafter(0, 1); guards log(0)
 _FEATURES = ("size_bits", "intensity_cpb", "deadline_s")  # context order
+# a Task's raw features, or a Dataset's feature columns, in context order
+_features_of = attrgetter(*_FEATURES)
 
 
 @dataclass(frozen=True)
@@ -206,16 +208,9 @@ def normalize_context(features, scale) -> np.ndarray:
     """Min-max scale (size, intensity, deadline) to [0, 1], clamping
     features that fall outside the bounds; scale is the (lo, span) pair
     WorkloadConfig.context_scale() gives.  features holds the three raw
-    features on its last axis: one task's, or one row per task.  A tuple
-    of one task's floats is scaled in Python floats, with the same
-    arithmetic and clip's handling of -0.0 and NaN (both kept)."""
+    features on its last axis: one task's, or one row per task, as a
+    replay scales its dataset and a live run each episode's tasks."""
     lo, span = scale
-    if type(features) is tuple:
-        x = []
-        for f, a, s in zip(features, lo.tolist(), span.tolist()):
-            v = (f - a) / s
-            x.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
-        return np.array(x)
     x = np.subtract(features, lo)
     x /= span
     return x.clip(0.0, 1.0, out=x)

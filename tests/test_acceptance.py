@@ -33,7 +33,6 @@ from e2da.experiment import (
     calibrate_efficiency_scale,
     generate_dataset,
     make_policy,
-    moving_average,
     run_evaluation,
     run_live_evaluation,
     run_training,
@@ -43,6 +42,17 @@ from e2da.netsim import Simulator
 from e2da.rng import substream
 from e2da.system import ChannelConfig, NodeConfig, default_channels
 from e2da.workload import DistributionSpec, Task, WorkloadConfig, arrivals
+
+
+def trailing_mean(values, window):
+    """At each i, the mean of values[max(0, i - window + 1): i + 1], taken
+    from one cumulative sum."""
+    csum = np.cumsum(np.asarray(values, dtype=np.float64))
+    out = []
+    for i in range(len(csum)):
+        lo = max(0, i - window + 1)
+        out.append((csum[i] - (csum[lo - 1] if lo > 0 else 0.0)) / (i - lo + 1))
+    return np.array(out)
 
 
 def report(capsys, tag, ok, detail):
@@ -349,7 +359,7 @@ class TestDeadlineTrend:
     def test_c6_smoothed_deadline_fraction_improves(self, capsys, convergence_runs):
         firsts, lasts = [], []
         for rows in convergence_runs["train_series"]:
-            sm = moving_average([r.deadline_frac for r in rows], 20)
+            sm = trailing_mean([r.deadline_frac for r in rows], 20)
             firsts.append(float(np.mean(sm[:100])))
             lasts.append(float(np.mean(sm[-100:])))
         first, last = float(np.mean(firsts)), float(np.mean(lasts))

@@ -10,7 +10,7 @@ from conftest import MUTATIONS, mutated, mutation_columns
 from e2da import dataset as dataset_module
 from e2da import workload as workload_module
 from e2da import experiment, ioutil
-from e2da.bandit import E2daAgent, RewardParams, compute_reward
+from e2da.bandit import E2daAgent, RewardParams, compute_reward, efficiency
 from e2da.config import AgentConfig
 from e2da.errors import ConfigError
 from e2da.experiment import (
@@ -23,7 +23,6 @@ from e2da.experiment import (
     linear_percentile,
     make_policy,
     metrics_to_csv_text,
-    moving_average,
     read_metrics,
     run_evaluation,
     run_live_evaluation,
@@ -522,22 +521,27 @@ class TestCalibration:
         )
         assert a == b and a > 0.0
 
-
-class TestMovingAverage:
-    def test_matches_naive_loop(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        got = moving_average(values, 2)
-        assert got.tolist() == [1.0, 1.5, 2.5, 3.5]
-        rng = substream(3, "ma")
-        vals = rng.random(50)
-        for w in (1, 7, 50, 80):
-            got = moving_average(vals, w)
-            want = [np.mean(vals[max(0, i - w + 1): i + 1]) for i in range(50)]
-            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            moving_average([1.0], 0)
+    @pytest.mark.parametrize("percentile", [99.0, 50.0])
+    def test_live_calibration_matches_a_hand_driven_random_run(self, small_node, percentile):
+        """The live calibration is the percentile of the realized
+        efficiencies of the first 2,000 arrivals, each sent where one scalar
+        draw from the calibration stream says."""
+        wl, seed = WorkloadConfig(), 9
+        rng = substream(seed, "calibration-actions")
+        policy = lambda sim, task: int(rng.integers(small_node.n_channels + 1))  # noqa: E731
+        sim = Simulator(small_node, default_channels(), substream(seed, "gains"), policy=policy)
+        sim.add_arrivals(itertools.islice(arrivals(wl, seed, small_node.n_users), 2000))
+        effs = []
+        while sim.has_events:
+            out = sim.advance()
+            if out is not None:
+                effs.append(efficiency(out.size_bits, out.total_s, out.e_total_j))
+        assert len(effs) == 2000
+        want = linear_percentile(effs, percentile)
+        got = calibrate_efficiency_scale_live(
+            small_node, default_channels(), wl, seed, percentile=percentile
+        )
+        assert got == want
 
 
 class TestSummarize:
@@ -832,10 +836,12 @@ class TestLiveRuns:
 
 class TestFrozenPolicyCallContract:
     """A replay asks a frozen policy once per episode with the episode's
-    rows.  A live rollout asks an oracle or random once per decision with
-    scalars, so such a decision pays for no one-row arrays, and decides
-    the learned policy ahead of arrival: one batched forward per episode,
-    as a replay asks, never one per decision."""
+    rows.  A live rollout scales each episode's contexts in one call and
+    decides the learned policy and random ahead of arrival, once per
+    episode as a replay asks: one batched forward or one vector draw,
+    never one per decision.  Only an oracle, which reads the system state,
+    is asked once per decision, with the task's int user and its row of
+    the episode's contexts."""
 
     def test_replay_asks_once_per_episode_with_the_gathered_rows(self, small_dataset):
         ds, wl, calls = small_dataset, WorkloadConfig(), []
@@ -904,6 +910,42 @@ class TestFrozenPolicyCallContract:
         assert shapes == [(20, 3)] * 3  # no one-row forward
         # the feed holds one drawn task per user past the run's 60
         assert drawn[0] == 60 + small_node.n_users - 1
+
+    def test_live_random_is_asked_once_per_episode(self, small_node, monkeypatch):
+        """Random reads only the task, so a live run decides each episode
+        ahead with one vector draw; TestLiveBookingReference pins that the
+        rows are those of one scalar draw per decision."""
+        wl, shapes, real = WorkloadConfig(), [], experiment.make_policy
+
+        def spying(*args):
+            choose = real(*args)
+
+            def spy(users, x, outcomes):
+                shapes.append((np.shape(users), np.shape(x)))
+                return choose(users, x, outcomes)
+
+            return spy
+
+        monkeypatch.setattr(experiment, "make_policy", spying)
+        rows = run_live_evaluation("random", small_node, default_channels(), wl,
+                                   RewardParams(1.0, 1e6), 3, 20, seed=23)
+        assert len(rows) == 3 and shapes == [((20,), (20, 3))] * 3
+
+    @pytest.mark.parametrize("name", ["eel", "random", "e2da", "learner"])
+    def test_live_scales_each_episode_in_one_call(self, small_node, monkeypatch, name):
+        wl, calls, real = WorkloadConfig(), [], experiment.normalize_context
+
+        def spy(features, scale):
+            calls.append(np.shape(features))
+            return real(features, scale)
+
+        monkeypatch.setattr(experiment, "normalize_context", spy)
+        if name == "learner":
+            run_live_training(fresh_agent(51), small_node, default_channels(), wl, 3, 20, seed=23)
+        else:
+            run_live_evaluation(name, small_node, default_channels(), wl, RewardParams(1.0, 1e6),
+                                3, 20, seed=23, agents=[fresh_agent(51)])
+        assert calls == [(20, 3)] * 3
 
 
 def acting(agents):

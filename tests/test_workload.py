@@ -256,20 +256,6 @@ class TestContextScaling:
         wild = make_task(size_bits=1e9, intensity_cpb=1.0, deadline_s=100.0)
         assert normalize_context(features(wild), scale).tolist() == [1.0, 0.0, 1.0]
 
-    def test_one_task_tuple_keeps_the_array_path_bits(self):
-        """The tuple path keeps what clip does with -0.0 and NaN: both stay,
-        sign and payload included, while a negative value clamps to +0.0."""
-        scale = (np.array([0.0, 10.0, 0.01]), np.array([10.0, 990.0, 0.008]))
-        specials = [-0.0, 0.0, -1e-300, float("nan"), -float("nan"), float("inf"),
-                    -float("inf"), 5e-324, 10.0, 10.000000000000002, 1000.0, 0.018, 3.0]
-        rng = substream(6, "specials")
-        for _ in range(500):
-            f = tuple(specials[i] for i in rng.integers(0, len(specials), 3))
-            got = normalize_context(f, scale)
-            want = normalize_context(np.array(f), scale)
-            assert got.dtype == want.dtype and got.shape == want.shape == (3,)
-            assert got.tobytes() == want.tobytes(), f
-
     def test_rows_scale_like_single_tasks(self):
         cfg = WorkloadConfig()
         rng = substream(4, "contexts")

@@ -32,7 +32,8 @@ it: task streams, gains, context scaling, the policy, submit and the event
 loop.  live_e2da_us is run_live_evaluation with an untrained e2da agent
 (one batched greedy forward per episode, decided ahead of arrival),
 live_eel_us with the eel oracle (one Simulator.projections call and its
-ranking per decision) and live_random_us with the random policy, each per
+ranking per decision) and live_random_us with the random policy (one
+vector draw per episode, decided ahead of arrival), each timed per
 decision over --tasks decisions in episodes of 100; arrivals_us is the
 time per task to seed workload.arrivals, the one feed that merges the 50
 users' task streams in arrival order as a live run reads them, and draw as
