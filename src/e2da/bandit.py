@@ -396,19 +396,25 @@ class E2daAgent:
         cls,
         state: dict,
         n_actions: int,
-        explore_rng: np.random.Generator,
-        minibatch_rng: np.random.Generator,
+        master_seed: int,
+        stream_salt: Tuple = (),
     ) -> "E2daAgent":
         """Agent with n_actions outputs saved by to_state, built from the
-        state's config.  The config and reward sections are read like a
-        run config's agent section, and each dataclass checks its own
-        constants when built.  A mistyped, unknown or out-of-range config
-        or reward constant, two differing miss penalties, model
-        hyperparameters other than the config implies, a malformed model
-        or initial parameter array, or initial parameters present or
-        missing against config.retrain_from_scratch, raises ConfigError
-        whose message starts with its key path in the state; other
-        malformed entries raise KeyError, TypeError or ValueError."""
+        state's config, with fresh explore and minibatch substreams salted
+        as create salts them and also with the state's episode count, so a
+        resumed run does not replay the original run's draws.  The config
+        and reward sections are read like a run config's agent section,
+        and each dataclass checks its own constants when built.  An
+        episode count that is not a count, a mistyped, unknown or
+        out-of-range config or reward constant, two differing miss
+        penalties, model hyperparameters other than the config implies, a
+        malformed model or initial parameter array, or initial parameters
+        present or missing against config.retrain_from_scratch, raises
+        ConfigError whose message starts with its key path in the state;
+        other malformed entries raise KeyError, TypeError or ValueError."""
+        ep = state.get("episodes_trained")
+        if not isinstance(ep, int) or isinstance(ep, bool) or ep < 0:
+            raise ConfigError(f"episodes_trained must be a count, got {ep!r}")
         config = read_section(AgentConfig, state["config"], "config")
         rp = read_section(RewardParams, state["reward_params"], "reward_params")
         if config.penalty != rp.penalty:
@@ -416,7 +422,11 @@ class E2daAgent:
                 f"config.penalty {config.penalty!r} differs from reward_params.penalty "
                 f"{rp.penalty!r}; the learner's targets and the scores must share one penalty"
             )
-        agent = cls(config, n_actions, rp, None, explore_rng, minibatch_rng)
+        agent = cls(
+            config, n_actions, rp, None,
+            explore_rng=substream(master_seed, "explore", ep, *stream_salt),
+            minibatch_rng=substream(master_seed, "minibatch", ep, *stream_salt),
+        )
         model, saved = agent.model, state["model"]
         for name, implied in model.hyperparameters().items():
             if saved[name] != implied:
@@ -424,7 +434,7 @@ class E2daAgent:
                     f"model.{name} is {saved[name]!r}, but the config implies {implied!r}"
                 )
         model.load_arrays(saved)
-        agent.episodes_trained = int(state["episodes_trained"])
+        agent.episodes_trained = ep
         initial = state.get("initial_params")
         anchor = None if initial is None else np.zeros_like(model.params)
         if anchor is not None:  # loaded before the check, so a bad entry names its key

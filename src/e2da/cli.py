@@ -32,9 +32,9 @@ from .config import (
     MODES,
     SWEEP_AXES,
     ExperimentConfig,
-    config_to_dict,
     load_config,
     read_value,
+    to_json,
     with_sweep_value,
 )
 from .dataset import column_path, load_dataset, save_dataset
@@ -94,7 +94,7 @@ def _write_manifest(
         # the pinned output digests hold for one numpy; a mismatch names its own
         "numpy_version": np.__version__,
         "seed": seed,
-        "config": config_to_dict(cfg),
+        "config": to_json(cfg),
         "outputs": {name: sha256_file(os.path.join(out_dir, name)) for name in outputs},
         **extra,
     }
@@ -192,11 +192,11 @@ def _read_checkpoint(
         return ConfigError(f"{path}: {key_path} {why}")
 
     per_user = cfg.run.agent_scope == "per_user"
-    fmt, key = _CHECKPOINT[per_user]
+    kind, key = _CHECKPOINT[per_user]
     found = payload.get("format") if isinstance(payload, dict) else None
-    if found != fmt:
+    if found != kind:
         scope = cfg.run.agent_scope
-        raise invalid("format", f"is {found!r}; run.agent_scope {scope!r} needs {fmt!r}")
+        raise invalid("format", f"is {found!r}; run.agent_scope {scope!r} needs {kind!r}")
     n_actions = cfg.system.n_channels + 1
     if payload.get("n_actions") != n_actions:
         found = payload.get("n_actions")
@@ -211,23 +211,17 @@ def _read_checkpoint(
         where = f"agents[{u}]" if per_user else "agent"
         if not isinstance(state, dict):
             raise invalid(where, f"must be an agent state object, got {state!r}")
-        ep = state.get("episodes_trained")
-        if not isinstance(ep, int) or isinstance(ep, bool) or ep < 0:
-            raise invalid(f"{where}.episodes_trained", f"must be a count, got {ep!r}")
-        # Salt the fresh action/minibatch streams with the episode count so a
-        # resumed run does not replay the original run's draws from the start.
         try:
-            agent = E2daAgent.from_state(
-                state,
-                n_actions,
-                explore_rng=substream(seed, "explore", ep, *salt),
-                minibatch_rng=substream(seed, "minibatch", ep, *salt),
-            )
+            agents.append(E2daAgent.from_state(state, n_actions, seed, salt))
         except ConfigError as exc:  # the message starts with a key path inside the state
             raise ConfigError(f"{path}: {where}.{exc}") from exc
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise invalid(where, f"is not a valid agent state ({exc!r})") from exc
-        agents.append(agent)
+    # a set's agents train together, so one count numbers a resumed run's episodes
+    counts = [agent.episodes_trained for agent in agents]
+    for u, ep in enumerate(counts):
+        if ep != counts[0]:
+            raise invalid(f"agents[{u}].episodes_trained", f"is {ep}, agents[0]'s is {counts[0]}")
     try:  # the message starts with a key path in context_bounds
         hint = Tuple[Tuple[float, float], ...]
         bounds = read_value(payload.get("context_bounds"), hint, "context_bounds")
@@ -240,13 +234,13 @@ def _write_checkpoint(
     path: str, agents: List[E2daAgent], per_user: bool, workload: WorkloadConfig
 ) -> None:
     """Checkpoint of a run's agents; in a per-user set agents[u] decides for user u."""
-    fmt, key = _CHECKPOINT[per_user]
+    kind, key = _CHECKPOINT[per_user]
     states = [agent.to_state() for agent in agents]
     payload = {
-        "format": fmt,
+        "format": kind,
         "tool_version": __version__,
         "n_actions": agents[0].model.n_actions,
-        "context_bounds": [list(b) for b in workload.resolved_context_bounds()],
+        "context_bounds": [list(b) for b in workload.context_bounds],
         key: states if per_user else states[0],
     }
     write_json(path, payload)

@@ -242,16 +242,6 @@ def to_json(value):
     return value
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Fully resolved configuration (defaults materialized) for manifests."""
-    resolved = replace(
-        cfg,
-        system=replace(cfg.system, association=cfg.system.resolved_association()),
-        workload=replace(cfg.workload, context_bounds=cfg.workload.resolved_context_bounds()),
-    )
-    return to_json(resolved)
-
-
 def with_sweep_value(cfg: ExperimentConfig, axis: str, mean_value: float) -> ExperimentConfig:
     """Scenario config with one workload mean replaced.
 

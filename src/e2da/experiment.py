@@ -30,7 +30,7 @@ from .bandit import E2daAgent, RewardParams, compute_reward, efficiency
 from .baselines import ORACLES
 from .dataset import Dataset, generate_dataset  # noqa: F401  (the CLI imports both from here)
 from .errors import ConfigError
-from .ioutil import atomic_write_text, fmt
+from .ioutil import atomic_write_text
 from .rng import Uniforms, substream
 from .system import ChannelConfig, NodeConfig
 from .workload import Task, WorkloadConfig, _features_of, arrivals, normalize_context
@@ -96,7 +96,7 @@ def metrics_to_csv_text(rows: Sequence[MetricsRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(METRICS_COLUMNS)
-    writer.writerows([fmt(v) for v in r] for r in rows)
+    writer.writerows(rows)  # a float's field is its repr, the shortest round trip
     return buf.getvalue()
 
 
@@ -202,6 +202,13 @@ def _row(episode: int, phase: str, reward: float, met: int, energy: float,
     return MetricsRow(episode, phase, reward, met / n, energy, response)
 
 
+def _check_counts(n_episodes: int, tasks_per_episode: int) -> None:
+    """Reject a negative episode or task count; a count of 0 books nothing."""
+    for name, count in (("n_episodes", n_episodes), ("tasks_per_episode", tasks_per_episode)):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
+
+
 def _fold(values: np.ndarray) -> float:
     """Left-to-right float sum from +0.0, the order a live rollout books
     its outcomes in: an all -0.0 column sums to +0.0, and no pairwise or
@@ -234,7 +241,8 @@ def _replay(
     random draws keep their order.  The episode is then booked whole from
     the chosen (record, action) cells of the reward, verdict, energy and
     response matrices."""
-    if tasks_per_episode < 1:
+    _check_counts(n_episodes, tasks_per_episode)
+    if tasks_per_episode == 0:
         return []  # nothing is decided, so no episode is booked
     outcomes = dataset.outcome_columns()
     contexts = normalize_context(np.column_stack(_features_of(dataset)), workload.context_scale())
@@ -405,10 +413,12 @@ def _live_rollout(
     # to replay a dataset, and a replay never runs the simulator
     from .netsim import Simulator
 
+    _check_counts(n_episodes, tasks_per_episode)
     scale = workload.context_scale()
     learner = decider if isinstance(decider, E2daAgent) else None
-    # task -> [x, action, episode]; the hook fills in an action not decided
-    # ahead, and x is for a learner to observe
+    # task -> [x, action, episode]; the hook decides a task not decided
+    # ahead from its x, which a learner also observes, so a block decided
+    # ahead keeps no x
     pending: Dict[int, list] = {}
     books: Dict[int, list] = {}  # episode -> [reward, met, energy, response, n]
 
@@ -416,10 +426,11 @@ def _live_rollout(
         blocks = iter(lambda: list(itertools.islice(feed, tasks_per_episode)), [])
         for episode, block in enumerate(blocks, start_episode):
             x = normalize_context(np.array([_features_of(t) for t in block]), scale)
-            actions = itertools.repeat(None)
+            rows, actions = x, itertools.repeat(None)
             if ahead:
+                rows = itertools.repeat(None)
                 actions = decider(np.array([t.user_id for t in block]), x, None).tolist()
-            pending.update((t.task_id, [row, a, episode]) for t, row, a in zip(block, x, actions))
+            pending.update((t.task_id, [r, a, episode]) for t, r, a in zip(block, rows, actions))
             books[episode] = [0.0, 0, 0.0, 0.0, 0]
             yield from block
 

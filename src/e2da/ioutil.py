@@ -1,4 +1,4 @@
-"""Small file helpers: atomic writes, hashing, stable float text."""
+"""Small file helpers: atomic writes, JSON, UTF-8 checks, hashing."""
 
 import codecs
 import contextlib
@@ -8,23 +8,9 @@ import json
 import os
 from typing import IO, Iterable, Iterator
 
-import numpy as np
-
 from .errors import ConfigError
 
 _UTF8_CHUNK = 1 << 16  # bytes check_utf8 decodes at a time
-
-
-def fmt(value) -> str:
-    """Shortest round-trip text for floats, 1/0 for booleans and plain
-    digits for integers, numpy scalars included; str otherwise."""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
 
 
 @contextlib.contextmanager

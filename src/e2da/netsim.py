@@ -292,8 +292,7 @@ class Simulator:
         self._fed: Optional[Task] = None  # the last task pulled from the feed
         self._staged_gains: Dict[int, Tuple[float, ...]] = {}
         check_fair_shares(node, self.channels)
-        assoc = node.resolved_association()
-        self._assoc = assoc
+        self._assoc = assoc = node.association
         K, N, C = node.n_users, node.n_base_stations, node.n_channels
         # a station's wait and service time land at these indexes of _Job.times
         self._cpu = [_Station(_Domain(node.user_cpu_hz, ("cpu", k)), 0, 4) for k in range(K)]

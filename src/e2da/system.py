@@ -123,7 +123,9 @@ def default_channels() -> Tuple[ChannelConfig, ...]:
 
 @dataclass(frozen=True)
 class NodeConfig:
-    """Population sizes, CPU speeds, energy constant, result size rule."""
+    """Population sizes, CPU speeds, energy constant, result size rule.
+    An absent association puts user k at base station k % n_base_stations;
+    the field holds the resolved tuple once built."""
 
     n_users: int = 5
     n_base_stations: int = 3
@@ -143,19 +145,17 @@ class NodeConfig:
                 raise ConfigError(f"{f_name} must be > 0, got {getattr(self, f_name)}")
         if self.result_size_ratio < 0:
             raise ConfigError(f"result_size_ratio must be >= 0, got {self.result_size_ratio}")
-        assoc = self.resolved_association()
-        if len(assoc) != self.n_users:
+        assoc = self.association
+        if assoc is None:
+            assoc = [k % self.n_base_stations for k in range(self.n_users)]
+        object.__setattr__(self, "association", tuple(int(b) for b in assoc))
+        if len(self.association) != self.n_users:
             raise ConfigError(
                 f"association must map all {self.n_users} users, got {len(assoc)} entries"
             )
-        for k, bs in enumerate(assoc):
+        for k, bs in enumerate(self.association):
             if not 0 <= bs < self.n_base_stations:
                 raise ConfigError(f"association[{k}] = {bs} is not a base station index")
-
-    def resolved_association(self) -> Tuple[int, ...]:
-        if self.association is not None:
-            return tuple(int(b) for b in self.association)
-        return tuple(k % self.n_base_stations for k in range(self.n_users))
 
 
 def check_fair_shares(node: NodeConfig, channels: Sequence[ChannelConfig]) -> None:
@@ -163,7 +163,7 @@ def check_fair_shares(node: NodeConfig, channels: Sequence[ChannelConfig]) -> No
     divide by zero.  A share is least at the lowest gain with the most
     members: the users of the busiest base station on an uplink, every
     base station on a downlink."""
-    members = {"uplink": int(np.bincount(node.resolved_association()).max()),
+    members = {"uplink": int(np.bincount(node.association).max()),
                "downlink": node.n_base_stations}
     for i, ch in enumerate(channels):
         gain = ch.gain.support()[0]

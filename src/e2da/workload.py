@@ -94,6 +94,7 @@ class WorkloadConfig:
     context_bounds holds (min, max) per feature in (size, intensity,
     deadline) order; when omitted it is derived from the feature
     distributions, which then must have bounded, non-degenerate support.
+    The field holds the resolved bounds once built.
     """
 
     arrival_rate_per_s: float = 40.0
@@ -117,35 +118,32 @@ class WorkloadConfig:
             sup = getattr(self, name).support()
             if sup is not None and sup[0] <= 0:
                 raise ConfigError(f"{name}: support must be positive, got min {sup[0]}")
-        bounds = self.resolved_context_bounds()
-        for i, (lo, hi) in enumerate(bounds):
+        bounds = self.context_bounds
+        if bounds is None:
+            bounds = []
+            for name in _FEATURES:
+                sup = getattr(self, name).support()
+                if sup is None or sup[0] == sup[1]:
+                    raise ConfigError(
+                        f"context_bounds must be given explicitly: {name} has "
+                        "unbounded or degenerate support"
+                    )
+                bounds.append(sup)
+        elif len(bounds) != 3:
+            raise ConfigError(f"context_bounds needs 3 (min, max) pairs, got {len(bounds)}")
+        object.__setattr__(
+            self, "context_bounds", tuple((float(lo), float(hi)) for lo, hi in bounds)
+        )
+        for i, (lo, hi) in enumerate(self.context_bounds):
             if not -math.inf < lo < hi < math.inf:
                 raise ConfigError(
                     f"context_bounds[{i}] must be finite with min < max, got ({lo}, {hi})"
                 )
 
-    def resolved_context_bounds(self) -> Tuple[Tuple[float, float], ...]:
-        if self.context_bounds is not None:
-            if len(self.context_bounds) != 3:
-                raise ConfigError(
-                    f"context_bounds needs 3 (min, max) pairs, got {len(self.context_bounds)}"
-                )
-            return tuple((float(lo), float(hi)) for lo, hi in self.context_bounds)
-        bounds = []
-        for name in _FEATURES:
-            sup = getattr(self, name).support()
-            if sup is None or sup[0] == sup[1]:
-                raise ConfigError(
-                    f"context_bounds must be given explicitly: {name} has "
-                    "unbounded or degenerate support"
-                )
-            bounds.append(sup)
-        return tuple(bounds)
-
     def context_scale(self) -> Tuple[np.ndarray, np.ndarray]:
         """Lower bound and width of each feature's context bounds, the scale
         normalize_context takes."""
-        lo, hi = np.asarray(self.resolved_context_bounds()).T
+        lo, hi = np.asarray(self.context_bounds).T
         return lo, hi - lo
 
 

@@ -558,7 +558,7 @@ class TestAgent:
             agent.observe(x, agent.act(x, 0.5), 0.25)
         agent.episodes_trained = 17
         state = agent.to_state()
-        clone = E2daAgent.from_state(state, 4, substream(0, "e"), substream(0, "m"))
+        clone = E2daAgent.from_state(state, 4, 0)
         assert clone.episodes_trained == 17
         assert clone.config == agent.config
         assert clone.reward_params == agent.reward_params
@@ -575,7 +575,7 @@ class TestAgent:
         initial_weights = agent.model.layer_views(agent._initial_params)[0]
         assert all(np.array_equal(a, w) for a, w in zip(anchor, initial_weights))
         state = agent.to_state()
-        clone = E2daAgent.from_state(state, 4, substream(0, "e"), substream(0, "m"))
+        clone = E2daAgent.from_state(state, 4, 0)
         assert all(
             np.array_equal(a, w)
             for a, w in zip(anchor, clone.model.layer_views(clone._initial_params)[0])

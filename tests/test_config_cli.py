@@ -12,32 +12,15 @@ import pytest
 from e2da import cli
 from e2da.config import (
     config_from_dict,
-    config_to_dict,
     load_config,
+    to_json,
     with_sweep_value,
 )
 from e2da.errors import ConfigError
-from e2da.ioutil import atomic_write_text, fmt, sha256_file, write_json
+from e2da.ioutil import atomic_write_text, sha256_file, write_json
 
 
 class TestIoUtil:
-    def test_fmt_primitives(self):
-        assert fmt(True) == "1" and fmt(False) == "0"
-        assert fmt(0.1) == repr(0.1)
-        assert fmt(1e-27) == "1e-27"
-        assert fmt(3) == "3"
-        assert fmt("x") == "x"
-
-    def test_fmt_numpy_scalars(self):
-        assert fmt(np.float64(0.1)) == "0.1"
-        assert fmt(np.float32(0.5)) == "0.5"
-        assert fmt(np.bool_(True)) == "1" and fmt(np.bool_(False)) == "0"
-        assert fmt(np.int64(-3)) == "-3"
-
-    def test_float_repr_round_trips(self):
-        for v in (0.1 + 0.2, 1 / 3, 5e-324, 1.7976931348623157e308):
-            assert float(fmt(v)) == v
-
     def test_atomic_write(self, tmp_path):
         path = str(tmp_path / "a.txt")
         atomic_write_text(path, ["bo", "dy\n"])
@@ -125,7 +108,7 @@ class TestConfigParsing:
         assert config_from_dict({}).run.agent_scope == "shared"
         cfg = config_from_dict({"run": {"agent_scope": "per_user"}})
         assert cfg.run.agent_scope == "per_user"
-        assert config_to_dict(cfg)["run"]["agent_scope"] == "per_user"
+        assert to_json(cfg)["run"]["agent_scope"] == "per_user"
         with pytest.raises(ConfigError, match="agent_scope"):
             config_from_dict({"run": {"agent_scope": "per-user"}})
         with pytest.raises(ConfigError, match="dataset"):
@@ -141,8 +124,8 @@ class TestConfigParsing:
                 "run": {"seed": 3, "n_records": 100},
             }
         )
-        d1 = config_to_dict(cfg)
-        d2 = config_to_dict(config_from_dict(d1))
+        d1 = to_json(cfg)
+        d2 = to_json(config_from_dict(d1))
         assert d1 == d2
 
     def test_load_config_bad_json(self, tmp_path):
@@ -160,7 +143,7 @@ class TestSweepValue:
         assert dist.kind == "uniform"
         assert (dist.minimum, dist.maximum) == (10.0, 99_990.0)
         assert swept.workload.size_bits == cfg.workload.size_bits
-        assert swept.workload.context_bounds is None
+        assert swept.workload.context_bounds == ((10.0, 75_000.0), (10.0, 99_990.0), (0.010, 0.018))
         sized = with_sweep_value(cfg, "size", 5000.0)
         assert (sized.workload.size_bits.minimum, sized.workload.size_bits.maximum) == (
             10.0, 9990.0,
@@ -819,10 +802,12 @@ class TestMalformedCheckpointSet:
     @staticmethod
     def run_with(tmp_path, capsys, trained_per_user, command, key, value):
         """Run command on the per-user checkpoint with agents[1].config[key]
-        set to value; returns the broken file's path and stderr."""
+        set to value, or agents[1][key] when key is episodes_trained;
+        returns the broken file's path and stderr."""
         config, dataset, model = trained_per_user
         payload = read_json(model)
-        payload["agents"][1]["config"][key] = value
+        agent = payload["agents"][1]
+        (agent if key == "episodes_trained" else agent["config"])[key] = value
         broken = str(tmp_path / "broken-model.json")
         write_json(broken, payload)
         argv = {
@@ -850,6 +835,16 @@ class TestMalformedCheckpointSet:
             tmp_path, capsys, trained_per_user, command, "retrain_from_scratch", True
         )
         assert broken in err and "agents[1].initial_params" in err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+    def test_unequal_episode_counts_exit_2_naming_the_agent(
+        self, tmp_path, capsys, trained_per_user, command
+    ):
+        # a set's agents train together, so one count resumes them all
+        broken, err = self.run_with(
+            tmp_path, capsys, trained_per_user, command, "episodes_trained", 3
+        )
+        assert broken in err and "agents[1].episodes_trained" in err
 
 
 def _truncate(row):

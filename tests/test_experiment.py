@@ -35,7 +35,7 @@ from e2da.experiment import (
 )
 from e2da.baselines import r_star
 from e2da.dataset import column_path, load_dataset, save_dataset
-from e2da.ioutil import fmt, sha256_file
+from e2da.ioutil import sha256_file
 from e2da.netsim import Simulator
 from e2da.rng import substream
 from e2da.system import NodeConfig, default_channels
@@ -834,6 +834,28 @@ class TestLiveRuns:
         assert rows == [] and agent.episodes_trained == n_episodes
 
 
+@pytest.mark.parametrize("live", [False, True], ids=["replay", "live"])
+def test_negative_counts_are_rejected_by_name(small_node, small_dataset, live):
+    """Both rollouts name a negative count; a count of 0 still books nothing."""
+    wl, params = WorkloadConfig(), RewardParams(1.0, 1e6)
+
+    def rollout(n_episodes, tasks_per_episode):
+        if live:
+            return run_live_evaluation(
+                "eel", small_node, default_channels(), wl, params, n_episodes,
+                tasks_per_episode, seed=23,
+            )
+        return run_evaluation(
+            make_policy("eel"), small_dataset, wl, params, n_episodes, tasks_per_episode, seed=23
+        )
+
+    for counts, name in [((-1, 10), "n_episodes"), ((3, -1), "tasks_per_episode"),
+                         ((0, -1), "tasks_per_episode")]:
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
+            rollout(*counts)
+    assert rollout(0, 10) == rollout(3, 0) == []
+
+
 class TestFrozenPolicyCallContract:
     """A replay asks a frozen policy once per episode with the episode's
     rows.  A live rollout scales each episode's contexts in one call and
@@ -1274,7 +1296,8 @@ class TestReplayMatchesPerDecisionReference:
         got = run_evaluation(make_policy("eel"), *args, **kw)
         want = per_decision(run_evaluation, make_policy("eel"), *args, **kw)
         assert metrics_to_csv_text(got) == metrics_to_csv_text(want)
-        assert [fmt(r.reward) for r in got] == ["0.0", "0.0"]
+        written = [line.split(",") for line in metrics_to_csv_text(got).splitlines()[1:]]
+        assert [row[2] for row in written] == ["0.0", "0.0"]
         assert [r.deadline_frac for r in got] == [0.0, 0.0]
 
     def test_few_records_many_tasks(self, small_dataset, per_decision):

@@ -71,11 +71,11 @@ class TestConfigs:
 
     def test_association_default_round_robin(self):
         node = NodeConfig(n_users=5, n_base_stations=3)
-        assert node.resolved_association() == (0, 1, 2, 0, 1)
+        assert node.association == (0, 1, 2, 0, 1)
 
     def test_association_explicit(self):
         node = NodeConfig(n_users=3, n_base_stations=2, association=(1, 1, 0))
-        assert node.resolved_association() == (1, 1, 0)
+        assert node.association == (1, 1, 0)
         with pytest.raises(ConfigError):
             NodeConfig(n_users=3, n_base_stations=2, association=(0, 2, 0))
 
@@ -525,7 +525,7 @@ def reference_projections(sim, task):
          for c in range(C)]
         for n in range(N)
     ]
-    assoc = node.resolved_association()
+    assoc = node.association
     up_active = {
         (assoc[k], c): len(sim._up[k][c].domain.members) for k in range(K) for c in range(C)
     }
@@ -629,7 +629,7 @@ class TestDecisionViewReference:
             for g, w in zip(got, want, strict=True):
                 assert [(n, getattr(g, n)) for n in names] == [(n, getattr(w, n)) for n in names]
             user = task.user_id
-            bs = node.resolved_association()[user]
+            bs = node.association[user]
             chans = range(node.n_channels)
             seen["decisions"] += 1
             seen["up_queued"] += any(sim._up[user][c].queue for c in chans)

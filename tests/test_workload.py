@@ -210,7 +210,7 @@ class TestArrivals:
 class TestWorkloadConfig:
     def test_default_bounds_from_supports(self):
         cfg = WorkloadConfig()
-        assert cfg.resolved_context_bounds() == (
+        assert cfg.context_bounds == (
             (10.0, 75_000.0),
             (10.0, 1000.0),
             (0.010, 0.018),
@@ -223,7 +223,7 @@ class TestWorkloadConfig:
             size_bits=DistributionSpec.exponential(1000.0),
             context_bounds=((1.0, 9000.0), (10.0, 1000.0), (0.01, 0.018)),
         )
-        assert ok.resolved_context_bounds()[0] == (1.0, 9000.0)
+        assert ok.context_bounds[0] == (1.0, 9000.0)
 
     def test_nonpositive_support_rejected(self):
         with pytest.raises(ConfigError):
@@ -262,7 +262,7 @@ class TestContextScaling:
         rows = np.column_stack(
             (rng.uniform(0.0, 9e4, 50), rng.uniform(1.0, 1100.0, 50), rng.uniform(0.005, 0.02, 50))
         )
-        bounds, scale = cfg.resolved_context_bounds(), cfg.context_scale()
+        bounds, scale = cfg.context_bounds, cfg.context_scale()
         scaled = normalize_context(rows, scale)
         assert scaled.shape == (50, 3)
         for row, x in zip(rows.tolist(), scaled.tolist()):
