@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,30 +69,6 @@ def reward_to_target(reward: float, penalty: float) -> float:
     return (reward + penalty) / (1.0 + penalty)
 
 
-def epsilon_at(epsilon0: float, decay: float, epsilon_min: float, episode: int) -> float:
-    """Exploration rate after `episode` episodes of geometric decay."""
-    return max(epsilon_min, epsilon0 * decay**episode)
-
-
-def select_action(
-    values: Callable[[], np.ndarray],
-    n_actions: int,
-    epsilon: float,
-    rng: Optional[np.random.Generator],
-) -> int:
-    """Uniform over n_actions with probability epsilon, otherwise greedy on
-    the action values that values() returns.  The coin, and on an
-    exploring step the action, are drawn before values() runs, which only
-    a greedy step calls.  Greedy ties resolve to the lowest action index;
-    epsilon = 0 consumes no randomness at all."""
-    if epsilon > 0.0:
-        if rng is None:
-            raise ValueError("epsilon > 0 requires an exploration rng")
-        if rng.random() < epsilon:
-            return int(rng.integers(n_actions))
-    return int(values().argmax())
-
-
 class MlpModel:
     """Plain numpy MLP: ReLU hidden layers, logistic outputs, squared error
     on one selected output per sample, RMSProp parameter updates.
@@ -120,7 +96,7 @@ class MlpModel:
         self.params, self.acc, self._grad, self._tmp = (np.zeros(n) for _ in range(4))
         self.weights, self.biases = self.layer_views(self.params)
         self.acc_w, self.acc_b = self.layer_views(self.acc)
-        self._grads = self.layer_views(self._grad)  # train_step's gradient buffers
+        self._grads = self.layer_views(self._grad)  # what loss_and_grads returns
         # per layer, the transposed weight and (1, fan_out) bias views that
         # the matmuls and the bias adds take
         *self._hidden_t, self._out_t = [(w.T, b[None]) for w, b in zip(self.weights, self.biases)]
@@ -178,14 +154,14 @@ class MlpModel:
         return q
 
     def loss_and_grads(
-        self, x: np.ndarray, actions: np.ndarray, targets: np.ndarray, out=None
+        self, x: np.ndarray, actions: np.ndarray, targets: np.ndarray
     ) -> Tuple[float, List[np.ndarray], List[np.ndarray]]:
         """Mean squared error on the chosen heads and its parameter gradients.
         Gradients flow only through each sample's chosen output, and only the
-        chosen heads are squashed.  The gradients go into out, a (weights,
-        biases) pair of per-layer arrays, or into fresh arrays that later
-        calls leave unchanged."""
-        grads_w, grads_b = self.layer_views(np.empty_like(self.params)) if out is None else out
+        chosen heads are squashed.  The gradients fill the model's one
+        gradient buffer, and the per-layer weight and bias lists returned
+        are views into it, which the next call or apply_grads overwrites."""
+        grads_w, grads_b = self._grads
         acts, z = self._layers(x)
         batch, n_out = z.shape
         heads = np.arange(0, z.size, n_out) + actions  # flat index of each chosen head
@@ -202,14 +178,9 @@ class MlpModel:
                 dz *= acts[i] > 0.0  # a ReLU output is positive where its input was
         return loss, grads_w, grads_b
 
-    def apply_grads(self, grads_w: List[np.ndarray], grads_b: List[np.ndarray]) -> None:
-        """One RMSProp step, elementwise over the flat vectors.  The model's
-        own gradient views, which train_step passes, are used in place and
-        consumed; other arrays are copied in first and left unchanged."""
-        own_w, own_b = self._grads
-        if grads_w is not own_w or grads_b is not own_b:
-            for dst, src in zip(own_w + own_b, [*grads_w, *grads_b]):
-                dst[...] = src
+    def apply_grads(self) -> None:
+        """One RMSProp step, elementwise over the flat vectors, from the
+        gradient buffer that loss_and_grads filled; the step consumes it."""
         g, tmp, beta = self._grad, self._tmp, self.rmsprop_decay
         self.acc *= beta
         np.multiply(g, g, out=tmp)
@@ -221,11 +192,11 @@ class MlpModel:
         self.params -= g
 
     def train_step(self, x: np.ndarray, actions: np.ndarray, targets: np.ndarray) -> float:
-        """One minibatch step, with the gradients kept in the model's buffer."""
-        loss, grads_w, grads_b = self.loss_and_grads(x, actions, targets, self._grads)
+        """One minibatch step: gradients, a finite-loss check, then RMSProp."""
+        loss = self.loss_and_grads(x, actions, targets)[0]
         if not math.isfinite(loss):
             raise TrainingFault(f"non-finite loss {loss}")
-        self.apply_grads(grads_w, grads_b)
+        self.apply_grads()
         return loss
 
     def set_params(self, params: np.ndarray) -> None:
@@ -361,12 +332,19 @@ class E2daAgent:
         )
 
     def epsilon(self, episode: int) -> float:
+        """Exploration rate after `episode` episodes of geometric decay."""
         cfg = self.config
-        return epsilon_at(cfg.epsilon0, cfg.epsilon_decay, cfg.epsilon_min, episode)
+        return max(cfg.epsilon_min, cfg.epsilon0 * cfg.epsilon_decay**episode)
 
     def act(self, context: np.ndarray, epsilon: float) -> int:
-        forward, n_actions = self.model.forward, self.model.n_actions
-        return select_action(lambda: forward(context), n_actions, epsilon, self.explore_rng)
+        """Uniform over the actions with probability epsilon, otherwise greedy
+        on the model's values.  The coin, and on an exploring step the
+        action, are drawn from explore_rng before any forward pass; greedy
+        ties go to the lowest action, and epsilon 0 draws nothing."""
+        rng = self.explore_rng
+        if epsilon > 0.0 and rng.random() < epsilon:
+            return int(rng.integers(self.model.n_actions))
+        return int(self.model.forward(context).argmax())
 
     def observe(self, context: np.ndarray, action: int, reward: float) -> None:
         """Record one outcome and run the configured number of replay steps."""

@@ -68,12 +68,20 @@ _CHECKPOINT = {False: ("e2da-agent", "agent"), True: ("e2da-agent-set", "agents"
 
 
 def _context(args: argparse.Namespace) -> Tuple[ExperimentConfig, str, int]:
-    """Config, effective mode and effective seed."""
+    """Config, effective mode and effective seed.  A flag the run would
+    never read is rejected: --dataset outside dataset mode, and --model or
+    --resume with an agent other than e2da."""
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.run.seed
     if seed < 0:  # load_config already rejects a negative run.seed
         raise ConfigError(f"--seed must be >= 0, got {seed}")
-    return cfg, getattr(args, "mode", None) or cfg.run.mode, seed
+    mode = getattr(args, "mode", None) or cfg.run.mode
+    if getattr(args, "dataset", None) is not None and mode != "dataset":
+        raise ConfigError(f"--dataset only applies in dataset mode, and this run is {mode}")
+    for flag in ("model", "resume"):
+        if getattr(args, flag, None) is not None and args.agent != "e2da":
+            raise ConfigError(f"--{flag} only applies to the learned agent")
+    return cfg, mode, seed
 
 
 def _output(out_dir: str, name: str) -> str:
@@ -296,8 +304,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     extra: dict = {"agent": args.agent, "mode": mode}
     dataset = _load_dataset(args.dataset, cfg, extra) if mode == "dataset" else None
 
-    if args.agent == "random" and args.resume:
-        raise ConfigError("--resume only applies to the learned agent")
     agents, params, workload = _policy_inputs(
         args.agent, cfg, mode, seed, dataset, args.resume, "resumed_from_sha256", extra
     )

@@ -288,6 +288,7 @@ class TestGradientOracle:
             actions = rng.integers(0, 4, size=8)
             targets = rng.random(8)
             _, gw, gb = model.loss_and_grads(x, actions, targets)
+            gw, gb = [g.copy() for g in gw], [g.copy() for g in gb]  # the next call overwrites
             fw, fb = finite_difference_grads(model, x, actions, targets, h=self.H)
             worst = max(worst, max_rel_err(gw, fw), max_rel_err(gb, fb))
         elapsed = time.perf_counter() - t0

@@ -12,9 +12,7 @@ from e2da.bandit import (
     RewardParams,
     compute_reward,
     efficiency,
-    epsilon_at,
     reward_to_target,
-    select_action,
 )
 from e2da.config import AgentConfig
 from e2da.errors import ConfigError, TrainingFault
@@ -83,38 +81,51 @@ class TestReward:
 
 class TestEpsilon:
     def test_geometric_decay(self):
-        assert epsilon_at(1.0, 0.995, 0.01, 0) == 1.0
-        assert epsilon_at(1.0, 0.995, 0.01, 1) == 0.995
-        assert epsilon_at(1.0, 0.995, 0.01, 2) == 0.995**2
+        agent = tiny_agent(epsilon0=1.0, epsilon_decay=0.995, epsilon_min=0.01)
+        assert agent.epsilon(0) == 1.0
+        assert agent.epsilon(1) == 0.995
+        assert agent.epsilon(2) == 0.995**2
 
     def test_floor(self):
-        assert epsilon_at(1.0, 0.995, 0.01, 10_000) == 0.01
+        agent = tiny_agent(epsilon0=1.0, epsilon_decay=0.995, epsilon_min=0.01)
+        assert agent.epsilon(10_000) == 0.01
 
     def test_pinned(self):
-        assert epsilon_at(1.0, 1.0, 1.0, 500) == 1.0
+        agent = tiny_agent(epsilon0=1.0, epsilon_decay=1.0, epsilon_min=1.0)
+        assert agent.epsilon(500) == 1.0
 
 
-def values_of(q):
-    """select_action's values() for fixed action values q."""
-    return lambda: q
+X = np.array([0.2, 0.5, 0.8])
 
 
-class TestSelectAction:
+def valued_agent(q, explore_rng):
+    """An agent whose action values are sigmoid(q) on every context, so
+    ordered and tied as q: zero weights, and q as the output biases."""
+    agent = E2daAgent(AgentConfig(hidden_sizes=(4,)), len(q), RewardParams(), None,
+                      explore_rng=explore_rng, minibatch_rng=None)
+    agent.model.biases[-1][...] = q
+    return agent
+
+
+class TestAct:
     def test_greedy_and_ties(self):
-        assert select_action(values_of(np.array([0.1, 0.9, 0.3])), 3, 0.0, None) == 1
-        assert select_action(values_of(np.array([0.3, 0.7, 0.7])), 3, 0.0, None) == 1
+        assert valued_agent([0.1, 0.9, 0.3], StubRng()).act(X, 0.0) == 1
+        assert valued_agent([0.3, 0.7, 0.7], StubRng()).act(X, 0.0) == 1
+        assert valued_agent([0.5, 0.5, 0.5, 0.5], StubRng()).act(X, 0.0) == 0
 
     def test_zero_epsilon_consumes_no_randomness(self):
+        stub = StubRng()
+        assert valued_agent([0.2, 0.8], stub).act(X, 0.0) == 1
+        assert stub.calls == []
         rng = substream(1, "explore")
         state_before = copy.deepcopy(rng.bit_generator.state)
-        select_action(values_of(np.array([0.2, 0.8])), 2, 0.0, rng)
+        valued_agent([0.2, 0.8], rng).act(X, 0.0)
         assert rng.bit_generator.state == state_before
 
     def test_explore_path_mirrors_generator(self):
-        rng = substream(2, "explore")
+        agent = valued_agent([0.9, 0.1, 0.1, 0.1], substream(2, "explore"))
         mirror = substream(2, "explore")
-        q = np.array([0.9, 0.1, 0.1, 0.1])
-        picks = [select_action(values_of(q), 4, 1.0, rng) for _ in range(50)]
+        picks = [agent.act(X, 1.0) for _ in range(50)]
         want = []
         for _ in range(50):
             mirror.random()
@@ -122,14 +133,14 @@ class TestSelectAction:
         assert picks == want
 
     def test_exploit_branch_with_partial_epsilon(self):
-        # scripted uniform draw 0.9 >= eps 0.5: greedy, no integer draw
-        assert select_action(values_of(np.array([0.1, 0.6])), 2, 0.5, StubRng([0.9])) == 1
-        # draw 0.2 < eps: uniform pick from scripted integers
-        assert select_action(values_of(np.array([0.1, 0.6])), 2, 0.5, StubRng([0.2], [0])) == 0
-
-    def test_requires_rng_when_exploring(self):
-        with pytest.raises(ValueError):
-            select_action(values_of(np.array([0.1])), 1, 0.5, None)
+        # scripted coin 0.9 >= eps 0.5: greedy, and only the coin is drawn
+        stub = StubRng([0.9])
+        assert valued_agent([0.1, 0.6], stub).act(X, 0.5) == 1
+        assert stub.calls == [("random",)]
+        # coin 0.2 < eps: the coin, then a uniform pick from scripted integers
+        stub = StubRng([0.2], [0])
+        assert valued_agent([0.1, 0.6], stub).act(X, 0.5) == 0
+        assert stub.calls == [("random",), ("integers", 2)]
 
 
 class TestMlpForward:
@@ -183,6 +194,7 @@ class TestGradients:
             actions = rng.integers(0, 4, size=8)
             targets = rng.random(8)
             _, gw, gb = model.loss_and_grads(x, actions, targets)
+            gw, gb = [g.copy() for g in gw], [g.copy() for g in gb]  # the next call overwrites
             fw, fb = finite_difference_grads(model, x, actions, targets)
             assert max_rel_err(gw, fw) < 1e-4
             assert max_rel_err(gb, fb) < 1e-4
@@ -413,31 +425,25 @@ class TestReferenceAct:
             for got, expected in zip((model.weights, model.biases, model.acc_w, model.acc_b), ref):
                 assert same_bits(got, expected)
 
-    def test_returned_gradients_survive_later_calls(self):
-        # the public gradients are fresh arrays; train_step alone uses the model's buffer
-        model = MlpModel((3, 8, 4), 0.01, 0.99, 1e-8, rng=substream(25, "init"))
-        rng = substream(26, "batch")
-        x, actions, targets = rng.random((16, 3)), rng.integers(0, 4, 16), rng.random(16)
-        _, gw, gb = model.loss_and_grads(x, actions, targets)
-        kept = [g.copy() for g in gw + gb]
-        model.loss_and_grads(rng.random((16, 3)), rng.integers(0, 4, 16), rng.random(16))
-        model.train_step(x, actions, targets)
-        model.apply_grads(gw, gb)
-        assert same_bits(gw + gb, kept)
+
+def step_with(model, flat_grad):
+    """One apply_grads from a chosen gradient, laid out like model.params
+    and written into the model's gradient buffer."""
+    np.copyto(model._grad, flat_grad)
+    model.apply_grads()
 
 
 class TestRmsProp:
     def test_single_step_oracle(self):
         model = MlpModel((1, 1), lr := 0.1, beta := 0.9, eps := 1e-8, rng=None)
         model.weights[0][:] = 1.0
-        g = np.array([[3.0]])
-        model.apply_grads([g], [np.array([0.0])])
+        step_with(model, [3.0, 0.0])  # dL/dw 3, dL/db 0
         acc = (1 - beta) * 9.0
         want = 1.0 - lr * 3.0 / math.sqrt(acc + eps)
         assert model.weights[0][0, 0] == pytest.approx(want, rel=1e-15)
         assert model.acc_w[0][0, 0] == pytest.approx(acc, rel=1e-15)
         # second step folds the accumulator forward
-        model.apply_grads([g], [np.array([0.0])])
+        step_with(model, [3.0, 0.0])
         acc2 = beta * acc + (1 - beta) * 9.0
         want2 = want - lr * 3.0 / math.sqrt(acc2 + eps)
         assert model.weights[0][0, 0] == pytest.approx(want2, rel=1e-15)

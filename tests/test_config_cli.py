@@ -445,6 +445,28 @@ class TestCliEndToEnd:
         assert rc == 2, err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["evaluate", "--agent", "eel", "--mode", "live", "--dataset", "missing.csv",
+              "--model", "missing.json"], "--dataset"),
+            (["evaluate", "--agent", "eel", "--dataset", "missing.csv", "--model", "missing.json"],
+             "--model"),
+            (["sweep", "--vary", "size", "--values", "5000", "--agent", "eel",
+              "--model", "missing.json"], "--model"),
+            (["train", "--agent", "random", "--mode", "live", "--dataset", "missing.csv"],
+             "--dataset"),
+        ],
+    )
+    def test_flag_the_run_never_reads_exits_2(self, tmp_path, config_path, capsys, argv, flag):
+        """--dataset outside dataset mode and --model with an agent other
+        than e2da would be ignored, so the run is refused instead."""
+        out = tmp_path / "out"
+        rc, err = run_cli(argv + ["--config", config_path, "--out", str(out)], capsys)
+        assert rc == 2, err
+        assert flag in err
+        assert not out.exists()
+
     def test_help_and_bad_command_exit_codes(self, capsys):
         assert cli.main(["--help"]) == 0
         capsys.readouterr()

@@ -1,10 +1,15 @@
+import dataclasses
 import hashlib
 import itertools
+import math
+import os
 
 import numpy as np
 import pytest
 
 from conftest import StubRng, fixed_gain_channel, make_task, single_user_node
+from e2da.baselines import r_star
+from e2da.config import load_config
 from e2da.errors import ConfigError, SimulationError
 from e2da.netsim import Simulator, Snapshot, TaskOutcome, project_outcome
 from e2da.rng import Uniforms, substream
@@ -288,6 +293,69 @@ class TestLocalCpuQueueing:
         std_err = batch_means.std(ddof=1) / np.sqrt(20)
         assert len(waits) == 100_000
         assert abs(batch_means.mean() - want) < 4 * std_err
+
+
+DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "default.json")
+
+
+class TestLocalProjectionUnderLoad:
+    """A local task runs on its user's CPU, a FIFO station with one server
+    that later arrivals queue behind, so its decision-time projection
+    d1_s + t_exec_s is exact: the realized total may differ only by the
+    rounding of the clock, about one ulp per job that queued ahead of it.
+    The runs are live ones on configs/default.json, at its 40 and at 400
+    tasks/s per user, under a random and an r policy."""
+
+    TASKS = 4_000
+    SLACK_ULPS = 4  # beyond one ulp per queued job
+
+    @classmethod
+    def worst_excess(cls, rate, policy_name, seed=3):
+        """Run TASKS arrivals and give, over the local tasks, the largest
+        |realized - projected total| in ulps of the completion clock minus
+        the jobs its user's CPU held at decision, the most jobs held, and
+        the number of local tasks."""
+        cfg = load_config(DEFAULT_CONFIG)
+        workload = dataclasses.replace(cfg.workload, arrival_rate_per_s=rate)
+        picks = substream(seed, "policy")
+        held = [0] * cfg.system.n_users  # local jobs admitted and not yet done, per user
+        decided = {}  # task_id -> (projected total, jobs held at decision)
+
+        def policy(sim, task):
+            outs = sim.projections(task)
+            if policy_name == "random":
+                action = int(picks.integers(len(outs)))
+            else:
+                columns = (np.array([o.total_s for o in outs]), np.array([o.e_total_j for o in outs]))
+                action = int(r_star(task.size_bits, *columns))
+            if action == 0:
+                decided[task.task_id] = (outs[0].d1_s + outs[0].t_exec_s, held[task.user_id])
+                held[task.user_id] += 1
+            return action
+
+        sim = Simulator(cfg.system, cfg.channels, Uniforms(substream(seed, "gains")), policy)
+        sim.add_arrivals(itertools.islice(arrivals(workload, seed, cfg.system.n_users), cls.TASKS))
+        worst, deepest, n_local = -math.inf, 0, 0
+        while sim.has_events:
+            out = sim.advance()
+            if out is None or out.action != 0:
+                continue
+            held[out.user_id] -= 1
+            n_local += 1
+            projected, ahead = decided.pop(out.task_id)
+            ulps = abs(out.total_s - projected) / math.ulp(sim.clock)
+            worst, deepest = max(worst, ulps - ahead), max(deepest, ahead)
+        assert not decided
+        return worst, deepest, n_local
+
+    @pytest.mark.parametrize("policy_name", ["random", "r"])
+    @pytest.mark.parametrize("rate", [40.0, 400.0])
+    def test_realized_total_matches_projection(self, rate, policy_name):
+        worst, deepest, n_local = self.worst_excess(rate, policy_name)
+        assert n_local >= 100
+        assert worst <= self.SLACK_ULPS, (worst, deepest)
+        if rate == 400.0:
+            assert deepest > 100  # the bound is checked under a deep queue
 
 
 class TestSnapshotProjection:

@@ -1,17 +1,18 @@
 """Per-layer timings of the learner step, in process.
 
 Times MlpModel.forward on one context; on one minibatch,
-MlpModel.loss_and_grads into fresh arrays, MlpModel.apply_grads with
-gradients it copies in, and MlpModel.train_step, the step training runs,
-which keeps its gradients in the model's own buffers; ReplayBuffer.sample,
-E2daAgent.observe and one training decision (E2daAgent.act at epsilon 0.9,
-then observe, as early replay training runs them), at the agent sizes of
-configs/default.json (a 3-50-50-4 network, minibatches of 64), and one
-frozen decision two ways: E2daAgent.act at epsilon 0 on one context, and
-the batched greedy policy over a block of 40 contexts (a live-k50 user's
-first block: 2,000 decisions over 50 users) per context.  It writes the
-results with the machine, the Python, numpy and BLAS versions and the
-repeat count to a JSON file.
+MlpModel.loss_and_grads, which fills the model's gradient buffer,
+MlpModel.apply_grads, each call preceded by np.copyto(model._grad, g0),
+which refills the buffer that apply_grads consumes with one fixed gradient
+g0 (the copy is timed with it), and MlpModel.train_step, the step training
+runs; ReplayBuffer.sample, E2daAgent.observe and one training decision
+(E2daAgent.act at epsilon 0.9, then observe, as early replay training runs
+them), at the agent sizes of configs/default.json (a 3-50-50-4 network,
+minibatches of 64), and one frozen decision two ways: E2daAgent.act at
+epsilon 0 on one context, and the batched greedy policy over a block of 40
+contexts (a live-k50 user's first block: 2,000 decisions over 50 users) per
+context.  It writes the results with the machine, the Python, numpy and
+BLAS versions and the repeat count to a JSON file.
 
 Run from the root of a checkout, with the package to measure on the path:
 
@@ -33,6 +34,8 @@ import os
 import statistics
 import sys
 import time
+
+import numpy as np
 
 from bench_dataset import ROOT, machine
 from e2da.bandit import E2daAgent, RewardParams, reward_to_target
@@ -72,13 +75,14 @@ def measure(calls: int, repeats: int, warmup: int) -> dict:
     batch = cfg.agent.minibatch_size
     x, a, r = buffer.sample(substream(seed, "bench-batch"), batch)
     targets = reward_to_target(r, cfg.agent.penalty)
-    _, gw, gb = model.loss_and_grads(x, a, targets)
+    model.loss_and_grads(x, a, targets)
+    g0 = model._grad.copy()
     sample_rng = substream(seed, "bench-sample")
     one = contexts[0]
     timed = {
         "forward_us": lambda: model.forward(one),
         "loss_and_grads_us": lambda: model.loss_and_grads(x, a, targets),
-        "apply_grads_us": lambda: model.apply_grads(gw, gb),
+        "apply_grads_us": lambda: (np.copyto(model._grad, g0), model.apply_grads()),
         "train_step_us": lambda: model.train_step(x, a, targets),
         "sample_us": lambda: buffer.sample(sample_rng, batch),
         "observe_us": lambda: agent.observe(one, 1, 0.5),
