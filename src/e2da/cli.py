@@ -257,21 +257,23 @@ def _write_checkpoint(
 def _evaluate(
     name: str,
     cfg: ExperimentConfig,
-    mode: str,
     seed: int,
     dataset: Optional[Dataset],
     workload: WorkloadConfig,
     params: RewardParams,
     agents: List[E2daAgent],
-    rng: np.random.Generator,
     phase: str = "test",
+    salt: tuple = (),
 ) -> List[MetricsRow]:
     """Frozen-policy rollout over the run's test episodes, or over its
-    train episodes for the random baseline log.  In dataset mode random
-    draws from rng; in live mode it draws from the rollout's own stream."""
+    train episodes for the random baseline log: a replay of dataset, or a
+    live run when there is none.  A replay's random draws from the
+    logging-policy substream, salted with salt; a live run's draws from
+    the rollout's own stream."""
     run = cfg.run
     n_episodes = run.n_test_episodes if phase == "test" else run.n_train_episodes
-    if mode == "dataset":
+    if dataset is not None:
+        rng = substream(seed, "logging-policy", *salt)
         choose = make_policy(name, agents, rng, cfg.system.n_channels + 1)
         return run_evaluation(
             choose, dataset, workload, params, n_episodes, run.tasks_per_episode, seed, phase=phase,
@@ -308,8 +310,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         args.agent, cfg, mode, seed, dataset, args.resume, "resumed_from_sha256", extra
     )
     if args.agent == "random":
-        rng = substream(seed, "logging-policy")
-        rows = _evaluate("random", cfg, mode, seed, dataset, workload, params, [], rng, "train")
+        rows = _evaluate("random", cfg, seed, dataset, workload, params, [], "train")
     else:
         per_user = run.agent_scope == "per_user"
         episodes = (run.n_train_episodes, run.tasks_per_episode, seed)
@@ -342,8 +343,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     agents, params, workload = _policy_inputs(
         args.agent, cfg, mode, seed, dataset, args.model, "model_sha256", extra
     )
-    rng = substream(seed, "logging-policy")
-    rows = _evaluate(args.agent, cfg, mode, seed, dataset, workload, params, agents, rng)
+    rows = _evaluate(args.agent, cfg, seed, dataset, workload, params, agents)
 
     write_metrics(_output(args.out, "metrics.csv"), rows)
     summary = summarize({args.agent: rows}, cfg.run.tasks_per_episode)
@@ -407,8 +407,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             params = _reward_params(scen_cfg, seed, ds, extra)
         # the learned agent scales contexts with its checkpoint's bounds
         workload = replace(scen_cfg.workload, context_bounds=bounds)
-        rng = substream(seed, "logging-policy", label)
-        rows = _evaluate(args.agent, scen_cfg, mode, seed, ds, workload, params, agents, rng)
+        rows = _evaluate(args.agent, scen_cfg, seed, ds, workload, params, agents, salt=(label,))
         rel_metrics = os.path.join(label, "metrics.csv")
         write_metrics(_output(args.out, rel_metrics), rows)
         outputs.append(rel_metrics)

@@ -18,14 +18,14 @@ from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 from .errors import ConfigError
 from .ioutil import read_json
 from .system import ChannelConfig, NodeConfig, check_fair_shares, default_channels
-from .workload import DistributionSpec, WorkloadConfig
+from .workload import Constant, DistributionSpec, Exponential, Uniform, WorkloadConfig
 
 MODES = ("dataset", "live")
 AGENT_SCOPES = ("shared", "per_user")
 # sweep axis -> the workload distribution it rescales
 SWEEP_AXES = {"intensity": "intensity_cpb", "size": "size_bits"}
-# distribution kind -> its JSON parameters, in constructor order
-_DIST_KEYS = {"uniform": ("min", "max"), "constant": ("value",), "exponential": ("mean",)}
+# a distribution object's `kind` -> the class its other keys build
+_DISTRIBUTIONS = {cls.kind: cls for cls in (Uniform, Constant, Exponential)}
 
 
 @dataclass(frozen=True)
@@ -139,28 +139,6 @@ def _require_keys(obj: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _dist_from_json(obj, where: str) -> DistributionSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object with a 'kind'")
-    kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in _DIST_KEYS:
-        raise ConfigError(f"{where}.kind must be uniform/constant/exponential, got {kind!r}")
-    keys = _DIST_KEYS[kind]
-    _require_keys(obj, ("kind",) + keys, where)
-    if any(k not in obj for k in keys):
-        raise ConfigError(f"{where}: {kind} needs {' and '.join(map(repr, keys))}")
-    params = [read_value(obj[k], float, f"{where}.{k}") for k in keys]
-    try:
-        return getattr(DistributionSpec, kind)(*params)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _dist_to_json(dist: DistributionSpec) -> dict:
-    params = {"min": dist.minimum, "max": dist.maximum, "value": dist.value, "mean": dist.mean}
-    return {"kind": dist.kind, **{k: params[k] for k in _DIST_KEYS[dist.kind]}}
-
-
 def _is_number(raw) -> bool:
     return isinstance(raw, (int, float)) and not isinstance(raw, bool)
 
@@ -177,7 +155,13 @@ _SCALARS = {
 def read_value(raw, hint, where: str):
     """The JSON value `raw` checked against the type `hint` and converted."""
     if hint is DistributionSpec:
-        return _dist_from_json(raw, where)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{where} must be an object with a 'kind'")
+        params = dict(raw)
+        kind = params.pop("kind", None)
+        if not isinstance(kind, str) or kind not in _DISTRIBUTIONS:
+            raise ConfigError(f"{where}.kind must be uniform/constant/exponential, got {kind!r}")
+        return read_section(_DISTRIBUTIONS[kind], params, where)
     if is_dataclass(hint):
         return read_section(hint, raw, where)
     args = get_args(hint)
@@ -233,10 +217,9 @@ def load_config(path: str) -> ExperimentConfig:
 def to_json(value):
     """`value` as JSON data: a dataclass becomes an object keyed as in a
     config file, a tuple a list."""
-    if isinstance(value, DistributionSpec):
-        return _dist_to_json(value)
     if is_dataclass(value):
-        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+        obj = {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+        return {"kind": value.kind, **obj} if isinstance(value, DistributionSpec) else obj
     if isinstance(value, tuple):
         return [to_json(v) for v in value]
     return value
@@ -254,7 +237,7 @@ def with_sweep_value(cfg: ExperimentConfig, axis: str, mean_value: float) -> Exp
         raise ConfigError(f"sweep mean must be > 10, got {mean_value}")
     feature = SWEEP_AXES[axis]
     try:
-        dist = DistributionSpec.uniform(10.0, 2.0 * mean_value - 10.0)
+        dist = Uniform(10.0, 2.0 * mean_value - 10.0)
         workload = replace(cfg.workload, context_bounds=None, **{feature: dist})
     except ConfigError as exc:
         raise ConfigError(f"workload.{feature}: {exc}") from None

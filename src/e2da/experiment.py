@@ -148,7 +148,8 @@ def make_policy(
     per user, the decision's user picks the agent.  It takes arrays only
     (a replay episode, or a live episode decided ahead) and runs one
     batched forward per agent over their rows (see _greedy).  An oracle
-    ranks the outcomes with its rule; random draws from rng.
+    ranks the outcomes with its rule; random, which takes arrays only too,
+    draws one action per row from rng.
     """
     if name == "e2da":
         if not agents:
@@ -170,8 +171,7 @@ def make_policy(
     if name == "random":
         if rng is None or n_actions < 1:
             raise ValueError("random policy needs rng and n_actions")
-        # a vector draw equals as many scalar draws; getattr skips np.shape's asarray on an int
-        return lambda users, x, outcomes: rng.integers(n_actions, size=getattr(users, "shape", None))
+        return lambda users, x, outcomes: rng.integers(n_actions, size=len(users))
     raise ValueError(f"unknown policy {name!r}")
 
 

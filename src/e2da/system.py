@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, SimulationError
-from .workload import DistributionSpec
+from .workload import DistributionSpec, Uniform
 
 
 # Each check below takes one decision's floats or a column's equal-length
@@ -90,7 +90,7 @@ class ChannelConfig:
     downlink_rate_bps: float
     uplink_power_w: float
     downlink_power_w: float
-    gain: DistributionSpec = field(default_factory=lambda: DistributionSpec.uniform(0.6, 1.0))
+    gain: DistributionSpec = field(default_factory=lambda: Uniform(0.6, 1.0))
     carrier_mhz: float = 0.0
 
     def __post_init__(self) -> None:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import ClassVar, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -24,58 +24,69 @@ _FEATURES = ("size_bits", "intensity_cpb", "deadline_s")  # context order
 _features_of = attrgetter(*_FEATURES)
 
 
-@dataclass(frozen=True)
 class DistributionSpec:
-    """A scalar sampling rule: uniform(min, max), constant(value), or
-    exponential(mean).  uniform and exponential consume one draw per
-    sample, constant consumes none."""
+    """A scalar sampling rule: Uniform, Constant or Exponential.  Each kind
+    is a frozen dataclass whose fields are its config keys; `kind` names it
+    in a config.  Uniform and Exponential consume one draw per sample,
+    Constant consumes none."""
 
-    kind: str
-    minimum: float = 0.0
-    maximum: float = 0.0
-    value: float = 0.0
-    mean: float = 0.0
+    kind: ClassVar[str]
 
     def __post_init__(self) -> None:
-        for f_name in ("minimum", "maximum", "value", "mean"):
-            if not math.isfinite(getattr(self, f_name)):
-                raise ConfigError(f"{f_name} must be finite, got {getattr(self, f_name)}")
-        if self.kind not in ("uniform", "constant", "exponential"):
-            raise ConfigError(f"unknown distribution kind {self.kind!r}")
-        if self.kind == "uniform" and not self.minimum < self.maximum:
-            raise ConfigError(f"uniform needs min < max, got [{self.minimum}, {self.maximum}]")
-        if self.kind == "exponential" and not self.mean > 0:
-            raise ConfigError(f"exponential needs mean > 0, got {self.mean}")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
 
     def sample(self, rng: np.random.Generator) -> float:
-        if self.kind == "uniform":
-            return self.minimum + (self.maximum - self.minimum) * rng.random()
-        if self.kind == "constant":
-            return self.value
-        u = rng.random()
-        if u <= 0.0:
-            u = _SMALLEST_POSITIVE
-        return -math.log(u) * self.mean
+        raise NotImplementedError
 
     def support(self) -> Optional[Tuple[float, float]]:
         """Bounded support if the kind has one, else None."""
-        if self.kind == "uniform":
-            return (self.minimum, self.maximum)
-        if self.kind == "constant":
-            return (self.value, self.value)
         return None
 
-    @staticmethod
-    def uniform(minimum: float, maximum: float) -> "DistributionSpec":
-        return DistributionSpec("uniform", minimum=minimum, maximum=maximum)
 
-    @staticmethod
-    def constant(value: float) -> "DistributionSpec":
-        return DistributionSpec("constant", value=value)
+@dataclass(frozen=True)
+class Uniform(DistributionSpec):
+    min: float
+    max: float
+    kind: ClassVar[str] = "uniform"
 
-    @staticmethod
-    def exponential(mean: float) -> "DistributionSpec":
-        return DistributionSpec("exponential", mean=mean)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.min < self.max:
+            raise ConfigError(f"max must be > min, got [{self.min}, {self.max}]")
+
+    def sample(self, rng: np.random.Generator) -> float:
+        return self.min + (self.max - self.min) * rng.random()
+
+    def support(self) -> Optional[Tuple[float, float]]:
+        return (self.min, self.max)
+
+
+@dataclass(frozen=True)
+class Constant(DistributionSpec):
+    value: float
+    kind: ClassVar[str] = "constant"
+
+    def sample(self, rng: np.random.Generator) -> float:
+        return self.value
+
+    def support(self) -> Optional[Tuple[float, float]]:
+        return (self.value, self.value)
+
+
+@dataclass(frozen=True)
+class Exponential(DistributionSpec):
+    mean: float
+    kind: ClassVar[str] = "exponential"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.mean > 0:
+            raise ConfigError(f"mean must be > 0, got {self.mean}")
+
+    def sample(self, rng: np.random.Generator) -> float:
+        return _standard_exponential(rng) * self.mean
 
 
 class Task(NamedTuple):
@@ -98,15 +109,9 @@ class WorkloadConfig:
     """
 
     arrival_rate_per_s: float = 40.0
-    size_bits: DistributionSpec = field(
-        default_factory=lambda: DistributionSpec.uniform(10.0, 75_000.0)
-    )
-    intensity_cpb: DistributionSpec = field(
-        default_factory=lambda: DistributionSpec.uniform(10.0, 1000.0)
-    )
-    deadline_s: DistributionSpec = field(
-        default_factory=lambda: DistributionSpec.uniform(0.010, 0.018)
-    )
+    size_bits: DistributionSpec = field(default_factory=lambda: Uniform(10.0, 75_000.0))
+    intensity_cpb: DistributionSpec = field(default_factory=lambda: Uniform(10.0, 1000.0))
+    deadline_s: DistributionSpec = field(default_factory=lambda: Uniform(0.010, 0.018))
     context_bounds: Optional[Tuple[Tuple[float, float], ...]] = None
 
     def __post_init__(self) -> None:
@@ -147,14 +152,20 @@ class WorkloadConfig:
         return lo, hi - lo
 
 
+def _standard_exponential(rng: np.random.Generator) -> float:
+    """-log(u) of one uniform draw u, with u = 0 read as the smallest
+    positive double."""
+    u = rng.random()
+    if u <= 0.0:
+        u = _SMALLEST_POSITIVE
+    return -math.log(u)
+
+
 def sample_interarrival(rng: np.random.Generator, rate_per_s: float) -> float:
     """Exponential gap via inverse CDF; consumes exactly one uniform draw."""
     if not rate_per_s > 0:
         raise ValueError(f"rate_per_s must be > 0, got {rate_per_s}")
-    u = rng.random()
-    if u <= 0.0:
-        u = _SMALLEST_POSITIVE
-    return -math.log(u) / rate_per_s
+    return _standard_exponential(rng) / rate_per_s
 
 
 def sample_task(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from e2da.system import ChannelConfig, NodeConfig
-from e2da.workload import DistributionSpec, Task
+from e2da.workload import Constant, Task
 
 
 def make_task(
@@ -23,7 +23,7 @@ def fixed_gain_channel(rate_bps, power_w, gain=0.8, down_rate_bps=None, down_pow
         downlink_rate_bps=down_rate_bps if down_rate_bps is not None else rate_bps,
         uplink_power_w=power_w,
         downlink_power_w=down_power_w if down_power_w is not None else power_w / 2,
-        gain=DistributionSpec.constant(gain),
+        gain=Constant(gain),
     )
 
 

@@ -41,7 +41,7 @@ from e2da.experiment import (
 from e2da.netsim import Simulator
 from e2da.rng import substream
 from e2da.system import ChannelConfig, NodeConfig, default_channels
-from e2da.workload import DistributionSpec, Task, WorkloadConfig, arrivals
+from e2da.workload import Task, Uniform, WorkloadConfig, arrivals
 
 
 def trailing_mean(values, window):
@@ -80,7 +80,7 @@ BENCH_CHANNELS = (
                   uplink_power_w=8.0, downlink_power_w=4.0, carrier_mhz=2600),
 )
 BENCH_WORKLOAD = WorkloadConfig(
-    arrival_rate_per_s=40.0, deadline_s=DistributionSpec.uniform(0.025, 0.045)
+    arrival_rate_per_s=40.0, deadline_s=Uniform(0.025, 0.045)
 )
 BENCH_SEEDS = (1, 2, 3)
 EPISODE_TASKS = 100
@@ -393,9 +393,9 @@ class TestIntensitySweep:
         for intensity_mean in (50_000, 200_000):
             wl = WorkloadConfig(
                 arrival_rate_per_s=20.0,
-                size_bits=DistributionSpec.uniform(10, 9_990),
-                intensity_cpb=DistributionSpec.uniform(10, 2 * intensity_mean - 10),
-                deadline_s=DistributionSpec.uniform(0.025, 0.045),
+                size_bits=Uniform(10, 9_990),
+                intensity_cpb=Uniform(10, 2 * intensity_mean - 10),
+                deadline_s=Uniform(0.025, 0.045),
             )
             means[intensity_mean] = live_sweep_means("ee", node, default_channels(), wl)
         e_ratio = means[200_000][0] / means[50_000][0]
@@ -429,9 +429,9 @@ class TestSizeSweep:
         for size_mean in (25_000, 50_000):
             wl = WorkloadConfig(
                 arrival_rate_per_s=60.0,
-                size_bits=DistributionSpec.uniform(10, 2 * size_mean - 10),
-                intensity_cpb=DistributionSpec.uniform(10, 9_990),
-                deadline_s=DistributionSpec.uniform(0.025, 0.045),
+                size_bits=Uniform(10, 2 * size_mean - 10),
+                intensity_cpb=Uniform(10, 9_990),
+                deadline_s=Uniform(0.025, 0.045),
             )
             means[size_mean] = live_sweep_means("ee", node, channels, wl)
         e_ratio = means[50_000][0] / means[25_000][0]

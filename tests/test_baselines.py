@@ -107,5 +107,6 @@ class TestPolicyWrappers:
     def test_random_policy_mirrors_generator(self):
         choose = make_policy("random", rng=substream(9, "actions"), n_actions=4)
         mirror = substream(9, "actions")
-        picks = [choose(u % 3, np.zeros(3), None) for u in range(20)]
-        assert picks == [int(mirror.integers(4)) for _ in range(20)]
+        # one 20-row call draws what 20 scalar draws would, as live mode relies on
+        picks = choose(np.arange(20) % 3, np.zeros((20, 3)), None)
+        assert picks.tolist() == [int(mirror.integers(4)) for _ in range(20)]

@@ -18,6 +18,7 @@ from e2da.config import (
 )
 from e2da.errors import ConfigError
 from e2da.ioutil import atomic_write_text, sha256_file, write_json
+from e2da.workload import Uniform
 
 
 class TestIoUtil:
@@ -139,15 +140,11 @@ class TestSweepValue:
     def test_mean_preserving_rescale(self):
         cfg = config_from_dict({})
         swept = with_sweep_value(cfg, "intensity", 50_000.0)
-        dist = swept.workload.intensity_cpb
-        assert dist.kind == "uniform"
-        assert (dist.minimum, dist.maximum) == (10.0, 99_990.0)
+        assert swept.workload.intensity_cpb == Uniform(10.0, 99_990.0)
         assert swept.workload.size_bits == cfg.workload.size_bits
         assert swept.workload.context_bounds == ((10.0, 75_000.0), (10.0, 99_990.0), (0.010, 0.018))
         sized = with_sweep_value(cfg, "size", 5000.0)
-        assert (sized.workload.size_bits.minimum, sized.workload.size_bits.maximum) == (
-            10.0, 9990.0,
-        )
+        assert sized.workload.size_bits == Uniform(10.0, 9990.0)
         assert sized.workload.intensity_cpb == cfg.workload.intensity_cpb
 
     def test_rejects_bad_axis_and_mean(self):
@@ -522,6 +519,16 @@ class TestMalformedConfig:
             ("workload", {"context_bounds": [[0, 1]]}, "workload.context_bounds"),
             ("workload", {"size_bits": {"kind": "exponential", "mean": 1000}},
              "workload.context_bounds"),
+            ("workload", {"size_bits": 5}, "workload.size_bits"),
+            ("workload", {"size_bits": {"min": 1, "max": 2}}, "workload.size_bits.kind"),
+            ("workload", {"size_bits": {"kind": "normal", "mean": 1}}, "workload.size_bits.kind"),
+            ("workload", {"size_bits": {"kind": "uniform", "min": 1}}, "workload.size_bits:"),
+            ("workload", {"size_bits": {"kind": "constant", "value": 1, "mean": 1}},
+             "workload.size_bits:"),
+            ("workload", {"size_bits": {"kind": "uniform", "min": 2, "max": 2}},
+             "workload.size_bits.max"),
+            ("workload", {"size_bits": {"kind": "exponential", "mean": 0}},
+             "workload.size_bits.mean"),
         ],
     )
     def test_out_of_range_exits_2_naming_file_and_key(self, tmp_path, capsys, section,

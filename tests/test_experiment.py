@@ -976,6 +976,12 @@ def acting(agents):
     return lambda user, x, outcomes: agents[user if len(agents) > 1 else 0].act(x, 0.0)
 
 
+def drawing(rng, n_actions):
+    """The random policy one decision at a time: one scalar draw from rng,
+    which make_policy's one vector draw per call must equal."""
+    return lambda user, x, outcomes: rng.integers(n_actions)
+
+
 def counting_task_streams(monkeypatch):
     """Make every arrival feed count the tasks its users' streams draw;
     returns the one-item list that holds the count."""
@@ -1247,7 +1253,8 @@ class TestReplayMatchesPerDecisionReference:
         def make():
             return make_policy("random", rng=substream(19, "pol"), n_actions=4)
 
-        self.check_policy(per_decision, make, small_dataset)
+        self.check_policy(per_decision, make, small_dataset,
+                          reference=lambda: drawing(substream(19, "pol"), 4))
 
     def test_frozen_e2da(self, small_dataset, per_decision):
         shared = fresh_agent(81)
@@ -1308,7 +1315,8 @@ class TestReplayMatchesPerDecisionReference:
             def make():
                 return make_policy(name, [agent], substream(37, "pol"), 4)
 
-            reference = (lambda: acting([agent])) if name == "e2da" else None
+            reference = {"e2da": lambda: acting([agent]),
+                         "random": lambda: drawing(substream(37, "pol"), 4)}.get(name)
             self.check_policy(per_decision, make, tiny, reference, tasks_per_episode=50)
         trainee, mirror = fresh_agent(86), fresh_agent(86)
         got = run_training(trainee, tiny, WorkloadConfig(), 3, 50, seed=41)

@@ -22,7 +22,7 @@ from e2da.system import (
     fair_share_rate,
     radio_energy,
 )
-from e2da.workload import DistributionSpec, Task, WorkloadConfig, arrivals
+from e2da.workload import Constant, Task, Uniform, WorkloadConfig, arrivals
 
 
 class TestOps:
@@ -67,9 +67,9 @@ class TestOps:
 class TestConfigs:
     def test_channel_gain_support_must_fit(self):
         with pytest.raises(ConfigError):
-            ChannelConfig(1e6, 1e6, 1.0, 0.5, gain=DistributionSpec.uniform(0.5, 1.2))
+            ChannelConfig(1e6, 1e6, 1.0, 0.5, gain=Uniform(0.5, 1.2))
         with pytest.raises(ConfigError):
-            ChannelConfig(1e6, 1e6, 1.0, 0.5, gain=DistributionSpec.constant(0.0))
+            ChannelConfig(1e6, 1e6, 1.0, 0.5, gain=Constant(0.0))
 
     def test_default_channels_shape(self):
         assert len(default_channels()) == 3
@@ -277,8 +277,8 @@ class TestLocalCpuQueueing:
         rate = rho / mean_s
         want = rate * second_moment_s2 / (2 * (1 - rho))
         wl = WorkloadConfig(
-            arrival_rate_per_s=rate, size_bits=DistributionSpec.uniform(lo, hi),
-            intensity_cpb=DistributionSpec.constant(cpb), deadline_s=DistributionSpec.constant(1.0),
+            arrival_rate_per_s=rate, size_bits=Uniform(lo, hi),
+            intensity_cpb=Constant(cpb), deadline_s=Constant(1.0),
             context_bounds=((lo, hi), (1.0, 1000.0), (0.5, 2.0)),
         )
         node = NodeConfig(n_users=1, n_base_stations=1, n_channels=1, user_cpu_hz=cpu_hz)
@@ -292,6 +292,41 @@ class TestLocalCpuQueueing:
         batch_means = np.array(waits).reshape(20, -1).mean(axis=1)
         std_err = batch_means.std(ddof=1) / np.sqrt(20)
         assert len(waits) == 100_000
+        assert abs(batch_means.mean() - want) < 4 * std_err
+
+
+class TestUplinkQueueing:
+    """One user offloading through channel 1 of one base station finds its
+    uplink an M/G/1 FIFO queue: Poisson arrivals and service times
+    size / 1e6 s at gain 1, sizes uniform on [1e4, 1e5] bits.  The result
+    has no bits, so only the uplink is timed.  Its mean wait d2_s matches
+    Pollaczek-Khinchine within 4 batch-means standard errors over 20
+    batches, as in TestLocalCpuQueueing."""
+
+    @pytest.mark.parametrize("rho", [0.3, 0.6, 0.8])
+    def test_mean_wait_matches_pollaczek_khinchine(self, rho):
+        lo, hi, rate_bps, n_tasks = 1e4, 1e5, 1e6, 100_000
+        mean_s = (lo + hi) / 2 / rate_bps
+        second_moment_s2 = (hi**3 - lo**3) / (3 * (hi - lo)) / rate_bps**2
+        rate = rho / mean_s
+        want = rate * second_moment_s2 / (2 * (1 - rho))
+        wl = WorkloadConfig(
+            arrival_rate_per_s=rate, size_bits=Uniform(lo, hi),
+            intensity_cpb=Constant(1.0), deadline_s=Constant(1.0),
+            context_bounds=((lo, hi), (0.5, 2.0), (0.5, 2.0)),
+        )
+        node = single_user_node(result_size_ratio=0.0)
+        channel = fixed_gain_channel(rate_bps, 1.0, gain=1.0)
+        sim = Simulator(node, (channel,), substream(3, "gains"), policy=lambda s, t: 1)
+        sim.add_arrivals(itertools.islice(arrivals(wl, 3, 1), n_tasks))
+        waits = []  # in completion order, which FIFO makes arrival order
+        while sim.has_events:
+            out = sim.advance()
+            if out is not None:
+                waits.append(out.d2_s)
+        batch_means = np.array(waits).reshape(20, -1).mean(axis=1)
+        std_err = batch_means.std(ddof=1) / np.sqrt(20)
+        assert len(waits) == n_tasks
         assert abs(batch_means.mean() - want) < 4 * std_err
 
 
@@ -455,7 +490,7 @@ class TestSnapshotProjection:
     def test_stage_idempotent_and_ordered(self):
         node = single_user_node(n_channels=3)
         chans = tuple(
-            ChannelConfig(1e6, 1e6, 1.0, 0.5, gain=DistributionSpec.uniform(0.6, 1.0))
+            ChannelConfig(1e6, 1e6, 1.0, 0.5, gain=Uniform(0.6, 1.0))
             for _ in range(3)
         )
         sim = Simulator(node, chans, substream(4, "gains"))
@@ -525,7 +560,7 @@ class TestTieHeavyDigest:
         node = NodeConfig(n_users=6, n_base_stations=2, n_channels=3, user_cpu_hz=2.0**30,
                           edge_vm_hz=2.0**32, result_size_ratio=0.25)
         chans = tuple(
-            ChannelConfig(rate, rate, 1.0, 0.5, gain=DistributionSpec.constant(gain))
+            ChannelConfig(rate, rate, 1.0, 0.5, gain=Constant(gain))
             for rate, gain in ((2.0**20, 1.0), (2.0**21, 0.5), (2.0**22, 1.0))
         )
         sim = Simulator(node, chans, substream(0, "gains"),
@@ -781,7 +816,7 @@ class TestValidationAndErrors:
         """A gain draw the channel's support cannot give, from a scripted
         stream, fails with fair_share_rate's error when its leg starts."""
         node = single_user_node()
-        ch = ChannelConfig(1e6, 1e6, 1.0, 0.5, gain=DistributionSpec.uniform(0.6, 1.0))
+        ch = ChannelConfig(1e6, 1e6, 1.0, 0.5, gain=Uniform(0.6, 1.0))
         sim = Simulator(node, (ch,), StubRng([u]))
         with pytest.raises(ValueError, match=rf"^gain must be in \(0, 1\], got {shown}"):
             sim.submit(make_task(), 1)

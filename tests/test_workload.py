@@ -9,7 +9,9 @@ from e2da import workload
 from e2da.errors import ConfigError
 from e2da.rng import substream
 from e2da.workload import (
-    DistributionSpec,
+    Constant,
+    Exponential,
+    Uniform,
     WorkloadConfig,
     arrivals,
     normalize_context,
@@ -21,45 +23,46 @@ from e2da.workload import (
 
 class TestDistributionSpec:
     def test_uniform_inverse_cdf(self):
-        dist = DistributionSpec.uniform(10.0, 20.0)
+        dist = Uniform(10.0, 20.0)
         assert dist.sample(StubRng([0.5])) == 15.0
         assert dist.sample(StubRng([0.0])) == 10.0
 
     def test_uniform_single_draw(self):
         rng = substream(3, "t")
         mirror = substream(3, "t")
-        dist = DistributionSpec.uniform(0.0, 1.0)
+        dist = Uniform(0.0, 1.0)
         got = [dist.sample(rng) for _ in range(5)]
         want = [mirror.random() for _ in range(5)]
         assert got == want
 
     def test_constant_consumes_nothing(self):
-        dist = DistributionSpec.constant(42.0)
+        dist = Constant(42.0)
         assert dist.sample(StubRng([])) == 42.0
 
     def test_exponential_inverse_cdf(self):
-        dist = DistributionSpec.exponential(3.0)
+        dist = Exponential(3.0)
         # u = 0.5 gives exactly mean * ln 2
         assert dist.sample(StubRng([0.5])) == 3.0 * math.log(2.0)
 
     def test_exponential_zero_draw_is_finite(self):
-        dist = DistributionSpec.exponential(1.0)
+        dist = Exponential(1.0)
         v = dist.sample(StubRng([0.0]))
         assert math.isfinite(v) and v > 0
 
     def test_support(self):
-        assert DistributionSpec.uniform(1, 2).support() == (1, 2)
-        assert DistributionSpec.constant(5).support() == (5, 5)
-        assert DistributionSpec.exponential(1).support() is None
+        assert Uniform(1, 2).support() == (1, 2)
+        assert Constant(5).support() == (5, 5)
+        assert Exponential(1).support() is None
 
     @pytest.mark.parametrize(
         "dist",
         [
-            lambda: DistributionSpec.uniform(2.0, 2.0),
-            lambda: DistributionSpec.uniform(3.0, 1.0),
-            lambda: DistributionSpec.exponential(0.0),
-            lambda: DistributionSpec.exponential(-1.0),
-            lambda: DistributionSpec("gaussian"),
+            lambda: Uniform(2.0, 2.0),
+            lambda: Uniform(3.0, 1.0),
+            lambda: Exponential(0.0),
+            lambda: Exponential(-1.0),
+            lambda: Uniform(1.0, math.inf),
+            lambda: Constant(math.nan),
         ],
     )
     def test_validate_rejects(self, dist):
@@ -149,12 +152,12 @@ class TestTaskStream:
             # 2, 3 and 4 draws per task, so tasks straddle block boundaries
             WorkloadConfig(
                 arrival_rate_per_s=3.0,
-                size_bits=DistributionSpec.constant(5000.0),
-                deadline_s=DistributionSpec.exponential(0.02),
+                size_bits=Constant(5000.0),
+                deadline_s=Exponential(0.02),
                 context_bounds=((1.0, 9000.0), (10.0, 1000.0), (0.001, 0.1)),
             ),
-            WorkloadConfig(intensity_cpb=DistributionSpec.constant(100.0),
-                           size_bits=DistributionSpec.constant(10.0),
+            WorkloadConfig(intensity_cpb=Constant(100.0),
+                           size_bits=Constant(10.0),
                            context_bounds=((1.0, 90.0), (10.0, 1000.0), (0.01, 0.018))),
         ],
     )
@@ -218,16 +221,16 @@ class TestWorkloadConfig:
 
     def test_unbounded_feature_needs_explicit_bounds(self):
         with pytest.raises(ConfigError, match="context_bounds"):
-            WorkloadConfig(size_bits=DistributionSpec.exponential(1000.0))
+            WorkloadConfig(size_bits=Exponential(1000.0))
         ok = WorkloadConfig(
-            size_bits=DistributionSpec.exponential(1000.0),
+            size_bits=Exponential(1000.0),
             context_bounds=((1.0, 9000.0), (10.0, 1000.0), (0.01, 0.018)),
         )
         assert ok.context_bounds[0] == (1.0, 9000.0)
 
     def test_nonpositive_support_rejected(self):
         with pytest.raises(ConfigError):
-            WorkloadConfig(size_bits=DistributionSpec.uniform(0.0, 10.0))
+            WorkloadConfig(size_bits=Uniform(0.0, 10.0))
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ConfigError):
