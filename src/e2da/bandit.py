@@ -4,19 +4,23 @@ A small fully connected network maps the scaled (size, intensity, deadline)
 context to one value head per action (local plus each channel).  Hidden
 layers are ReLU, the output layer is a logistic squash, and training
 minimizes squared error on the chosen action's head only, with RMSProp
-updates over minibatches replayed from a ring buffer.
+updates over minibatches replayed from a ring buffer.  A run's agents are
+saved to and read from model.json by write_checkpoint and read_checkpoint.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import AgentConfig, read_section, to_json
+from . import __version__
+from .config import AgentConfig, read_section, read_value, to_json
 from .errors import ConfigError, TrainingFault
+from .ioutil import read_json, write_json
 from .rng import substream
 
 # width of the paper's context: the scaled (size, intensity, deadline)
@@ -74,8 +78,8 @@ class MlpModel:
     on one selected output per sample, RMSProp parameter updates.
 
     Parameters, RMSProp accumulators and gradients are one flat float64
-    vector each (params, acc, _grad); weights, biases, acc_w and acc_b are
-    per-layer views into them, so writing through a view changes the model."""
+    vector each (params, acc, _grad); weights and biases are per-layer
+    views into params, so writing through a view changes the model."""
 
     def __init__(
         self,
@@ -95,7 +99,6 @@ class MlpModel:
         n = sum(i * o + o for i, o in zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
         self.params, self.acc, self._grad, self._tmp = (np.zeros(n) for _ in range(4))
         self.weights, self.biases = self.layer_views(self.params)
-        self.acc_w, self.acc_b = self.layer_views(self.acc)
         self._grads = self.layer_views(self._grad)  # what loss_and_grads returns
         # per layer, the transposed weight and (1, fan_out) bias views that
         # the matmuls and the bias adds take
@@ -204,55 +207,6 @@ class MlpModel:
         np.copyto(self.params, params)
         self.acc.fill(0.0)
 
-    def hyperparameters(self) -> dict:
-        """The checkpoint entries that describe the model, not its arrays."""
-        return {
-            "layer_sizes": list(self.layer_sizes),
-            "learning_rate": self.learning_rate,
-            "rmsprop_decay": self.rmsprop_decay,
-            "rmsprop_eps": self.rmsprop_eps,
-        }
-
-    def to_state(self) -> dict:
-        return {
-            **self.hyperparameters(),
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-            "acc_weights": [a.tolist() for a in self.acc_w],
-            "acc_biases": [a.tolist() for a in self.acc_b],
-        }
-
-    def load_arrays(self, state: dict) -> None:
-        """Copy the parameter and RMSProp arrays of a to_state dict; one of
-        the wrong shape or with a non-finite entry raises ConfigError
-        naming its key path, such as "model.weights[1]"."""
-        _load_layers(self, self.params, state, "model")
-        _load_layers(self, self.acc, state, "model", ("acc_weights", "acc_biases"))
-
-
-def _load_layers(model: MlpModel, flat: np.ndarray, saved: dict, prefix: str,
-                 keys: Tuple[str, str] = ("weights", "biases")) -> None:
-    """Copy a checkpoint's per-layer weight and bias lists, saved[keys[0]] and
-    saved[keys[1]], into `flat`, laid out as model.params.  A wrong or
-    non-finite entry raises ConfigError naming its key path, such as
-    "model.weights[1]"."""
-    for name, views in zip(keys, model.layer_views(flat)):
-        values, key = saved[name], f"{prefix}.{name}"
-        if not isinstance(values, list) or len(values) != len(views):
-            raise ConfigError(f"{key} must list {len(views)} arrays, one per layer")
-        for i, (value, view) in enumerate(zip(values, views)):
-            try:
-                arr = np.array(value, dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key}[{i}] is not a numeric array") from None
-            if arr.shape != view.shape:
-                raise ConfigError(
-                    f"{key}[{i}] has shape {arr.shape}, the layer sizes need {view.shape}"
-                )
-            if not np.isfinite(arr).all():
-                raise ConfigError(f"{key}[{i}] holds a non-finite value")
-            view[...] = arr
-
 
 class ReplayBuffer:
     """Fixed-capacity ring of (context, action, target) observations."""
@@ -355,72 +309,152 @@ class E2daAgent:
             batch = self.buffer.sample(self.minibatch_rng, self.config.minibatch_size)
             self.model.train_step(*batch)
 
-    def to_state(self) -> dict:
-        initial = None
-        if self._initial_params is not None:
-            weights, biases = self.model.layer_views(self._initial_params)
-            initial = {"weights": [a.tolist() for a in weights],
-                       "biases": [a.tolist() for a in biases]}
-        return {
-            "model": self.model.to_state(),
-            "reward_params": to_json(self.reward_params),
-            "initial_params": initial,
-            "episodes_trained": self.episodes_trained,
-            "config": to_json(self.config),
-        }
 
-    @classmethod
-    def from_state(
-        cls,
-        state: dict,
-        n_actions: int,
-        master_seed: int,
-        stream_salt: Tuple = (),
-    ) -> "E2daAgent":
-        """Agent with n_actions outputs saved by to_state, built from the
-        state's config, with fresh explore and minibatch substreams salted
-        as create salts them and also with the state's episode count, so a
-        resumed run does not replay the original run's draws.  The config
-        and reward sections are read like a run config's agent section,
-        and each dataclass checks its own constants when built.  An
-        episode count that is not a count, a mistyped, unknown or
-        out-of-range config or reward constant, two differing miss
-        penalties, model hyperparameters other than the config implies, a
-        malformed model or initial parameter array, or initial parameters
-        present or missing against config.retrain_from_scratch, raises
-        ConfigError whose message starts with its key path in the state;
-        other malformed entries raise KeyError, TypeError or ValueError."""
-        ep = state.get("episodes_trained")
-        if not isinstance(ep, int) or isinstance(ep, bool) or ep < 0:
-            raise ConfigError(f"episodes_trained must be a count, got {ep!r}")
-        config = read_section(AgentConfig, state["config"], "config")
-        rp = read_section(RewardParams, state["reward_params"], "reward_params")
-        if config.penalty != rp.penalty:
-            raise ConfigError(
-                f"config.penalty {config.penalty!r} differs from reward_params.penalty "
-                f"{rp.penalty!r}; the learner's targets and the scores must share one penalty"
-            )
-        agent = cls(
-            config, n_actions, rp, None,
-            explore_rng=substream(master_seed, "explore", ep, *stream_salt),
-            minibatch_rng=substream(master_seed, "minibatch", ep, *stream_salt),
-        )
-        model, saved = agent.model, state["model"]
-        for name, implied in model.hyperparameters().items():
-            if saved[name] != implied:
+# model.json's format name and agent-state key, by whether agents are per user
+_FORMATS = {False: ("e2da-agent", "agent"), True: ("e2da-agent-set", "agents")}
+_ACC_KEYS = ("acc_weights", "acc_biases")
+
+
+def _hyperparameters(model: MlpModel) -> dict:
+    """The checkpoint entries that describe a model, not its arrays."""
+    names = ("learning_rate", "rmsprop_decay", "rmsprop_eps")
+    return {"layer_sizes": list(model.layer_sizes), **{n: getattr(model, n) for n in names}}
+
+
+def _save_layers(model: MlpModel, flat: np.ndarray, keys=("weights", "biases")) -> dict:
+    """A vector laid out as model.params, as per-layer lists under keys."""
+    return {key: [a.tolist() for a in views] for key, views in zip(keys, model.layer_views(flat))}
+
+
+def _load_layers(model: MlpModel, flat: np.ndarray, saved: dict, prefix: str,
+                 keys=("weights", "biases")) -> None:
+    """Copy the per-layer lists that _save_layers wrote into `flat`.  A
+    wrong, non-finite or unrepresentable entry raises ConfigError naming
+    its key path, such as "model.weights[1]"."""
+    for name, views in zip(keys, model.layer_views(flat)):
+        values, key = saved[name], f"{prefix}.{name}"
+        if not isinstance(values, list) or len(values) != len(views):
+            raise ConfigError(f"{key} must list {len(views)} arrays, one per layer")
+        for i, (value, view) in enumerate(zip(values, views)):
+            try:
+                arr = np.array(value, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{key}[{i}] is not an array of floats") from None
+            if arr.shape != view.shape:
                 raise ConfigError(
-                    f"model.{name} is {saved[name]!r}, but the config implies {implied!r}"
+                    f"{key}[{i}] has shape {arr.shape}, the layer sizes need {view.shape}"
                 )
-        model.load_arrays(saved)
-        agent.episodes_trained = ep
-        initial = state.get("initial_params")
-        anchor = None if initial is None else np.zeros_like(model.params)
-        if anchor is not None:  # loaded before the check, so a bad entry names its key
-            _load_layers(model, anchor, initial, "initial_params")
-        if (anchor is None) == config.retrain_from_scratch:
-            raise ConfigError(
-                f"initial_params is {'null' if anchor is None else 'set'}, but "
-                f"config.retrain_from_scratch is {config.retrain_from_scratch}"
-            )
-        agent._initial_params = anchor
-        return agent
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"{key}[{i}] holds a non-finite value")
+            view[...] = arr
+
+
+def write_checkpoint(
+    path: str, agents: Sequence[E2daAgent], per_user: bool, context_bounds
+) -> None:
+    """Write the model.json of a run's agents, whose contexts it scaled
+    with context_bounds; in a per-user set agents[u] decides for user u."""
+    kind, key = _FORMATS[per_user]
+    states = []
+    for agent in agents:
+        model, anchor = agent.model, agent._initial_params
+        arrays = {**_save_layers(model, model.params), **_save_layers(model, model.acc, _ACC_KEYS)}
+        states.append({
+            "model": {**_hyperparameters(model), **arrays},
+            "reward_params": to_json(agent.reward_params),
+            "initial_params": None if anchor is None else _save_layers(model, anchor),
+            "episodes_trained": agent.episodes_trained,
+            "config": to_json(agent.config),
+        })
+    write_json(path, {
+        "format": kind, "tool_version": __version__, "n_actions": agents[0].model.n_actions,
+        "context_bounds": to_json(context_bounds), key: states if per_user else states[0],
+    })
+
+
+def read_checkpoint(
+    path: str, n_actions: int, per_user: bool, salts: Sequence[Tuple], seed: int
+) -> Tuple[List[E2daAgent], Tuple[Tuple[float, float], ...]]:
+    """The agents and context bounds of the model.json at path, checked
+    against a run's agent scope (per_user), action count and, in a set, one
+    agent per stream salt, all with one episode count.  Each agent's explore
+    and minibatch substreams are salted as E2daAgent.create salts them and
+    also with that count, so a resumed run does not replay the original
+    run's draws.  A malformed entry raises ConfigError starting with the
+    path and then the entry's key path."""
+    payload = read_json(path)
+    kind, key = _FORMATS[per_user]
+    try:
+        found = payload.get("format") if isinstance(payload, dict) else None
+        if found != kind:
+            scope = "per_user" if per_user else "shared"
+            raise ConfigError(f"format is {found!r}; run.agent_scope {scope!r} needs {kind!r}")
+        if (found := payload.get("n_actions")) != n_actions:
+            raise ConfigError(f"n_actions is {found!r}, the config implies {n_actions}")
+        states = payload.get(key) if per_user else [payload.get(key)]
+        if not isinstance(states, list) or len(states) != len(salts):
+            raise ConfigError(f"{key} must list one agent state per user ({len(salts)})")
+        agents = []
+        for u, (state, salt) in enumerate(zip(states, salts)):
+            where = f"agents[{u}]" if per_user else "agent"
+            if not isinstance(state, dict):
+                raise ConfigError(f"{where} must be an agent state object, got {state!r}")
+            try:
+                agents.append(_read_agent(state, n_actions, seed, salt))
+            except ConfigError as exc:  # the message starts with a key path inside the state
+                raise ConfigError(f"{where}.{exc}") from None
+            except (KeyError, TypeError, ValueError, IndexError) as exc:
+                raise ConfigError(f"{where} is not a valid agent state ({exc!r})") from None
+        # a set's agents train together, so one count numbers a resumed run's episodes
+        counts = [agent.episodes_trained for agent in agents]
+        for u, ep in enumerate(counts):
+            if ep != counts[0]:
+                raise ConfigError(
+                    f"agents[{u}].episodes_trained is {ep}, agents[0]'s is {counts[0]}"
+                )
+        hint = Tuple[Tuple[float, float], ...]
+        return agents, read_value(payload.get("context_bounds"), hint, "context_bounds")
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _read_agent(state: dict, n_actions: int, seed: int, salt: Tuple) -> E2daAgent:
+    """One saved agent, built from its config section, which is read like
+    a run config's agent section.  A bad episode count or constant, two
+    miss penalties, hyperparameters or an anchor the config does not imply,
+    or a malformed array raises ConfigError starting with its key path in
+    the state; other malformed entries raise KeyError, TypeError or
+    ValueError."""
+    ep = state.get("episodes_trained")
+    if not isinstance(ep, int) or isinstance(ep, bool) or not 0 <= ep <= sys.float_info.max:
+        raise ConfigError(f"episodes_trained must be a count a float can hold, got {ep!r}")
+    config = read_section(AgentConfig, state["config"], "config")
+    rp = read_section(RewardParams, state["reward_params"], "reward_params")
+    if config.penalty != rp.penalty:
+        raise ConfigError(
+            f"config.penalty {config.penalty!r} differs from reward_params.penalty "
+            f"{rp.penalty!r}; the learner's targets and the scores must share one penalty"
+        )
+    agent = E2daAgent(
+        config, n_actions, rp, None,
+        explore_rng=substream(seed, "explore", ep, *salt),
+        minibatch_rng=substream(seed, "minibatch", ep, *salt),
+    )
+    model, saved = agent.model, state["model"]
+    for name, implied in _hyperparameters(model).items():
+        if (found := saved[name]) != implied:
+            raise ConfigError(f"model.{name} is {found!r}, but the config implies {implied!r}")
+    _load_layers(model, model.params, saved, "model")
+    _load_layers(model, model.acc, saved, "model", _ACC_KEYS)
+    agent.episodes_trained = ep
+    initial = state.get("initial_params")
+    anchor = None if initial is None else np.zeros_like(model.params)
+    if anchor is not None:  # loaded before the check, so a bad entry names its key
+        _load_layers(model, anchor, initial, "initial_params")
+    if (anchor is None) == config.retrain_from_scratch:
+        raise ConfigError(
+            f"initial_params is {'null' if anchor is None else 'set'}, but "
+            f"config.retrain_from_scratch is {config.retrain_from_scratch}"
+        )
+    agent._initial_params = anchor
+    return agent

@@ -27,13 +27,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .bandit import E2daAgent, RewardParams
+from .bandit import E2daAgent, RewardParams, read_checkpoint, write_checkpoint
 from .config import (
     MODES,
     SWEEP_AXES,
     ExperimentConfig,
     load_config,
-    read_value,
     to_json,
     with_sweep_value,
 )
@@ -54,14 +53,12 @@ from .experiment import (
     summarize,
     write_metrics,
 )
-from .ioutil import read_json, sha256_file, write_json
+from .ioutil import sha256_file, write_json
 from .rng import substream
 from .workload import WorkloadConfig
 
 TRAIN_AGENTS = ("e2da", "random")
 EVAL_AGENTS = ("e2da", "eel", "ee", "r", "random")
-# checkpoint format and agent-state key, by whether agents are per user
-_CHECKPOINT = {False: ("e2da-agent", "agent"), True: ("e2da-agent-set", "agents")}
 
 
 # ------------------------------------------------------------------- helpers
@@ -171,12 +168,16 @@ def _policy_inputs(
     if per_user and mode != "dataset":
         raise ConfigError("run.agent_scope 'per_user' requires dataset mode")
     salts = [("user", u) for u in range(cfg.system.n_users)] if per_user else [()]
+    n_actions = cfg.system.n_channels + 1
     if checkpoint is None:
         params = _reward_params(cfg, seed, dataset, extra)
-        n_actions = cfg.system.n_channels + 1
         agents = [E2daAgent.create(cfg.agent, n_actions, params, seed, salt) for salt in salts]
         return agents, params, cfg.workload
-    agents, workload = _read_checkpoint(checkpoint, cfg, seed, salts)
+    agents, bounds = read_checkpoint(checkpoint, n_actions, per_user, salts, seed)
+    try:  # the message starts with a key path in context_bounds
+        workload = replace(cfg.workload, context_bounds=bounds)
+    except ConfigError as exc:
+        raise ConfigError(f"{checkpoint}: {exc}") from None
     # inputs go into the manifest by content hash, not path, so two runs of
     # the same experiment stay byte-identical
     extra.update(
@@ -187,71 +188,6 @@ def _policy_inputs(
         }
     )
     return agents, agents[0].reward_params, workload
-
-
-def _read_checkpoint(
-    path: str, cfg: ExperimentConfig, seed: int, salts: List[Tuple]
-) -> Tuple[List[E2daAgent], WorkloadConfig]:
-    """Agents of a checkpoint, checked against the run's agent scope and
-    action count, plus the workload with the checkpoint's context bounds."""
-    payload = read_json(path)
-
-    def invalid(key_path: str, why: str) -> ConfigError:
-        return ConfigError(f"{path}: {key_path} {why}")
-
-    per_user = cfg.run.agent_scope == "per_user"
-    kind, key = _CHECKPOINT[per_user]
-    found = payload.get("format") if isinstance(payload, dict) else None
-    if found != kind:
-        scope = cfg.run.agent_scope
-        raise invalid("format", f"is {found!r}; run.agent_scope {scope!r} needs {kind!r}")
-    n_actions = cfg.system.n_channels + 1
-    if payload.get("n_actions") != n_actions:
-        found = payload.get("n_actions")
-        raise invalid("n_actions", f"is {found!r}, the config implies {n_actions}")
-    states = payload.get(key)
-    if not per_user:
-        states = [states]
-    elif not isinstance(states, list) or len(states) != len(salts):
-        raise invalid(key, f"must list one agent state per user ({len(salts)})")
-    agents = []
-    for u, (state, salt) in enumerate(zip(states, salts)):
-        where = f"agents[{u}]" if per_user else "agent"
-        if not isinstance(state, dict):
-            raise invalid(where, f"must be an agent state object, got {state!r}")
-        try:
-            agents.append(E2daAgent.from_state(state, n_actions, seed, salt))
-        except ConfigError as exc:  # the message starts with a key path inside the state
-            raise ConfigError(f"{path}: {where}.{exc}") from exc
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise invalid(where, f"is not a valid agent state ({exc!r})") from exc
-    # a set's agents train together, so one count numbers a resumed run's episodes
-    counts = [agent.episodes_trained for agent in agents]
-    for u, ep in enumerate(counts):
-        if ep != counts[0]:
-            raise invalid(f"agents[{u}].episodes_trained", f"is {ep}, agents[0]'s is {counts[0]}")
-    try:  # the message starts with a key path in context_bounds
-        hint = Tuple[Tuple[float, float], ...]
-        bounds = read_value(payload.get("context_bounds"), hint, "context_bounds")
-        return agents, replace(cfg.workload, context_bounds=bounds)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _write_checkpoint(
-    path: str, agents: List[E2daAgent], per_user: bool, workload: WorkloadConfig
-) -> None:
-    """Checkpoint of a run's agents; in a per-user set agents[u] decides for user u."""
-    kind, key = _CHECKPOINT[per_user]
-    states = [agent.to_state() for agent in agents]
-    payload = {
-        "format": kind,
-        "tool_version": __version__,
-        "n_actions": agents[0].model.n_actions,
-        "context_bounds": [list(b) for b in workload.context_bounds],
-        key: states if per_user else states[0],
-    }
-    write_json(path, payload)
 
 
 def _evaluate(
@@ -320,7 +256,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             rows = run_training(agents[0], dataset, workload, *episodes)
         else:
             rows = run_live_training(agents[0], cfg.system, cfg.channels, workload, *episodes)
-        _write_checkpoint(_output(args.out, "model.json"), agents, per_user, workload)
+        write_checkpoint(_output(args.out, "model.json"), agents, per_user, workload.context_bounds)
         extra["episodes_trained"] = agents[0].episodes_trained
         outputs.append("model.json")
 

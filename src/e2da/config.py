@@ -12,6 +12,7 @@ Unknown keys are rejected rather than ignored so typos surface as errors.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -140,14 +141,16 @@ def _require_keys(obj: dict, allowed, where: str) -> None:
 
 
 def _is_number(raw) -> bool:
-    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    """Whether raw is a finite float or an integer within the float range."""
+    number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    return number and abs(raw) <= sys.float_info.max
 
 
 # scalar type -> (what the message asks for, whether a JSON value qualifies)
 _SCALARS = {
     bool: ("true or false", lambda raw: isinstance(raw, bool)),
-    int: ("an integer", lambda raw: _is_number(raw) and float(raw).is_integer()),
-    float: ("a finite number", lambda raw: _is_number(raw) and math.isfinite(raw)),
+    int: ("an integer a float can hold", lambda raw: _is_number(raw) and float(raw).is_integer()),
+    float: ("a finite number", _is_number),
     str: ("a string", lambda raw: isinstance(raw, str)),
 }
 

@@ -70,7 +70,7 @@ def read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer of more digits than int() reads
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -12,7 +12,9 @@ from e2da.bandit import (
     RewardParams,
     compute_reward,
     efficiency,
+    read_checkpoint,
     reward_to_target,
+    write_checkpoint,
 )
 from e2da.config import AgentConfig
 from e2da.errors import ConfigError, TrainingFault
@@ -303,7 +305,8 @@ class TestReferenceLearner:
             loss = model.train_step(x, actions, targets)
             want = reference_train_step(*ref, x, actions, targets, self.LR, self.BETA, self.EPS)
             assert loss.hex() == want.hex()
-            for got, expected in zip((model.weights, model.biases, model.acc_w, model.acc_b), ref):
+            accs = model.layer_views(model.acc)
+            for got, expected in zip((model.weights, model.biases, *accs), ref):
                 assert same_bits(got, expected)
         probe = rng.random((batch, 3))
         assert same_bits([model.forward(probe)], [reference_forward(*ref[:2], probe)])
@@ -422,7 +425,8 @@ class TestReferenceAct:
             reference_train_step(*ref, contexts[idx], actions[idx], targets,
                                  cfg.learning_rate, cfg.rmsprop_decay, cfg.rmsprop_eps)
             model = agent.model
-            for got, expected in zip((model.weights, model.biases, model.acc_w, model.acc_b), ref):
+            accs = model.layer_views(model.acc)
+            for got, expected in zip((model.weights, model.biases, *accs), ref):
                 assert same_bits(got, expected)
 
 
@@ -441,7 +445,7 @@ class TestRmsProp:
         acc = (1 - beta) * 9.0
         want = 1.0 - lr * 3.0 / math.sqrt(acc + eps)
         assert model.weights[0][0, 0] == pytest.approx(want, rel=1e-15)
-        assert model.acc_w[0][0, 0] == pytest.approx(acc, rel=1e-15)
+        assert model.acc[0] == pytest.approx(acc, rel=1e-15)  # the one weight's accumulator
         # second step folds the accumulator forward
         step_with(model, [3.0, 0.0])
         acc2 = beta * acc + (1 - beta) * 9.0
@@ -465,17 +469,17 @@ class TestRmsProp:
             model.train_step(np.array([[0.1, 0.2]]), np.array([0]),
                              np.array([float("nan")]))
 
-    def test_state_round_trip_is_exact(self):
-        model = MlpModel((3, 8, 4), 0.01, 0.99, 1e-8, rng=substream(3, "i"))
-        rng = substream(4, "d")
+    def test_state_round_trip_is_exact(self, tmp_path):
+        cfg = AgentConfig(hidden_sizes=(8,), learning_rate=0.01)
+        agent = E2daAgent.create(cfg, 4, RewardParams(1.0, 1e6), 3)
+        model, rng = agent.model, substream(4, "d")
         for _ in range(5):
             model.train_step(rng.random((16, 3)), rng.integers(0, 4, 16), rng.random(16))
-        clone = MlpModel((3, 8, 4), 0.01, 0.99, 1e-8)
-        clone.load_arrays(model.to_state())
-        assert all(np.array_equal(a, b) for a, b in zip(model.weights, clone.weights))
-        assert all(np.array_equal(a, b) for a, b in zip(model.acc_w, clone.acc_w))
+        [clone] = checkpoint_round_trip(tmp_path, [agent])
+        assert np.array_equal(model.params, clone.model.params)
+        assert np.array_equal(model.acc, clone.model.acc)
         x = rng.random((4, 3))
-        assert np.array_equal(model.forward(x), clone.forward(x))
+        assert np.array_equal(model.forward(x), clone.model.forward(x))
 
 
 class TestReplayBuffer:
@@ -502,6 +506,21 @@ class TestReplayBuffer:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             ReplayBuffer(4).sample(substream(0, "x"), 1)
+
+
+def checkpoint_round_trip(tmp_path, agents, per_user=False):
+    """The agents written to a model.json and read back, after checking
+    that writing what was read gives the same bytes."""
+    bounds = ((10.0, 5e4), (10.0, 2000.0), (0.01, 0.03))
+    salts = [("user", u) for u in range(len(agents))] if per_user else [()]
+    first, again = str(tmp_path / "model.json"), str(tmp_path / "again.json")
+    write_checkpoint(first, agents, per_user, bounds)
+    clones, read_bounds = read_checkpoint(first, 4, per_user, salts, 0)
+    write_checkpoint(again, clones, per_user, read_bounds)
+    assert read_bounds == bounds
+    with open(first, "rb") as a, open(again, "rb") as b:
+        assert a.read() == b.read()
+    return clones
 
 
 def tiny_agent(seed=3, **overrides):
@@ -556,22 +575,30 @@ class TestAgent:
         assert after > before
         assert after > 0.8
 
-    def test_state_round_trip(self):
-        agent = tiny_agent(9)
+    @staticmethod
+    def check_round_trip(tmp_path, n_agents, per_user):
+        agents = [tiny_agent(9 + u) for u in range(n_agents)]
         rng = substream(10, "ctx")
-        for _ in range(20):
-            x = rng.random(3)
-            agent.observe(x, agent.act(x, 0.5), 0.25)
-        agent.episodes_trained = 17
-        state = agent.to_state()
-        clone = E2daAgent.from_state(state, 4, 0)
-        assert clone.episodes_trained == 17
-        assert clone.config == agent.config
-        assert clone.reward_params == agent.reward_params
+        for agent in agents:
+            for _ in range(20):
+                x = rng.random(3)
+                agent.observe(x, agent.act(x, 0.5), 0.25)
+            agent.episodes_trained = 17
+        clones = checkpoint_round_trip(tmp_path, agents, per_user)
         probe = rng.random((6, 3))
-        assert np.array_equal(clone.model.forward(probe), agent.model.forward(probe))
+        for agent, clone in zip(agents, clones):
+            assert clone.episodes_trained == 17
+            assert clone.config == agent.config
+            assert clone.reward_params == agent.reward_params
+            assert np.array_equal(clone.model.forward(probe), agent.model.forward(probe))
 
-    def test_retrain_from_scratch_keeps_anchor(self):
+    def test_state_round_trip(self, tmp_path):
+        self.check_round_trip(tmp_path, 1, per_user=False)
+
+    def test_set_state_round_trip(self, tmp_path):
+        self.check_round_trip(tmp_path, 3, per_user=True)
+
+    def test_retrain_from_scratch_keeps_anchor(self, tmp_path):
         agent = tiny_agent(6, retrain_from_scratch=True)
         anchor = [w.copy() for w in agent.model.layer_views(agent._initial_params)[0]]
         rng = substream(13, "ctx")
@@ -580,8 +607,7 @@ class TestAgent:
             agent.observe(x, 1, 0.5)
         initial_weights = agent.model.layer_views(agent._initial_params)[0]
         assert all(np.array_equal(a, w) for a, w in zip(anchor, initial_weights))
-        state = agent.to_state()
-        clone = E2daAgent.from_state(state, 4, 0)
+        [clone] = checkpoint_round_trip(tmp_path, [agent])
         assert all(
             np.array_equal(a, w)
             for a, w in zip(anchor, clone.model.layer_views(clone._initial_params)[0])

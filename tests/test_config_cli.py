@@ -529,6 +529,9 @@ class TestMalformedConfig:
              "workload.size_bits.max"),
             ("workload", {"size_bits": {"kind": "exponential", "mean": 0}},
              "workload.size_bits.mean"),
+            # integers no float can hold
+            ("agent", {"learning_rate": 10**400}, "agent.learning_rate"),
+            ("run", {"n_records": -10**400}, "run.n_records"),
         ],
     )
     def test_out_of_range_exits_2_naming_file_and_key(self, tmp_path, capsys, section,
@@ -543,6 +546,15 @@ class TestMalformedConfig:
     def test_json_error_names_the_path_once(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("{not json")
+        rc, err = run_cli(
+            ["generate-dataset", "--config", str(path), "--out", str(tmp_path / "o")], capsys
+        )
+        assert rc == 2, err
+        assert err.count(str(path)) == 1
+
+    def test_integer_past_the_parser_digit_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"  # int() parses at most 4,300 digits by default
+        path.write_text('{"run": {"seed": ' + "1" * 5000 + "}}")
         rc, err = run_cli(
             ["generate-dataset", "--config", str(path), "--out", str(tmp_path / "o")], capsys
         )
@@ -596,7 +608,7 @@ class TestMalformedConfigSweep:
         assert (["channels", 1, "gain", "min"], "channels[1].gain") in leaves
         assert (["system", "association", 0], "system") in leaves
         for keys, enclosing in leaves:
-            for value in (0, -1, 0.5, 1e308, 5e-324, True, "x", None, [], {}):
+            for value in (0, -1, 0.5, 1e308, 5e-324, 10**400, -10**400, True, "x", None, [], {}):
                 raw = json.loads(json.dumps(default))
                 node = raw
                 for k in keys[:-1]:
@@ -681,6 +693,14 @@ def _short_weight_rows(p):
 
 def _nan_weight(p):
     p["agent"]["model"]["weights"][0][0][0] = float("nan")
+
+
+def _huge_weight(p):
+    p["agent"]["model"]["weights"][0][0][0] = 10**400  # an integer no float can hold
+
+
+def _huge_episodes(p):
+    p["agent"]["episodes_trained"] = 10**400
 
 
 def _short_acc_bias(p):
@@ -780,6 +800,8 @@ class TestMalformedCheckpoint:
             (_setter("config", "penalty", True), "agent.config.penalty must be a finite number"),
             (_setter("reward_params", "penalty", True),
              "agent.reward_params.penalty must be a finite number"),
+            (_huge_weight, "agent.model.weights[0]"),
+            (_huge_episodes, "agent.episodes_trained"),
         ],
     )
     @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])

@@ -330,7 +330,45 @@ class TestUplinkQueueing:
         assert abs(batch_means.mean() - want) < 4 * std_err
 
 
-DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "default.json")
+class TestEdgeVmQueueing:
+    """One user offloading to its edge VM at 4e9 Hz finds it an M/G/1 FIFO
+    queue: service times size * 100 / 4e9 s, sizes uniform on [1e4, 1e5]
+    bits, and no result bits.  The VM's arrivals are the uplink's
+    departures, which are Poisson only if the uplink passes tasks on
+    without reordering or spacing them; at 1e13 bps each upload takes at
+    most 1e-8 s, so every arrival is shifted by at most that, against mean
+    services of 1.4e-3 s.  Its mean wait d3_s then matches
+    Pollaczek-Khinchine within 4 batch-means standard errors over 20
+    batches, as in TestLocalCpuQueueing."""
+
+    @pytest.mark.parametrize("rho", [0.3, 0.6, 0.8])
+    def test_mean_wait_matches_pollaczek_khinchine(self, rho):
+        lo, hi, cpb, vm_hz, n_tasks = 1e4, 1e5, 100.0, 4e9, 100_000
+        mean_s = (lo + hi) / 2 * cpb / vm_hz
+        second_moment_s2 = (hi**3 - lo**3) / (3 * (hi - lo)) * (cpb / vm_hz) ** 2
+        rate = rho / mean_s
+        want = rate * second_moment_s2 / (2 * (1 - rho))
+        wl = WorkloadConfig(
+            arrival_rate_per_s=rate, size_bits=Uniform(lo, hi),
+            intensity_cpb=Constant(cpb), deadline_s=Constant(1.0),
+            context_bounds=((lo, hi), (1.0, 1000.0), (0.5, 2.0)),
+        )
+        node = single_user_node(result_size_ratio=0.0, edge_vm_hz=vm_hz)
+        channel = fixed_gain_channel(1e13, 1.0, gain=1.0)
+        sim = Simulator(node, (channel,), substream(3, "gains"), policy=lambda s, t: 1)
+        sim.add_arrivals(itertools.islice(arrivals(wl, 3, 1), n_tasks))
+        waits = []  # in completion order, which FIFO makes arrival order
+        while sim.has_events:
+            out = sim.advance()
+            if out is not None:
+                waits.append(out.d3_s)
+        batch_means = np.array(waits).reshape(20, -1).mean(axis=1)
+        std_err = batch_means.std(ddof=1) / np.sqrt(20)
+        assert len(waits) == n_tasks
+        assert abs(batch_means.mean() - want) < 4 * std_err
+
+
+DEFAULT_CONFIG =os.path.join(os.path.dirname(__file__), os.pardir, "configs", "default.json")
 
 
 class TestLocalProjectionUnderLoad:
