@@ -329,8 +329,8 @@ def _save_layers(model: MlpModel, flat: np.ndarray, keys=("weights", "biases")) 
 def _load_layers(model: MlpModel, flat: np.ndarray, saved: dict, prefix: str,
                  keys=("weights", "biases")) -> None:
     """Copy the per-layer lists that _save_layers wrote into `flat`.  A
-    wrong, non-finite or unrepresentable entry raises ConfigError naming
-    its key path, such as "model.weights[1]"."""
+    wrong, boolean, non-finite or unrepresentable entry raises ConfigError
+    naming its key path, such as "model.weights[1]"."""
     for name, views in zip(keys, model.layer_views(flat)):
         values, key = saved[name], f"{prefix}.{name}"
         if not isinstance(values, list) or len(values) != len(views):
@@ -344,6 +344,8 @@ def _load_layers(model: MlpModel, flat: np.ndarray, saved: dict, prefix: str,
                 raise ConfigError(
                     f"{key}[{i}] has shape {arr.shape}, the layer sizes need {view.shape}"
                 )
+            if any(type(v) is bool for v in np.array(value, dtype=object).flat):
+                raise ConfigError(f"{key}[{i}] holds true or false, not a float")
             if not np.isfinite(arr).all():
                 raise ConfigError(f"{key}[{i}] holds a non-finite value")
             view[...] = arr

@@ -67,7 +67,8 @@ EVAL_AGENTS = ("e2da", "eel", "ee", "r", "random")
 def _context(args: argparse.Namespace) -> Tuple[ExperimentConfig, str, int]:
     """Config, effective mode and effective seed.  A flag the run would
     never read is rejected: --dataset outside dataset mode, and --model or
-    --resume with an agent other than e2da."""
+    --resume with an agent other than e2da.  Per-user learned agents need
+    dataset mode."""
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.run.seed
     if seed < 0:  # load_config already rejects a negative run.seed
@@ -75,6 +76,9 @@ def _context(args: argparse.Namespace) -> Tuple[ExperimentConfig, str, int]:
     mode = getattr(args, "mode", None) or cfg.run.mode
     if getattr(args, "dataset", None) is not None and mode != "dataset":
         raise ConfigError(f"--dataset only applies in dataset mode, and this run is {mode}")
+    per_user = cfg.run.agent_scope == "per_user"
+    if per_user and mode != "dataset" and getattr(args, "agent", None) == "e2da":
+        raise ConfigError("run.agent_scope 'per_user' requires dataset mode")
     for flag in ("model", "resume"):
         if getattr(args, flag, None) is not None and args.agent != "e2da":
             raise ConfigError(f"--{flag} only applies to the learned agent")
@@ -150,7 +154,6 @@ def _reward_params(
 def _policy_inputs(
     name: str,
     cfg: ExperimentConfig,
-    mode: str,
     seed: int,
     dataset: Optional[Dataset],
     checkpoint: Optional[str],
@@ -165,8 +168,6 @@ def _policy_inputs(
     if name != "e2da":
         return [], _reward_params(cfg, seed, dataset, extra), cfg.workload
     per_user = cfg.run.agent_scope == "per_user"
-    if per_user and mode != "dataset":
-        raise ConfigError("run.agent_scope 'per_user' requires dataset mode")
     salts = [("user", u) for u in range(cfg.system.n_users)] if per_user else [()]
     n_actions = cfg.system.n_channels + 1
     if checkpoint is None:
@@ -203,21 +204,16 @@ def _evaluate(
 ) -> List[MetricsRow]:
     """Frozen-policy rollout over the run's test episodes, or over its
     train episodes for the random baseline log: a replay of dataset, or a
-    live run when there is none.  A replay's random draws from the
-    logging-policy substream, salted with salt; a live run's draws from
-    the rollout's own stream."""
+    live run when there is none.  Random draws from the logging-policy
+    substream, salted with salt."""
     run = cfg.run
     n_episodes = run.n_test_episodes if phase == "test" else run.n_train_episodes
+    rng = substream(seed, "logging-policy", *salt)
+    choose = make_policy(name, agents, rng, cfg.system.n_channels + 1)
+    episodes = (params, n_episodes, run.tasks_per_episode, seed)
     if dataset is not None:
-        rng = substream(seed, "logging-policy", *salt)
-        choose = make_policy(name, agents, rng, cfg.system.n_channels + 1)
-        return run_evaluation(
-            choose, dataset, workload, params, n_episodes, run.tasks_per_episode, seed, phase=phase,
-        )
-    return run_live_evaluation(
-        name, cfg.system, cfg.channels, workload, params, n_episodes, run.tasks_per_episode,
-        seed, agents=agents, phase=phase,
-    )
+        return run_evaluation(choose, dataset, workload, *episodes, phase=phase)
+    return run_live_evaluation(choose, cfg.system, cfg.channels, workload, *episodes, phase=phase)
 
 
 # ------------------------------------------------------------------ commands
@@ -243,7 +239,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.dataset, cfg, extra) if mode == "dataset" else None
 
     agents, params, workload = _policy_inputs(
-        args.agent, cfg, mode, seed, dataset, args.resume, "resumed_from_sha256", extra
+        args.agent, cfg, seed, dataset, args.resume, "resumed_from_sha256", extra
     )
     if args.agent == "random":
         rows = _evaluate("random", cfg, seed, dataset, workload, params, [], "train")
@@ -277,7 +273,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.agent == "e2da" and not args.model:
         raise ConfigError("evaluating the learned agent requires --model PATH")
     agents, params, workload = _policy_inputs(
-        args.agent, cfg, mode, seed, dataset, args.model, "model_sha256", extra
+        args.agent, cfg, seed, dataset, args.model, "model_sha256", extra
     )
     rows = _evaluate(args.agent, cfg, seed, dataset, workload, params, agents)
 
@@ -304,8 +300,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--values must be comma separated numbers: {exc}") from exc
     if not values:
         raise ConfigError("--values must list at least one mean")
-    # a scenario's label names its directory; in dataset mode it also keys
-    # the random policy's substream (live random draws from the rollout's)
+    # a scenario's label names its directory; in dataset mode it also salts
+    # the random policy's substream (a live sweep's scenarios share one)
     labels = [f"{args.vary}-{value:g}" for value in values]
     first_with: Dict[str, float] = {}
     for value, label in zip(values, labels):
@@ -323,7 +319,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not args.model:
             raise ConfigError("sweeping the learned agent requires --model PATH")
         agents, params, workload = _policy_inputs(
-            "e2da", cfg, mode, seed, None, args.model, "model_sha256", extra
+            "e2da", cfg, seed, None, args.model, "model_sha256", extra
         )
         bounds = workload.context_bounds
 
@@ -343,7 +339,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             params = _reward_params(scen_cfg, seed, ds, extra)
         # the learned agent scales contexts with its checkpoint's bounds
         workload = replace(scen_cfg.workload, context_bounds=bounds)
-        rows = _evaluate(args.agent, scen_cfg, seed, ds, workload, params, agents, salt=(label,))
+        salt = (label,) if mode == "dataset" else ()
+        rows = _evaluate(args.agent, scen_cfg, seed, ds, workload, params, agents, salt=salt)
         rel_metrics = os.path.join(label, "metrics.csv")
         write_metrics(_output(args.out, rel_metrics), rows)
         outputs.append(rel_metrics)

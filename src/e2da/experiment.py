@@ -5,12 +5,12 @@ uniformly, so every action's consequence is known without re-simulating;
 live rollouts instead submit the workload's first arrivals as real tasks
 and book each decision when its completion event fires.  A live run reads
 its tasks an episode at a time and scales each episode's contexts
-together.  A frozen e2da or random reads only the task, so it decides the
-whole episode there, as a replay does; only the learner and the oracles,
-which read the system state, decide at each arrival.  Both rollouts take
-a frozen policy or a learning agent and turn each episode's sums into one
-metric row: a live rollout adds each outcome as its feedback arrives, a
-replay books each episode whole.
+together.  Both rollouts ask a frozen policy once per episode, as a
+replay does; a live one passes no outcomes, so a policy that reads the
+system state (an oracle) answers None and is asked again at each arrival.
+Both take a frozen policy or a learning agent and turn each episode's
+sums into one metric row: a live rollout adds each outcome as its
+feedback arrives, a replay books each episode whole.
 """
 
 from __future__ import annotations
@@ -28,22 +28,23 @@ import numpy as np
 
 from .bandit import E2daAgent, RewardParams, compute_reward, efficiency
 from .baselines import ORACLES
-from .dataset import Dataset, generate_dataset  # noqa: F401  (the CLI imports both from here)
+# the CLI and TARGETS in benchmarks/trace_child.py take both from here
+from .dataset import Dataset, generate_dataset  # noqa: F401
 from .errors import ConfigError
 from .ioutil import atomic_write_text
 from .rng import Uniforms, substream
 from .system import ChannelConfig, NodeConfig
 from .workload import Task, WorkloadConfig, _features_of, arrivals, normalize_context
 
-if TYPE_CHECKING:  # for annotations; only _live_rollout loads the simulator
-    from .netsim import Simulator, TaskOutcome
+if TYPE_CHECKING:  # for annotations; only the live runs load the simulator
+    from .netsim import Simulator
 
 # A frozen policy: choose(users, x, outcomes) -> actions, elementwise over
-# decisions.  A replay episode, or a live episode decided ahead, passes
-# (k,) users and (k, 3) scaled contexts; a live oracle decision passes its
-# int user and 1-d context.  outcomes() returns the decisions' what-if
-# (size, T, E), actions on the last axis.
-Policy = Callable[[Any, np.ndarray, Callable[[], tuple]], Any]
+# decisions.  An episode passes (k,) users and (k, 3) scaled contexts; a
+# live arrival passes its int user and 1-d context.  outcomes() returns the
+# decisions' what-if (size, T, E), actions on the last axis; a live episode
+# passes None for it, and a policy that needs it answers None.
+Policy = Callable[[Any, np.ndarray, Optional[Callable[[], tuple]]], Any]
 
 
 def linear_percentile(values, q: float) -> float:
@@ -145,11 +146,11 @@ def make_policy(
     """Frozen policy for one agent name, for replay and live rollouts alike.
 
     The learned agent acts greedily on the scaled context; with one agent
-    per user, the decision's user picks the agent.  It takes arrays only
-    (a replay episode, or a live episode decided ahead) and runs one
-    batched forward per agent over their rows (see _greedy).  An oracle
-    ranks the outcomes with its rule; random, which takes arrays only too,
-    draws one action per row from rng.
+    per user, the decision's user picks the agent.  It takes an episode's
+    arrays and runs one batched forward per agent over their rows (see
+    _greedy).  An oracle ranks the outcomes with its rule, and answers
+    None when it is asked without them.  Random, which takes an episode's
+    arrays too, draws one action per row from rng.
     """
     if name == "e2da":
         if not agents:
@@ -167,7 +168,7 @@ def make_policy(
         return choose
     if name in ORACLES:
         rule = ORACLES[name]
-        return lambda users, x, outcomes: rule(*outcomes())
+        return lambda users, x, outcomes: None if outcomes is None else rule(*outcomes())
     if name == "random":
         if rng is None or n_actions < 1:
             raise ValueError("random policy needs rng and n_actions")
@@ -384,8 +385,6 @@ def _live_rollout(
     tasks_per_episode: int,
     start_episode: int = 0,
     phase: str = "test",
-    on_outcome: Optional[Callable[[TaskOutcome], None]] = None,
-    ahead: bool = False,
 ) -> List[MetricsRow]:
     """Drive the live simulator over the first n_episodes *
     tasks_per_episode tasks of the workload's arrivals, which no decision
@@ -398,16 +397,15 @@ def _live_rollout(
     else draws from them, so no draw changes.  A run of no decisions reads
     no block and books no episode, as a replay does.
 
-    ahead says that the frozen policy reads nothing but the task: it is
-    then asked once per block, with the block's users and contexts as
-    arrays, as in a replay.  Otherwise the arrival hook decides: a
-    learning agent acts on the task's context, and a frozen policy (an
-    oracle) is asked with the task's user and context, its outcomes()
-    projecting the task's what-if (size, T, E) from the current snapshot.
-    Each decision is booked in completion order against its episode
-    (feedback is delayed, as in the real system), where a learning agent
-    also observes the reward.  on_outcome, when given, sees each outcome
-    after it is booked; no outcome is kept.
+    A frozen policy is asked once per block, with the block's users and
+    contexts as arrays and no outcomes, as in a replay.  Where it answers
+    None, or for a learning agent, the arrival hook decides: a learning
+    agent acts on the task's context, and a frozen policy (an oracle) is
+    asked with the task's user and context, its outcomes() projecting the
+    task's what-if (size, T, E) from the current snapshot.  Each decision
+    is booked in completion order against its episode (feedback is
+    delayed, as in the real system), where a learning agent also observes
+    the reward.
     """
     # imported here, not at the top: train and evaluate load this module
     # to replay a dataset, and a replay never runs the simulator
@@ -427,9 +425,10 @@ def _live_rollout(
         for episode, block in enumerate(blocks, start_episode):
             x = normalize_context(np.array([_features_of(t) for t in block]), scale)
             rows, actions = x, itertools.repeat(None)
-            if ahead:
-                rows = itertools.repeat(None)
-                actions = decider(np.array([t.user_id for t in block]), x, None).tolist()
+            if learner is None:
+                decided = decider(np.array([t.user_id for t in block]), x, None)
+                if decided is not None:
+                    rows, actions = itertools.repeat(None), decided.tolist()
             pending.update((t.task_id, [r, a, episode]) for t, r, a in zip(block, rows, actions))
             books[episode] = [0.0, 0, 0.0, 0.0, 0]
             yield from block
@@ -461,8 +460,6 @@ def _live_rollout(
             book[2] += out.e_total_j
             book[3] += out.total_s
             book[4] += 1
-            if on_outcome is not None:
-                on_outcome(out)
     return [_row(episode, phase, *book) for episode, book in books.items()]
 
 
@@ -486,7 +483,7 @@ def run_live_training(
 
 
 def run_live_evaluation(
-    name: str,
+    choose: Policy,
     node: NodeConfig,
     channels: Sequence[ChannelConfig],
     workload: WorkloadConfig,
@@ -494,18 +491,14 @@ def run_live_evaluation(
     n_episodes: int,
     tasks_per_episode: int,
     seed: int,
-    agents: Sequence[E2daAgent] = (),
     phase: str = "test",
 ) -> List[MetricsRow]:
-    """Live-mode frozen-policy rollout; an oracle ranks each task's
-    projections from the system snapshot at its decision.  The learned
-    policy and random read only the task, so their tasks are decided ahead
-    of arrival, an episode at a time (see _live_rollout); random's one
-    vector draw per episode equals a scalar draw per decision."""
-    choose = make_policy(name, agents, substream(seed, "logging-policy"), node.n_channels + 1)
+    """Live-mode frozen-policy rollout over the workload's first arrivals,
+    numbered from 0; no learning happens.  An oracle ranks each task's
+    projections from the system snapshot at its arrival."""
     return _live_rollout(
         choose, reward_params, node, channels, workload, seed, n_episodes, tasks_per_episode,
-        phase=phase, ahead=name not in ORACLES,
+        phase=phase,
     )
 
 
@@ -516,19 +509,21 @@ def calibrate_efficiency_scale_live(
     seed: int,
     percentile: float = 99.0,
 ) -> float:
-    """Live-mode analogue of the dataset calibration: a 2,000-task
-    random-policy run whose realized efficiencies set the normalizer,
-    decided ahead in 100-task blocks.  Its rewards are booked against a
-    unit scale and discarded."""
+    """Live-mode analogue of the dataset calibration: the given percentile
+    of the realized efficiencies of the workload's first 2,000 arrivals,
+    each sent where the calibration-actions stream says.  The stream is
+    read as 20 vector draws of 100, which one draw of 2,000 need not equal."""
+    from .netsim import Simulator  # see _live_rollout
+
     rng = substream(seed, "calibration-actions")
-    choose = make_policy("random", rng=rng, n_actions=node.n_channels + 1)
+    draws = [rng.integers(node.n_channels + 1, size=100).tolist() for _ in range(20)]
+    actions = itertools.chain.from_iterable(draws)
+    policy = lambda sim, task: next(actions)  # noqa: E731  (arrivals come in feed order)
+    sim = Simulator(node, channels, Uniforms(substream(seed, "gains")), policy=policy)
+    sim.add_arrivals(itertools.islice(arrivals(workload, seed, node.n_users), 2000))
     effs: List[float] = []
-
-    def keep_efficiency(out: TaskOutcome) -> None:
-        effs.append(efficiency(out.size_bits, out.total_s, out.e_total_j))
-
-    _live_rollout(
-        choose, RewardParams(), node, channels, workload, seed, 20, 100,
-        on_outcome=keep_efficiency, ahead=True,
-    )
+    while sim.has_events:
+        out = sim.advance()
+        if out is not None:
+            effs.append(efficiency(out.size_bits, out.total_s, out.e_total_j))
     return linear_percentile(effs, percentile)

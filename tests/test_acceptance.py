@@ -377,7 +377,7 @@ class TestDeadlineTrend:
 def live_sweep_means(policy_name, node, channels, workload, seed=17):
     params = RewardParams(1.0, 1e9)  # ratios are scale-free
     rows = run_live_evaluation(
-        policy_name, node, channels, workload, params, 20, EPISODE_TASKS, seed
+        make_policy(policy_name), node, channels, workload, params, 20, EPISODE_TASKS, seed
     )
     stats = summarize({policy_name: rows}, EPISODE_TASKS)["agents"][policy_name]
     return stats["mean_task_energy_j"], stats["mean_task_response_s"]

@@ -703,6 +703,14 @@ def _huge_episodes(p):
     p["agent"]["episodes_trained"] = 10**400
 
 
+def _true_weight(p):
+    p["agent"]["model"]["weights"][0][0][0] = True
+
+
+def _false_acc_bias(p):
+    p["agent"]["model"]["acc_biases"][0][0] = False
+
+
 def _short_acc_bias(p):
     p["agent"]["model"]["acc_biases"][2] = [0.0]
 
@@ -802,6 +810,8 @@ class TestMalformedCheckpoint:
              "agent.reward_params.penalty must be a finite number"),
             (_huge_weight, "agent.model.weights[0]"),
             (_huge_episodes, "agent.episodes_trained"),
+            (_true_weight, "agent.model.weights[0]"),
+            (_false_acc_bias, "agent.model.acc_biases[0]"),
         ],
     )
     @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
@@ -896,6 +906,34 @@ class TestMalformedCheckpointSet:
             tmp_path, capsys, trained_per_user, command, "episodes_trained", 3
         )
         assert broken in err and "agents[1].episodes_trained" in err
+
+
+class TestPerUserLiveOverride:
+    """A per-user config is dataset mode, so --mode live cannot run its
+    learned agents; the frozen baselines read no agent and still run."""
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_learned_agent_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, trained_per_user, command
+    ):
+        config, _, model = trained_per_user
+        out = str(tmp_path / "out")
+        argv = {
+            "train": ["train"],
+            "evaluate": ["evaluate", "--agent", "e2da", "--model", model],
+        }[command]
+        rc, err = run_cli(argv + ["--mode", "live", "--config", config, "--out", out], capsys)
+        assert rc == 2, err
+        assert "run.agent_scope 'per_user' requires dataset mode" in err
+        assert not os.path.exists(out)
+
+    def test_an_oracle_still_runs(self, tmp_path, capsys, trained_per_user):
+        config, _, _ = trained_per_user
+        out = str(tmp_path / "out")
+        rc, err = run_cli(["evaluate", "--mode", "live", "--agent", "eel", "--config", config,
+                           "--out", out], capsys)
+        assert rc == 0, err
+        assert read_json(os.path.join(out, "summary.json"))["agents"]["eel"]["episodes"] == 3
 
 
 def _truncate(row):

@@ -42,6 +42,15 @@ from e2da.system import NodeConfig, default_channels
 from e2da.workload import WorkloadConfig, arrivals, normalize_context, task_stream
 
 
+def live_evaluation(name, node, channels, wl, params, n_episodes, tasks_per_episode, seed,
+                    agents=()):
+    """run_live_evaluation of the named policy, built as the CLI builds it:
+    random draws from the run's logging-policy substream."""
+    choose = make_policy(name, agents, substream(seed, "logging-policy"), node.n_channels + 1)
+    return run_live_evaluation(choose, node, channels, wl, params, n_episodes, tasks_per_episode,
+                               seed)
+
+
 @pytest.fixture(scope="module")
 def small_node():
     return NodeConfig(n_users=4, n_base_stations=2, n_channels=3)
@@ -786,7 +795,7 @@ class TestLiveRuns:
         wl = WorkloadConfig()
         params = RewardParams(1.0, 1e6)
         for name in ("eel", "ee", "r", "random"):
-            rows = run_live_evaluation(
+            rows = live_evaluation(
                 name, small_node, default_channels(), wl, params, 3, 20, seed=23
             )
             assert len(rows) == 3
@@ -798,7 +807,7 @@ class TestLiveRuns:
         params = RewardParams(1.0, 1e6)
         kw = dict(n_episodes=5, tasks_per_episode=40, seed=29)
         by_name = {
-            name: run_live_evaluation(
+            name: live_evaluation(
                 name, small_node, default_channels(), wl, params, **kw
             )
             for name in ("r", "random")
@@ -810,7 +819,7 @@ class TestLiveRuns:
         wl = WorkloadConfig()
         params = RewardParams(1.0, 1e6)
         agent = fresh_agent(51)
-        rows = run_live_evaluation(
+        rows = live_evaluation(
             "e2da", small_node, default_channels(), wl, params, 2, 15, seed=31,
             agents=[agent],
         )
@@ -823,7 +832,7 @@ class TestLiveRuns:
         no row, for every policy kind and for a learner."""
         wl, params = WorkloadConfig(), RewardParams(1.0, 1e6)
         for name in ("eel", "random", "e2da"):
-            rows = run_live_evaluation(
+            rows = live_evaluation(
                 name, small_node, default_channels(), wl, params, n_episodes, tasks_per_episode,
                 seed=23, agents=[fresh_agent(51)],
             )
@@ -841,7 +850,7 @@ def test_negative_counts_are_rejected_by_name(small_node, small_dataset, live):
 
     def rollout(n_episodes, tasks_per_episode):
         if live:
-            return run_live_evaluation(
+            return live_evaluation(
                 "eel", small_node, default_channels(), wl, params, n_episodes,
                 tasks_per_episode, seed=23,
             )
@@ -859,11 +868,12 @@ def test_negative_counts_are_rejected_by_name(small_node, small_dataset, live):
 class TestFrozenPolicyCallContract:
     """A replay asks a frozen policy once per episode with the episode's
     rows.  A live rollout scales each episode's contexts in one call and
-    decides the learned policy and random ahead of arrival, once per
-    episode as a replay asks: one batched forward or one vector draw,
-    never one per decision.  Only an oracle, which reads the system state,
-    is asked once per decision, with the task's int user and its row of
-    the episode's contexts."""
+    asks every frozen policy once per episode without outcomes, as a
+    replay asks: the learned policy and random decide there, with one
+    batched forward or one vector draw, never one per decision.  Only an
+    oracle, which reads the system state, answers None and is asked again
+    once per decision, with the task's int user and its row of the
+    episode's contexts."""
 
     def test_replay_asks_once_per_episode_with_the_gathered_rows(self, small_dataset):
         ds, wl, calls = small_dataset, WorkloadConfig(), []
@@ -897,6 +907,8 @@ class TestFrozenPolicyCallContract:
         monkeypatch.setattr(Simulator, "projections", recording)
 
         def spy(user, x, outcomes):
+            if outcomes is None:  # asked ahead for the episode: decide at arrival
+                return None
             size, total_s, e_total_j = outcomes()
             task, outs = projected[-1]
             assert type(user) is int and user == task.user_id
@@ -924,7 +936,7 @@ class TestFrozenPolicyCallContract:
 
         monkeypatch.setattr(agent.model, "forward", spy)
         drawn = counting_task_streams(monkeypatch)
-        rows = run_live_evaluation(
+        rows = live_evaluation(
             "e2da", small_node, default_channels(), wl, RewardParams(1.0, 1e6), 3, 20, seed=23,
             agents=[agent],
         )
@@ -937,19 +949,14 @@ class TestFrozenPolicyCallContract:
         """Random reads only the task, so a live run decides each episode
         ahead with one vector draw; TestLiveBookingReference pins that the
         rows are those of one scalar draw per decision."""
-        wl, shapes, real = WorkloadConfig(), [], experiment.make_policy
+        wl, shapes = WorkloadConfig(), []
+        choose = make_policy("random", rng=substream(23, "logging-policy"), n_actions=4)
 
-        def spying(*args):
-            choose = real(*args)
+        def spy(users, x, outcomes):
+            shapes.append((np.shape(users), np.shape(x)))
+            return choose(users, x, outcomes)
 
-            def spy(users, x, outcomes):
-                shapes.append((np.shape(users), np.shape(x)))
-                return choose(users, x, outcomes)
-
-            return spy
-
-        monkeypatch.setattr(experiment, "make_policy", spying)
-        rows = run_live_evaluation("random", small_node, default_channels(), wl,
+        rows = run_live_evaluation(spy, small_node, default_channels(), wl,
                                    RewardParams(1.0, 1e6), 3, 20, seed=23)
         assert len(rows) == 3 and shapes == [((20,), (20, 3))] * 3
 
@@ -965,7 +972,7 @@ class TestFrozenPolicyCallContract:
         if name == "learner":
             run_live_training(fresh_agent(51), small_node, default_channels(), wl, 3, 20, seed=23)
         else:
-            run_live_evaluation(name, small_node, default_channels(), wl, RewardParams(1.0, 1e6),
+            live_evaluation(name, small_node, default_channels(), wl, RewardParams(1.0, 1e6),
                                 3, 20, seed=23, agents=[fresh_agent(51)])
         assert calls == [(20, 3)] * 3
 
@@ -1061,7 +1068,7 @@ class TestLiveBookingReference:
 
     def test_oracle_evaluation(self, small_node):
         wl, params = WorkloadConfig(), RewardParams(1.0, 1e6)
-        rows = run_live_evaluation("r", small_node, default_channels(), wl, params, **self.KW)
+        rows = live_evaluation("r", small_node, default_channels(), wl, params, **self.KW)
 
         def decide(sim, task, ep):
             outs = sim.projections(task)
@@ -1072,7 +1079,7 @@ class TestLiveBookingReference:
 
     def test_random_evaluation(self, small_node):
         wl, params = WorkloadConfig(), RewardParams(1.0, 1e6)
-        rows = run_live_evaluation(
+        rows = live_evaluation(
             "random", small_node, default_channels(), wl, params, **self.KW
         )
         rng = substream(self.KW["seed"], "logging-policy")
@@ -1103,7 +1110,7 @@ class TestLiveBookingReference:
             kw.update(n_episodes=6, tasks_per_episode=50)
         batches = [batch_rows(monkeypatch, agent) for agent in agents]
         drawn = counting_task_streams(monkeypatch)
-        rows = run_live_evaluation(
+        rows = live_evaluation(
             "e2da", small_node, default_channels(), wl, params, agents=agents, **kw
         )
         # the reference below draws through the same counted streams

@@ -627,6 +627,35 @@ class TestTieHeavyDigest:
         assert digest == "1c9e8dd0284e57a9197262d88c6a196a5393d93ef33dc4297e1dc3507000c4e9"
 
 
+    def test_deferred_resplit_digest(self):
+        """After a departure with no successor and no member latched to
+        finish at that instant, the remaining members' rate is re-split by
+        a later event at the same instant, not at once, so other events
+        tied at that instant go first.  Re-splitting inside the departure
+        changes these outcomes."""
+        node = NodeConfig(n_users=5, n_base_stations=2, n_channels=3, user_cpu_hz=2.0**30,
+                          edge_vm_hz=2.0**31, result_size_ratio=0.5)
+        chans = tuple(
+            ChannelConfig(2.0**18, down, 1.0, 0.5, gain=Constant(gain))
+            for down, gain in ((2.0**18, 0.5), (2.0**21, 0.5), (2.0**20, 1.0))
+        )
+        tasks = [  # (user, arrival_s, size_bits, intensity_cpb, action)
+            (0, .125, 2.0**15, 512.0, 3), (4, .125, 2.0**17, 512.0, 3),
+            (0, .25, 2.0**18, 1024.0, 3), (2, .25, 2.0**16, 512.0, 1),
+            (4, .25, 2.0**17, 256.0, 1), (4, .375, 2.0**16, 256.0, 3),
+            (2, .5, 2.0**15, 256.0, 3),
+        ]
+        sim = Simulator(node, chans, substream(0, "gains"),
+                        policy=lambda s, t: tasks[t.task_id][4])
+        for task_id, (user, arrival, size, intensity, _) in enumerate(tasks):
+            sim.schedule_arrival(make_task(task_id=task_id, user_id=user, arrival_time=arrival,
+                                           size_bits=size, intensity_cpb=intensity,
+                                           deadline_s=0.5))
+        outs = sim.run_to_completion()
+        assert len(outs) == len(tasks)
+        digest = hashlib.sha256(repr([tuple(o) for o in outs]).encode()).hexdigest()
+        assert digest == "ad4680672d00b29b054babea885820f3fd3ee21fcb9532d9366e5eea762c56d6"
+
 def reference_projections(sim, task):
     """Every action's what-if outcome, computed from backlog and occupancy
     tables over all users and base stations; the reference that

@@ -29,11 +29,11 @@ projected.
 The live section times the whole per-decision path of a live evaluation at
 K = 50 users and 40 tasks/s each, as the benchmark's live-k50 workload runs
 it: task streams, gains, context scaling, the policy, submit and the event
-loop.  live_e2da_us is run_live_evaluation with an untrained e2da agent
-(one batched greedy forward per episode, decided ahead of arrival),
-live_eel_us with the eel oracle (one Simulator.projections call and its
-ranking per decision) and live_random_us with the random policy (one
-vector draw per episode, decided ahead of arrival), each timed per
+loop.  live_e2da_us is run_live_evaluation with make_policy's untrained
+e2da agent (one batched greedy forward per episode, decided ahead of
+arrival), live_eel_us with the eel oracle (one Simulator.projections call
+and its ranking per decision) and live_random_us with the random policy
+(one vector draw per episode, decided ahead of arrival), each timed per
 decision over --tasks decisions in episodes of 100; arrivals_us is the
 time per task to seed workload.arrivals, the one feed that merges the 50
 users' task streams in arrival order as a live run reads them, and draw as
@@ -58,7 +58,7 @@ import numpy as np
 from bench_dataset import ROOT, machine, summary
 from e2da.bandit import E2daAgent, RewardParams
 from e2da.config import AgentConfig
-from e2da.experiment import run_live_evaluation
+from e2da.experiment import make_policy, run_live_evaluation
 from e2da.netsim import Simulator, Snapshot, project_outcome
 from e2da.rng import substream
 from e2da.system import NodeConfig, default_channels
@@ -156,9 +156,11 @@ def measure_live(n_tasks: int, repeats: int) -> dict:
     runs = {"live_e2da_us": [], "live_eel_us": [], "live_random_us": [], "arrivals_us": []}
     for _ in range(repeats):
         for name in ("e2da", "eel", "random"):
+            rng = substream(SEED, "logging-policy")  # the stream a CLI run draws from
+            choose = make_policy(name, [agent], rng, node.n_channels + 1)
             t0 = time.perf_counter()
-            run_live_evaluation(name, node, channels, workload, params, n_episodes,
-                                TASKS_PER_EPISODE, SEED, [agent])
+            run_live_evaluation(choose, node, channels, workload, params, n_episodes,
+                                TASKS_PER_EPISODE, SEED)
             runs[f"live_{name}_us"].append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         for _task in itertools.islice(arrivals(workload, SEED, LIVE_USERS), decisions):
