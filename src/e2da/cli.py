@@ -134,10 +134,11 @@ def _load_dataset(path: Optional[str], cfg: ExperimentConfig, extra: dict) -> Da
 
 
 def _reward_params(
-    cfg: ExperimentConfig, seed: int, dataset: Optional[Dataset], extra: dict
+    cfg: ExperimentConfig, seed: int, dataset: Optional[Dataset], extra: dict, source: str
 ) -> RewardParams:
     """Reward constants of a run without a checkpoint.  The efficiency
-    normalizer is configured or calibrated; extra records which."""
+    normalizer is configured or calibrated; extra records which.  A
+    calibrated one that RewardParams rejects names source, its data."""
     scale, origin = cfg.reward.efficiency_scale_bits_per_j_s, "configured"
     percentile = cfg.reward.calibration_percentile
     if scale is None and dataset is not None:
@@ -148,7 +149,16 @@ def _reward_params(
         )
         origin = "live_percentile"
     extra.update({"efficiency_scale": scale, "scale_origin": origin})
-    return RewardParams(cfg.agent.penalty, scale)
+    try:
+        return RewardParams(cfg.agent.penalty, scale)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: calibrated {exc}") from None
+
+
+def _calibration_source(args: argparse.Namespace) -> str:
+    """Where a train or evaluate run's calibration data comes from: the
+    dataset of a replay, else the config that leaves the normalizer out."""
+    return args.dataset or f"{args.config}: reward.efficiency_scale_bits_per_j_s"
 
 
 def _policy_inputs(
@@ -159,19 +169,20 @@ def _policy_inputs(
     checkpoint: Optional[str],
     checkpoint_key: str,
     extra: dict,
+    source: str,
 ) -> Tuple[List[E2daAgent], RewardParams, WorkloadConfig]:
     """Agents, reward constants and workload of the policy `name`.  The
     learned policy has one shared agent (stream salt ()) or one agent per
     user (salt ("user", u)), fresh or read from `checkpoint`; other
     policies have none.  extra records the reward normalizer and, under
-    checkpoint_key, the checkpoint's hash."""
+    checkpoint_key, the checkpoint's hash; source names a calibration's data."""
     if name != "e2da":
-        return [], _reward_params(cfg, seed, dataset, extra), cfg.workload
+        return [], _reward_params(cfg, seed, dataset, extra, source), cfg.workload
     per_user = cfg.run.agent_scope == "per_user"
     salts = [("user", u) for u in range(cfg.system.n_users)] if per_user else [()]
     n_actions = cfg.system.n_channels + 1
     if checkpoint is None:
-        params = _reward_params(cfg, seed, dataset, extra)
+        params = _reward_params(cfg, seed, dataset, extra, source)
         agents = [E2daAgent.create(cfg.agent, n_actions, params, seed, salt) for salt in salts]
         return agents, params, cfg.workload
     agents, bounds = read_checkpoint(checkpoint, n_actions, per_user, salts, seed)
@@ -239,7 +250,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.dataset, cfg, extra) if mode == "dataset" else None
 
     agents, params, workload = _policy_inputs(
-        args.agent, cfg, seed, dataset, args.resume, "resumed_from_sha256", extra
+        args.agent, cfg, seed, dataset, args.resume, "resumed_from_sha256", extra,
+        _calibration_source(args),
     )
     if args.agent == "random":
         rows = _evaluate("random", cfg, seed, dataset, workload, params, [], "train")
@@ -273,7 +285,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.agent == "e2da" and not args.model:
         raise ConfigError("evaluating the learned agent requires --model PATH")
     agents, params, workload = _policy_inputs(
-        args.agent, cfg, seed, dataset, args.model, "model_sha256", extra
+        args.agent, cfg, seed, dataset, args.model, "model_sha256", extra,
+        _calibration_source(args),
     )
     rows = _evaluate(args.agent, cfg, seed, dataset, workload, params, agents)
 
@@ -319,7 +332,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not args.model:
             raise ConfigError("sweeping the learned agent requires --model PATH")
         agents, params, workload = _policy_inputs(
-            "e2da", cfg, seed, None, args.model, "model_sha256", extra
+            "e2da", cfg, seed, None, args.model, "model_sha256", extra, args.config
         )
         bounds = workload.context_bounds
 
@@ -336,7 +349,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         if params is None:
             # One normalizer for the whole sweep keeps rewards comparable.
-            params = _reward_params(scen_cfg, seed, ds, extra)
+            params = _reward_params(scen_cfg, seed, ds, extra, f"{args.config}: scenario {label}")
         # the learned agent scales contexts with its checkpoint's bounds
         workload = replace(scen_cfg.workload, context_bounds=bounds)
         salt = (label,) if mode == "dataset" else ()

@@ -36,8 +36,8 @@ class RewardConfig:
 
     def __post_init__(self) -> None:
         scale = self.efficiency_scale_bits_per_j_s
-        if scale is not None and scale <= 0:
-            raise ConfigError(f"efficiency_scale_bits_per_j_s must be > 0, got {scale}")
+        if scale is not None and not 0 < scale < math.inf:
+            raise ConfigError(f"efficiency_scale_bits_per_j_s must be finite and > 0, got {scale}")
         if not 0 < self.calibration_percentile <= 100:
             raise ConfigError(
                 "calibration_percentile must be in (0, 100], "
@@ -65,8 +65,8 @@ class AgentConfig:
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ConfigError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
         for f_name in ("learning_rate", "rmsprop_eps"):
-            if not getattr(self, f_name) > 0:
-                raise ConfigError(f"{f_name} must be > 0, got {getattr(self, f_name)}")
+            if not 0 < getattr(self, f_name) < math.inf:
+                raise ConfigError(f"{f_name} must be finite and > 0, got {getattr(self, f_name)}")
         if not 0.0 < self.rmsprop_decay < 1.0:
             raise ConfigError(f"rmsprop_decay must be in (0, 1), got {self.rmsprop_decay}")
         for f_name in ("minibatch_size", "train_steps_per_observation", "buffer_capacity"):
@@ -78,8 +78,8 @@ class AgentConfig:
                 raise ConfigError(f"{f_name} must be in [0, 1], got {v}")
         if not 0 <= self.penalty < math.inf:
             raise ConfigError(f"penalty must be finite and >= 0, got {self.penalty}")
-        if self.init_scale is not None and self.init_scale <= 0:
-            raise ConfigError(f"init_scale must be > 0, got {self.init_scale}")
+        if self.init_scale is not None and not 0 < self.init_scale < math.inf:
+            raise ConfigError(f"init_scale must be finite and > 0, got {self.init_scale}")
 
 
 @dataclass(frozen=True)

@@ -127,9 +127,6 @@ class Dataset:
         """The records selected by an index array or boolean mask, in order."""
         return Dataset({name: column[rows] for name, column in self.columns().items()})
 
-    def to_csv_text(self) -> str:
-        return "".join(self._csv_chunks())
-
     def _csv_chunks(self) -> Iterator[str]:
         """dataset.csv as text pieces: the header line, then the lines of
         _ROW_CHUNK rows at a time, each line ending in a newline."""

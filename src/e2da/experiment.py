@@ -21,7 +21,7 @@ import itertools
 import math
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
-    Tuple, Union, get_type_hints,
+    Tuple, Union,
 )
 
 import numpy as np
@@ -78,8 +78,8 @@ def calibrate_efficiency_scale(dataset: Dataset, percentile: float = 99.0) -> fl
 
 
 class MetricsRow(NamedTuple):
-    """One episode's metrics; the CSV writer, reader and average_rows go
-    field by field, so the field list is written only here."""
+    """One episode's metrics; the CSV writer and average_rows go field by
+    field, so the field list is written only here."""
 
     episode: int
     phase: str  # "train" or "test"
@@ -103,14 +103,6 @@ def metrics_to_csv_text(rows: Sequence[MetricsRow]) -> str:
 
 def write_metrics(path: str, rows: Sequence[MetricsRow]) -> None:
     atomic_write_text(path, [metrics_to_csv_text(rows)])
-
-
-def read_metrics(path: str) -> List[MetricsRow]:
-    types = get_type_hints(MetricsRow).values()  # each field's type parses its column
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return [MetricsRow._make(t(v) for t, v in zip(types, row)) for row in reader]
 
 
 def summarize(
@@ -446,20 +438,18 @@ def _live_rollout(
     sim = Simulator(node, channels, Uniforms(substream(seed, "gains")), policy=hook)
     feed = itertools.islice(arrivals(workload, seed, node.n_users), n_episodes * tasks_per_episode)
     sim.add_arrivals(by_episode(feed))
-    while sim.has_events:
-        out = sim.advance()
-        if out is not None:
-            met = out.met_deadline
-            r = float(compute_reward(out.size_bits, out.total_s, out.e_total_j, met, reward_params))
-            x, action, episode = pending.pop(out.task_id)
-            if learner is not None:
-                learner.observe(x, action, r)
-            book = books[episode]
-            book[0] += r
-            book[1] += met
-            book[2] += out.e_total_j
-            book[3] += out.total_s
-            book[4] += 1
+    for out in sim.outcomes():
+        met = out.met_deadline
+        r = float(compute_reward(out.size_bits, out.total_s, out.e_total_j, met, reward_params))
+        x, action, episode = pending.pop(out.task_id)
+        if learner is not None:
+            learner.observe(x, action, r)
+        book = books[episode]
+        book[0] += r
+        book[1] += met
+        book[2] += out.e_total_j
+        book[3] += out.total_s
+        book[4] += 1
     return [_row(episode, phase, *book) for episode, book in books.items()]
 
 
@@ -521,9 +511,5 @@ def calibrate_efficiency_scale_live(
     policy = lambda sim, task: next(actions)  # noqa: E731  (arrivals come in feed order)
     sim = Simulator(node, channels, Uniforms(substream(seed, "gains")), policy=policy)
     sim.add_arrivals(itertools.islice(arrivals(workload, seed, node.n_users), 2000))
-    effs: List[float] = []
-    while sim.has_events:
-        out = sim.advance()
-        if out is not None:
-            effs.append(efficiency(out.size_bits, out.total_s, out.e_total_j))
+    effs = [efficiency(o.size_bits, o.total_s, o.e_total_j) for o in sim.outcomes()]
     return linear_percentile(effs, percentile)

@@ -79,7 +79,7 @@ class TaskOutcome(NamedTuple):
 
 
 class _Job:
-    """An admitted task on its way along its route of stations.
+    """A submitted task on its way along its route of stations.
 
     work[h] is what it brings to route[h]: cycles on the CPU or VM, the
     task's bits uplink, its result's bits downlink.  times holds the stage
@@ -307,7 +307,6 @@ class Simulator:
         ]
         self._up = [[_Station(up_dom[(assoc[k], c)], 1, 5, c) for c in range(C)] for k in range(K)]
         self._down = [[_Station(down_dom[c], 3, 6, c) for c in range(C)] for _ in range(N)]
-        self.admitted = 0
 
     # ------------------------------------------------------------------ feeds
 
@@ -397,7 +396,6 @@ class Simulator:
             up, down = self._up[user][action - 1], self._down[self._assoc[user]][action - 1]
             route = (up, self._vm[user], down) if result_bits > 0 else (up, self._vm[user])
             work = (task.size_bits, cycles, result_bits)
-        self.admitted += 1
         self._enqueue(route[0], _Job(task, action, gains, route, work))
 
     @property
@@ -423,18 +421,16 @@ class Simulator:
         self._relatch(dom)
         return None
 
-    def run_to_completion(self) -> List[TaskOutcome]:
-        """Drain the calendar; returns outcomes in completion order."""
-        got: List[TaskOutcome] = []
+    def outcomes(self) -> Iterator[TaskOutcome]:
+        """Drain the calendar lazily, yielding each finished task's outcome
+        in completion order."""
         while self._calendar:
             out = self.advance()
             if out is not None:
-                got.append(out)
-        return got
+                yield out
 
-    def in_flight_count(self) -> int:
-        stations = itertools.chain(self._cpu, self._vm, *self._up, *self._down)
-        return sum(len(st.queue) + (st.slot is not None) for st in stations)
+    def run_to_completion(self) -> List[TaskOutcome]:
+        return list(self.outcomes())
 
     # -------------------------------------------------------------- internal
 

@@ -8,6 +8,7 @@ never loads one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -95,8 +96,8 @@ class ChannelConfig:
 
     def __post_init__(self) -> None:
         for f_name in ("uplink_rate_bps", "downlink_rate_bps", "uplink_power_w", "downlink_power_w"):
-            if getattr(self, f_name) <= 0:
-                raise ConfigError(f"{f_name} must be > 0, got {getattr(self, f_name)}")
+            if not 0 < getattr(self, f_name) < math.inf:
+                raise ConfigError(f"{f_name} must be finite and > 0, got {getattr(self, f_name)}")
         sup = self.gain.support()
         if sup is None or sup[0] <= 0.0 or sup[1] > 1.0:
             raise ConfigError(f"gain support must lie in (0, 1], got {sup}")
@@ -141,10 +142,12 @@ class NodeConfig:
             if getattr(self, f_name) < 1:
                 raise ConfigError(f"{f_name} must be >= 1, got {getattr(self, f_name)}")
         for f_name in ("user_cpu_hz", "edge_vm_hz", "kappa_j_per_cycle_hz2"):
-            if getattr(self, f_name) <= 0:
-                raise ConfigError(f"{f_name} must be > 0, got {getattr(self, f_name)}")
-        if self.result_size_ratio < 0:
-            raise ConfigError(f"result_size_ratio must be >= 0, got {self.result_size_ratio}")
+            if not 0 < getattr(self, f_name) < math.inf:
+                raise ConfigError(f"{f_name} must be finite and > 0, got {getattr(self, f_name)}")
+        if not 0 <= self.result_size_ratio < math.inf:
+            raise ConfigError(
+                f"result_size_ratio must be finite and >= 0, got {self.result_size_ratio}"
+            )
         assoc = self.association
         if assoc is None:
             assoc = [k % self.n_base_stations for k in range(self.n_users)]

@@ -115,9 +115,9 @@ class WorkloadConfig:
     context_bounds: Optional[Tuple[Tuple[float, float], ...]] = None
 
     def __post_init__(self) -> None:
-        if not self.arrival_rate_per_s > 0:
+        if not 0 < self.arrival_rate_per_s < math.inf:
             raise ConfigError(
-                f"arrival_rate_per_s must be > 0, got {self.arrival_rate_per_s}"
+                f"arrival_rate_per_s must be finite and > 0, got {self.arrival_rate_per_s}"
             )
         for name in _FEATURES:
             sup = getattr(self, name).support()

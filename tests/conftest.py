@@ -70,6 +70,11 @@ def single_user_node(**overrides):
     return NodeConfig(**defaults)
 
 
+def csv_text(dataset):
+    """The dataset.csv text that Dataset.write_csv writes."""
+    return "".join(dataset._csv_chunks())
+
+
 def finite_difference_grads(model, x, actions, targets, h=1e-5):
     """Central differences over every parameter, done in place and restored."""
     gw = [np.zeros_like(w) for w in model.weights]

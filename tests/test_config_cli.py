@@ -9,8 +9,11 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import csv_text
 from e2da import cli
 from e2da.config import (
+    AgentConfig,
+    RewardConfig,
     config_from_dict,
     load_config,
     to_json,
@@ -18,7 +21,8 @@ from e2da.config import (
 )
 from e2da.errors import ConfigError
 from e2da.ioutil import atomic_write_text, sha256_file, write_json
-from e2da.workload import Uniform
+from e2da.system import ChannelConfig, NodeConfig
+from e2da.workload import Uniform, WorkloadConfig
 
 
 class TestIoUtil:
@@ -128,6 +132,27 @@ class TestConfigParsing:
         d1 = to_json(cfg)
         d2 = to_json(config_from_dict(d1))
         assert d1 == d2
+
+    @pytest.mark.parametrize(
+        "cls, args, kwargs, key",
+        [
+            (ChannelConfig, (math.nan, 1e6, 1, 1), {}, "uplink_rate_bps"),
+            (ChannelConfig, (1e6, 1e6, math.inf, 1), {}, "uplink_power_w"),
+            (NodeConfig, (), {"user_cpu_hz": math.nan}, "user_cpu_hz"),
+            (NodeConfig, (), {"user_cpu_hz": math.inf}, "user_cpu_hz"),
+            (NodeConfig, (), {"kappa_j_per_cycle_hz2": math.nan}, "kappa_j_per_cycle_hz2"),
+            (NodeConfig, (), {"result_size_ratio": math.nan}, "result_size_ratio"),
+            (RewardConfig, (), {"efficiency_scale_bits_per_j_s": math.nan},
+             "efficiency_scale_bits_per_j_s"),
+            (AgentConfig, (), {"init_scale": math.nan}, "init_scale"),
+            (AgentConfig, (), {"learning_rate": math.inf}, "learning_rate"),
+            (WorkloadConfig, (), {"arrival_rate_per_s": math.inf}, "arrival_rate_per_s"),
+        ],
+    )
+    def test_a_non_finite_value_built_in_python_is_rejected(self, cls, args, kwargs, key):
+        # a JSON config cannot hold these: its reader asks for a finite number
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            cls(*args, **kwargs)
 
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -635,6 +660,47 @@ def write_config(tmp_path, name, **sections):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+# workload and system sections whose calibrated efficiency normalizer is
+# 0.0 (every efficiency underflows) or NaN (every edge run takes forever)
+HUGE_TASKS = {"size_bits": {"kind": "uniform", "min": 10.0, "max": 1e300}}
+SLOW_EDGE = {"edge_vm_hz": 1e-300}
+CALIBRATED = {"efficiency_scale_bits_per_j_s": None}
+BAD_SCALE = "calibrated efficiency_scale must be finite and > 0, got"
+
+
+class TestUncomputableNormalizer:
+    def test_a_replay_names_its_dataset(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "config.json", workload=HUGE_TASKS, reward=CALIBRATED)
+        data = str(tmp_path / "data")
+        assert run_cli(["generate-dataset", "--config", cfg, "--out", data], capsys)[0] == 0
+        dataset = os.path.join(data, "dataset.csv")
+        # in a fresh interpreter: the suite turns numpy's overflow warning
+        # in the calibration into an error
+        done = run_python(["-m", "e2da", "train", "--config", cfg, "--dataset", dataset,
+                           "--out", str(tmp_path / "o")])
+        assert done.returncode == 2, done.stderr
+        assert f"error: {dataset}: {BAD_SCALE} 0.0\n" in done.stderr
+
+    @pytest.mark.parametrize(
+        "sections, got",
+        [({"workload": HUGE_TASKS}, "0.0"), ({"system": SLOW_EDGE}, "nan")],
+    )
+    def test_a_live_calibration_names_its_config_key(self, tmp_path, capsys, sections, got):
+        cfg = write_config(tmp_path, "config.json", reward=CALIBRATED, **sections)
+        rc, err = run_cli(["evaluate", "--mode", "live", "--agent", "eel", "--config", cfg,
+                           "--out", str(tmp_path / "o")], capsys)
+        assert rc == 2, err
+        assert err == f"error: {cfg}: reward.efficiency_scale_bits_per_j_s: {BAD_SCALE} {got}\n"
+
+    def test_a_sweep_names_its_config_and_scenario(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "config.json", reward=CALIBRATED)
+        rc, err = run_cli(["sweep", "--mode", "live", "--vary", "size", "--values", "1e300",
+                           "--agent", "eel", "--config", cfg, "--out", str(tmp_path / "o")],
+                          capsys)
+        assert rc == 2, err
+        assert err == f"error: {cfg}: scenario size-1e+300: {BAD_SCALE} 0.0\n"
 
 
 @pytest.fixture(scope="module")
@@ -1254,7 +1320,7 @@ class TestDatasetModeDigests:
 
         _, dataset, _ = trained
         part = split_by_user(Dataset.from_csv(dataset), 4)[1]
-        assert hashlib.sha256(part.to_csv_text().encode()).hexdigest() == (
+        assert hashlib.sha256(csv_text(part).encode()).hexdigest() == (
             "7f08033aa576d9b24afe1a201305d51b9f15cfc0f6173bf4d9724de0e81ea69c"
         )
 

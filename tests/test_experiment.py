@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import MUTATIONS, mutated, mutation_columns
+from conftest import MUTATIONS, csv_text, mutated, mutation_columns
 from e2da import dataset as dataset_module
 from e2da import workload as workload_module
 from e2da import experiment, ioutil
@@ -23,7 +23,6 @@ from e2da.experiment import (
     linear_percentile,
     make_policy,
     metrics_to_csv_text,
-    read_metrics,
     run_evaluation,
     run_live_evaluation,
     run_live_training,
@@ -91,13 +90,13 @@ class TestGenerateDataset:
         again = generate_dataset(
             small_node, default_channels(), WorkloadConfig(), n_records=200, seed=42
         )
-        assert again.to_csv_text() == small_dataset.to_csv_text()
+        assert csv_text(again) == csv_text(small_dataset)
 
     def test_seed_changes_content(self, small_node, small_dataset):
         other = generate_dataset(
             small_node, default_channels(), WorkloadConfig(), n_records=200, seed=43
         )
-        assert other.to_csv_text() != small_dataset.to_csv_text()
+        assert csv_text(other) != csv_text(small_dataset)
 
     def test_golden_digest(self, tmp_path):
         """The bytes of a loaded K=50 dataset, pinned: a simulator change that
@@ -133,7 +132,7 @@ class TestDatasetCsv:
         and that _valid_rows clears is a row the scalar parser accepts."""
         import random
 
-        text = small_dataset.to_csv_text().splitlines()
+        text = csv_text(small_dataset).splitlines()
         header, rows = text[0].split(","), text[1:41]
         columns = mutation_columns(header)
         n_act, met_cols = small_dataset.n_actions, set(columns["met"])
@@ -171,7 +170,7 @@ class TestDatasetCsv:
     def test_round_trip_text_is_stable(self, small_dataset, tmp_path):
         path = str(tmp_path / "records.csv")
         small_dataset.write_csv(path)
-        assert Dataset.from_csv(path).to_csv_text() == small_dataset.to_csv_text()
+        assert csv_text(Dataset.from_csv(path)) == csv_text(small_dataset)
 
     # Edge cases of the streamed reader, on files longer than two of
     # check_utf8's chunks.
@@ -180,7 +179,7 @@ class TestDatasetCsv:
     def read_or_error(path):
         """The text or error message of reading path."""
         try:
-            return Dataset.from_csv(path).to_csv_text()
+            return csv_text(Dataset.from_csv(path))
         except ConfigError as exc:
             return str(exc)
 
@@ -193,7 +192,7 @@ class TestDatasetCsv:
     @pytest.fixture()
     def lines(self, small_dataset):
         """The lines of a file with 3 x 200 records, several chunks long."""
-        return tiled(small_dataset, 3).to_csv_text().splitlines()
+        return csv_text(tiled(small_dataset, 3)).splitlines()
 
     @pytest.mark.parametrize(
         "cell, value, detail",
@@ -595,7 +594,11 @@ class TestMetricsCsv:
         ]
         path = str(tmp_path / "metrics.csv")
         write_metrics(path, rows)
-        assert read_metrics(path) == rows
+        with open(path, encoding="utf-8", newline="") as fh:
+            next(fh)  # the header
+            cells = [line.rstrip("\n").split(",") for line in fh]
+        types = (int, str, float, float, float, float)  # MetricsRow's field types
+        assert [MetricsRow._make(t(v) for t, v in zip(types, row)) for row in cells] == rows
 
     def test_header(self):
         text = metrics_to_csv_text([])

@@ -541,27 +541,37 @@ class TestSnapshotProjection:
         assert g1 == want
 
 
-def mixed_run(n_tasks=2000, seed=13):
+def mixed_sim(n_tasks=2000, seed=13):
+    """A mixed run's simulator with its feed added and no event popped, and
+    the list of task ids its policy has decided (each one submitted)."""
     node = NodeConfig(n_users=5, n_base_stations=3, n_channels=3)
     wl = WorkloadConfig()
     act_rng = substream(seed, "actions")
+    decided = []
 
     def policy(sim, task):
+        decided.append(task.task_id)
         return int(act_rng.integers(4))
 
     sim = Simulator(node, default_channels(), substream(seed, "gains"),
                     policy=policy)
     sim.add_arrivals(itertools.islice(arrivals(wl, seed, 5), n_tasks))
+    return sim, decided
+
+
+def mixed_run(n_tasks=2000, seed=13):
+    """(sim, outcomes, number of decisions) of a drained mixed run."""
+    sim, decided = mixed_sim(n_tasks, seed)
     outs = sim.run_to_completion()
-    return sim, outs
+    return sim, outs, len(decided)
 
 
 class TestMixedRunProperties:
     def test_conservation_and_identities(self):
-        sim, outs = mixed_run()
+        sim, outs, decided = mixed_run()
         assert len(outs) == 2000
-        assert sim.admitted == 2000
-        assert sim.in_flight_count() == 0
+        assert decided == 2000
+        assert len(outs) == decided  # nothing submitted is left in flight
         assert len({o.task_id for o in outs}) == 2000
         for o in outs:
             parts = (o.d1_s + o.d2_s + o.t_up_s + o.d3_s + o.t_exec_s
@@ -579,14 +589,26 @@ class TestMixedRunProperties:
                 assert o.t_up_s > 0.0
 
     def test_bit_identical_reruns(self):
-        _, a = mixed_run(n_tasks=500)
-        _, b = mixed_run(n_tasks=500)
+        _, a, _ = mixed_run(n_tasks=500)
+        _, b, _ = mixed_run(n_tasks=500)
         assert a == b
 
     def test_a_feed_of_n_tasks_admits_exactly_n(self):
-        sim, outs = mixed_run(n_tasks=50)
-        assert sim.admitted == 50
+        sim, outs, decided = mixed_run(n_tasks=50)
+        assert decided == 50
         assert not sim.has_events
+
+
+class TestOutcomes:
+    def test_outcomes_drains_lazily_like_run_to_completion(self):
+        sim, decided = mixed_sim(n_tasks=200)
+        drain = sim.outcomes()
+        first = next(drain)
+        assert sim.has_events  # later events are still on the calendar
+        assert len(decided) < 200  # later arrivals are not decided yet
+        rest = list(drain)
+        assert not sim.has_events and len(decided) == 200
+        assert [first] + rest == mixed_sim(n_tasks=200)[0].run_to_completion()
 
 
 class TestTieHeavyDigest:
@@ -748,18 +770,21 @@ def loaded_run(node, on_decision, n_decisions=1500):
     """A loaded mixed run of 12 users under random actions: uplink queues
     build up, the deciding user's own uplink and its base station's downlink
     slots are sometimes busy, and several base stations share each downlink
-    channel.  on_decision(sim, task) sees every decision before it is made."""
+    channel.  on_decision(sim, task) sees every decision before it is made.
+    Returns the number of decisions made."""
     wl = WorkloadConfig(arrival_rate_per_s=150.0)
     act_rng = substream(21, "actions")
+    decided = []
 
     def policy(sim, task):
         on_decision(sim, task)
+        decided.append(task.task_id)
         return int(act_rng.integers(node.n_channels + 1))
 
     sim = Simulator(node, default_channels(), substream(21, "gains"), policy=policy)
     sim.add_arrivals(itertools.islice(arrivals(wl, 21, node.n_users), n_decisions))
     sim.run_to_completion()
-    return sim.admitted
+    return len(decided)
 
 
 def stack(snaps):
@@ -876,7 +901,7 @@ class TestValidationAndErrors:
         sim = Simulator(node, (fixed_gain_channel(1e6, 1.0),), substream(0, "g"))
         with pytest.raises(ValueError, match="finite positive"):
             sim.submit(make_task(**{field: bad}), action)
-        assert sim.admitted == 0 and not sim.has_events
+        assert not sim.has_events and sim.run_to_completion() == []
 
     @pytest.mark.parametrize("u, shown", [(1.5, "1.2"), (-2.0, "-0.2"), (float("nan"), "nan")])
     def test_a_gain_outside_0_1_fails_its_transmission(self, u, shown):
